@@ -78,7 +78,7 @@ int main(int argc, char** argv) {
       fp.n_crit = 256;
       fp.mac = mac;
       fp.quadrupole = quadrupole;
-      core::HostTreeEngine engine(fp, core::HostTreeEngine::Mode::Modified);
+      core::TreeEngine engine(fp, core::TreeEngine::Mode::Modified);
       const double err = engine_rms_error(base, exact, engine);
       char c1[8], c2[12], c3[16], c4[16];
       std::snprintf(c1, sizeof(c1), "%.2f", theta);
@@ -131,8 +131,8 @@ int main(int argc, char** argv) {
       fp.eps = eps;
       fp.theta = 0.75;
       fp.n_crit = 256;
-      core::GrapeTreeEngine engine(fp, device);
-      const double err = engine_rms_error(base, exact, engine);
+      const auto engine = core::make_engine("grape-tree", fp, device);
+      const double err = engine_rms_error(base, exact, *engine);
       char c1[8], c2[8], c3[16];
       std::snprintf(c1, sizeof(c1), "%d", row.numerics.position_bits);
       std::snprintf(c2, sizeof(c2), "%d", row.numerics.lns_frac_bits);

@@ -119,10 +119,9 @@ int main(int argc, char** argv) {
   // clustering lengthens the lists as the run progresses).
   std::vector<double> step_mean_list;
   core::Simulation sim(*engine, sc);
-  auto* gt = dynamic_cast<core::GrapeTreeEngine*>(engine.get());
   std::uint64_t prev_lists = 0, prev_entries = 0;
   sim.set_step_hook([&](std::uint64_t, const model::ParticleSet&) {
-    const auto& walk = gt->stats().walk;
+    const auto& walk = engine->stats().walk;
     if (walk.lists > prev_lists) {
       step_mean_list.push_back(
           static_cast<double>(walk.list_entries - prev_entries) /
@@ -187,10 +186,7 @@ int main(int argc, char** argv) {
                        3)});
   m.add_row({"bytes moved host<->GRAPE",
              util::human_bytes(static_cast<double>(
-                 dynamic_cast<core::GrapeTreeEngine&>(*engine)
-                     .device()
-                     .system()
-                     .bytes_moved()))});
+                 engine->grape_device()->system().bytes_moved()))});
   m.print();
 
   if (step_mean_list.size() >= 4) {

@@ -1,7 +1,7 @@
 // P1 — parallel group-walk scaling on the real host.
 //
 // The paper's host walked the tree on one Alpha core while GRAPE-5 did the
-// force arithmetic; here the walk + host evaluation of HostTreeEngine
+// force arithmetic; here the walk + host evaluation of TreeEngine
 // (modified algorithm) runs on 1..max host threads over the same snapshot
 // and we report measured wall clock, speedup over the serial run, and the
 // HostCostModel projection for the same core count. Forces are checked
@@ -49,7 +49,7 @@ int main(int argc, char** argv) {
     fp.theta = theta;
     fp.n_crit = n_crit;
     fp.threads = threads;
-    core::HostTreeEngine engine(fp, core::HostTreeEngine::Mode::Modified);
+    core::TreeEngine engine(fp, core::TreeEngine::Mode::Modified);
     util::Stopwatch watch;
     engine.compute(pset);
     return std::pair{watch.elapsed(), engine.stats()};

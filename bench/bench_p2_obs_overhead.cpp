@@ -5,7 +5,7 @@
 // must be indistinguishable from the seed; with the switch on (phase
 // accumulation, no tracing) the end-to-end overhead of a force
 // computation must stay under a few percent. This harness measures both
-// on HostTreeEngine (modified algorithm) force phases over a Plummer
+// on TreeEngine (host kernel, modified algorithm) force phases over a Plummer
 // sphere and FAILS (exit 1) when the switched-on overhead exceeds the
 // budget — it is the regression gate for anyone adding spans to a hot
 // loop. The disabled-span micro cost is also reported in ns.
@@ -46,7 +46,7 @@ int main(int argc, char** argv) {
   core::ForceParams fp;
   fp.theta = theta;
   fp.n_crit = n_crit;
-  core::HostTreeEngine engine(fp, core::HostTreeEngine::Mode::Modified);
+  core::TreeEngine engine(fp, core::TreeEngine::Mode::Modified);
 
   // Best-of-reps force-phase seconds under the given switch state. Best
   // (not mean) is the right statistic for an overhead bound: scheduler

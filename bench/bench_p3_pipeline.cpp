@@ -1,42 +1,31 @@
-// P3 — async device pipeline: walk/eval overlap on GrapeTreeEngine.
+// P3 — lane-parallel evaluation: thread scaling of the grape-tree engine.
 //
-// The paper's host built interaction lists while GRAPE-5 evaluated the
-// previous ones (the asynchronous interface of Section 4); this bench
-// measures what restoring that concurrency buys the emulator. The same
-// snapshot runs through GrapeTreeEngine twice — synchronous
-// (pipeline_depth=0: walk, then eval, strictly alternating) and
-// pipelined (depth >= 2: walks overlap the AsyncDevice submitter thread,
-// with the emulated boards running board-parallel inside each job) — and
-// we report end-to-end wall clock, the measured overlap fraction
-// (g5.pipeline.overlap: how much of the cheaper phase was hidden), and
-// the speedup. Forces are checked bitwise between the two runs.
-//
-// On a single host core the pipeline cannot help (all phases timeshare
-// one core) and the speedup prints near 1.0; the acceptance target
-// (>= 1.25x at N >= 64k) applies to multi-core hosts. --min-speedup
-// turns the target into a hard failure for CI gating.
+// Each pool lane walks a group and evaluates its interaction list at once
+// on a lane-private emulated GRAPE-5, so the emulated kernel — nearly all
+// of a grape-tree force phase — spreads over the host's cores. The same
+// Plummer snapshot runs through a fresh grape-tree engine at 1 thread and
+// at --threads (0 = every core), for both arithmetic backends, and we
+// report wall clock, walk and kernel CPU seconds and the speedup. Forces
+// must be bitwise-identical across thread counts: the bench exits
+// nonzero otherwise.
 //
 //   ./bench_p3_pipeline [--n 65536] [--theta 0.75] [--ncrit 256]
-//                       [--eps 0.02] [--threads 0 (auto)] [--depth 2]
-//                       [--backend bit-exact|native] [--boards 0 (paper)]
-//                       [--min-speedup 0 (off)] [--json FILE]
+//                       [--eps 0.02] [--threads 0 (auto)]
+//                       [--backend both|bit-exact|native]
+//                       [--boards 0 (paper)] [--json FILE]
 //
 // --backend selects the pipeline arithmetic (BackendKind): bit-exact is
-// the bit-level datapath (the default; BENCH_p3.json's baseline), native
-// evaluates the same lists in plain double. BENCH_p6.json records both.
-// --boards scales the emulated cluster (0 = the paper's 2 boards); more
-// boards means more board-parallel lanes inside each device job, and the
-// forces stay bitwise-identical across B (docs/scaling.md; BENCH_p8.json
-// records the --boards {1,2,4} sweep for both backends).
+// the bit-level datapath, native evaluates the same lists in plain
+// double. --boards scales the emulated cluster (0 = the paper's 2
+// boards); forces stay bitwise-identical across B too (docs/scaling.md).
 
 #include <cstdio>
 #include <cstdlib>
 #include <string>
+#include <vector>
 
 #include "core/engines.hpp"
 #include "ic/plummer.hpp"
-#include "obs/registry.hpp"
-#include "obs/span.hpp"
 #include "util/options.hpp"
 #include "util/parallel.hpp"
 #include "util/table.hpp"
@@ -44,34 +33,56 @@
 
 namespace {
 
+using namespace g5;
+
 struct RunResult {
   double wall_s = 0.0;
   double walk_cpu_s = 0.0;
-  double kernel_s = 0.0;
-  double overlap = 0.0;
-  g5::model::ParticleSet pset;
+  double kernel_cpu_s = 0.0;
+  model::ParticleSet pset;
 };
+
+struct Row {
+  grape::BackendKind backend;
+  RunResult serial;
+  RunResult parallel;
+  bool identical = false;
+  [[nodiscard]] double speedup() const {
+    return parallel.wall_s > 0.0 ? serial.wall_s / parallel.wall_s : 0.0;
+  }
+};
+
+bool same_forces(const model::ParticleSet& a, const model::ParticleSet& b) {
+  for (std::size_t i = 0; i < a.size(); ++i) {
+    if (!(a.acc()[i] == b.acc()[i]) || a.pot()[i] != b.pot()[i]) return false;
+  }
+  return true;
+}
 
 }  // namespace
 
 int main(int argc, char** argv) {
-  using namespace g5;
   util::Options opt(argc, argv);
   const auto n = static_cast<std::size_t>(opt.get_int("n", 65536));
   const double theta = opt.get_double("theta", 0.75);
   const double eps = opt.get_double("eps", 0.02);
   const auto n_crit = static_cast<std::uint32_t>(opt.get_int("ncrit", 256));
-  const auto threads = static_cast<std::uint32_t>(opt.get_int("threads", 0));
-  const auto depth = static_cast<std::uint32_t>(opt.get_int("depth", 2));
-  const double min_speedup = opt.get_double("min-speedup", 0.0);
+  const unsigned threads = util::resolve_thread_count(
+      static_cast<unsigned>(opt.get_int("threads", 0)));
   const std::string json = opt.get_string("json", "");
   const auto boards = static_cast<std::uint32_t>(opt.get_int("boards", 0));
-  const std::string backend_str = opt.get_string("backend", "bit-exact");
-  grape::BackendKind backend = grape::BackendKind::BitExact;
-  if (!grape::parse_backend(backend_str, backend)) {
-    std::printf("ERROR: unknown --backend '%s' (bit-exact, native)\n",
-                backend_str.c_str());
-    return EXIT_FAILURE;
+  const std::string backend_str = opt.get_string("backend", "both");
+  std::vector<grape::BackendKind> backends;
+  if (backend_str == "both") {
+    backends = {grape::BackendKind::BitExact, grape::BackendKind::Native};
+  } else {
+    grape::BackendKind backend = grape::BackendKind::BitExact;
+    if (!grape::parse_backend(backend_str, backend)) {
+      std::printf("ERROR: unknown --backend '%s' (both, bit-exact, native)\n",
+                  backend_str.c_str());
+      return EXIT_FAILURE;
+    }
+    backends = {backend};
   }
 
   ic::PlummerConfig pc;
@@ -80,65 +91,54 @@ int main(int argc, char** argv) {
   const auto base = ic::make_plummer(pc);
 
   std::printf(
-      "P3: async device pipeline, N=%zu, theta=%g, n_crit=%u, "
-      "threads=%u (0=auto: %u), depth=%u, backend=%s, boards=%u (0=paper)\n\n",
-      n, theta, n_crit, threads, util::resolve_thread_count(threads), depth,
-      std::string(grape::backend_name(backend)).c_str(), boards);
+      "P3: grape-tree thread scaling, N=%zu, theta=%g, n_crit=%u, "
+      "threads 1 vs %u, boards=%u (0=paper)\n\n",
+      n, theta, n_crit, threads, boards);
 
-  obs::set_enabled(true);
-  auto run = [&](std::uint32_t pipeline_depth) {
+  auto run = [&](grape::BackendKind backend, unsigned lanes) {
     RunResult r;
     r.pset = base;
     core::ForceParams fp;
     fp.eps = eps;
     fp.theta = theta;
     fp.n_crit = n_crit;
-    fp.threads = threads;
-    fp.pipeline_depth = pipeline_depth;
+    fp.threads = lanes;
     fp.backend = backend;
     fp.boards = boards;
     // Fresh engine + fresh device per run: no cross-run device state.
     auto engine = core::make_engine("grape-tree", fp);
-    obs::gauge("g5.pipeline.overlap").set(0.0);
     util::Stopwatch watch;
     engine->compute(r.pset);
     r.wall_s = watch.elapsed();
     r.walk_cpu_s = engine->stats().seconds_walk;
-    r.kernel_s = engine->stats().seconds_kernel;
-    r.overlap = obs::gauge("g5.pipeline.overlap").value();
+    r.kernel_cpu_s = engine->stats().seconds_kernel;
     return r;
   };
 
-  const RunResult sync = run(0);
-  const RunResult piped = run(depth);
-
+  std::vector<Row> rows;
   bool identical = true;
-  for (std::size_t i = 0; i < base.size(); ++i) {
-    if (!(piped.pset.acc()[i] == sync.pset.acc()[i]) ||
-        piped.pset.pot()[i] != sync.pset.pot()[i]) {
-      identical = false;
-      break;
-    }
+  for (const grape::BackendKind backend : backends) {
+    Row row{backend, run(backend, 1), run(backend, threads)};
+    row.identical = same_forces(row.serial.pset, row.parallel.pset);
+    identical = identical && row.identical;
+    rows.push_back(std::move(row));
   }
 
-  const double speedup = piped.wall_s > 0.0 ? sync.wall_s / piped.wall_s : 0.0;
-  char speedup_str[32], overlap_str[32];
-  std::snprintf(speedup_str, sizeof speedup_str, "%.2f", speedup);
-  std::snprintf(overlap_str, sizeof overlap_str, "%.2f", piped.overlap);
-
-  util::Table t({"mode", "wall s", "walk cpu-s", "device s", "overlap",
+  util::Table t({"backend", "threads", "wall s", "walk cpu-s", "kernel cpu-s",
                  "speedup", "bitwise"});
-  t.add_row({"sync", util::sci(sync.wall_s), util::sci(sync.walk_cpu_s),
-             util::sci(sync.kernel_s), "-", "1.00", "ref"});
-  t.add_row({"pipelined", util::sci(piped.wall_s), util::sci(piped.walk_cpu_s),
-             util::sci(piped.kernel_s), overlap_str, speedup_str,
-             identical ? "yes" : "NO"});
+  for (const Row& row : rows) {
+    const std::string name(grape::backend_name(row.backend));
+    char speedup[32];
+    std::snprintf(speedup, sizeof speedup, "%.2f", row.speedup());
+    t.add_row({name, "1", util::sci(row.serial.wall_s),
+               util::sci(row.serial.walk_cpu_s),
+               util::sci(row.serial.kernel_cpu_s), "1.00", "ref"});
+    t.add_row({name, std::to_string(threads), util::sci(row.parallel.wall_s),
+               util::sci(row.parallel.walk_cpu_s),
+               util::sci(row.parallel.kernel_cpu_s), speedup,
+               row.identical ? "yes" : "NO"});
+  }
   t.print();
-  std::printf(
-      "\noverlap = fraction of the pipeline wall the producer spent walking/"
-      "\nsubmitting while device jobs were in flight (g5.pipeline.overlap;"
-      "\n0 = strictly serial phases). device s = emulated-datapath wall"
-      "\nfrom per-job accounting.\n");
 
   if (!json.empty()) {
     std::FILE* f = std::fopen(json.c_str(), "w");
@@ -146,37 +146,35 @@ int main(int argc, char** argv) {
       std::printf("ERROR: cannot write %s\n", json.c_str());
       return EXIT_FAILURE;
     }
-    std::fprintf(f,
-                 "{\n"
-                 "  \"run\": {\"n\": %zu, \"theta\": %g, \"n_crit\": %u, "
-                 "\"threads\": %u, \"depth\": %u, \"backend\": \"%s\", "
-                 "\"boards\": %u},\n"
-                 "  \"sync\": {\"wall_s\": %.6g, \"walk_cpu_s\": %.6g, "
-                 "\"device_s\": %.6g},\n"
-                 "  \"pipelined\": {\"wall_s\": %.6g, \"walk_cpu_s\": %.6g, "
-                 "\"device_s\": %.6g, \"overlap\": %.4g},\n"
-                 "  \"speedup\": %.4g,\n"
-                 "  \"bitwise_identical\": %s\n"
-                 "}\n",
-                 n, theta, n_crit, util::resolve_thread_count(threads), depth,
-                 std::string(grape::backend_name(backend)).c_str(),
-                 boards != 0 ? boards
-                             : static_cast<std::uint32_t>(
-                                   grape::SystemConfig::paper_system().boards),
-                 sync.wall_s, sync.walk_cpu_s, sync.kernel_s, piped.wall_s,
-                 piped.walk_cpu_s, piped.kernel_s, piped.overlap, speedup,
-                 identical ? "true" : "false");
+    std::fprintf(f, "[\n");
+    for (std::size_t k = 0; k < rows.size(); ++k) {
+      const Row& row = rows[k];
+      std::fprintf(
+          f,
+          "  {\"run\": {\"n\": %zu, \"theta\": %g, \"n_crit\": %u, "
+          "\"threads\": %u, \"backend\": \"%s\", \"boards\": %u},\n"
+          "   \"serial\": {\"wall_s\": %.6g, \"walk_cpu_s\": %.6g, "
+          "\"kernel_cpu_s\": %.6g},\n"
+          "   \"parallel\": {\"wall_s\": %.6g, \"walk_cpu_s\": %.6g, "
+          "\"kernel_cpu_s\": %.6g},\n"
+          "   \"speedup\": %.4g, \"bitwise_identical\": %s}%s\n",
+          n, theta, n_crit, threads,
+          std::string(grape::backend_name(row.backend)).c_str(),
+          boards != 0 ? boards
+                      : static_cast<std::uint32_t>(
+                            grape::SystemConfig::paper_system().boards),
+          row.serial.wall_s, row.serial.walk_cpu_s, row.serial.kernel_cpu_s,
+          row.parallel.wall_s, row.parallel.walk_cpu_s,
+          row.parallel.kernel_cpu_s, row.speedup(),
+          row.identical ? "true" : "false", k + 1 < rows.size() ? "," : "");
+    }
+    std::fprintf(f, "]\n");
     std::fclose(f);
     std::printf("wrote %s\n", json.c_str());
   }
 
   if (!identical) {
-    std::printf("ERROR: pipelined forces diverged from synchronous run\n");
-    return EXIT_FAILURE;
-  }
-  if (min_speedup > 0.0 && speedup < min_speedup) {
-    std::printf("ERROR: speedup %.2f below required %.2f\n", speedup,
-                min_speedup);
+    std::printf("ERROR: forces diverged between 1 and %u threads\n", threads);
     return EXIT_FAILURE;
   }
   return EXIT_SUCCESS;

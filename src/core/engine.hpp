@@ -1,12 +1,12 @@
 // ForceEngine: the backend abstraction of the simulation core.
 //
-// Four implementations reproduce the paper's design space:
+// Three implementations reproduce the paper's design space:
 //   * HostDirectEngine — O(N^2) direct summation in double on the host;
-//   * HostTreeEngine   — Barnes-Hut on the host (original per-particle
-//                        walk, or Barnes' modified grouped walk);
-//   * GrapeDirectEngine— O(N^2) with the force loop on emulated GRAPE-5;
-//   * GrapeTreeEngine  — the paper's system: modified treecode with the
-//                        interaction lists evaluated on emulated GRAPE-5.
+//   * TreeEngine       — Barnes-Hut (original per-particle walk, or
+//                        Barnes' modified grouped walk) with each list
+//                        evaluated on the host or, the paper's system, on
+//                        the emulated GRAPE-5;
+//   * GrapeDirectEngine— O(N^2) with the force loop on emulated GRAPE-5.
 //
 // Every engine fills acc() and pot() of the ParticleSet (G = 1 units;
 // potential excludes the self term) and keeps per-phase wall-clock and
@@ -21,6 +21,10 @@
 #include "model/particles.hpp"
 #include "tree/walk.hpp"
 
+namespace g5::grape {
+class Grape5Device;
+}
+
 namespace g5::core {
 
 /// Knobs shared by the engines (subset used depends on the backend).
@@ -34,10 +38,11 @@ struct ForceParams {
   /// GRAPE pipelines evaluate point masses, which is exactly the ablation:
   /// host accuracy per list entry vs hardware throughput.
   bool quadrupole = false;
-  /// Host worker threads for the tree-walk and tree-build phases (tree
-  /// engines). 0 = auto: the G5_THREADS environment variable, else
-  /// hardware concurrency. Results are bitwise-identical for any thread
-  /// count.
+  /// Host worker threads (pool lanes) for the tree build and for the
+  /// walk + evaluate phase; each lane of a GRAPE engine evaluates on its
+  /// own emulated device. 0 = auto: the G5_THREADS environment variable,
+  /// else hardware concurrency. Results are bitwise-identical for any
+  /// thread count.
   std::uint32_t threads = 0;
   /// Tree engines: minimum particle count for the parallel tree build
   /// (tree::TreeBuildParams::parallel_cutoff). Below it the build runs
@@ -46,15 +51,6 @@ struct ForceParams {
   /// moments) spread across the walk pool, bitwise-identical to the
   /// serial build.
   std::uint32_t build_parallel_cutoff = 1u << 15;
-  /// GRAPE engines: interaction-list batch buffers in flight. >= 2 runs
-  /// the asynchronous pipeline — the host walks batch k+1 while the
-  /// device thread evaluates batch k (grape::AsyncDevice), with the
-  /// emulated boards running board-parallel inside each job. 0 or 1
-  /// evaluates synchronously on the calling thread, as the pre-pipeline
-  /// code did. Groups are submitted in the same order with the same
-  /// chunking either way, so results are bitwise-identical across all
-  /// values (determinism_test checks this).
-  std::uint32_t pipeline_depth = 2;
   /// GRAPE engines: arithmetic backend of the emulated pipelines.
   /// BitExact (default) is the bit-level GRAPE-5 datapath every golden
   /// number refers to; Native evaluates the same interaction lists in
@@ -76,14 +72,13 @@ struct EngineStats {
   tree::WalkStats walk;              ///< tree engines only
   double seconds_total = 0.0;        ///< host wall clock, whole compute()
   double seconds_tree_build = 0.0;
-  /// Traversal + list packing. Summed over worker lanes (per-lane busy
+  /// Traversal + list packing, including a multi-lane grape tree
+  /// engine's count-only pre-walk. Summed over worker lanes (per-lane busy
   /// time), so with threads > 1 this is CPU seconds and may exceed
   /// seconds_total; divide by the thread count for a wall-clock estimate.
   double seconds_walk = 0.0;
-  /// Force kernel (host, same per-lane summing as seconds_walk) or
-  /// emulator wall (grape engines; with pipeline_depth >= 2 this runs
-  /// concurrently with the walk, so it can overlap seconds_walk and
-  /// exceed its share of seconds_total).
+  /// List evaluation — host kernel or emulated GRAPE-5 — with the same
+  /// per-lane summing as seconds_walk (CPU seconds across lanes).
   double seconds_kernel = 0.0;
   std::uint64_t groups = 0;          ///< interaction lists shipped
 };
@@ -105,6 +100,12 @@ class ForceEngine {
   /// this). Sources are always the full set.
   virtual void compute_targets(model::ParticleSet& pset,
                                std::span<const std::uint32_t> targets) = 0;
+
+  /// The emulated GRAPE-5 whose account and meters this engine charges;
+  /// nullptr for host engines.
+  [[nodiscard]] virtual grape::Grape5Device* grape_device() const noexcept {
+    return nullptr;
+  }
 
   [[nodiscard]] const EngineStats& stats() const noexcept { return stats_; }
   virtual void reset_stats() { stats_ = EngineStats{}; }

@@ -2,10 +2,11 @@
 #pragma once
 
 #include <memory>
+#include <span>
 #include <string>
+#include <vector>
 
 #include "core/engine.hpp"
-#include "grape/async_device.hpp"
 #include "grape/driver.hpp"
 #include "tree/groupwalk.hpp"
 #include "tree/tree.hpp"
@@ -13,83 +14,109 @@
 
 namespace g5::core {
 
-/// Recycled interaction-list buffers for the device pipeline. Slots keep
-/// their heap capacity across batches and steps so steady-state walks
-/// allocate nothing; record_use() tracks the high-water entry count per
-/// slot and end_phase() (a) publishes the reserved-bytes peak to the
-/// monotone g5.walk.list_bytes_peak counter and (b) releases the excess
-/// capacity of slots that hold more than kShrinkFactor x their observed
-/// use, so one pathological batch cannot pin memory for a whole run.
+/// The force half of a tree engine's lane work: evaluate one interaction
+/// list on its targets. Two implementations — host double
+/// (HostListKernel) and the emulated GRAPE-5 (GrapeListKernel).
 ///
-/// Threading follows the WalkScratch lane-ownership contract: inside a
-/// parallel walk each lane touches only the slots of the groups it was
-/// assigned; ensure()/end_phase() run on the calling thread outside any
-/// parallel region (and after the device drained, for pipelined slots).
-class ListBufferPool {
+/// Phase protocol: begin_phase() and end_phase() run on the calling
+/// thread outside any parallel region; evaluate() runs on pool lane
+/// `lane` inside one, and touches only that lane's state plus the
+/// outputs of its own `unit`. Units number a phase's lists (groups,
+/// particles or targets) 0..units-1; anything a kernel accumulates
+/// across lanes is recorded per unit and folded in unit order in
+/// end_phase(), so it never depends on which lane ran which unit. A
+/// phase whose evaluate() threw is abandoned: end_phase() is not called
+/// and the next begin_phase() starts clean.
+class ListKernel {
  public:
-  /// Grow to at least `slots` buffers (never shrinks the slot count).
-  void ensure(std::size_t slots);
-  [[nodiscard]] std::size_t size() const noexcept { return slots_.size(); }
-  [[nodiscard]] tree::InteractionList& slot(std::size_t i) {
-    return slots_[i];
+  virtual ~ListKernel() = default;
+
+  virtual void begin_phase(const model::ParticleSet& pset, double eps,
+                           unsigned lanes, std::size_t units) = 0;
+  /// Overwrite acc/pot of `targets` with the field of `list`.
+  /// `self_mass` (same length as targets) names each target's own mass
+  /// so a kernel can drop exactly the self term (see
+  /// tree::evaluate_list_host); the GRAPE pipeline cuts coincident pairs
+  /// in hardware and ignores it.
+  virtual void evaluate(unsigned lane, std::size_t unit,
+                        const tree::InteractionList& list,
+                        std::span<const math::Vec3d> targets,
+                        std::span<const double> self_mass,
+                        std::span<math::Vec3d> acc,
+                        std::span<double> pot) = 0;
+  virtual void end_phase() {}
+
+  /// The device the kernel charges its work to; nullptr for the host.
+  [[nodiscard]] virtual grape::Grape5Device* device() const noexcept {
+    return nullptr;
   }
-  /// Record slot i's current entry count toward its high-water mark.
-  /// Call after each walk into the slot, from the owning lane.
-  void record_use(std::size_t i);
-  /// End of a force phase: publish the peak and apply the shrink policy.
-  void end_phase();
-  /// High-water total of bytes reserved across slots (whole lifetime).
-  [[nodiscard]] std::size_t peak_bytes() const noexcept { return peak_bytes_; }
+};
+
+/// Host double-precision list evaluation (tree::evaluate_list_host).
+class HostListKernel final : public ListKernel {
+ public:
+  void begin_phase(const model::ParticleSet& pset, double eps, unsigned lanes,
+                   std::size_t units) override;
+  void evaluate(unsigned lane, std::size_t unit,
+                const tree::InteractionList& list,
+                std::span<const math::Vec3d> targets,
+                std::span<const double> self_mass, std::span<math::Vec3d> acc,
+                std::span<double> pot) override;
 
  private:
-  /// Shrink a slot once its capacity exceeds this multiple of its
-  /// observed use; 4x leaves comfortable headroom for step-to-step
-  /// list-length jitter while still bounding the waste.
-  static constexpr std::size_t kShrinkFactor = 4;
-  /// Never shrink below this many entries; tiny lists are not worth the
-  /// reallocation churn.
-  static constexpr std::size_t kMinEntries = 256;
-
-  std::vector<tree::InteractionList> slots_;
-  std::vector<std::size_t> used_;  ///< per-slot high-water entries, per phase
-  std::size_t peak_bytes_ = 0;
-  std::size_t counted_peak_bytes_ = 0;  ///< already published to obs
+  double eps_ = 0.0;
 };
 
-/// Per-lane scratch for parallel tree walks: each pool lane owns an
-/// interaction list, acc/pot buffers and private stat/timer accumulators,
-/// reduced into EngineStats in lane order after the parallel region.
-///
-/// Thread-safety contract (lane ownership, not a lock): inside a
-/// parallel_for body, lane `k` may touch only `scratch[k]`; outside any
-/// parallel region the calling thread owns the whole vector (resize in
-/// ensure_walk_pool, reduction in reduce_scratch). This partition is not
-/// expressible with G5_GUARDED_BY — it is what the TSan CI job checks
-/// dynamically; see docs/static_analysis.md.
-struct WalkScratch {
-  tree::InteractionList list;
-  std::vector<math::Vec3d> acc;
-  std::vector<double> pot;
-  tree::WalkStats walk;
-  double seconds_walk = 0.0;
-  double seconds_kernel = 0.0;
-  std::uint64_t interactions = 0;
-  std::uint64_t groups = 0;
+/// List evaluation on the emulated GRAPE-5. Every lane owns a private
+/// Grape5Device built from the engine device's SystemConfig and given
+/// its range window each phase — the GRAPE-6A PC-cluster shape (one
+/// board set per host) inside one process. Each call accumulates in the
+/// integer domain and writes only its own targets, so forces are
+/// bitwise-identical for any lane count. The engine device evaluates
+/// nothing: end_phase() charges every unit's call shape to it in unit
+/// order (Grape5Device::charge_chunked), so its account, HIB meters and
+/// saturation latch equal a single-lane run's, modeled doubles included.
+class GrapeListKernel final : public ListKernel {
+ public:
+  explicit GrapeListKernel(std::shared_ptr<grape::Grape5Device> device);
 
-  void reset_accumulators() noexcept {
-    walk = tree::WalkStats{};
-    seconds_walk = 0.0;
-    seconds_kernel = 0.0;
-    interactions = 0;
-    groups = 0;
+  void begin_phase(const model::ParticleSet& pset, double eps, unsigned lanes,
+                   std::size_t units) override;
+  void evaluate(unsigned lane, std::size_t unit,
+                const tree::InteractionList& list,
+                std::span<const math::Vec3d> targets,
+                std::span<const double> self_mass, std::span<math::Vec3d> acc,
+                std::span<double> pot) override;
+  void end_phase() override;
+  [[nodiscard]] grape::Grape5Device* device() const noexcept override {
+    return device_.get();
   }
+
+  /// evaluate() over raw j-spans (direct summation streams the whole
+  /// particle set as j).
+  void evaluate_j(unsigned lane, std::size_t unit,
+                  std::span<const math::Vec3d> j_pos,
+                  std::span<const double> j_mass,
+                  std::span<const math::Vec3d> targets,
+                  std::span<math::Vec3d> acc, std::span<double> pot);
+
+ private:
+  /// One unit's driver call, recorded on its lane for the fold.
+  struct Call {
+    std::size_t ni = 0;
+    std::size_t nj = 0;
+    double emulation_seconds = 0.0;
+    bool saturated = false;
+  };
+
+  std::shared_ptr<grape::Grape5Device> device_;
+  std::vector<std::unique_ptr<grape::Grape5Device>> lanes_;
+  std::vector<Call> calls_;
 };
 
-/// Lazily (re)build a walk pool honoring `requested` threads (0 = auto)
-/// and size the per-lane scratch to match. Shared by the tree engines.
-util::ThreadPool& ensure_walk_pool(std::unique_ptr<util::ThreadPool>& pool,
-                                   std::uint32_t requested,
-                                   std::vector<WalkScratch>& scratch);
+/// Lazily (re)build a pool honoring `requested` threads (0 = auto).
+util::ThreadPool& ensure_pool(std::unique_ptr<util::ThreadPool>& pool,
+                              std::uint32_t requested);
 
 /// O(N^2) direct summation in double precision on the host.
 class HostDirectEngine final : public ForceEngine {
@@ -103,41 +130,81 @@ class HostDirectEngine final : public ForceEngine {
                        std::span<const std::uint32_t> targets) override;
 };
 
-/// Barnes-Hut on the host.
-class HostTreeEngine final : public ForceEngine {
+/// Barnes-Hut: parallel tree build, then each pool lane walks a unit — a
+/// group (modified), a particle (original) or a target
+/// (compute_targets) — and evaluates its list at once through the
+/// ListKernel. Every unit writes disjoint outputs, so the forces are
+/// bitwise-identical for any thread count.
+class TreeEngine final : public ForceEngine {
  public:
   enum class Mode {
     Original,  ///< per-particle interaction lists (Barnes & Hut 1986)
     Modified   ///< grouped lists (Barnes 1990)
   };
 
-  HostTreeEngine(const ForceParams& params, Mode mode)
-      : ForceEngine(params), mode_(mode) {}
+  /// A null kernel evaluates on the host.
+  TreeEngine(const ForceParams& params, Mode mode,
+             std::unique_ptr<ListKernel> kernel = nullptr);
 
-  [[nodiscard]] std::string_view name() const override {
-    return mode_ == Mode::Original ? "host-tree-original"
-                                   : "host-tree-modified";
-  }
+  [[nodiscard]] std::string_view name() const override;
   void compute(model::ParticleSet& pset) override;
   void compute_targets(model::ParticleSet& pset,
                        std::span<const std::uint32_t> targets) override;
+  [[nodiscard]] grape::Grape5Device* grape_device() const noexcept override {
+    return kernel_->device();
+  }
 
   [[nodiscard]] Mode mode() const noexcept { return mode_; }
   [[nodiscard]] const tree::BhTree& tree() const noexcept { return tree_; }
 
  private:
+  /// Per-lane scratch: lane k touches only scratch_[k] inside a parallel
+  /// region (lane ownership, not a lock — what the TSan CI job checks;
+  /// see docs/static_analysis.md); the calling thread reduces them in
+  /// lane order afterwards.
+  struct WalkScratch {
+    tree::InteractionList list;
+    std::vector<math::Vec3d> acc;
+    std::vector<double> pot;
+    tree::WalkStats walk;
+    double seconds_walk = 0.0;
+    double seconds_kernel = 0.0;
+    std::uint64_t interactions = 0;
+    std::uint64_t groups = 0;
+  };
+
   Mode mode_;
+  std::unique_ptr<ListKernel> kernel_;
   tree::BhTree tree_;
   std::unique_ptr<util::ThreadPool> pool_;
   std::vector<WalkScratch> scratch_;
-  std::vector<tree::Group> groups_;  ///< reused across steps (Modified mode)
+  std::vector<tree::Group> groups_;  ///< reused across steps (Modified)
+  std::vector<std::uint32_t> order_;  ///< group evaluation order
+  std::vector<std::uint64_t> group_cost_;  ///< count x list length
 
-  /// Reduce per-lane accumulators into stats_ (lane order).
-  void reduce_scratch();
+  /// Quadrupole list entries: host kernel only — the GRAPE pipelines
+  /// evaluate point masses.
+  [[nodiscard]] bool quadrupole() const noexcept {
+    return params_.quadrupole && kernel_->device() == nullptr;
+  }
+  /// Pool, lane scratch and tree for one force phase.
+  util::ThreadPool& begin_phase(const model::ParticleSet& pset);
+  /// Walk `unit`'s list into `ws.list` and evaluate it on `targets`.
+  template <typename Walk>
+  void walk_and_evaluate(WalkScratch& ws, unsigned lane, std::size_t unit,
+                         Walk&& walk, std::span<const math::Vec3d> targets,
+                         std::span<const double> self_mass,
+                         std::span<math::Vec3d> acc, std::span<double> pot);
+  /// Fill order_ with the order the lanes take groups_ in: longest
+  /// first on a GRAPE kernel with more than one lane, else index order.
+  void order_groups(util::ThreadPool& pool, const tree::WalkConfig& walk_cfg);
+  /// Reduce per-lane accumulators into stats_ (lane order) and obs.
+  void end_phase();
 };
 
-/// O(N^2) with the force loop on the emulated GRAPE-5 (whole particle set
-/// as both i and j, chunked through the particle memory by the driver).
+/// O(N^2) with the force loop on the emulated GRAPE-5: the i-set splits
+/// into fixed blocks, each evaluated by a pool lane against the whole
+/// particle set through a GrapeListKernel.
 class GrapeDirectEngine final : public ForceEngine {
  public:
   GrapeDirectEngine(const ForceParams& params,
@@ -148,66 +215,21 @@ class GrapeDirectEngine final : public ForceEngine {
   void compute(model::ParticleSet& pset) override;
   void compute_targets(model::ParticleSet& pset,
                        std::span<const std::uint32_t> targets) override;
-
-  [[nodiscard]] grape::Grape5Device& device() noexcept { return *device_; }
-  [[nodiscard]] const grape::Grape5Device& device() const noexcept {
-    return *device_;
+  [[nodiscard]] grape::Grape5Device* grape_device() const noexcept override {
+    return kernel_.device();
   }
 
  private:
-  std::shared_ptr<grape::Grape5Device> device_;
-  /// Async submission layer (pipeline_depth >= 2). Direct summation has
-  /// no walk to overlap, but routing through AsyncDevice still buys the
-  /// board-parallel evaluation it attaches to the device. Declared after
-  /// device_ so it is destroyed (joining its thread) first.
-  std::unique_ptr<grape::AsyncDevice> async_;
-  /// Job + gathered-target buffers; must outlive the in-flight job, so
-  /// they are members rather than locals.
-  grape::ForceJob job_;
-  std::vector<math::Vec3d> i_pos_;
+  GrapeListKernel kernel_;
+  std::unique_ptr<util::ThreadPool> pool_;
+  std::vector<math::Vec3d> i_pos_;  ///< compute_targets' gathered targets
   std::vector<math::Vec3d> acc_;
   std::vector<double> pot_;
-};
 
-/// The paper's system: Barnes' modified treecode with interaction lists
-/// evaluated on the emulated GRAPE-5.
-class GrapeTreeEngine final : public ForceEngine {
- public:
-  GrapeTreeEngine(const ForceParams& params,
-                  std::shared_ptr<grape::Grape5Device> device);
-  [[nodiscard]] std::string_view name() const override { return "grape-tree"; }
-  void compute(model::ParticleSet& pset) override;
-  void compute_targets(model::ParticleSet& pset,
-                       std::span<const std::uint32_t> targets) override;
-
-  [[nodiscard]] grape::Grape5Device& device() noexcept { return *device_; }
-  [[nodiscard]] const grape::Grape5Device& device() const noexcept {
-    return *device_;
-  }
-  [[nodiscard]] const tree::BhTree& tree() const noexcept { return tree_; }
-
- private:
-  std::shared_ptr<grape::Grape5Device> device_;
-  /// Async submission layer (pipeline_depth >= 2): walk batch k+1
-  /// overlaps device evaluation of batch k. Declared after device_ so it
-  /// is destroyed (joining its thread) before the device and the list /
-  /// output buffers it reads. nullptr on the synchronous path.
-  std::unique_ptr<grape::AsyncDevice> async_;
-  tree::BhTree tree_;
-  std::unique_ptr<util::ThreadPool> pool_;
-  std::vector<WalkScratch> scratch_;
-  std::vector<tree::Group> groups_;  ///< reused across steps
-  /// Interaction lists of the batches in flight: pipeline_depth sets of
-  /// `batch` slots each (slot = set * batch + i); a set is recycled only
-  /// after its last job's ticket completes.
-  ListBufferPool lists_;
-  /// Per-set job descriptors and (compute_targets only) target
-  /// positions; like the lists, they must stay valid until the set's
-  /// tickets complete, so they are members indexed by set.
-  std::vector<std::vector<grape::ForceJob>> jobs_;
-  std::vector<std::vector<math::Vec3d>> target_pos_;
-  std::vector<math::Vec3d> acc_sorted_;
-  std::vector<double> pot_sorted_;
+  /// Forces of the whole set on `i_pos`, block-parallel.
+  void evaluate_blocks(const model::ParticleSet& pset,
+                       std::span<const math::Vec3d> i_pos,
+                       std::span<math::Vec3d> acc, std::span<double> pot);
 };
 
 /// Factory by name ("host-direct", "host-tree", "host-tree-modified",
@@ -221,15 +243,5 @@ std::unique_ptr<ForceEngine> make_engine(
 /// softening before a force phase. Returns the window used.
 std::pair<double, double> configure_device_window(
     grape::Grape5Device& device, const model::ParticleSet& pset, double eps);
-
-/// Shared helper: lazily (re)build the async submission layer of a grape
-/// engine. Returns nullptr when pipeline_depth < 2 (synchronous path);
-/// otherwise ensures `async` wraps `device` with at least
-/// `queue_capacity` queue slots, rebuilding it if a previous device
-/// error poisoned it. Called between phases only (no jobs in flight).
-grape::AsyncDevice* ensure_async_device(
-    std::unique_ptr<grape::AsyncDevice>& async,
-    const std::shared_ptr<grape::Grape5Device>& device,
-    std::uint32_t pipeline_depth, std::size_t queue_capacity);
 
 }  // namespace g5::core

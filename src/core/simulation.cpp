@@ -20,18 +20,6 @@ namespace g5::core {
 
 namespace {
 
-/// Pull the GRAPE system out of an engine if it drives one (its account
-/// and byte meters feed the summary and the per-step metrics).
-const grape::Grape5System* grape_system(const ForceEngine& engine) {
-  if (const auto* e = dynamic_cast<const GrapeTreeEngine*>(&engine)) {
-    return &e->device().system();
-  }
-  if (const auto* e = dynamic_cast<const GrapeDirectEngine*>(&engine)) {
-    return &e->device().system();
-  }
-  return nullptr;
-}
-
 std::string snapshot_name(const std::string& prefix, std::uint64_t index) {
   char buf[32];
   std::snprintf(buf, sizeof(buf), "_%06llu.g5snap",
@@ -60,11 +48,12 @@ SimulationSummary Simulation::run(model::ParticleSet& pset) {
   util::Stopwatch wall;
 
   engine_.reset_stats();
-  if (auto* gt = dynamic_cast<GrapeTreeEngine*>(&engine_)) {
-    gt->device().system().reset_account();
-  } else if (auto* gd = dynamic_cast<GrapeDirectEngine*>(&engine_)) {
-    gd->device().system().reset_account();
-  }
+  // The GRAPE account and byte meters feed the summary and the per-step
+  // metrics.
+  grape::Grape5System* gsys = engine_.grape_device() != nullptr
+                                  ? &engine_.grape_device()->system()
+                                  : nullptr;
+  if (gsys != nullptr) gsys->reset_account();
 
   LeapfrogIntegrator integrator;
   integrator.prime(pset, engine_);
@@ -120,7 +109,6 @@ SimulationSummary Simulation::run(model::ParticleSet& pset) {
     pc.backend = engine_.params().backend;
     probe.emplace(pc);
   }
-  const grape::Grape5System* gsys = grape_system(engine_);
   EngineStats prev_stats = engine_.stats();
   grape::HardwareAccount prev_grape =
       gsys ? gsys->account() : grape::HardwareAccount{};

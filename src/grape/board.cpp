@@ -42,9 +42,7 @@ ProcessorBoard::ProcessorBoard(const BoardConfig& board_cfg,
                                const HostInterfaceConfig& hib_cfg,
                                const PipelineNumerics& numerics,
                                std::size_t index)
-    : cfg_(board_cfg), pipe_(numerics), hib_(hib_cfg), index_(index) {
-  jmem_.resize(cfg_.jmem_capacity);
-}
+    : cfg_(board_cfg), pipe_(numerics), hib_(hib_cfg), index_(index) {}
 
 void ProcessorBoard::configure(const PipelineScaling& scaling) {
   pipe_.configure(scaling);
@@ -57,6 +55,7 @@ void ProcessorBoard::set_j(std::size_t address, const Vec3d* pos,
   if (address + count > cfg_.jmem_capacity) {
     throw JmemCapacityError(index_, address + count, cfg_.jmem_capacity);
   }
+  if (jmem_.size() < address + count) jmem_.resize(address + count);
   for (std::size_t k = 0; k < count; ++k) {
     jmem_[address + k] = pipe_.encode_j(pos[k], mass[k]);
   }
@@ -68,6 +67,8 @@ void ProcessorBoard::set_j_count(std::size_t count) {
   if (count > cfg_.jmem_capacity) {
     throw JmemCapacityError(index_, count, cfg_.jmem_capacity);
   }
+  // Addresses never loaded hold zero words.
+  if (jmem_.size() < count) jmem_.resize(count);
   j_count_ = count;
 }
 
@@ -95,25 +96,6 @@ std::size_t ProcessorBoard::run_raw(const Vec3d* i_pos, std::size_t ni,
 
   hib_.record_result_read(ni);
   return ni * j_count_;
-}
-
-std::size_t ProcessorBoard::run(const Vec3d* i_pos, std::size_t ni,
-                                Vec3d* out_acc, double* out_pot,
-                                std::uint8_t* out_saturated) {
-  if (ni == 0 || j_count_ == 0) return 0;
-  if (raw_scratch_.size() < ni) raw_scratch_.resize(ni);
-  const std::size_t interactions = run_raw(i_pos, ni, raw_scratch_.data());
-  const double fq = pipe_.force_accumulator_quantum();
-  const double pq = pipe_.potential_accumulator_quantum();
-  for (std::size_t i = 0; i < ni; ++i) {
-    const RawForce& r = raw_scratch_[i];
-    out_acc[i] += Vec3d{static_cast<double>(r.acc[0]) * fq,
-                        static_cast<double>(r.acc[1]) * fq,
-                        static_cast<double>(r.acc[2]) * fq};
-    out_pot[i] += static_cast<double>(r.pot) * pq;
-    if (out_saturated != nullptr && r.saturated) out_saturated[i] = 1;
-  }
-  return interactions;
 }
 
 void ProcessorBoard::inject_chip_fault(int chip_index, double gain_error) {

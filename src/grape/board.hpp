@@ -55,7 +55,9 @@ class ProcessorBoard {
   void configure(const PipelineScaling& scaling);
 
   /// Load j-particles into the particle memory starting at `address`.
-  /// Throws if the segment exceeds the memory capacity.
+  /// Throws if the segment exceeds the memory capacity. The emulated
+  /// memory grows to the highest address loaded, so a board costs host
+  /// RAM only for the particles it has held.
   void set_j(std::size_t address, const Vec3d* pos, const double* mass,
              std::size_t count);
 
@@ -65,18 +67,12 @@ class ProcessorBoard {
   /// Truncate the valid j range (e.g. when a new, shorter set is loaded).
   void set_j_count(std::size_t count);
 
-  /// Evaluate forces from this board's resident j-set on `ni` i-particles.
-  /// Adds into out_acc/out_pot (partial sums across boards). Sets
-  /// out_saturated[i] nonzero where an accumulator saturated. Returns the
-  /// number of interactions computed.
-  std::size_t run(const Vec3d* i_pos, std::size_t ni, Vec3d* out_acc,
-                  double* out_pot, std::uint8_t* out_saturated = nullptr);
-
-  /// Raw-readout run: overwrite out[i] with this board's integer partial
-  /// sums (counts of the accumulator quanta — see grape::RawForce). This
-  /// is the multi-board evaluation path: BoardSet merges the per-board
-  /// counts exactly, so the reduction is bitwise-identical to streaming
-  /// the whole j-set through one board. Returns interactions computed.
+  /// Evaluate this board's resident j-set on `ni` i-particles: overwrite
+  /// out[i] with the integer partial sums (counts of the accumulator
+  /// quanta — see grape::RawForce; Pipeline::convert_raw reads them out
+  /// as doubles). BoardSet merges the per-board counts exactly, so the
+  /// reduction is bitwise-identical to streaming the whole j-set through
+  /// one board. Returns interactions computed.
   std::size_t run_raw(const Vec3d* i_pos, std::size_t ni, RawForce* out);
 
   [[nodiscard]] const BoardConfig& config() const noexcept { return cfg_; }
@@ -103,7 +99,6 @@ class ProcessorBoard {
   std::size_t index_ = 0;
   int faulty_chip_ = -1;
   double fault_gain_ = 0.0;
-  std::vector<RawForce> raw_scratch_;  ///< run()'s readout staging
 
   /// Chip handling i-slot `slot` (slots cycle over pipelines, VMP-deep).
   [[nodiscard]] std::size_t chip_of_slot(std::size_t slot) const {

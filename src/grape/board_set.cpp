@@ -7,7 +7,6 @@
 
 #include "obs/registry.hpp"
 #include "obs/span.hpp"
-#include "util/parallel.hpp"
 
 namespace g5::grape {
 
@@ -51,7 +50,6 @@ BoardSet::BoardSet(const SystemConfig& config) : cfg_(config) {
                                                        cfg_.numerics, b));
   }
   board_j_.assign(cfg_.boards, 0);
-  scratch_.resize(cfg_.boards);
 }
 
 void BoardSet::configure(const PipelineScaling& scaling) {
@@ -86,58 +84,33 @@ void BoardSet::upload(std::span<const Vec3d> pos,
 }
 
 std::size_t BoardSet::run(std::span<const Vec3d> i_pos,
-                          std::span<RawForce> raw, util::ThreadPool* pool) {
+                          std::span<RawForce> raw) {
   const std::size_t ni = i_pos.size();
   if (raw.size() != ni) {
     throw std::invalid_argument("raw output span arity mismatch");
   }
   if (ni == 0 || resident_j_ == 0) return 0;
+  if (partial_.size() < ni) partial_.resize(ni);
+  const bool publish = obs::enabled();
+  if (publish) ensure_board_obs();
 
-  std::size_t active_boards = 0;
-  for (const auto& board : boards_) {
-    if (board->j_count() > 0) ++active_boards;
-  }
-
-  const auto run_board = [&](std::size_t b) {
-    BoardScratch& sc = scratch_[b];
-    if (sc.raw.size() < ni) sc.raw.resize(ni);
-    G5_OBS_SPAN(board_span_name(b), "grape");
-    sc.interactions = boards_[b]->run_raw(i_pos.data(), ni, sc.raw.data());
-  };
-
-  if (pool != nullptr && pool->size() > 1 && active_boards > 1) {
-    // One lane per board; board b touches only scratch_[b] (lane
-    // ownership, no lock). The pool propagates the caller's span path,
-    // so the per-board spans nest under the compute phase that forked
-    // them.
-    pool->parallel_for(boards_.size(), 1,
-                       [&](std::size_t begin, std::size_t end,
-                           unsigned /*lane*/) {
-                         for (std::size_t b = begin; b < end; ++b) {
-                           if (boards_[b]->j_count() == 0) continue;
-                           run_board(b);
-                         }
-                       });
-  } else {
-    for (std::size_t b = 0; b < boards_.size(); ++b) {
-      if (boards_[b]->j_count() == 0) continue;
-      run_board(b);
-    }
-  }
-
-  // Reduce in board order, in the integer count domain. Integer addition
-  // is exact and associative, so any board partition of the j-set — and
-  // the serial vs parallel evaluation above — produces identical counts;
-  // the caller's single conversion to doubles is then bitwise-identical
-  // to a one-board run.
+  // Boards run one after another and merge in board order, in the
+  // integer count domain. Integer addition is exact and associative, so
+  // any board partition of the j-set produces identical counts; the
+  // caller's single conversion to doubles is then bitwise-identical to a
+  // one-board run.
   std::size_t interactions = 0;
   for (std::size_t b = 0; b < boards_.size(); ++b) {
     if (boards_[b]->j_count() == 0) continue;
-    const BoardScratch& sc = scratch_[b];
-    interactions += sc.interactions;
+    std::size_t done = 0;
+    {
+      G5_OBS_SPAN(board_span_name(b), "grape");
+      done = boards_[b]->run_raw(i_pos.data(), ni, partial_.data());
+    }
+    interactions += done;
     for (std::size_t i = 0; i < ni; ++i) {
       RawForce& dst = raw[i];
-      const RawForce& src = sc.raw[i];
+      const RawForce& src = partial_[i];
       bool overflowed = false;
       for (std::size_t c = 0; c < 3; ++c) {
         dst.acc[c] = saturating_add(dst.acc[c], src.acc[c], overflowed);
@@ -145,20 +118,23 @@ std::size_t BoardSet::run(std::span<const Vec3d> i_pos,
       dst.pot = saturating_add(dst.pot, src.pot, overflowed);
       dst.saturated = dst.saturated || src.saturated || overflowed;
     }
-  }
-
-  if (obs::enabled()) {
-    ensure_board_obs();
-    for (std::size_t b = 0; b < boards_.size(); ++b) {
-      if (scratch_[b].interactions > 0 && board_obs_[b].interactions) {
-        board_obs_[b].interactions->add(scratch_[b].interactions);
-      }
-      scratch_[b].interactions = 0;
-    }
-  } else {
-    for (auto& sc : scratch_) sc.interactions = 0;
+    if (publish) board_obs_[b].interactions->add(done);
   }
   return interactions;
+}
+
+void BoardSet::charge_hib(std::size_t nj, std::size_t ni) {
+  const std::size_t share = shard_share(nj, boards_.size());
+  std::size_t offset = 0;
+  for (auto& board : boards_) {
+    const std::size_t count = std::min(share, nj - offset);
+    offset += count;
+    if (count == 0) continue;
+    board->hib().record_j_upload(count);
+    if (ni == 0) continue;
+    board->hib().record_i_upload(ni);
+    board->hib().record_result_read(ni);
+  }
 }
 
 std::uint64_t BoardSet::bytes_moved() const {

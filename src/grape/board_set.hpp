@@ -34,10 +34,6 @@
 #include "grape/config.hpp"
 #include "math/vec3.hpp"
 
-namespace g5::util {
-class ThreadPool;
-}
-
 namespace g5::obs {
 class Counter;
 class Gauge;
@@ -83,16 +79,17 @@ class BoardSet {
     return cfg_.board.jmem_capacity;
   }
 
-  /// Evaluate every board holding a shard against `i_pos` and merge the
-  /// integer partial sums into `raw` (saturating adds, deterministic
-  /// board order). Does NOT clear `raw` — callers accumulate across
-  /// chunked j-sets in the same exact domain. When `pool` has more than
-  /// one lane and more than one board holds particles, boards run
-  /// concurrently (one lane per board, private scratch); the merge
-  /// order — and therefore the result — is identical either way.
-  /// Returns interactions computed.
-  std::size_t run(std::span<const Vec3d> i_pos, std::span<RawForce> raw,
-                  util::ThreadPool* pool);
+  /// Evaluate every board holding a shard against `i_pos`, one after
+  /// another, and merge the integer partial sums into `raw` (saturating
+  /// adds, board order). Does NOT clear `raw` — callers accumulate
+  /// across chunked j-sets in the same exact domain. Returns
+  /// interactions computed.
+  std::size_t run(std::span<const Vec3d> i_pos, std::span<RawForce> raw);
+
+  /// Move the HIB meters exactly as upload() of nj particles followed by
+  /// run() on ni i-particles would, without touching particle memory
+  /// (Grape5System::charge_call).
+  void charge_hib(std::size_t nj, std::size_t ni);
 
   /// Aggregate HIB byte meters / meter reset.
   [[nodiscard]] std::uint64_t bytes_moved() const;
@@ -104,14 +101,8 @@ class BoardSet {
   std::vector<std::size_t> board_j_;
   std::size_t resident_j_ = 0;
 
-  /// Per-board raw partial sums for the board-parallel path: board b
-  /// writes only scratch_[b] (lane ownership, no lock), merged in board
-  /// order afterwards.
-  struct BoardScratch {
-    std::vector<RawForce> raw;
-    std::size_t interactions = 0;
-  };
-  std::vector<BoardScratch> scratch_;
+  /// One board's raw partial sums before run() merges them.
+  std::vector<RawForce> partial_;
 
   /// Cached g5.board.<b>.* metric references (registration is mutexed;
   /// hot paths keep the forever-valid pointers). Built on the first

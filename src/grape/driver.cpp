@@ -43,7 +43,7 @@ void Grape5Device::compute_forces(std::span<const Vec3d> i_pos,
   system_->compute(i_pos, acc, pot);
 }
 
-void Grape5Device::compute_forces_chunked(std::span<const Vec3d> i_pos,
+bool Grape5Device::compute_forces_chunked(std::span<const Vec3d> i_pos,
                                           std::span<const Vec3d> j_pos,
                                           std::span<const double> j_mass,
                                           std::span<Vec3d> acc,
@@ -57,7 +57,7 @@ void Grape5Device::compute_forces_chunked(std::span<const Vec3d> i_pos,
   }
   std::fill(acc.begin(), acc.end(), Vec3d{});
   std::fill(pot.begin(), pot.end(), 0.0);
-  if (ni == 0 || j_pos.empty()) return;
+  if (ni == 0 || j_pos.empty()) return false;
 
   if (raw_scratch_.size() < ni) raw_scratch_.resize(ni);
   std::fill_n(raw_scratch_.begin(), ni, RawForce{});
@@ -74,15 +74,31 @@ void Grape5Device::compute_forces_chunked(std::span<const Vec3d> i_pos,
   }
 
   const Pipeline& pipe = system_->pipeline();
-  const double fq = pipe.force_accumulator_quantum();
-  const double pq = pipe.potential_accumulator_quantum();
+  bool saturated = false;
   for (std::size_t i = 0; i < ni; ++i) {
-    const RawForce& r = raw_scratch_[i];
-    acc[i] = Vec3d{static_cast<double>(r.acc[0]) * fq,
-                   static_cast<double>(r.acc[1]) * fq,
-                   static_cast<double>(r.acc[2]) * fq};
-    pot[i] = static_cast<double>(r.pot) * pq;
+    pipe.convert_raw(raw_scratch_[i], acc[i], pot[i]);
+    saturated = saturated || raw_scratch_[i].saturated;
   }
+  return saturated;
+}
+
+void Grape5Device::configure_like(const Grape5Device& other) {
+  range_lo_ = other.range_lo_;
+  range_hi_ = other.range_hi_;
+  min_mass_ = other.min_mass_;
+  eps_ = other.eps_;
+  range_set_ = other.range_set_;
+  if (range_set_) push_scaling();
+}
+
+void Grape5Device::charge_chunked(std::size_t ni, std::size_t nj,
+                                  double emulation_seconds, bool saturated) {
+  if (ni == 0 || nj == 0) return;
+  const std::size_t cap = jmem_capacity();
+  for (std::size_t off = 0; off < nj; off += cap) {
+    system_->charge_call(std::min(cap, nj - off), ni);
+  }
+  system_->charge_evaluation(emulation_seconds, saturated);
 }
 
 // --------------------------------------------------------------------

@@ -45,11 +45,26 @@ class Grape5Device {
   /// partial sums on the host (what the real library's user code did) —
   /// in the integer accumulator domain, so the result is bitwise-
   /// independent of the chunk boundaries and the board count
-  /// (docs/scaling.md).
-  void compute_forces_chunked(std::span<const Vec3d> i_pos,
+  /// (docs/scaling.md). Returns true if any target's accumulators
+  /// saturated.
+  bool compute_forces_chunked(std::span<const Vec3d> i_pos,
                               std::span<const Vec3d> j_pos,
                               std::span<const double> j_mass,
                               std::span<Vec3d> acc, std::span<double> pot);
+
+  /// Take over another device's range window, mass scale and softening
+  /// (drops the resident j-set, like set_range).
+  void configure_like(const Grape5Device& other);
+
+  /// Charge a compute_forces_chunked call of `ni` targets against `nj`
+  /// j-particles that ran on another device of the same configuration:
+  /// the same per-chunk account, HIB-meter and saturation-latch charges
+  /// it would have made here, plus its measured emulation seconds. A
+  /// caller that evaluates on several devices folds their calls into one
+  /// with this, in a fixed order, so the modeled doubles do not depend
+  /// on which device ran which call.
+  void charge_chunked(std::size_t ni, std::size_t nj, double emulation_seconds,
+                      bool saturated);
 
   [[nodiscard]] Grape5System& system() noexcept { return *system_; }
   [[nodiscard]] const Grape5System& system() const noexcept {

@@ -328,6 +328,15 @@ bool Pipeline::saturated(const IState& i_state) const {
          i_state.acc[2].saturated() || i_state.pot.saturated();
 }
 
+void Pipeline::convert_raw(const RawForce& raw, Vec3d& acc,
+                           double& pot) const noexcept {
+  const double fq = force_accumulator_quantum();
+  acc = Vec3d{static_cast<double>(raw.acc[0]) * fq,
+              static_cast<double>(raw.acc[1]) * fq,
+              static_cast<double>(raw.acc[2]) * fq};
+  pot = static_cast<double>(raw.pot) * potential_accumulator_quantum();
+}
+
 RawForce Pipeline::read_raw(const IState& i_state) const {
   RawForce r;
   for (std::size_t c = 0; c < 3; ++c) r.acc[c] = i_state.acc[c].raw();

@@ -162,6 +162,10 @@ class Pipeline {
   /// reduction domain; see RawForce).
   [[nodiscard]] RawForce read_raw(const IState& i_state) const;
 
+  /// Convert a raw readout to force and potential — the one raw->double
+  /// conversion of the device (counts times the accumulator quanta).
+  void convert_raw(const RawForce& raw, Vec3d& acc, double& pot) const noexcept;
+
   /// The accumulator quanta encode_i actually installs — the scaling's
   /// quanta for BitExact, 2^-kNativeAccumulatorExtraBits of them for
   /// Native. RawForce counts convert to doubles by these.

@@ -35,6 +35,7 @@ SelfTestReport run_selftest(Grape5System& system,
 
   std::vector<Vec3d> acc(config.n_targets);
   std::vector<double> pot(config.n_targets);
+  std::vector<RawForce> raw(config.n_targets);
 
   for (std::size_t b = 0; b < system.board_count(); ++b) {
     ProcessorBoard& board = system.board(b);
@@ -47,9 +48,10 @@ SelfTestReport run_selftest(Grape5System& system,
     board.configure(scaling);
     board.set_j(0, j_pos.data(), j_mass.data(), config.n_sources);
 
-    std::fill(acc.begin(), acc.end(), Vec3d{});
-    std::fill(pot.begin(), pot.end(), 0.0);
-    board.run(i_pos.data(), config.n_targets, acc.data(), pot.data());
+    board.run_raw(i_pos.data(), config.n_targets, raw.data());
+    for (std::size_t i = 0; i < config.n_targets; ++i) {
+      board.pipeline().convert_raw(raw[i], acc[i], pot[i]);
+    }
 
     host_forces_on_targets(i_pos, j_pos, j_mass, eps, ref_acc, ref_pot);
 

@@ -48,8 +48,7 @@ void Grape5System::set_j_particles(std::span<const Vec3d> pos,
   }
   set_.upload(pos, mass);
   const std::size_t nj = pos.size();
-  account_.j_uploaded += nj;
-  account_.modeled_dma_j += timing_.j_upload_time(nj);
+  account_upload(nj);
   if (obs::enabled()) {
     obs::counter("g5.grape.j_uploaded").add(nj);
     publish_obs_metrics();
@@ -69,24 +68,13 @@ std::size_t Grape5System::compute_raw(std::span<const Vec3d> i_pos,
   G5_OBS_SPAN("compute", "grape");
 
   util::Stopwatch watch;
-  const std::size_t interactions = set_.run(i_pos, raw, eval_pool_);
+  const std::size_t interactions = set_.run(i_pos, raw);
   account_.emulation_wall += watch.elapsed();
 
   bool call_saturated = false;
   for (std::size_t i = 0; i < ni; ++i) call_saturated |= raw[i].saturated;
 
-  const ForceCallTiming t = timing_.force_call(ni, resident_j(), false);
-  account_.modeled_dma_i += t.dma_i;
-  account_.modeled_compute += t.compute;
-  account_.modeled_dma_result += t.dma_result;
-  ++account_.force_calls;
-  account_.interactions += interactions;
-  account_.i_processed += ni;
-  // Occupancy denominator: the VMP streams full i-chunks, so a call of
-  // ni i-particles occupies ceil(ni / i_slots) * i_slots slots.
-  const std::size_t slots = cfg_.board.i_slots();
-  account_.vmp_slots +=
-      static_cast<std::uint64_t>((ni + slots - 1) / slots) * slots;
+  account_compute(ni, resident_j());
   if (obs::enabled()) {
     obs::counter("g5.grape.force_calls").add(1);
     obs::counter("g5.grape.interactions").add(interactions);
@@ -126,16 +114,50 @@ std::size_t Grape5System::compute(std::span<const Vec3d> i_pos,
   // One conversion after the exact integer merge — the same readout a
   // single board holding the whole j-set would perform.
   const Pipeline& pipe = pipeline();
-  const double fq = pipe.force_accumulator_quantum();
-  const double pq = pipe.potential_accumulator_quantum();
   for (std::size_t i = 0; i < ni; ++i) {
-    const RawForce& r = raw_merge_[i];
-    out_acc[i] = Vec3d{static_cast<double>(r.acc[0]) * fq,
-                       static_cast<double>(r.acc[1]) * fq,
-                       static_cast<double>(r.acc[2]) * fq};
-    out_pot[i] = static_cast<double>(r.pot) * pq;
+    pipe.convert_raw(raw_merge_[i], out_acc[i], out_pot[i]);
   }
   return interactions;
+}
+
+void Grape5System::account_upload(std::size_t nj) {
+  account_.j_uploaded += nj;
+  account_.modeled_dma_j += timing_.j_upload_time(nj);
+}
+
+void Grape5System::account_compute(std::size_t ni, std::size_t nj) {
+  const ForceCallTiming t = timing_.force_call(ni, nj, false);
+  account_.modeled_dma_i += t.dma_i;
+  account_.modeled_compute += t.compute;
+  account_.modeled_dma_result += t.dma_result;
+  ++account_.force_calls;
+  account_.interactions += static_cast<std::uint64_t>(ni) * nj;
+  account_.i_processed += ni;
+  // Occupancy denominator: the VMP streams full i-chunks, so a call of
+  // ni i-particles occupies ceil(ni / i_slots) * i_slots slots.
+  const std::size_t slots = cfg_.board.i_slots();
+  account_.vmp_slots +=
+      static_cast<std::uint64_t>((ni + slots - 1) / slots) * slots;
+}
+
+void Grape5System::charge_call(std::size_t nj, std::size_t ni) {
+  const std::uint64_t bytes = bytes_moved();
+  set_.charge_hib(nj, ni);
+  // The evaluating system published these bytes; keep the obs delta base
+  // in step so they are not counted twice.
+  counted_bytes_ += bytes_moved() - bytes;
+  account_upload(nj);
+  // compute_raw charges nothing for an empty call.
+  if (ni > 0 && nj > 0) account_compute(ni, nj);
+}
+
+void Grape5System::charge_evaluation(double emulation_seconds,
+                                     bool saturated) {
+  account_.emulation_wall += emulation_seconds;
+  saturated_ = saturated_ || saturated;
+  if (obs::enabled()) {
+    obs::gauge("g5.grape.occupancy").set(account_.occupancy());
+  }
 }
 
 void Grape5System::reset_account() {

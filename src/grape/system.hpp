@@ -22,10 +22,6 @@
 #include "grape/timing.hpp"
 #include "math/vec3.hpp"
 
-namespace g5::util {
-class ThreadPool;
-}
-
 namespace g5::grape {
 
 class Grape5System {
@@ -82,18 +78,16 @@ class Grape5System {
   /// Communication meters (aggregated over boards).
   [[nodiscard]] std::uint64_t bytes_moved() const;
 
-  /// Attach a worker pool that compute() hands to the BoardSet to run the
-  /// emulated boards concurrently (the silicon boards always ran
-  /// concurrently; the emulation is serial only for want of host cores).
-  /// Each board writes a private raw-count scratch and the host merges
-  /// them in board order in the integer domain, so results are
-  /// bitwise-identical to the serial path. The caller owns the pool and
-  /// must keep it alive until it detaches with nullptr; compute() itself
-  /// remains single-caller (one compute at a time), as before.
-  void set_eval_pool(util::ThreadPool* pool) noexcept { eval_pool_ = pool; }
-  [[nodiscard]] util::ThreadPool* eval_pool() const noexcept {
-    return eval_pool_;
-  }
+  /// Charge one set_j_particles(nj) + compute_raw(ni i-particles) pair
+  /// that ran on another system of the same configuration: the account
+  /// and HIB meters move exactly as those two calls would move them here
+  /// (through the same accounting code); nothing is evaluated and no
+  /// obs counter is published — the evaluating system already did.
+  void charge_call(std::size_t nj, std::size_t ni);
+  /// Fold the evaluation side of calls charged with charge_call: their
+  /// measured emulation seconds and whether any accumulator saturated
+  /// (latches any_saturation()).
+  void charge_evaluation(double emulation_seconds, bool saturated);
 
   [[nodiscard]] const PipelineScaling& scaling() const noexcept {
     return scaling_;
@@ -129,13 +123,16 @@ class Grape5System {
   /// lets set_j_particles/compute emit per-call deltas cheaply.
   std::uint64_t counted_bytes_ = 0;
 
-  util::ThreadPool* eval_pool_ = nullptr;  ///< not owned; see set_eval_pool
   /// compute()'s merged integer partial sums before the one conversion.
   std::vector<RawForce> raw_merge_;
 
   /// Publish the HIB byte-meter delta and occupancy to g5::obs (no-op
   /// when instrumentation is off).
   void publish_obs_metrics();
+  /// The account charges of one upload of nj / one call of ni
+  /// i-particles against nj resident j-particles.
+  void account_upload(std::size_t nj);
+  void account_compute(std::size_t ni, std::size_t nj);
 };
 
 }  // namespace g5::grape

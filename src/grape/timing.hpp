@@ -80,7 +80,9 @@ struct HardwareAccount {
   double modeled_dma_i = 0.0;
   double modeled_compute = 0.0;
   double modeled_dma_result = 0.0;
-  double emulation_wall = 0.0;          ///< actual seconds spent emulating
+  /// Measured seconds spent emulating (summed over the devices whose
+  /// calls were charged here, so CPU seconds when lanes ran in parallel).
+  double emulation_wall = 0.0;
 
   [[nodiscard]] double modeled_total() const {
     return modeled_dma_j + modeled_dma_i + modeled_compute +

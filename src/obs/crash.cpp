@@ -48,8 +48,6 @@ util::Mutex g_refresh_mutex;  // serializes concurrent refresh() calls
 
 /// Device gauges resolved via find_gauge (never created) and cached as
 /// pointers: Gauge::value() is one relaxed load, safe in a handler.
-std::atomic<const Gauge*> g_queue_depth{nullptr};
-std::atomic<const Gauge*> g_in_flight{nullptr};
 std::atomic<const Gauge*> g_board_count{nullptr};
 std::atomic<const Gauge*> g_jmem[kMaxBoards] = {};
 
@@ -226,11 +224,7 @@ std::size_t serialize(std::string_view kind, int signo,
       w.append_char('}');
     }
   }
-  w.append("],\"device\":{\"queue_depth\":");
-  w.append_double(cached_gauge(g_queue_depth));
-  w.append(",\"in_flight\":");
-  w.append_double(cached_gauge(g_in_flight));
-  w.append(",\"boards\":");
+  w.append("],\"device\":{\"boards\":");
   w.append_double(cached_gauge(g_board_count));
   w.append(",\"jmem_fill\":[");
   {
@@ -326,10 +320,6 @@ bool installed() noexcept {
 
 void refresh() {
   Registry& reg = Registry::instance();
-  g_queue_depth.store(reg.find_gauge("g5.grape.queue_depth"),
-                      std::memory_order_relaxed);
-  g_in_flight.store(reg.find_gauge("g5.grape.in_flight"),
-                    std::memory_order_relaxed);
   g_board_count.store(reg.find_gauge("g5.board.count"),
                       std::memory_order_relaxed);
   for (std::size_t b = 0; b < kMaxBoards; ++b) {

@@ -12,8 +12,8 @@
 // for it:
 //   * the flight recorder's last step records and span events;
 //   * every named thread's live span path (where each thread was);
-//   * device state (queue depth, in-flight jobs, board count, per-board
-//     JMEM fill) via gauge pointers cached OFF the signal path;
+//   * device state (board count, per-board JMEM fill) via gauge
+//     pointers cached OFF the signal path;
 //   * RSS from /proc/self/statm;
 //   * a registry metrics section pre-serialized by the telemetry
 //     sampler (refresh()); null if no sampler ever ran.

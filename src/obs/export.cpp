@@ -167,11 +167,7 @@ std::string build_status_json() {
   out += json_number(gauge_or_zero("g5.sim.mean_list"));
   out += '}';
 
-  out += ",\"device\":{\"queue_depth\":";
-  out += json_number(gauge_or_zero("g5.grape.queue_depth"));
-  out += ",\"in_flight\":";
-  out += json_number(gauge_or_zero("g5.grape.in_flight"));
-  out += ",\"boards\":";
+  out += ",\"device\":{\"boards\":";
   out += json_number(gauge_or_zero("g5.board.count"));
   out += '}';
 

@@ -36,7 +36,7 @@ struct StepMetrics {
   std::uint64_t grape_force_calls = 0;
   std::uint64_t grape_j_uploaded = 0;
   std::uint64_t grape_bytes = 0;         ///< host-interface bytes moved
-  double grape_emulation_s = 0.0;        ///< measured emulator wall
+  double grape_emulation_s = 0.0;        ///< emulator seconds, summed over lanes
   double grape_modeled_dma_s = 0.0;      ///< modeled silicon DMA
   double grape_modeled_compute_s = 0.0;  ///< modeled silicon compute
   double grape_occupancy = 0.0;          ///< i-slot fill fraction [0,1]

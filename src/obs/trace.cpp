@@ -163,7 +163,7 @@ bool write_trace(const std::string& path) {
     }
   }
   // Thread-name metadata so the viewer labels the lanes: real names
-  // (g5-main, g5-pool-N, g5-submit, ...) when the thread was named via
+  // (g5-main, g5-pool-N, g5-telemetry, ...) when the thread was named via
   // util::set_current_thread_name, "thread-N" otherwise.
   for (const auto& [id, tid] : s.tids) {
     static_cast<void>(id);

@@ -81,7 +81,7 @@ TEST(Comoving, PureHubbleFlowIsStationary) {
   fp.eps = 0.1;  // comoving
   fp.theta = 0.4;
   fp.n_crit = 64;
-  core::HostTreeEngine engine(fp, core::HostTreeEngine::Mode::Modified);
+  core::TreeEngine engine(fp, core::TreeEngine::Mode::Modified);
 
   ComovingConfig cfg;
   cfg.a_start = icr.a_start;
@@ -118,7 +118,7 @@ TEST(Comoving, LinearGrowthFollowsGrowthFactor) {
   fp.eps = 0.05 * icr.box_size / 16.0;
   fp.theta = 0.5;
   fp.n_crit = 64;
-  core::HostTreeEngine engine(fp, core::HostTreeEngine::Mode::Modified);
+  core::TreeEngine engine(fp, core::TreeEngine::Mode::Modified);
 
   ComovingConfig cfg;
   cfg.a_start = icr.a_start;
@@ -159,7 +159,7 @@ TEST(Comoving, LcdmGrowthFollowsGrowthFactor) {
   fp.eps = 0.05 * icr.box_size / 16.0;
   fp.theta = 0.5;
   fp.n_crit = 64;
-  core::HostTreeEngine engine(fp, core::HostTreeEngine::Mode::Modified);
+  core::TreeEngine engine(fp, core::TreeEngine::Mode::Modified);
 
   ComovingConfig cfg;
   cfg.cosmo = lcdm;

@@ -42,7 +42,7 @@ TEST(EngineVariants, QuadrupoleEngineConservesEnergyBetterAtLooseTheta) {
     fp.theta = 1.1;  // loose: monopole errors noticeable
     fp.n_crit = 64;
     fp.quadrupole = quadrupole;
-    core::HostTreeEngine engine(fp, core::HostTreeEngine::Mode::Modified);
+    core::TreeEngine engine(fp, core::TreeEngine::Mode::Modified);
     core::SimulationConfig cfg;
     cfg.dt = 0.01;
     cfg.steps = 100;
@@ -67,9 +67,8 @@ TEST(EngineVariants, HernquistCuspThroughGrapeTree) {
   fp.n_crit = 128;
   auto engine = core::make_engine("grape-tree", fp);
   engine->compute(pset);
-  auto* gt = dynamic_cast<core::GrapeTreeEngine*>(engine.get());
-  ASSERT_NE(gt, nullptr);
-  EXPECT_FALSE(gt->device().system().any_saturation());
+  ASSERT_NE(engine->grape_device(), nullptr);
+  EXPECT_FALSE(engine->grape_device()->system().any_saturation());
 
   // Against the exact sum.
   model::ParticleSet exact = pset;

@@ -2,15 +2,19 @@
 // particle/group writes only its own outputs, so lane assignment cannot
 // change a single bit of acc/pot, and the per-lane WalkStats reduce to the
 // same totals. Exercised on a smooth Plummer sphere and an adversarially
-// clustered snapshot, for both host tree modes and the GRAPE tree engine.
+// clustered snapshot, for both host tree modes and the GRAPE tree engine;
+// the GRAPE engines are also checked across board counts, for both
+// backends, and for the GRAPE device account their lanes fold into.
 #include <gtest/gtest.h>
 
 #include <cmath>
 #include <memory>
+#include <stdexcept>
 #include <string>
 #include <vector>
 
 #include "core/engines.hpp"
+#include "grape/driver.hpp"
 #include "ic/plummer.hpp"
 #include "tree/walk.hpp"
 
@@ -92,7 +96,7 @@ TEST_P(ParallelBitwise, ClusteredForcesMatchSerial) {
 INSTANTIATE_TEST_SUITE_P(Engines, ParallelBitwise,
                          ::testing::Values("host-tree-original",
                                            "host-tree-modified",
-                                           "grape-tree"),
+                                           "grape-tree", "grape-direct"),
                          [](const auto& info) {
                            std::string name = info.param;
                            for (char& c : name) {
@@ -117,6 +121,188 @@ TEST(ParallelBitwise, TargetSubsetMatchesSerial) {
     const auto serial = run(1);
     expect_bitwise_equal(serial, run(4), name);
   }
+}
+
+/// Everything a GRAPE engine reports after one force phase.
+struct GrapeRun {
+  model::ParticleSet pset;
+  core::EngineStats stats;
+  grape::HardwareAccount account;
+  std::uint64_t bytes = 0;
+  bool saturated = false;
+};
+
+GrapeRun run_grape(const char* name, grape::BackendKind backend,
+                   const model::ParticleSet& base, bool targets,
+                   std::uint32_t threads, std::uint32_t boards) {
+  ForceParams fp{.eps = 0.02, .theta = 0.7, .n_crit = 32};
+  fp.threads = threads;
+  fp.backend = backend;
+  fp.boards = boards;
+  auto engine = core::make_engine(name, fp);
+  GrapeRun r{base, {}, {}, 0, false};
+  if (targets) {
+    std::vector<std::uint32_t> subset;
+    for (std::uint32_t t = 1; t < base.size(); t += 3) subset.push_back(t);
+    engine->compute_targets(r.pset, subset);
+  } else {
+    engine->compute(r.pset);
+  }
+  r.stats = engine->stats();
+  const grape::Grape5System& sys = engine->grape_device()->system();
+  r.account = sys.account();
+  r.bytes = sys.bytes_moved();
+  r.saturated = sys.any_saturation();
+  return r;
+}
+
+void expect_same_counts(const core::EngineStats& a, const core::EngineStats& b,
+                        const std::string& what) {
+  EXPECT_EQ(a.evaluations, b.evaluations) << what;
+  EXPECT_EQ(a.interactions, b.interactions) << what;
+  EXPECT_EQ(a.groups, b.groups) << what;
+  EXPECT_EQ(a.walk.lists, b.walk.lists) << what;
+  EXPECT_EQ(a.walk.list_entries, b.walk.list_entries) << what;
+  EXPECT_EQ(a.walk.interactions, b.walk.interactions) << what;
+  EXPECT_EQ(a.walk.max_list, b.walk.max_list) << what;
+}
+
+/// Counts and modeled doubles bitwise; only emulation_wall may differ.
+void expect_same_account(const GrapeRun& a, const GrapeRun& b,
+                         const std::string& what) {
+  EXPECT_EQ(a.account.force_calls, b.account.force_calls) << what;
+  EXPECT_EQ(a.account.interactions, b.account.interactions) << what;
+  EXPECT_EQ(a.account.i_processed, b.account.i_processed) << what;
+  EXPECT_EQ(a.account.j_uploaded, b.account.j_uploaded) << what;
+  EXPECT_EQ(a.account.vmp_slots, b.account.vmp_slots) << what;
+  EXPECT_EQ(a.account.modeled_dma_j, b.account.modeled_dma_j) << what;
+  EXPECT_EQ(a.account.modeled_dma_i, b.account.modeled_dma_i) << what;
+  EXPECT_EQ(a.account.modeled_compute, b.account.modeled_compute) << what;
+  EXPECT_EQ(a.account.modeled_dma_result, b.account.modeled_dma_result)
+      << what;
+  EXPECT_EQ(a.bytes, b.bytes) << what;
+  EXPECT_EQ(a.saturated, b.saturated) << what;
+}
+
+TEST(ParallelBitwise, GrapeLanesMatchAcrossThreadsAndBoards) {
+  // Forces, engine counts and the device account, meters and saturation
+  // latch are identical for every thread count at a given board count.
+  // Across board counts the engine counts always match (the timing
+  // model itself charges per board, so the account does not), and so
+  // do the bit-exact forces. Native forces are not yet board-invariant
+  // at engine scale: FixedAccumulator::add sums in double, which is
+  // exact only below 2^53 counts (ROADMAP item 1).
+  const auto base = ic::make_plummer(ic::PlummerConfig{.n = 600, .seed = 17});
+  struct Case {
+    const char* engine;
+    grape::BackendKind backend;
+  };
+  const Case cases[] = {{"grape-tree", grape::BackendKind::BitExact},
+                        {"grape-tree", grape::BackendKind::Native},
+                        {"grape-direct", grape::BackendKind::BitExact}};
+  for (const Case& c : cases) {
+    for (const bool targets : {false, true}) {
+      const GrapeRun ref = run_grape(c.engine, c.backend, base, targets, 1, 1);
+      for (const std::uint32_t boards : {1u, 3u}) {
+        const GrapeRun lane1 =
+            run_grape(c.engine, c.backend, base, targets, 1, boards);
+        for (const std::uint32_t threads : {1u, 2u, 4u, 8u}) {
+          const std::string what =
+              std::string(c.engine) + " " +
+              std::string(grape::backend_name(c.backend)) +
+              (targets ? " targets" : " compute") +
+              " threads=" + std::to_string(threads) +
+              " boards=" + std::to_string(boards);
+          const GrapeRun got =
+              run_grape(c.engine, c.backend, base, targets, threads, boards);
+          expect_bitwise_equal(lane1.pset, got.pset, what.c_str());
+          if (c.backend == grape::BackendKind::BitExact) {
+            expect_bitwise_equal(ref.pset, got.pset, what.c_str());
+          }
+          expect_same_counts(ref.stats, got.stats, what);
+          expect_same_account(lane1, got, what);
+        }
+      }
+    }
+  }
+}
+
+TEST(GrapeLanes, NativeSaturationOnWorkerLaneLatchesEngineDevice) {
+  // Native's accumulators saturate from N ~ 6k on a Plummer sphere; the
+  // lanes that hit the rail must latch the engine device's flag, exactly
+  // as the single-lane run does.
+  const auto base =
+      ic::make_plummer(ic::PlummerConfig{.n = 16384, .seed = 5});
+  const GrapeRun serial = run_grape(
+      "grape-tree", grape::BackendKind::Native, base, false, 1, 0);
+  const GrapeRun lanes = run_grape(
+      "grape-tree", grape::BackendKind::Native, base, false, 8, 0);
+  EXPECT_TRUE(serial.saturated);
+  EXPECT_TRUE(lanes.saturated);
+  expect_same_account(serial, lanes, "native 16k");
+  expect_bitwise_equal(serial.pset, lanes.pset, "native 16k");
+}
+
+/// GRAPE list kernel whose worker lanes hand their device a malformed
+/// j-list while armed, so the device throws on a worker lane.
+class WorkerFaultKernel final : public core::ListKernel {
+ public:
+  explicit WorkerFaultKernel(std::shared_ptr<grape::Grape5Device> device)
+      : inner_(std::move(device)) {}
+  void begin_phase(const model::ParticleSet& pset, double eps, unsigned lanes,
+                   std::size_t units) override {
+    inner_.begin_phase(pset, eps, lanes, units);
+  }
+  void evaluate(unsigned lane, std::size_t unit,
+                const tree::InteractionList& list,
+                std::span<const math::Vec3d> targets,
+                std::span<const double> self_mass, std::span<math::Vec3d> acc,
+                std::span<double> pot) override {
+    if (armed && lane != 0) {
+      const std::span<const double> short_mass(list.mass.data(),
+                                               list.mass.size() - 1);
+      inner_.evaluate_j(lane, unit, list.pos, short_mass, targets, acc, pot);
+    }
+    inner_.evaluate(lane, unit, list, targets, self_mass, acc, pot);
+  }
+  void end_phase() override { inner_.end_phase(); }
+  [[nodiscard]] grape::Grape5Device* device() const noexcept override {
+    return inner_.device();
+  }
+
+  bool armed = true;
+
+ private:
+  core::GrapeListKernel inner_;
+};
+
+TEST(GrapeLanes, WorkerLaneDeviceErrorPropagatesAndEngineRecovers) {
+  const auto base = ic::make_plummer(ic::PlummerConfig{.n = 2048, .seed = 7});
+  // Same parameters as run_grape, so a fresh engine is the reference.
+  ForceParams fp{.eps = 0.02, .theta = 0.7, .n_crit = 32};
+  fp.threads = 4;
+  auto device = std::make_shared<grape::Grape5Device>(
+      grape::SystemConfig::paper_system());
+  auto kernel = std::make_unique<WorkerFaultKernel>(device);
+  WorkerFaultKernel* fault = kernel.get();
+  core::TreeEngine engine(fp, core::TreeEngine::Mode::Modified,
+                          std::move(kernel));
+
+  model::ParticleSet failed = base;
+  EXPECT_THROW(engine.compute(failed), std::invalid_argument);
+
+  // The abandoned phase charged nothing; the next phase runs clean and
+  // matches a fresh engine bitwise, account included.
+  fault->armed = false;
+  model::ParticleSet pset = base;
+  engine.compute(pset);
+  const GrapeRun fresh =
+      run_grape("grape-tree", grape::BackendKind::BitExact, base, false, 4, 0);
+  expect_bitwise_equal(fresh.pset, pset, "after a worker-lane error");
+  GrapeRun recovered{pset, engine.stats(), device->system().account(),
+                     device->system().bytes_moved(),
+                     device->system().any_saturation()};
+  expect_same_account(fresh, recovered, "after a worker-lane error");
 }
 
 TEST(WalkStatsMerge, SumsCountersAndMaxesMaxList) {

@@ -11,7 +11,6 @@
 #include "ic/plummer.hpp"
 #include "ic/zeldovich.hpp"
 #include "model/units.hpp"
-#include "obs/obs.hpp"
 
 namespace {
 
@@ -72,9 +71,9 @@ TEST(Determinism, ComovingRuns) {
     for (auto& m : pset.mass()) m *= g;
     const model::Cosmology cosmo(model::CosmologyParams::scdm());
     core::ComovingSimulation::physical_to_comoving(pset, cosmo, icr.a_start);
-    core::HostTreeEngine engine(
+    core::TreeEngine engine(
         ForceParams{.eps = 0.1, .theta = 0.6, .n_crit = 32},
-        core::HostTreeEngine::Mode::Modified);
+        core::TreeEngine::Mode::Modified);
     core::ComovingConfig cfg;
     cfg.a_start = icr.a_start;
     cfg.a_end = 0.2;
@@ -86,74 +85,47 @@ TEST(Determinism, ComovingRuns) {
 }
 
 TEST(Determinism, PipelinedGrapePathsMatchSynchronous) {
-  // The async pipeline (walks overlapping device evaluation, boards
-  // running in parallel) must be bitwise-identical to the synchronous
-  // single-lane path: same group order, same chunking, same per-board
-  // reduction order.
+  // Lane-parallel evaluation (each lane walks and evaluates on its own
+  // device) must be bitwise-identical to the single-lane run: every
+  // unit writes its own targets from integer accumulators.
   for (const char* name : {"grape-tree", "grape-direct"}) {
-    auto run = [&](std::uint32_t threads, std::uint32_t depth) {
+    auto run = [&](std::uint32_t threads) {
       auto pset = ic::make_plummer(ic::PlummerConfig{.n = 512, .seed = 21});
       ForceParams fp{.eps = 0.05, .theta = 0.6, .n_crit = 64};
       fp.threads = threads;
-      fp.pipeline_depth = depth;
       auto engine = core::make_engine(name, fp);
       engine->compute(pset);
       return pset;
     };
-    const auto ref = run(1, 0);  // synchronous reference
-    const std::pair<std::uint32_t, std::uint32_t> combos[] = {
-        {1, 2}, {4, 2}, {4, 3}, {2, 8}};
-    for (const auto& [threads, depth] : combos) {
-      const auto got = run(threads, depth);
+    const auto ref = run(1);
+    for (const std::uint32_t threads : {2u, 4u, 8u}) {
+      const auto got = run(threads);
       ASSERT_EQ(got.size(), ref.size());
       for (std::size_t i = 0; i < ref.size(); ++i) {
         ASSERT_EQ(got.acc()[i], ref.acc()[i])
-            << name << " threads=" << threads << " depth=" << depth << " " << i;
+            << name << " threads=" << threads << " " << i;
         ASSERT_EQ(got.pot()[i], ref.pot()[i])
-            << name << " threads=" << threads << " depth=" << depth << " " << i;
+            << name << " threads=" << threads << " " << i;
       }
     }
   }
-}
-
-TEST(Determinism, PipelinedOverlapGaugePositive) {
-  // Bitwise identity (above) must not come from secretly serializing
-  // the pipeline: with instrumentation on, a pipelined run spanning
-  // several batches must report walk time hidden behind device
-  // evaluation (g5.pipeline.overlap > 0). n_crit=16 at N=2048 yields
-  // far more groups than one submit batch, so later batches always walk
-  // with earlier jobs in flight.
-  obs::set_enabled(true);
-  obs::Registry::instance().reset_values();
-  auto pset = ic::make_plummer(ic::PlummerConfig{.n = 2048, .seed = 23});
-  ForceParams fp{.eps = 0.05, .theta = 0.6, .n_crit = 16};
-  fp.threads = 1;
-  fp.pipeline_depth = 2;
-  auto engine = core::make_engine("grape-tree", fp);
-  engine->compute(pset);
-  const double overlap = obs::gauge("g5.pipeline.overlap").value();
-  EXPECT_GT(overlap, 0.0);
-  EXPECT_LE(overlap, 1.0);
-  obs::set_enabled(false);
-  obs::Registry::instance().reset_values();
 }
 
 TEST(Determinism, PipelinedTargetForcesMatchSynchronous) {
   // Same check for the scattered-subset path (block-timestep style).
   std::vector<std::uint32_t> targets;
   for (std::uint32_t t = 1; t < 256; t += 3) targets.push_back(t);
-  auto run = [&](std::uint32_t threads, std::uint32_t depth) {
+  auto run = [&](std::uint32_t threads) {
     auto pset = ic::make_plummer(ic::PlummerConfig{.n = 256, .seed = 29});
     pset.zero_force();
     ForceParams fp{.eps = 0.05, .theta = 0.6, .n_crit = 32};
     fp.threads = threads;
-    fp.pipeline_depth = depth;
     auto engine = core::make_engine("grape-tree", fp);
     engine->compute_targets(pset, targets);
     return pset;
   };
-  const auto ref = run(1, 0);
-  const auto got = run(4, 2);
+  const auto ref = run(1);
+  const auto got = run(4);
   for (std::size_t i = 0; i < ref.size(); ++i) {
     ASSERT_EQ(got.acc()[i], ref.acc()[i]) << i;
     ASSERT_EQ(got.pot()[i], ref.pot()[i]) << i;

@@ -209,16 +209,13 @@ TEST(Backend, EngineBackendPlumbing) {
   core::ForceParams fp;
   fp.backend = BackendKind::Native;
   const auto tree_engine = core::make_engine("grape-tree", fp);
-  const auto* gt = dynamic_cast<core::GrapeTreeEngine*>(tree_engine.get());
-  ASSERT_NE(gt, nullptr);
-  EXPECT_EQ(gt->device().system().config().numerics.backend,
+  ASSERT_NE(tree_engine->grape_device(), nullptr);
+  EXPECT_EQ(tree_engine->grape_device()->system().config().numerics.backend,
             BackendKind::Native);
   fp.backend = BackendKind::BitExact;
   const auto direct_engine = core::make_engine("grape-direct", fp);
-  const auto* gd =
-      dynamic_cast<core::GrapeDirectEngine*>(direct_engine.get());
-  ASSERT_NE(gd, nullptr);
-  EXPECT_EQ(gd->device().system().config().numerics.backend,
+  ASSERT_NE(direct_engine->grape_device(), nullptr);
+  EXPECT_EQ(direct_engine->grape_device()->system().config().numerics.backend,
             BackendKind::BitExact);
 
   BackendKind parsed = BackendKind::BitExact;

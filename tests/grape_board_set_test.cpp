@@ -8,8 +8,9 @@
 //     kAggregate);
 //   * the integer-domain reduction makes results bitwise-identical
 //     across board counts AND chunk boundaries, for both backends;
-//   * a capacity error on the AsyncDevice submitter poisons the device
-//     like any other hardware fault.
+//   * a list that fits the particle memory runs as one resident upload,
+//     and charging its call shape to another device moves that device's
+//     account and meters exactly as running it there would.
 
 #include <gtest/gtest.h>
 
@@ -17,7 +18,6 @@
 #include <memory>
 #include <vector>
 
-#include "grape/async_device.hpp"
 #include "grape/board_set.hpp"
 #include "grape/driver.hpp"
 #include "grape/system.hpp"
@@ -26,10 +26,8 @@
 namespace {
 
 using namespace g5;
-using grape::AsyncDevice;
 using grape::BackendKind;
 using grape::BoardSet;
-using grape::ForceJob;
 using grape::Grape5Device;
 using grape::Grape5System;
 using grape::JmemCapacityError;
@@ -184,96 +182,25 @@ INSTANTIATE_TEST_SUITE_P(Backends, BoardSetBackend,
                                       : "BitExact";
                          });
 
-TEST(BoardSet, EvalPoolMatchesSerialBitwise) {
-  // Board-parallel evaluation merges the same integer counts in the
-  // same order as the serial loop — byte-identical outputs.
-  const auto src = ic::make_uniform_cube(256, -1.0, 1.0, 1.0, 23);
-  constexpr std::size_t kNi = 40;
+TEST(BoardSet, ResidentJobWithinCapacityRuns) {
+  // A list within the aggregate particle memory streams as one resident
+  // upload and matches set_j + compute_forces bitwise; charging the same
+  // call shape to a second device reproduces the account and the meters.
+  const auto src = ic::make_uniform_cube(60, -1.0, 1.0, 1.0, 31);
+  constexpr std::size_t kNi = 8;
   const std::span<const Vec3d> targets(src.pos().data(), kNi);
 
-  Grape5System serial(small_config(4, 1024));
-  serial.set_range(-2.0, 2.0, 0.02, src.mass()[0]);
-  serial.set_j_particles(src.pos(), src.mass());
-  std::vector<Vec3d> acc_s(kNi);
-  std::vector<double> pot_s(kNi);
-  serial.compute(targets, acc_s, pot_s);
-
-  Grape5System parallel(small_config(4, 1024));
-  util::ThreadPool pool(4);
-  parallel.set_eval_pool(&pool);
-  parallel.set_range(-2.0, 2.0, 0.02, src.mass()[0]);
-  parallel.set_j_particles(src.pos(), src.mass());
-  std::vector<Vec3d> acc_p(kNi);
-  std::vector<double> pot_p(kNi);
-  parallel.compute(targets, acc_p, pot_p);
-  parallel.set_eval_pool(nullptr);
-
-  for (std::size_t i = 0; i < kNi; ++i) {
-    EXPECT_EQ(acc_s[i].x, acc_p[i].x) << i;
-    EXPECT_EQ(acc_s[i].y, acc_p[i].y) << i;
-    EXPECT_EQ(acc_s[i].z, acc_p[i].z) << i;
-    EXPECT_EQ(pot_s[i], pot_p[i]) << i;
-  }
-}
-
-TEST(BoardSet, CapacityErrorPoisonsAsyncDevice) {
-  // A require_resident job whose list exceeds the particle memory must
-  // fail the job on the submitter thread and poison the AsyncDevice:
-  // failed() flips, and the error rethrows (typed) on drain().
-  const auto src = ic::make_uniform_cube(100, -1.0, 1.0, 1.0, 29);
-  auto device = std::make_shared<Grape5Device>(small_config(2, 32));
-  device->set_range(-2.0, 2.0, src.mass()[0]);
-  device->set_eps(0.02);
-
-  AsyncDevice async(device);
-  constexpr std::size_t kNi = 8;
+  Grape5Device device(small_config(2, 32));
+  device.set_range(-2.0, 2.0, src.mass()[0]);
+  device.set_eps(0.02);
   std::vector<Vec3d> acc(kNi);
   std::vector<double> pot(kNi);
-  ForceJob job;
-  job.i_pos = std::span<const Vec3d>(src.pos().data(), kNi);
-  job.j_pos = src.pos();    // 100 > 64 aggregate capacity
-  job.j_mass = src.mass();
-  job.acc = acc;
-  job.pot = pot;
-  job.require_resident = true;
-  async.submit(job);
-  EXPECT_THROW(async.drain(), JmemCapacityError);
-  EXPECT_TRUE(async.failed());
-
-  // Poisoned for good: later jobs complete without running and the
-  // first error keeps rethrowing.
-  ForceJob ok = job;
-  ok.j_pos = std::span<const Vec3d>(src.pos().data(), 16);
-  ok.j_mass = std::span<const double>(src.mass().data(), 16);
-  async.submit(ok);
-  EXPECT_THROW(async.drain(), JmemCapacityError);
-}
-
-TEST(BoardSet, ResidentJobWithinCapacityRuns) {
-  // The same require_resident path succeeds when the list fits, and
-  // matches the synchronous device bitwise.
-  const auto src = ic::make_uniform_cube(60, -1.0, 1.0, 1.0, 31);
-  auto device = std::make_shared<Grape5Device>(small_config(2, 32));
-  device->set_range(-2.0, 2.0, src.mass()[0]);
-  device->set_eps(0.02);
-
-  constexpr std::size_t kNi = 8;
-  std::vector<Vec3d> acc(kNi);
-  std::vector<double> pot(kNi);
-  {
-    AsyncDevice async(device);
-    ForceJob job;
-    job.i_pos = std::span<const Vec3d>(src.pos().data(), kNi);
-    job.j_pos = src.pos();
-    job.j_mass = src.mass();
-    job.acc = acc;
-    job.pot = pot;
-    job.require_resident = true;
-    async.submit(job);
-    async.drain();
-    EXPECT_FALSE(async.failed());
-    EXPECT_EQ(job.interactions, 60u * kNi);
-  }
+  EXPECT_FALSE(
+      device.compute_forces_chunked(targets, src.pos(), src.mass(), acc, pot));
+  const auto& account = device.system().account();
+  EXPECT_EQ(account.force_calls, 1u);
+  EXPECT_EQ(account.j_uploaded, 60u);
+  EXPECT_EQ(account.interactions, 60u * kNi);
 
   Grape5Device reference(small_config(2, 32));
   reference.set_range(-2.0, 2.0, src.mass()[0]);
@@ -281,12 +208,30 @@ TEST(BoardSet, ResidentJobWithinCapacityRuns) {
   reference.set_j(src.pos(), src.mass());
   std::vector<Vec3d> ref_acc(kNi);
   std::vector<double> ref_pot(kNi);
-  reference.compute_forces(std::span<const Vec3d>(src.pos().data(), kNi),
-                           ref_acc, ref_pot);
+  reference.compute_forces(targets, ref_acc, ref_pot);
   for (std::size_t i = 0; i < kNi; ++i) {
-    EXPECT_EQ(acc[i].x, ref_acc[i].x) << i;
+    EXPECT_EQ(acc[i], ref_acc[i]) << i;
     EXPECT_EQ(pot[i], ref_pot[i]) << i;
   }
+
+  Grape5Device charged(small_config(2, 32));
+  charged.configure_like(device);
+  charged.charge_chunked(kNi, src.size(), account.emulation_wall, false);
+  const auto& got = charged.system().account();
+  EXPECT_EQ(got.force_calls, account.force_calls);
+  EXPECT_EQ(got.j_uploaded, account.j_uploaded);
+  EXPECT_EQ(got.interactions, account.interactions);
+  EXPECT_EQ(got.i_processed, account.i_processed);
+  EXPECT_EQ(got.vmp_slots, account.vmp_slots);
+  EXPECT_EQ(got.modeled_dma_j, account.modeled_dma_j);
+  EXPECT_EQ(got.modeled_dma_i, account.modeled_dma_i);
+  EXPECT_EQ(got.modeled_compute, account.modeled_compute);
+  EXPECT_EQ(got.modeled_dma_result, account.modeled_dma_result);
+  EXPECT_EQ(got.emulation_wall, account.emulation_wall);
+  EXPECT_EQ(charged.system().bytes_moved(), device.system().bytes_moved());
+  EXPECT_FALSE(charged.system().any_saturation());
+  charged.charge_chunked(kNi, src.size(), 0.0, true);
+  EXPECT_TRUE(charged.system().any_saturation());
 }
 
 TEST(BoardSet, ConfigureDropsResidentShards) {

@@ -1,5 +1,7 @@
 #include <gtest/gtest.h>
 
+#include <vector>
+
 #include "grape/board.hpp"
 #include "grape/host_reference.hpp"
 #include "ic/uniform.hpp"
@@ -30,6 +32,23 @@ BoardConfig small_board() {
   return cfg;
 }
 
+/// Run the board and add its read-out forces into acc/pot (partial sums
+/// across calls, as a host accumulating board results would).
+std::size_t add_forces(ProcessorBoard& board, const Vec3d* i_pos,
+                       std::size_t ni, Vec3d* acc, double* pot) {
+  std::vector<grape::RawForce> raw(ni);
+  const std::size_t interactions = board.run_raw(i_pos, ni, raw.data());
+  if (interactions == 0) return 0;
+  for (std::size_t i = 0; i < ni; ++i) {
+    Vec3d a;
+    double p = 0.0;
+    board.pipeline().convert_raw(raw[i], a, p);
+    acc[i] += a;
+    pot[i] += p;
+  }
+  return interactions;
+}
+
 TEST(ProcessorBoard, PaperBoardShape) {
   const BoardConfig cfg;
   EXPECT_EQ(cfg.pipelines(), 16u);
@@ -49,7 +68,7 @@ TEST(ProcessorBoard, SegmentedUploads) {
 
   std::vector<Vec3d> acc(8), ref_acc(8);
   std::vector<double> pot(8), ref_pot(8);
-  board.run(src.pos().data(), 8, acc.data(), pot.data());
+  add_forces(board, src.pos().data(), 8, acc.data(), pot.data());
   grape::host_forces_on_targets(std::span<const Vec3d>(src.pos().data(), 8),
                                 src.pos(), src.mass(), 0.01, ref_acc,
                                 ref_pot);
@@ -82,16 +101,16 @@ TEST(ProcessorBoard, RunAccumulatesAcrossCalls) {
   Vec3d acc_full{};
   double pot_full = 0.0;
   board.set_j(0, src.pos().data(), src.mass().data(), 128);
-  board.run(&target, 1, &acc_full, &pot_full);
+  add_forces(board, &target, 1, &acc_full, &pot_full);
 
   Vec3d acc_halves{};
   double pot_halves = 0.0;
   board.set_j_count(0);
   board.set_j(0, src.pos().data(), src.mass().data(), 64);
-  board.run(&target, 1, &acc_halves, &pot_halves);
+  add_forces(board, &target, 1, &acc_halves, &pot_halves);
   board.set_j_count(0);
   board.set_j(0, src.pos().data() + 64, src.mass().data() + 64, 64);
-  board.run(&target, 1, &acc_halves, &pot_halves);
+  add_forces(board, &target, 1, &acc_halves, &pot_halves);
 
   EXPECT_LT((acc_full - acc_halves).norm(), 1e-8 + 1e-9 * acc_full.norm());
   EXPECT_NEAR(pot_full, pot_halves, 1e-8);
@@ -116,7 +135,7 @@ TEST(ProcessorBoard, HibMetersTraffic) {
   board.set_j(0, src.pos().data(), src.mass().data(), 50);
   std::vector<Vec3d> acc(4);
   std::vector<double> pot(4);
-  board.run(src.pos().data(), 4, acc.data(), pot.data());
+  add_forces(board, src.pos().data(), 4, acc.data(), pot.data());
   const auto& hib = board.hib();
   EXPECT_EQ(hib.j_words(), 50u);
   EXPECT_EQ(hib.i_words(), 4u);
@@ -134,8 +153,8 @@ TEST(ProcessorBoard, EmptyRunsAreNoOps) {
   Vec3d acc{};
   double pot = 0.0;
   const Vec3d target{0.5, 0.5, 0.5};
-  EXPECT_EQ(board.run(&target, 1, &acc, &pot), 0u);  // no j resident
-  EXPECT_EQ(board.run(&target, 0, &acc, &pot), 0u);  // no i requested
+  EXPECT_EQ(add_forces(board, &target, 1, &acc, &pot), 0u);  // no j resident
+  EXPECT_EQ(add_forces(board, &target, 0, &acc, &pot), 0u);  // no i requested
 }
 
 }  // namespace

@@ -84,9 +84,9 @@ TEST(SelfTestReport, StringContainsPerBoardLines) {
 TEST(EngineParams, SetParamsTakesEffect) {
   // Large enough N that the list length is far from the all-N ceiling.
   auto pset = ic::make_plummer(ic::PlummerConfig{.n = 4096, .seed = 3});
-  core::HostTreeEngine engine(
+  core::TreeEngine engine(
       core::ForceParams{.eps = 0.01, .theta = 1.2, .n_crit = 32},
-      core::HostTreeEngine::Mode::Modified);
+      core::TreeEngine::Mode::Modified);
   engine.compute(pset);
   const auto loose = engine.stats().interactions;
   engine.reset_stats();
@@ -98,10 +98,12 @@ TEST(EngineParams, SetParamsTakesEffect) {
 }
 
 TEST(EngineStats, PhaseTimingsOrdered) {
+  // One lane: walk and kernel seconds are CPU seconds summed over lanes,
+  // which exceed the wall clock whenever several lanes run at once.
   auto pset = ic::make_plummer(ic::PlummerConfig{.n = 512, .seed = 5});
-  core::HostTreeEngine engine(
-      core::ForceParams{.eps = 0.01, .theta = 0.6, .n_crit = 64},
-      core::HostTreeEngine::Mode::Modified);
+  core::TreeEngine engine(
+      core::ForceParams{.eps = 0.01, .theta = 0.6, .n_crit = 64, .threads = 1},
+      core::TreeEngine::Mode::Modified);
   engine.compute(pset);
   const auto& s = engine.stats();
   EXPECT_GT(s.seconds_tree_build, 0.0);

@@ -60,8 +60,7 @@ void seed_flight_state() {
   fr.clear();
   fr.arm();
   for (std::uint64_t s = 1; s <= 10; ++s) fr.record_step(step_record(s));
-  obs::gauge("g5.grape.queue_depth").set(3.0);
-  obs::gauge("g5.grape.in_flight").set(2.0);
+  obs::gauge("g5.board.count").set(3.0);
 }
 
 /// Fork, run `crash` in the child after installing handlers + seeding
@@ -114,9 +113,8 @@ TEST_F(ObsCrash, SigabrtProducesSchemaValidDump) {
   // The open span path and the thread name at crash time.
   EXPECT_NE(doc.find("/doomed"), std::string::npos);
   EXPECT_NE(doc.find("g5-crash-child"), std::string::npos);
-  // Device queue state via the cached gauges.
-  EXPECT_NE(doc.find("\"queue_depth\":3"), std::string::npos);
-  EXPECT_NE(doc.find("\"in_flight\":2"), std::string::npos);
+  // Device state via the cached gauges.
+  EXPECT_NE(doc.find("\"boards\":3"), std::string::npos);
   EXPECT_NE(doc.find("\"rss_bytes\":"), std::string::npos);
   std::remove(path.c_str());
 }

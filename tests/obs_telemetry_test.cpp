@@ -105,9 +105,9 @@ TEST_F(ObsTelemetry, StatusSequenceAdvancesPerSample) {
 
 TEST_F(ObsTelemetry, StatusReportsHeartbeatAndLastStep) {
   auto pset = ic::make_plummer(ic::PlummerConfig{.n = 128, .seed = 3});
-  core::HostTreeEngine engine(
+  core::TreeEngine engine(
       core::ForceParams{.eps = 0.05, .theta = 0.75, .n_crit = 32},
-      core::HostTreeEngine::Mode::Modified);
+      core::TreeEngine::Mode::Modified);
   core::SimulationConfig cfg;
   cfg.dt = 0.01;
   cfg.steps = 5;
@@ -135,9 +135,9 @@ TEST_F(ObsTelemetry, SamplerDoesNotPerturbPhysics) {
   // reads, so two identical runs must land on identical particles.
   const auto run_once = [](bool with_sampler) {
     auto pset = ic::make_plummer(ic::PlummerConfig{.n = 96, .seed = 11});
-    core::HostTreeEngine engine(
+    core::TreeEngine engine(
         core::ForceParams{.eps = 0.05, .theta = 0.75, .n_crit = 32},
-        core::HostTreeEngine::Mode::Modified);
+        core::TreeEngine::Mode::Modified);
     core::SimulationConfig cfg;
     cfg.dt = 0.01;
     cfg.steps = 8;

@@ -322,7 +322,7 @@ TEST_F(ObsMetrics, TwoStepSimulationEmitsRecords) {
 
   core::ForceParams fp;
   fp.threads = 2;
-  core::HostTreeEngine engine(fp, core::HostTreeEngine::Mode::Modified);
+  core::TreeEngine engine(fp, core::TreeEngine::Mode::Modified);
 
   const std::string path = ::testing::TempDir() + "obs_metrics_test.jsonl";
   core::SimulationConfig sc;
@@ -478,11 +478,10 @@ TEST_F(ObsHistogram, RegistrySnapshotCarriesHistogram) {
 }
 
 /// Engine-evaluated Plummer state for probe tests.
-model::ParticleSet probed_state(std::uint32_t threads, std::uint32_t depth) {
+model::ParticleSet probed_state(std::uint32_t threads) {
   auto pset = ic::make_plummer(ic::PlummerConfig{.n = 512, .seed = 11});
   core::ForceParams fp{.eps = 0.05, .theta = 0.6, .n_crit = 64};
   fp.threads = threads;
-  fp.pipeline_depth = depth;
   auto engine = core::make_engine("grape-tree", fp);
   engine->compute(pset);
   return pset;
@@ -506,7 +505,7 @@ bool same_result(const obs::ProbeResult& a, const obs::ProbeResult& b) {
 }
 
 TEST_F(ObsProbe, DeterministicForFixedSeed) {
-  const auto pset = probed_state(1, 0);
+  const auto pset = probed_state(1);
   obs::ForceErrorProbe probe_a(probe_config());
   obs::ForceErrorProbe probe_b(probe_config());
   const auto first = probe_a.measure(pset);
@@ -521,20 +520,17 @@ TEST_F(ObsProbe, DeterministicForFixedSeed) {
 }
 
 TEST_F(ObsProbe, BitwiseInvariantAcrossThreadsAndPipelineDepth) {
-  // The engine's forces are bitwise-invariant across host-thread count
-  // and pipeline depth, and the probe itself is serial host-double
-  // arithmetic — so its error measurement must be too.
-  const auto ref = probed_state(1, 0);
+  // The engine's forces are bitwise-invariant across host-thread count,
+  // and the probe itself is serial host-double arithmetic — so its error
+  // measurement must be too.
+  const auto ref = probed_state(1);
   obs::ForceErrorProbe probe_ref(probe_config());
   const auto expected = probe_ref.measure(ref);
-  const std::pair<std::uint32_t, std::uint32_t> combos[] = {
-      {4, 0}, {1, 2}, {4, 3}};
-  for (const auto& [threads, depth] : combos) {
-    const auto pset = probed_state(threads, depth);
+  for (const std::uint32_t threads : {2u, 4u}) {
+    const auto pset = probed_state(threads);
     obs::ForceErrorProbe probe(probe_config());
     const auto got = probe.measure(pset);
-    EXPECT_TRUE(same_result(expected, got))
-        << "threads=" << threads << " depth=" << depth;
+    EXPECT_TRUE(same_result(expected, got)) << "threads=" << threads;
   }
 }
 
@@ -542,7 +538,7 @@ TEST_F(ObsProbe, ErrorSplitWithinSaneBudgets) {
   // Loose sanity bounds (the tight paper-budget check is the 16k golden
   // run in CI): the codec error must sit near the hardware's ~0.3%
   // pairwise format error, and both components must be present.
-  const auto pset = probed_state(1, 0);
+  const auto pset = probed_state(1);
   obs::ForceErrorProbe probe(probe_config());
   const auto r = probe.measure(pset);
   ASSERT_GT(r.samples, 0u);

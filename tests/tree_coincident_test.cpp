@@ -114,8 +114,8 @@ TEST(CoincidentPairs, EnginesAgreeOnCoincidentPair) {
   };
 
   core::HostDirectEngine direct(fp);
-  core::HostTreeEngine tree_orig(fp, core::HostTreeEngine::Mode::Original);
-  core::HostTreeEngine tree_mod(fp, core::HostTreeEngine::Mode::Modified);
+  core::TreeEngine tree_orig(fp, core::TreeEngine::Mode::Original);
+  core::TreeEngine tree_mod(fp, core::TreeEngine::Mode::Modified);
   const auto a = run(direct);
   const auto b = run(tree_orig);
   const auto c = run(tree_mod);

@@ -100,7 +100,7 @@ TEST(Quadrupole, TreeForceErrorDropsAtEqualTheta) {
     fp.theta = 0.9;
     fp.n_crit = 128;
     fp.quadrupole = quadrupole;
-    core::HostTreeEngine engine(fp, core::HostTreeEngine::Mode::Modified);
+    core::TreeEngine engine(fp, core::TreeEngine::Mode::Modified);
     model::ParticleSet work = pset;
     engine.compute(work);
     util::RunningStat err;

@@ -13,11 +13,8 @@
 //         [--build-cutoff 32768]
 //                          (tree engines: minimum N for the parallel tree
 //                           build; the build threads across the --threads
-//                           walk pool above it, bitwise-identical to the
+//                           pool above it, bitwise-identical to the
 //                           serial build either way)
-//         [--pipeline 2]   (grape engines: batch buffers in flight;
-//                           0/1 = synchronous, >= 2 overlaps tree walks
-//                           with device evaluation — same forces bitwise)
 //         [--backend bit-exact|native]
 //                          (grape engines: pipeline arithmetic. bit-exact =
 //                           the bit-level GRAPE-5 datapath, the default and
@@ -55,7 +52,7 @@
 // Live telemetry & post-mortem (docs/observability.md):
 //   --status-file FILE   background sampler rewrites FILE atomically every
 //                        --status-period ms with the g5.status.v1 JSON
-//                        (heartbeat, ETA, device queue, flight recorder,
+//                        (heartbeat, ETA, device state, flight recorder,
 //                        full metric registry)
 //   --status-period MS   sampler period in milliseconds (default 1000)
 //   --prom-file FILE     sampler also rewrites FILE in Prometheus text
@@ -297,15 +294,6 @@ void print_measured_timing(const core::SimulationSummary& summary,
         summary.grape.modeled_total() - summary.grape.modeled_compute);
     std::snprintf(m1, sizeof(m1), "%.3f", summary.grape.occupancy());
     mt.add_row({"pipeline occupancy (measured)", m1, "-"});
-  }
-  const double pipe_wall = phase_total(report, "pipeline");
-  if (pipe_wall > 0.0) {
-    // The engine measures the fraction of the pipeline wall during
-    // which the producer kept walking while device jobs were in flight
-    // (g5.pipeline.overlap). The Section 5 model is strictly additive
-    // (host walk + GRAPE evaluation), hence modeled overlap 0.
-    const double frac = obs::gauge("g5.pipeline.overlap").value();
-    row("pipeline overlap (walk hidden, s)", frac * pipe_wall, 0.0);
   }
   mt.print();
 
@@ -599,8 +587,6 @@ int main(int argc, char** argv) {
     fp.threads = static_cast<std::uint32_t>(opt.get_int("threads", 0));
     fp.build_parallel_cutoff = static_cast<std::uint32_t>(
         opt.get_int("build-cutoff", 1 << 15));
-    fp.pipeline_depth =
-        static_cast<std::uint32_t>(opt.get_int("pipeline", 2));
     const std::string mac = opt.get_string("mac", "edge");
     fp.mac = mac == "bmax" ? tree::Mac::Bmax : tree::Mac::Edge;
     const std::string backend = opt.get_string("backend", "bit-exact");
@@ -617,11 +603,8 @@ int main(int argc, char** argv) {
 
     // Optional hardware self-test before committing to a run.
     if (opt.get_bool("selftest", false)) {
-      if (auto* gt = dynamic_cast<core::GrapeTreeEngine*>(engine.get())) {
-        std::printf("%s", grape::run_selftest(gt->device().system()).str().c_str());
-      } else if (auto* gd =
-                     dynamic_cast<core::GrapeDirectEngine*>(engine.get())) {
-        std::printf("%s", grape::run_selftest(gd->device().system()).str().c_str());
+      if (grape::Grape5Device* device = engine->grape_device()) {
+        std::printf("%s", grape::run_selftest(device->system()).str().c_str());
       } else {
         std::printf("--selftest: engine '%s' has no hardware attached\n",
                     engine_name.c_str());
