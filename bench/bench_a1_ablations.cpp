@@ -119,11 +119,13 @@ int main(int argc, char** argv) {
                     grape::SystemConfig::grape3_system()});
     rows.push_back({"GRAPE-5", grape::PipelineNumerics{},
                     grape::SystemConfig::paper_system()});
-    grape::PipelineNumerics exact_numerics;
-    exact_numerics.exact_arithmetic = true;
-    grape::SystemConfig exact_system = grape::SystemConfig::paper_system();
-    exact_system.numerics = exact_numerics;
-    rows.push_back({"64-bit float", exact_numerics, exact_system});
+    // The "standard 64-bit floating point" comparison is the Native
+    // backend: double arithmetic on the same coordinates and accumulators.
+    grape::PipelineNumerics native_numerics;
+    native_numerics.backend = grape::BackendKind::Native;
+    grape::SystemConfig native_system = grape::SystemConfig::paper_system();
+    native_system.numerics = native_numerics;
+    rows.push_back({"64-bit float", native_numerics, native_system});
 
     for (const auto& row : rows) {
       auto device = std::make_shared<grape::Grape5Device>(row.system);

@@ -63,7 +63,8 @@ double pairwise_rms_error(const grape::PipelineNumerics& numerics,
     const double mj = std::pow(10.0, rng.uniform(-2.0, 0.0));
 
     auto state = pipe.encode_i(xi);
-    pipe.interact(state, pipe.encode_j(xj, mj));
+    const grape::JWord j = pipe.encode_j(xj, mj);
+    pipe.interact_batch(state, &j, 1);
     const Vec3d got = pipe.read_force(state);
 
     Vec3d ref;

@@ -99,7 +99,7 @@ BENCHMARK(BM_HostKernel)->Arg(4096)->Arg(16384);
 
 void BM_PipelineEmulation(benchmark::State& state) {
   grape::PipelineNumerics num;
-  num.exact_arithmetic = state.range(0) != 0;
+  if (state.range(0) != 0) num.backend = grape::BackendKind::Native;
   grape::Pipeline pipe(num);
   grape::PipelineScaling scaling;
   scaling.range_lo = -2.0;
@@ -115,11 +115,12 @@ void BM_PipelineEmulation(benchmark::State& state) {
   }
   auto istate = pipe.encode_i(Vec3d{0.1, 0.2, 0.3});
   for (auto _ : state) {
-    for (const auto& j : js) pipe.interact(istate, j);
+    pipe.interact_batch(istate, js.data(), js.size());
     benchmark::DoNotOptimize(istate);
   }
   state.SetItemsProcessed(state.iterations() * 1024);
-  state.SetLabel(num.exact_arithmetic ? "exact-arithmetic" : "lns-datapath");
+  state.SetLabel(num.backend == grape::BackendKind::Native ? "native"
+                                                          : "lns-datapath");
 }
 BENCHMARK(BM_PipelineEmulation)->Arg(0)->Arg(1);
 

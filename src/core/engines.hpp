@@ -239,8 +239,9 @@ std::unique_ptr<ForceEngine> make_engine(
     const std::string& name, const ForceParams& params,
     std::shared_ptr<grape::Grape5Device> device = nullptr);
 
-/// Shared helper: set the device range window (snapshot hull + margin) and
-/// softening before a force phase. Returns the window used.
+/// Shared helper: set the device range window and mass scale
+/// (grape::snapshot_window) and the softening before a force phase.
+/// Returns the window used.
 std::pair<double, double> configure_device_window(
     grape::Grape5Device& device, const model::ParticleSet& pset, double eps);
 

@@ -1,6 +1,3 @@
-#include <algorithm>
-#include <cmath>
-#include <limits>
 #include <stdexcept>
 
 #include "core/engines.hpp"
@@ -10,20 +7,11 @@ namespace g5::core {
 std::pair<double, double> configure_device_window(
     grape::Grape5Device& device, const model::ParticleSet& pset, double eps) {
   const model::Aabb box = pset.bounding_box();
-  // Cubic window with margin: particles drift between range updates, and
-  // the interaction lists also contain cell centers of mass, which stay
-  // inside the hull — 12.5 % margin each side covers both.
-  const double size = std::max(box.cube_size(), 1e-12) * 1.25;
-  const math::Vec3d c = box.center();
-  const double half = 0.5 * size;
-  const double lo = c.min_component() - half;
-  const double hi = c.max_component() + half;
-  double min_mass = std::numeric_limits<double>::infinity();
-  for (double m : pset.mass()) min_mass = std::min(min_mass, m);
-  if (!std::isfinite(min_mass) || min_mass <= 0.0) min_mass = 1.0;
-  device.set_range(lo, hi, min_mass);
+  const grape::SnapshotWindow w =
+      grape::snapshot_window(box.lo, box.hi, pset.mass());
+  device.set_range(w.lo, w.hi, w.mass_scale);
   device.set_eps(eps);
-  return {lo, hi};
+  return {w.lo, w.hi};
 }
 
 void HostListKernel::begin_phase(const model::ParticleSet& /*pset*/,

@@ -80,8 +80,8 @@ std::size_t ProcessorBoard::run_raw(const Vec3d* i_pos, std::size_t ni,
   const std::size_t slots = cfg_.i_slots();
   for (std::size_t i = 0; i < ni; ++i) {
     IState state = pipe_.encode_i(i_pos[i]);
-    // Batched j-stream: bitwise-identical to per-j interact() calls for
-    // the bit-exact backend (see Pipeline::interact_batch).
+    // The whole resident j-stream through one slot (per-interaction
+    // quantization, so the batching cannot change a bit).
     pipe_.interact_batch(state, jmem_.data(), j_count_);
     out[i] = pipe_.read_raw(state);
     if (faulty_chip_ >= 0 &&

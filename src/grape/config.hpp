@@ -37,10 +37,13 @@ enum class BackendKind : std::uint8_t {
   /// the backend every golden / determinism / probe-calibration number in
   /// this repo refers to.
   BitExact,
-  /// Plain double arithmetic on the same quantized coordinates (emulator
-  /// fast path): same interactions, same i == j cut, native accumulation.
-  /// Codec error vanishes (probe reports g5.err.codec ~ 0); tree error is
-  /// untouched. Roughly an order of magnitude faster than BitExact.
+  /// Plain double arithmetic on the same quantized coordinates, into the
+  /// same fixed-point accumulators on the same quanta: same interactions,
+  /// same i == j cut. The one double-precision datapath — the ablations'
+  /// "standard 64-bit floating point" row ("the relative accuracy was
+  /// practically the same") and the emulator's fast path. Codec error
+  /// vanishes (probe reports g5.err.codec ~ 0); tree error is untouched.
+  /// Roughly an order of magnitude faster than BitExact.
   Native,
 };
 
@@ -74,13 +77,6 @@ struct PipelineNumerics {
   /// geometries; tests/grape_pipeline_test.cpp pins the calibration and
   /// bench_e3_accuracy sweeps it).
   int table_index_bits = 7;
-  /// Fixed-point bits for the force/potential accumulators.
-  int accumulator_bits = 64;
-  /// If true, bypass all quantization and compute in double precision
-  /// (used for ablations: "the relative accuracy was practically the same
-  /// when we performed the same force calculation using standard 64-bit
-  /// floating point arithmetic"). Takes precedence over `backend`.
-  bool exact_arithmetic = false;
   /// Arithmetic backend of the pipeline datapath (see BackendKind).
   BackendKind backend = BackendKind::BitExact;
 

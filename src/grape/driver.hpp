@@ -16,6 +16,7 @@
 
 #include <memory>
 #include <span>
+#include <vector>
 
 #include "grape/system.hpp"
 
@@ -36,7 +37,9 @@ class Grape5Device {
   /// compute_forces_chunked for longer lists.
   void set_j(std::span<const Vec3d> pos, std::span<const double> mass);
 
-  /// Forces of the resident j-set on the given targets (any ni).
+  /// Forces of the resident j-set on the given targets (any ni), read
+  /// out through the same raw-domain merge and single conversion as
+  /// compute_forces_chunked.
   void compute_forces(std::span<const Vec3d> i_pos, std::span<Vec3d> acc,
                       std::span<double> pot);
 
@@ -87,8 +90,14 @@ class Grape5Device {
   bool range_set_ = false;
 
   void push_scaling();
+  /// The readout both compute paths share: check arity, zero the outputs
+  /// and `ni` raw registers; finish_readout converts once, ORs saturation.
+  std::span<RawForce> begin_readout(std::size_t ni, std::span<Vec3d> acc,
+                                    std::span<double> pot);
+  bool finish_readout(std::span<const RawForce> raw, std::span<Vec3d> acc,
+                      std::span<double> pot) const;
 
-  // Scratch for chunked accumulation: cross-chunk integer partial sums.
+  // Cross-call (and cross-chunk) integer partial sums.
   std::vector<RawForce> raw_scratch_;
 };
 

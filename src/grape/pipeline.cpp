@@ -20,6 +20,26 @@ void derive_scaling_quanta(PipelineScaling& s, double mass_scale) noexcept {
   s.potential_quantum = m / width * std::ldexp(1.0, -kAccumulatorGuardBits);
 }
 
+PipelineScaling SnapshotWindow::scaling(double eps) const noexcept {
+  PipelineScaling s;
+  s.range_lo = lo;
+  s.range_hi = hi;
+  s.eps = eps;
+  derive_scaling_quanta(s, mass_scale);
+  return s;
+}
+
+SnapshotWindow snapshot_window(const Vec3d& box_lo, const Vec3d& box_hi,
+                               std::span<const double> mass) noexcept {
+  const double size = std::max((box_hi - box_lo).max_component(), 1e-12) * 1.25;
+  const Vec3d c = 0.5 * (box_lo + box_hi);
+  const double half = 0.5 * size;
+  double min_mass = std::numeric_limits<double>::infinity();
+  for (double m : mass) min_mass = std::min(min_mass, m);
+  if (!std::isfinite(min_mass) || min_mass <= 0.0) min_mass = 1.0;
+  return {c.min_component() - half, c.max_component() + half, min_mass};
+}
+
 Pipeline::Pipeline(const PipelineNumerics& numerics)
     : numerics_(numerics),
       lns_(numerics.lns_frac_bits),
@@ -50,84 +70,24 @@ JWord Pipeline::encode_j(const Vec3d& pos, double mass) const {
 }
 
 double Pipeline::force_accumulator_quantum() const noexcept {
-  return numerics_.backend == BackendKind::Native && !numerics_.exact_arithmetic
-             ? std::ldexp(scaling_.force_quantum, -kNativeAccumulatorExtraBits)
-             : scaling_.force_quantum;
+  return scaling_.force_quantum;
 }
 
 double Pipeline::potential_accumulator_quantum() const noexcept {
-  return numerics_.backend == BackendKind::Native && !numerics_.exact_arithmetic
-             ? std::ldexp(scaling_.potential_quantum,
-                          -kNativeAccumulatorExtraBits)
-             : scaling_.potential_quantum;
+  return scaling_.potential_quantum;
 }
 
 IState Pipeline::encode_i(const Vec3d& pos) const {
   IState s;
   for (std::size_t c = 0; c < 3; ++c) s.x[c] = codec_.encode(pos[c]);
-  s.x_exact = pos;
   for (auto& a : s.acc) a = FixedAccumulator(force_accumulator_quantum());
   s.pot = FixedAccumulator(potential_accumulator_quantum());
   return s;
 }
 
-void Pipeline::interact(IState& i_state, const JWord& j) const {
-  if (numerics_.exact_arithmetic) {
-    interact_exact(i_state, j);
-    return;
-  }
-  if (numerics_.backend == BackendKind::Native) {
-    interact_batch_native(i_state, &j, 1);
-    return;
-  }
-
-  // The scalar reference datapath. interact_batch_lns applies exactly
-  // these operations per lane in the same accumulation order, and the
-  // backend-equivalence tests pin the two bitwise against each other.
-  //
-  // 1. Coordinate differences: exact fixed-point subtraction (the strong
-  //    FixedDelta word), then the difference enters the log-format
-  //    datapath via the codec (one conversion rounding per component).
-  LnsValue dx[3];
-  FixedDelta d[3];
-  for (int c = 0; c < 3; ++c) {
-    d[c] = j.x[c] - i_state.x[c];
-    dx[c] = lns_.from_double(codec_.delta_to_double(d[c]));
-  }
-  // Self-interaction cut: the pipeline drops pairs whose fixed-point
-  // coordinates coincide (the hardware's i == j detection). The force of
-  // such a pair is exactly zero anyway; cutting it also keeps the
-  // softened self-potential -m/eps out of the accumulators, so the host
-  // needs no (format-error-prone) correction.
-  if (math::coincident(d[0], d[1], d[2])) return;
-
-  // 2. Squares in log format (exact shifts), summed with eps^2 by the
-  //    block-normalized adder, modeled as an exact add re-quantized to the
-  //    log format.
-  double r2 = eps2_;
-  for (const auto& dc : dx) r2 += lns_.to_double(lns_.square(dc));
-  const LnsValue r2_lns = lns_.from_double(r2);
-
-  // 3. g = (r^2)^(-3/2) (table unit) and h = (r^2)^(-1/2) (potential unit).
-  const LnsValue g = lns_.pow_neg_3_2(r2_lns);
-  const LnsValue h = lns_.pow_neg_1_2(r2_lns);
-
-  // 4. Products m*g and m*g*dx in log format (integer adds), then the
-  //    fixed-point accumulators pick up the converted results.
-  const LnsValue mg = lns_.mul(j.mass, g);
-  for (int c = 0; c < 3; ++c) {
-    i_state.acc[c].add(lns_.to_double(lns_.mul(mg, dx[c])));
-  }
-  i_state.pot.add(-lns_.to_double(lns_.mul(j.mass, h)));
-}
-
 void Pipeline::interact_batch(IState& i_state, const JWord* j,
                               std::size_t count) const {
   if (count == 0) return;
-  if (numerics_.exact_arithmetic) {
-    for (std::size_t k = 0; k < count; ++k) interact_exact(i_state, j[k]);
-    return;
-  }
   if (numerics_.backend == BackendKind::Native) {
     interact_batch_native(i_state, j, count);
     return;
@@ -147,7 +107,8 @@ void Pipeline::interact_batch_lns(IState& i_state, const JWord* j,
     const std::size_t n = std::min(W, count - base);
 
     // Stage 1: exact fixed-point differences plus the i == j cut, on
-    // integer lanes.
+    // integer lanes. The cut (the hardware's i == j detection) keeps the
+    // softened self-potential -m/eps out of the accumulators.
     FixedDelta d[3][W];
     bool live[W];
     for (std::size_t l = 0; l < n; ++l) {
@@ -159,7 +120,7 @@ void Pipeline::interact_batch_lns(IState& i_state, const JWord* j,
     }
 
     // Stage 2: the differences enter the log format (one conversion
-    // rounding per component, as in the scalar path).
+    // rounding per component).
     LnsValue dx[3][W];
     for (std::size_t c = 0; c < 3; ++c) {
       for (std::size_t l = 0; l < n; ++l) {
@@ -167,8 +128,8 @@ void Pipeline::interact_batch_lns(IState& i_state, const JWord* j,
       }
     }
 
-    // Stage 3: squares (exact log shifts) + the block-normalized r^2 add,
-    // re-encoded. The component order matches the scalar loop.
+    // Stage 3: squares (exact log shifts) + eps^2 through the block-
+    // normalized adder (an exact add re-quantized to the log format).
     LnsValue r2w[W];
     for (std::size_t l = 0; l < n; ++l) {
       double r2 = eps2_;
@@ -178,8 +139,8 @@ void Pipeline::interact_batch_lns(IState& i_state, const JWord* j,
       r2w[l] = lns_.from_double(r2);
     }
 
-    // Stage 4: power units + the m*g / m*g*dx / m*h products — integer
-    // adds on the log words across lanes.
+    // Stage 4: power units g = (r^2)^(-3/2), h = (r^2)^(-1/2) + the
+    // m*g / m*g*dx / m*h products — integer adds on the log words.
     LnsValue fout[3][W];
     LnsValue pout[W];
     for (std::size_t l = 0; l < n; ++l) {
@@ -193,8 +154,8 @@ void Pipeline::interact_batch_lns(IState& i_state, const JWord* j,
     }
 
     // Stage 5: decode lanes (table lookups) and drain them into the
-    // fixed-point accumulators in stream order — the identical add
-    // sequence as the scalar path, so the sums are bitwise-identical.
+    // fixed-point accumulators one interaction at a time, in stream
+    // order, so batch boundaries cannot change a bit.
     double fx[3][W];
     double fp[W];
     for (std::size_t c = 0; c < 3; ++c) {
@@ -273,9 +234,9 @@ void Pipeline::interact_batch_native(IState& i_state, const JWord* j,
       }
     }
     // Drain into the fixed-point accumulators per interaction, in
-    // stream order. Each lane quantizes independently onto the finer
-    // Native grid (kNativeAccumulatorExtraBits), so the sum does not
-    // depend on where batch — or board-shard — boundaries fall.
+    // stream order. Each lane quantizes independently onto the same grid
+    // as BitExact, so the sum does not depend on where batch — or
+    // board-shard — boundaries fall.
     for (std::size_t l = 0; l < n; ++l) {
       i_state.acc[0].add(gx[l]);
       i_state.acc[1].add(gy[l]);
@@ -285,34 +246,6 @@ void Pipeline::interact_batch_native(IState& i_state, const JWord* j,
   }
 }
 // g5lint: hot-end
-
-void Pipeline::interact_exact(IState& i_state, const JWord& j) const {
-  FixedDelta d[3];
-  Vec3d dx;
-  for (std::size_t c = 0; c < 3; ++c) {
-    d[c] = j.x[c] - i_state.x[c];
-    dx[c] = codec_.delta_to_double(d[c]);
-  }
-  // The same i == j cut as the lns path: fixed-point coincidence.
-  if (math::coincident(d[0], d[1], d[2])) return;
-  const double r2 = dx.norm2() + eps2_;
-  if (r2 == 0.0) {
-    // Non-coincident pair whose r^2 underflowed with eps == 0: the lns
-    // datapath saturates its accumulators here; mirror that rather than
-    // silently dropping a divergent pair.
-    const double inf = std::numeric_limits<double>::infinity();
-    const double ms = j.mass_exact < 0.0 ? -1.0 : 1.0;
-    for (std::size_t c = 0; c < 3; ++c) {
-      if (dx[c] != 0.0) i_state.acc[c].add(ms * std::copysign(inf, dx[c]));
-    }
-    i_state.pot.add(-ms * inf);
-    return;
-  }
-  const double rinv = 1.0 / std::sqrt(r2);
-  const double mg = j.mass_exact * rinv * rinv * rinv;
-  for (std::size_t c = 0; c < 3; ++c) i_state.acc[c].add(mg * dx[c]);
-  i_state.pot.add(-j.mass_exact * rinv);
-}
 
 Vec3d Pipeline::read_force(const IState& i_state) const {
   return {i_state.acc[0].value(), i_state.acc[1].value(),

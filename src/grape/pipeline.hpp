@@ -19,12 +19,16 @@
 //     exact sum re-quantized into the log format (one conversion rounding);
 //   * accumulation: wide fixed point (64-bit) on a per-call force quantum.
 //
+// The Native backend (the one double-precision datapath) replaces only
+// the log-format core with double arithmetic.
+//
 // lns_frac_bits = 8 lands the pairwise rms relative force error at ~0.3 %,
 // the figure the paper quotes for GRAPE-5; the calibration is pinned by
 // tests/grape_pipeline_test.cpp and swept by bench_e3_accuracy.
 #pragma once
 
 #include <cstdint>
+#include <span>
 #include <type_traits>
 #include <vector>
 
@@ -43,17 +47,16 @@ using math::Vec3d;
 struct JWord {
   math::Fixed20 x[3] = {};
   math::LnsValue mass{};
-  double mass_exact = 0.0;  ///< used only when exact_arithmetic is on
+  double mass_exact = 0.0;  ///< the double mass the Native backend uses
 };
 
 /// An i-particle resident in a pipeline: quantized coordinates and the
-/// fixed-point force/potential accumulators. Every backend accumulates
-/// in the fixed-point registers (the Native backend on a finer quantum —
-/// see kNativeAccumulatorExtraBits), so per-interaction contributions
-/// commute exactly and multi-board partial sums merge bitwise.
+/// fixed-point force/potential accumulators. Both backends accumulate in
+/// the fixed-point registers on the same per-call quanta, so
+/// per-interaction contributions commute exactly and multi-board partial
+/// sums merge bitwise.
 struct IState {
   math::Fixed20 x[3] = {};
-  Vec3d x_exact{};  ///< used only when exact_arithmetic is on
   math::FixedAccumulator acc[3] = {math::FixedAccumulator(1.0),
                                    math::FixedAccumulator(1.0),
                                    math::FixedAccumulator(1.0)};
@@ -96,23 +99,30 @@ struct PipelineScaling {
 /// guard range above it before saturation.
 inline constexpr int kAccumulatorGuardBits = 34;
 
-/// The Native backend quantizes each double interaction onto a finer
-/// accumulator grid (2^-6 of the bit-exact quantum, i.e. 40 effective
-/// guard bits). Quantizing *per interaction* makes the sum independent
-/// of batch and shard boundaries — the property GRAPE-6 bought with
-/// fixed-point accumulators behind its floating pipelines (Makino et
-/// al. 2003) and the reason --boards is bitwise-invariant for Native
-/// too. The rounding noise (~2^-40 of the force scale per interaction)
-/// sits ~4 decades below the coordinate-quantization floor the probe
-/// measures, and the remaining headroom (~2^23 above the expected
-/// per-call maximum) keeps saturation unreachable for sane windows.
-inline constexpr int kNativeAccumulatorExtraBits = 6;
-
 /// Derive the accumulator quanta from the coordinate window and the mass
-/// scale (largest |m_j| of the call). The one shared definition of the
-/// hardware's accumulator scaling — the driver (system.cpp) and the
-/// force-error probe (obs/probe.cpp) must agree bit-for-bit on it.
+/// scale (see snapshot_window). The one shared definition of the
+/// hardware's accumulator scaling, used by Grape5System::set_range and
+/// SnapshotWindow::scaling.
 void derive_scaling_quanta(PipelineScaling& s, double mass_scale) noexcept;
+
+/// The range window and mass scale the force engines give the device for
+/// a particle snapshot, and the pipeline scaling that setting installs.
+struct SnapshotWindow {
+  double lo = -1.0;
+  double hi = 1.0;
+  double mass_scale = 1.0;
+
+  /// What Grape5System::set_range(lo, hi, eps, mass_scale) installs.
+  [[nodiscard]] PipelineScaling scaling(double eps) const noexcept;
+};
+
+/// The one window policy of the engines' device path and the force-error
+/// probe: a cube 1.25x the bounding cube around its center (particles
+/// drift between range updates; lists also hold cell centers of mass),
+/// and the smallest particle mass as the mass scale (1 if none is > 0).
+[[nodiscard]] SnapshotWindow snapshot_window(
+    const Vec3d& box_lo, const Vec3d& box_hi,
+    std::span<const double> mass) noexcept;
 
 class Pipeline {
  public:
@@ -134,16 +144,13 @@ class Pipeline {
   /// Load an i-particle into a pipeline slot (resets accumulators).
   [[nodiscard]] IState encode_i(const Vec3d& pos) const;
 
-  /// One pipeline cycle: accumulate the interaction of one j onto one i.
-  void interact(IState& i_state, const JWord& j) const;
-
-  /// Stream a whole j-segment through one pipeline slot: structure-of-
-  /// arrays evaluation in blocks of `batch_width()` lanes, so the fixed-
-  /// point and log-word stages run over arrays the compiler can
-  /// vectorize. For the BitExact backend this applies the identical
-  /// per-interaction operations in the identical accumulation order as
-  /// repeated interact() calls, so the result is bitwise-identical
-  /// (tests/grape_backend_test.cpp pins this across batch shapes).
+  /// Stream a j-segment through one pipeline slot (one pipeline cycle
+  /// per j): structure-of-arrays evaluation in blocks of `batch_width()`
+  /// lanes, so the fixed-point and log-word stages run over arrays the
+  /// compiler can vectorize. Every interaction is quantized onto the
+  /// accumulators on its own, in stream order, so the sums do not depend
+  /// on where segment boundaries fall; tests/grape_backend_test.cpp pins
+  /// the BitExact path bitwise against a scalar oracle of the datapath.
   void interact_batch(IState& i_state, const JWord* j,
                       std::size_t count) const;
 
@@ -166,9 +173,8 @@ class Pipeline {
   /// conversion of the device (counts times the accumulator quanta).
   void convert_raw(const RawForce& raw, Vec3d& acc, double& pot) const noexcept;
 
-  /// The accumulator quanta encode_i actually installs — the scaling's
-  /// quanta for BitExact, 2^-kNativeAccumulatorExtraBits of them for
-  /// Native. RawForce counts convert to doubles by these.
+  /// The accumulator quanta encode_i installs (the scaling's quanta, for
+  /// both backends). RawForce counts convert to doubles by these.
   [[nodiscard]] double force_accumulator_quantum() const noexcept;
   [[nodiscard]] double potential_accumulator_quantum() const noexcept;
 
@@ -186,7 +192,6 @@ class Pipeline {
   math::FixedPointCodec codec_;
   double eps2_ = 0.0;
 
-  void interact_exact(IState& i_state, const JWord& j) const;
   void interact_batch_lns(IState& i_state, const JWord* j,
                           std::size_t count) const;
   void interact_batch_native(IState& i_state, const JWord* j,

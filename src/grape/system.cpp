@@ -1,7 +1,5 @@
 #include "grape/system.hpp"
 
-#include <algorithm>
-#include <cmath>
 #include <stdexcept>
 
 #include "obs/registry.hpp"
@@ -88,34 +86,6 @@ std::size_t Grape5System::compute_raw(std::span<const Vec3d> i_pos,
                           "range window or mass scale is mis-set";
     }
     saturated_ = true;  // latched until reset_account()
-  }
-  return interactions;
-}
-
-std::size_t Grape5System::compute(std::span<const Vec3d> i_pos,
-                                  std::span<Vec3d> out_acc,
-                                  std::span<double> out_pot) {
-  if (!range_set_) {
-    throw std::logic_error("set_range must be called before compute");
-  }
-  const std::size_t ni = i_pos.size();
-  if (out_acc.size() != ni || out_pot.size() != ni) {
-    throw std::invalid_argument("output span arity mismatch");
-  }
-  std::fill(out_acc.begin(), out_acc.end(), Vec3d{});
-  std::fill(out_pot.begin(), out_pot.end(), 0.0);
-  if (ni == 0 || resident_j() == 0) return 0;
-
-  if (raw_merge_.size() < ni) raw_merge_.resize(ni);
-  std::fill_n(raw_merge_.begin(), ni, RawForce{});
-  const std::size_t interactions =
-      compute_raw(i_pos, std::span<RawForce>(raw_merge_.data(), ni));
-
-  // One conversion after the exact integer merge — the same readout a
-  // single board holding the whole j-set would perform.
-  const Pipeline& pipe = pipeline();
-  for (std::size_t i = 0; i < ni; ++i) {
-    pipe.convert_raw(raw_merge_[i], out_acc[i], out_pot[i]);
   }
   return interactions;
 }

@@ -14,7 +14,6 @@
 
 #include <cstddef>
 #include <span>
-#include <vector>
 
 #include "grape/board.hpp"
 #include "grape/board_set.hpp"
@@ -40,19 +39,12 @@ class Grape5System {
   /// JmemCapacityError if the set exceeds the aggregate particle memory.
   void set_j_particles(std::span<const Vec3d> pos, std::span<const double> mass);
 
-  /// Evaluate the forces of the resident j-set on the given i-particles.
-  /// Accumulates modeled time and interaction counts. `out_acc`/`out_pot`
-  /// are overwritten (not accumulated). Returns interactions computed.
-  std::size_t compute(std::span<const Vec3d> i_pos, std::span<Vec3d> out_acc,
-                      std::span<double> out_pot);
-
-  /// compute() in the raw accumulator domain: merge this call's integer
-  /// partial sums into `raw` WITHOUT clearing it. Callers that stream a
-  /// large j-set in chunks accumulate every chunk's counts here and
-  /// convert to doubles once at the end, which keeps the result
-  /// bitwise-independent of both the chunking and the board count
-  /// (grape/driver.cpp does exactly this). Carries the same accounting
-  /// and observability as compute(). Returns interactions computed.
+  /// Evaluate the resident j-set on the given i-particles: merge this
+  /// call's integer partial sums into `raw` WITHOUT clearing it. Callers
+  /// accumulate every j-chunk's counts here and convert once at the end
+  /// (Pipeline::convert_raw; grape/driver.cpp), which keeps the result
+  /// bitwise-independent of both the chunking and the board count.
+  /// Accumulates modeled time and counts; returns interactions computed.
   std::size_t compute_raw(std::span<const Vec3d> i_pos,
                           std::span<RawForce> raw);
 
@@ -120,11 +112,8 @@ class Grape5System {
   bool saturated_ = false;
   HardwareAccount account_;
   /// bytes_moved() value already published to the obs byte counter;
-  /// lets set_j_particles/compute emit per-call deltas cheaply.
+  /// lets set_j_particles/compute_raw emit per-call deltas cheaply.
   std::uint64_t counted_bytes_ = 0;
-
-  /// compute()'s merged integer partial sums before the one conversion.
-  std::vector<RawForce> raw_merge_;
 
   /// Publish the HIB byte-meter delta and occupancy to g5::obs (no-op
   /// when instrumentation is off).

@@ -50,32 +50,16 @@ void publish(const char* base, const Stats& s,
   gauge(std::string(base) + ".p99").set(s.p99);
 }
 
-/// Emulated pipeline configured exactly as the engines' device path does
-/// (configure_device_window + Grape5System quantum derivation): window =
-/// 1.25x the bounding cube around its center, accumulator quanta from
-/// the smallest particle mass at 2^-34 of the window scale.
+/// Emulated pipeline configured exactly as the engines' device path:
+/// the same window policy (grape::snapshot_window) and quanta.
 grape::Pipeline make_codec_pipeline(const model::ParticleSet& pset,
                                     double eps, grape::BackendKind backend) {
   const model::Aabb box = pset.bounding_box();
-  const double size = std::max(box.cube_size(), 1e-12) * 1.25;
-  const math::Vec3d c = box.center();
-  double min_mass = pset.mass().empty() ? 1.0 : pset.mass()[0];
-  for (double m : pset.mass()) min_mass = std::min(min_mass, m);
-  if (!(min_mass > 0.0)) min_mass = 1.0;
-
-  grape::PipelineScaling scaling;
-  scaling.range_lo = c.min_component() - 0.5 * size;
-  scaling.range_hi = c.max_component() + 0.5 * size;
-  scaling.eps = eps;
-  // The same accumulator-quantum derivation as the driver (one shared
-  // definition — grape::derive_scaling_quanta — so the probe's emulated
-  // pipeline is configured bit-for-bit as the device path).
-  grape::derive_scaling_quanta(scaling, min_mass);
-
   grape::PipelineNumerics numerics;
   numerics.backend = backend;
   grape::Pipeline pipeline{numerics};
-  pipeline.configure(scaling);
+  pipeline.configure(
+      grape::snapshot_window(box.lo, box.hi, pset.mass()).scaling(eps));
   return pipeline;
 }
 
@@ -149,10 +133,12 @@ ProbeResult ForceErrorProbe::measure(const model::ParticleSet& pset) {
     double pot_host = 0.0;
     tree::evaluate_list_host(list_, {&xi, 1}, config_.eps, {&acc_host, 1},
                              {&pot_host, 1});
-    grape::IState is = pipeline.encode_i(xi);
+    jwords_.resize(list_.size());
     for (std::size_t j = 0; j < list_.size(); ++j) {
-      pipeline.interact(is, pipeline.encode_j(list_.pos[j], list_.mass[j]));
+      jwords_[j] = pipeline.encode_j(list_.pos[j], list_.mass[j]);
     }
+    grape::IState is = pipeline.encode_i(xi);
+    pipeline.interact_batch(is, jwords_.data(), jwords_.size());
     const math::Vec3d acc_codec = pipeline.read_force(is);
     const double f_host = acc_host.norm();
     if (f_host > 0.0) {

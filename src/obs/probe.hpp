@@ -29,6 +29,7 @@
 #include <vector>
 
 #include "grape/config.hpp"
+#include "grape/pipeline.hpp"
 #include "model/particles.hpp"
 #include "tree/tree.hpp"
 #include "tree/walk.hpp"
@@ -83,6 +84,7 @@ class ForceErrorProbe {
   // Scratch reused across calls to keep the probe allocation-quiet.
   tree::BhTree tree_;
   tree::InteractionList list_;
+  std::vector<grape::JWord> jwords_;
   std::vector<std::uint32_t> indices_;
   std::vector<double> err_total_, err_tree_, err_codec_;
 };

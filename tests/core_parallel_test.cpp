@@ -187,11 +187,9 @@ void expect_same_account(const GrapeRun& a, const GrapeRun& b,
 TEST(ParallelBitwise, GrapeLanesMatchAcrossThreadsAndBoards) {
   // Forces, engine counts and the device account, meters and saturation
   // latch are identical for every thread count at a given board count.
-  // Across board counts the engine counts always match (the timing
-  // model itself charges per board, so the account does not), and so
-  // do the bit-exact forces. Native forces are not yet board-invariant
-  // at engine scale: FixedAccumulator::add sums in double, which is
-  // exact only below 2^53 counts (ROADMAP item 1).
+  // Across board counts the engine counts and the forces of both
+  // backends match too (the timing model itself charges per board, so
+  // the account does not).
   const auto base = ic::make_plummer(ic::PlummerConfig{.n = 600, .seed = 17});
   struct Case {
     const char* engine;
@@ -216,9 +214,7 @@ TEST(ParallelBitwise, GrapeLanesMatchAcrossThreadsAndBoards) {
           const GrapeRun got =
               run_grape(c.engine, c.backend, base, targets, threads, boards);
           expect_bitwise_equal(lane1.pset, got.pset, what.c_str());
-          if (c.backend == grape::BackendKind::BitExact) {
-            expect_bitwise_equal(ref.pset, got.pset, what.c_str());
-          }
+          expect_bitwise_equal(ref.pset, got.pset, what.c_str());
           expect_same_counts(ref.stats, got.stats, what);
           expect_same_account(lane1, got, what);
         }
@@ -228,19 +224,23 @@ TEST(ParallelBitwise, GrapeLanesMatchAcrossThreadsAndBoards) {
 }
 
 TEST(GrapeLanes, NativeSaturationOnWorkerLaneLatchesEngineDevice) {
-  // Native's accumulators saturate from N ~ 6k on a Plummer sphere; the
-  // lanes that hit the rail must latch the engine device's flag, exactly
-  // as the single-lane run does.
-  const auto base =
-      ic::make_plummer(ic::PlummerConfig{.n = 16384, .seed = 5});
-  const GrapeRun serial = run_grape(
-      "grape-tree", grape::BackendKind::Native, base, false, 1, 0);
-  const GrapeRun lanes = run_grape(
-      "grape-tree", grape::BackendKind::Native, base, false, 8, 0);
-  EXPECT_TRUE(serial.saturated);
-  EXPECT_TRUE(lanes.saturated);
-  expect_same_account(serial, lanes, "native 16k");
-  expect_bitwise_equal(serial.pset, lanes.pset, "native 16k");
+  // One particle 1e-12 as heavy as the rest sets the mass scale, so the
+  // accumulator quanta come out ~1e12 too fine and the typical force
+  // runs into the rail. The lanes that hit it must latch the engine
+  // device's flag, exactly as the single-lane run does, on both backends.
+  auto base = ic::make_plummer(ic::PlummerConfig{.n = 2048, .seed = 5});
+  base.mass()[0] *= 1e-12;
+  for (const auto backend :
+       {grape::BackendKind::Native, grape::BackendKind::BitExact}) {
+    const std::string what(grape::backend_name(backend));
+    const GrapeRun serial =
+        run_grape("grape-tree", backend, base, false, 1, 0);
+    const GrapeRun lanes = run_grape("grape-tree", backend, base, false, 8, 0);
+    EXPECT_TRUE(serial.saturated) << what;
+    EXPECT_TRUE(lanes.saturated) << what;
+    expect_same_account(serial, lanes, what);
+    expect_bitwise_equal(serial.pset, lanes.pset, what.c_str());
+  }
 }
 
 /// GRAPE list kernel whose worker lanes hand their device a malformed

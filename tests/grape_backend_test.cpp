@@ -1,19 +1,20 @@
 // Backend-equivalence suite for the batched multi-backend force kernel.
 //
 //  * BitExact batched vs scalar: Pipeline::interact_batch must be
-//    bitwise-identical to repeated interact() calls for every batch
-//    shape (width 1, odd widths, the SIMD width, ragged tails) — the
-//    batching is a pure restructuring of the same datapath.
+//    bitwise-identical to the scalar oracle (grape_lns_oracle.hpp) for
+//    every batch shape (width 1, odd widths, the SIMD width, ragged
+//    tails) — the batching is a pure restructuring of the datapath.
 //  * Native vs host reference: the Native backend computes the same
 //    interactions in plain double on quantized coordinates, so it must
-//    track the host kernel to the position-quantization floor.
+//    track the host kernel to the position-quantization floor — per
+//    call, and through the whole grape-tree engine at N = 65,536.
 //  * Probe invariance: identical accelerations in, identical g5.err.*
 //    out — the batched board path cannot move the probe's numbers.
 //  * Zero-distance semantics: the i == j cut and the divergent
-//    r^2 == 0 corner behave identically across the lns, exact and
-//    native paths (the interact_exact bugfix).
+//    r^2 == 0 corner behave identically on both backends.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <bit>
 #include <cmath>
 #include <cstdint>
@@ -23,6 +24,7 @@
 #include "grape/driver.hpp"
 #include "grape/host_reference.hpp"
 #include "grape/pipeline.hpp"
+#include "grape_lns_oracle.hpp"
 #include "ic/plummer.hpp"
 #include "math/rng.hpp"
 #include "obs/probe.hpp"
@@ -84,9 +86,10 @@ TEST(Backend, BatchedBitwiseIdenticalAcrossWidths) {
   const std::size_t w = Pipeline::batch_width();
   const auto js = make_jset(pipe, xi, 4 * w + 5, 101);
 
-  // Scalar reference: one interact() per j, in stream order.
+  // Scalar reference: one oracle interaction per j, in stream order.
+  const oracle::LnsOracle scalar(pipe);
   IState ref = pipe.encode_i(xi);
-  for (const JWord& j : js) pipe.interact(ref, j);
+  for (const JWord& j : js) scalar.interact(ref, j);
 
   // Whole-stream batch (the board path: blocks of batch_width + a ragged
   // tail inside interact_batch).
@@ -114,8 +117,9 @@ TEST(Backend, BatchedBitwiseIdenticalUnsoftened) {
   pipe.configure(test_scaling(0.0));
   const Vec3d xi{-1.0, 2.0, 0.5};
   const auto js = make_jset(pipe, xi, 37, 202);
+  const oracle::LnsOracle scalar(pipe);
   IState ref = pipe.encode_i(xi);
-  for (const JWord& j : js) pipe.interact(ref, j);
+  for (const JWord& j : js) scalar.interact(ref, j);
   IState st = pipe.encode_i(xi);
   pipe.interact_batch(st, js.data(), js.size());
   EXPECT_TRUE(same_state(pipe, ref, st));
@@ -155,24 +159,26 @@ TEST(Backend, NativeMatchesHostReference) {
               1e-6 * std::fabs(ref_pot[0]));
   EXPECT_FALSE(pipe.saturated(st));
 
-  // Scalar native calls accumulate the same sums.
+  // One-j segments accumulate the same sums.
   IState sc = pipe.encode_i(xi);
-  for (const JWord& j : js) pipe.interact(sc, j);
+  for (const JWord& j : js) pipe.interact_batch(sc, &j, 1);
   EXPECT_LT((pipe.read_force(sc) - pipe.read_force(st)).norm(),
             1e-12 * pipe.read_force(st).norm());
 }
 
 TEST(Backend, ZeroDistanceSemanticsIdenticalAcrossPaths) {
+  const BackendKind backends[] = {BackendKind::BitExact, BackendKind::Native};
   // Coincident pair: cut entirely, on every backend.
-  for (int variant = 0; variant < 3; ++variant) {
+  for (const BackendKind backend : backends) {
     PipelineNumerics num;
-    if (variant == 1) num.exact_arithmetic = true;
-    if (variant == 2) num.backend = BackendKind::Native;
+    num.backend = backend;
     Pipeline pipe{num};
     pipe.configure(test_scaling(0.0));
     const Vec3d x{1.0, 2.0, 3.0};
     IState st = pipe.encode_i(x);
-    pipe.interact(st, pipe.encode_j(x, 2.0));
+    const JWord j = pipe.encode_j(x, 2.0);
+    pipe.interact_batch(st, &j, 1);
+    const auto variant = grape::backend_name(backend);
     EXPECT_EQ(pipe.read_force(st), (Vec3d{})) << "variant " << variant;
     EXPECT_DOUBLE_EQ(pipe.read_potential(st), 0.0) << "variant " << variant;
     EXPECT_FALSE(pipe.saturated(st)) << "variant " << variant;
@@ -182,10 +188,9 @@ TEST(Backend, ZeroDistanceSemanticsIdenticalAcrossPaths) {
   // separation-squared underflows to zero with eps == 0. Every path must
   // saturate (infinite potential well, force toward the source) rather
   // than silently drop the pair.
-  for (int variant = 0; variant < 3; ++variant) {
+  for (const BackendKind backend : backends) {
     PipelineNumerics num;
-    if (variant == 1) num.exact_arithmetic = true;
-    if (variant == 2) num.backend = BackendKind::Native;
+    num.backend = backend;
     Pipeline pipe{num};
     PipelineScaling s;
     s.range_lo = -5e-155;
@@ -198,11 +203,40 @@ TEST(Backend, ZeroDistanceSemanticsIdenticalAcrossPaths) {
     ASSERT_LT(q, 1e-160);
     IState st = pipe.encode_i(Vec3d{0.0, 0.0, 0.0});
     // 3 codes along +x: nonzero fixed-point difference, (3q)^2 == 0.0.
-    pipe.interact(st, pipe.encode_j(Vec3d{3.0 * q, 0.0, 0.0}, 1.0));
+    const JWord j = pipe.encode_j(Vec3d{3.0 * q, 0.0, 0.0}, 1.0);
+    pipe.interact_batch(st, &j, 1);
+    const auto variant = grape::backend_name(backend);
     EXPECT_TRUE(pipe.saturated(st)) << "variant " << variant;
     EXPECT_GT(pipe.read_force(st).x, 0.0) << "variant " << variant;
     EXPECT_LT(pipe.read_potential(st), 0.0) << "variant " << variant;
   }
+}
+
+TEST(Backend, NativeGrapeTreeMatchesHostTreeAt65k) {
+  // Native grape-tree walks the same tree into the same lists as
+  // host-tree-modified, so only coordinate quantization and the
+  // accumulator quanta separate them. N = 65,536 is far enough out that
+  // an accumulator grid with too little headroom hits the rail here.
+  const auto base =
+      ic::make_plummer(ic::PlummerConfig{.n = 65536, .seed = 1});
+  core::ForceParams fp{.eps = 0.02, .theta = 0.75, .n_crit = 256};
+  fp.backend = BackendKind::Native;
+  model::ParticleSet grape_set = base;
+  const auto grape_engine = core::make_engine("grape-tree", fp);
+  grape_engine->compute(grape_set);
+  model::ParticleSet host_set = base;
+  core::make_engine("host-tree-modified", fp)->compute(host_set);
+
+  std::vector<double> rel(base.size());
+  for (std::size_t i = 0; i < base.size(); ++i) {
+    rel[i] = (grape_set.acc()[i] - host_set.acc()[i]).norm() /
+             host_set.acc()[i].norm();
+  }
+  std::sort(rel.begin(), rel.end());
+  const double p99 = rel[rel.size() * 99 / 100];
+  EXPECT_LT(p99, 1e-6) << "p50 " << rel[rel.size() / 2] << " max "
+                       << rel.back();
+  EXPECT_FALSE(grape_engine->grape_device()->system().any_saturation());
 }
 
 TEST(Backend, EngineBackendPlumbing) {
@@ -230,8 +264,8 @@ TEST(Backend, EngineBackendPlumbing) {
 
 TEST(Backend, ProbeInvariantScalarVsBatchedBoardPath) {
   // End-to-end pin for the probe numbers: run a snapshot through the
-  // (batched) device path, replay the identical evaluation with scalar
-  // interact() calls, and require (a) bitwise-identical accelerations
+  // (batched) device path, replay the identical evaluation with the
+  // scalar oracle, and require (a) bitwise-identical accelerations
   // and (b) bitwise-identical ForceErrorProbe results — g5.err.* cannot
   // move under the batching.
   auto pset = ic::make_plummer(ic::PlummerConfig{.n = 256, .seed = 4242});
@@ -246,16 +280,17 @@ TEST(Backend, ProbeInvariantScalarVsBatchedBoardPath) {
   engine->compute(pset);
 
   // Scalar replay of the same evaluation: same window, same j order,
-  // per-j interact() against the whole set.
+  // one oracle interaction per j against the whole set.
   Pipeline pipe{cfg.numerics};
   pipe.configure(device->system().scaling());
+  const oracle::LnsOracle scalar(pipe);
   std::vector<JWord> js(replay.size());
   for (std::size_t j = 0; j < replay.size(); ++j) {
     js[j] = pipe.encode_j(replay.pos()[j], replay.mass()[j]);
   }
   for (std::size_t i = 0; i < replay.size(); ++i) {
     IState st = pipe.encode_i(replay.pos()[i]);
-    for (const JWord& j : js) pipe.interact(st, j);
+    for (const JWord& j : js) scalar.interact(st, j);
     replay.acc()[i] = pipe.read_force(st);
     replay.pot()[i] = pipe.read_potential(st);
   }

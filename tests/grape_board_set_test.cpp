@@ -116,7 +116,11 @@ void forces_with_boards(const model::ParticleSet& src, std::size_t boards,
   sys.set_j_particles(src.pos(), src.mass());
   acc.assign(ni, Vec3d{});
   pot.assign(ni, 0.0);
-  sys.compute(std::span<const Vec3d>(src.pos().data(), ni), acc, pot);
+  std::vector<grape::RawForce> raw(ni);
+  sys.compute_raw(std::span<const Vec3d>(src.pos().data(), ni), raw);
+  for (std::size_t i = 0; i < ni; ++i) {
+    sys.pipeline().convert_raw(raw[i], acc[i], pot[i]);
+  }
 }
 
 class BoardSetBackend : public ::testing::TestWithParam<BackendKind> {};

@@ -1,6 +1,7 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <vector>
 
 #include "grape/host_reference.hpp"
 #include "grape/system.hpp"
@@ -21,6 +22,17 @@ SystemConfig tiny_config(std::size_t boards = 2, std::size_t jmem = 1024) {
   return cfg;
 }
 
+/// Forces of the resident j-set through the raw readout: merge into
+/// zeroed integer registers, convert once.
+void compute(Grape5System& sys, std::span<const Vec3d> targets,
+             std::span<Vec3d> acc, std::span<double> pot) {
+  std::vector<grape::RawForce> raw(targets.size());
+  sys.compute_raw(targets, raw);
+  for (std::size_t i = 0; i < raw.size(); ++i) {
+    sys.pipeline().convert_raw(raw[i], acc[i], pot[i]);
+  }
+}
+
 TEST(Grape5System, PaperConfiguration) {
   const SystemConfig cfg = SystemConfig::paper_system();
   EXPECT_EQ(cfg.boards, 2u);
@@ -38,7 +50,7 @@ TEST(Grape5System, MatchesHostReference) {
   std::vector<Vec3d> acc(64), ref_acc(64);
   std::vector<double> pot(64), ref_pot(64);
   const std::span<const Vec3d> targets(src.pos().data(), 64);
-  sys.compute(targets, acc, pot);
+  compute(sys, targets, acc, pot);
   grape::host_forces_on_targets(targets, src.pos(), src.mass(), 0.01,
                                 ref_acc, ref_pot);
   for (std::size_t i = 0; i < 64; ++i) {
@@ -59,12 +71,12 @@ TEST(Grape5System, BoardPartitioningInvariant) {
   Grape5System one(tiny_config(1));
   one.set_range(-2.0, 2.0, 0.02, src.mass()[0]);
   one.set_j_particles(src.pos(), src.mass());
-  one.compute(targets, acc1, pot1);
+  compute(one, targets, acc1, pot1);
 
   Grape5System three(tiny_config(3));
   three.set_range(-2.0, 2.0, 0.02, src.mass()[0]);
   three.set_j_particles(src.pos(), src.mass());
-  three.compute(targets, acc3, pot3);
+  compute(three, targets, acc3, pot3);
 
   for (std::size_t i = 0; i < 32; ++i) {
     EXPECT_LT((acc1[i] - acc3[i]).norm(), 1e-9 + 1e-6 * acc1[i].norm()) << i;
@@ -90,12 +102,12 @@ TEST(Grape5System, CallOrderContract) {
   std::vector<double> pot(1);
   EXPECT_THROW(sys.set_j_particles(src.pos(), src.mass()), std::logic_error);
   EXPECT_THROW(
-      sys.compute(std::span<const Vec3d>(src.pos().data(), 1), acc, pot),
+      compute(sys, std::span<const Vec3d>(src.pos().data(), 1), acc, pot),
       std::logic_error);
   sys.set_range(-2.0, 2.0, 0.0, 1.0);
   // Range set, but no j resident: computing yields zeros, no throw.
   EXPECT_NO_THROW(
-      sys.compute(std::span<const Vec3d>(src.pos().data(), 1), acc, pot));
+      compute(sys, std::span<const Vec3d>(src.pos().data(), 1), acc, pot));
   EXPECT_EQ(acc[0], (Vec3d{}));
 }
 
@@ -116,7 +128,7 @@ TEST(Grape5System, AccountTracksWork) {
   sys.set_j_particles(src.pos(), src.mass());
   std::vector<Vec3d> acc(16);
   std::vector<double> pot(16);
-  sys.compute(std::span<const Vec3d>(src.pos().data(), 16), acc, pot);
+  compute(sys, std::span<const Vec3d>(src.pos().data(), 16), acc, pot);
   const auto& a = sys.account();
   EXPECT_EQ(a.force_calls, 1u);
   EXPECT_EQ(a.interactions, 16u * 128u);
@@ -142,7 +154,7 @@ TEST(Grape5System, SaturationLatched) {
   sys.set_j_particles(src.pos(), src.mass());
   std::vector<Vec3d> acc(8);
   std::vector<double> pot(8);
-  sys.compute(std::span<const Vec3d>(src.pos().data(), 8), acc, pot);
+  compute(sys, std::span<const Vec3d>(src.pos().data(), 8), acc, pot);
   EXPECT_TRUE(sys.any_saturation());
   sys.reset_account();
   EXPECT_FALSE(sys.any_saturation());
@@ -154,11 +166,10 @@ TEST(Grape5System, InputValidation) {
   EXPECT_THROW(sys.set_range(-1.0, 1.0, -0.5), std::invalid_argument);
   sys.set_range(-1.0, 1.0, 0.0, 1.0);
   const auto src = ic::make_uniform_cube(8, -1.0, 1.0, 1.0, 9);
-  std::vector<Vec3d> acc(4);
-  std::vector<double> pot(8);
+  std::vector<grape::RawForce> raw(4);
   sys.set_j_particles(src.pos(), src.mass());
   EXPECT_THROW(
-      sys.compute(std::span<const Vec3d>(src.pos().data(), 8), acc, pot),
+      sys.compute_raw(std::span<const Vec3d>(src.pos().data(), 8), raw),
       std::invalid_argument);
   SystemConfig bad;
   bad.boards = 0;

@@ -444,7 +444,7 @@ const std::regex kNarrowCast(
 // Identifiers that mark an expression as particle data in the pipeline
 // sense (positions, masses, forces, potentials, softening).
 const std::regex kParticleData(
-    R"(\b(pos|mass|acc|pot|vel|force|eps|dx|dy|dz|x_exact|mass_exact)\w*\b|)"
+    R"(\b(pos|mass|acc|pot|vel|force|eps|dx|dy|dz|mass_exact)\w*\b|)"
     R"(\b\w*(_pos|_mass|_acc|_pot|_vel|_force)\b)");
 
 void rule_codec_bypass(const Source& src, const std::vector<std::string>& code,
