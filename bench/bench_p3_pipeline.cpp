@@ -1,13 +1,13 @@
 // P3 — lane-parallel evaluation: thread scaling of the grape-tree engine.
 //
 // Each pool lane walks a group and evaluates its interaction list at once
-// on a lane-private emulated GRAPE-5, so the emulated kernel — nearly all
-// of a grape-tree force phase — spreads over the host's cores. The same
-// Plummer snapshot runs through a fresh grape-tree engine at 1 thread and
-// at --threads (0 = every core), for both arithmetic backends, and we
-// report wall clock, walk and kernel CPU seconds and the speedup. Forces
-// must be bitwise-identical across thread counts: the bench exits
-// nonzero otherwise.
+// on the device's shared, read-only emulated pipeline, so the emulated
+// kernel — nearly all of a grape-tree force phase — spreads over the
+// host's cores. The same Plummer snapshot runs through a fresh
+// grape-tree engine at 1 thread and at --threads (0 = every core), for
+// both arithmetic backends, and we report wall clock, walk and kernel
+// CPU seconds and the speedup. Forces must be bitwise-identical across
+// thread counts: the bench exits nonzero otherwise.
 //
 //   ./bench_p3_pipeline [--n 65536] [--theta 0.75] [--ncrit 256]
 //                       [--eps 0.02] [--threads 0 (auto)]

@@ -39,10 +39,10 @@ struct ForceParams {
   /// host accuracy per list entry vs hardware throughput.
   bool quadrupole = false;
   /// Host worker threads (pool lanes) for the tree build and for the
-  /// walk + evaluate phase; each lane of a GRAPE engine evaluates on its
-  /// own emulated device. 0 = auto: the G5_THREADS environment variable,
-  /// else hardware concurrency. Results are bitwise-identical for any
-  /// thread count.
+  /// walk + evaluate phase; the lanes of a GRAPE engine share the
+  /// device's read-only Pipeline. 0 = auto: the G5_THREADS environment
+  /// variable, else hardware concurrency. Results are bitwise-identical
+  /// for any thread count.
   std::uint32_t threads = 0;
   /// Tree engines: minimum particle count for the parallel tree build
   /// (tree::TreeBuildParams::parallel_cutoff). Below it the build runs

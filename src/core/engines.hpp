@@ -67,15 +67,16 @@ class HostListKernel final : public ListKernel {
   double eps_ = 0.0;
 };
 
-/// List evaluation on the emulated GRAPE-5. Every lane owns a private
-/// Grape5Device built from the engine device's SystemConfig and given
-/// its range window each phase — the GRAPE-6A PC-cluster shape (one
-/// board set per host) inside one process. Each call accumulates in the
-/// integer domain and writes only its own targets, so forces are
-/// bitwise-identical for any lane count. The engine device evaluates
+/// List evaluation on the emulated GRAPE-5. The lanes share the engine
+/// device's read-only Pipeline (Grape5System::pipeline(), configured each
+/// phase): a lane encodes its list into its own j-word buffer and runs
+/// Pipeline::evaluate on its targets. The counts are exact integers, so
+/// the forces equal the device's jmem-chunked, board-sharded evaluation
+/// bitwise, for any lane and board count. The device itself evaluates
 /// nothing: end_phase() charges every unit's call shape to it in unit
-/// order (Grape5Device::charge_chunked), so its account, HIB meters and
-/// saturation latch equal a single-lane run's, modeled doubles included.
+/// order (Grape5Device::charge_chunked), so its account, HIB meters,
+/// obs counters and saturation latch equal a single-lane run's, modeled
+/// doubles included.
 class GrapeListKernel final : public ListKernel {
  public:
   explicit GrapeListKernel(std::shared_ptr<grape::Grape5Device> device);
@@ -109,8 +110,14 @@ class GrapeListKernel final : public ListKernel {
     bool saturated = false;
   };
 
+  /// One lane's buffers: its list as j-words and its targets' counts.
+  struct Lane {
+    std::vector<grape::JWord> jwords;
+    std::vector<grape::RawForce> raw;
+  };
+
   std::shared_ptr<grape::Grape5Device> device_;
-  std::vector<std::unique_ptr<grape::Grape5Device>> lanes_;
+  std::vector<Lane> lanes_;
   std::vector<Call> calls_;
 };
 

@@ -1,6 +1,7 @@
 #include <stdexcept>
 
 #include "core/engines.hpp"
+#include "util/timer.hpp"
 
 namespace g5::core {
 
@@ -38,12 +39,6 @@ void GrapeListKernel::begin_phase(const model::ParticleSet& pset, double eps,
                                   unsigned lanes, std::size_t units) {
   configure_device_window(*device_, pset, eps);
   lanes_.resize(lanes);
-  for (auto& lane : lanes_) {
-    if (!lane) {
-      lane = std::make_unique<grape::Grape5Device>(device_->system().config());
-    }
-    lane->configure_like(*device_);
-  }
   calls_.assign(units, Call{});
 }
 
@@ -62,13 +57,32 @@ void GrapeListKernel::evaluate_j(unsigned lane, std::size_t unit,
                                  std::span<const math::Vec3d> targets,
                                  std::span<math::Vec3d> acc,
                                  std::span<double> pot) {
-  grape::Grape5Device& device = *lanes_[lane];
-  const double wall = device.system().account().emulation_wall;
-  const bool saturated =
-      device.compute_forces_chunked(targets, j_pos, j_mass, acc, pot);
-  calls_[unit] = Call{targets.size(), j_pos.size(),
-                      device.system().account().emulation_wall - wall,
-                      saturated};
+  const std::size_t ni = targets.size();
+  const std::size_t nj = j_pos.size();
+  if (j_mass.size() != nj) {
+    throw std::invalid_argument("j position/mass arity mismatch");
+  }
+  if (acc.size() != ni || pot.size() != ni) {
+    throw std::invalid_argument("output span arity mismatch");
+  }
+  // The whole list as one j-stream: the counts are exact integers, so
+  // they equal the device's jmem-chunked, board-sharded merge bitwise.
+  const grape::Pipeline& pipe = device_->system().pipeline();
+  Lane& buf = lanes_[lane];
+  buf.jwords.resize(nj);
+  for (std::size_t k = 0; k < nj; ++k) {
+    buf.jwords[k] = pipe.encode_j(j_pos[k], j_mass[k]);
+  }
+  buf.raw.resize(ni);
+  util::Stopwatch watch;
+  pipe.evaluate(buf.jwords, targets, buf.raw);
+  const double seconds = watch.elapsed();
+  bool saturated = false;
+  for (std::size_t i = 0; i < ni; ++i) {
+    pipe.convert_raw(buf.raw[i], acc[i], pot[i]);
+    saturated = saturated || buf.raw[i].saturated;
+  }
+  calls_[unit] = Call{ni, nj, seconds, saturated};
 }
 
 void GrapeListKernel::end_phase() {

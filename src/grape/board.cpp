@@ -1,6 +1,5 @@
 #include "grape/board.hpp"
 
-#include <cmath>
 #include <stdexcept>
 #include <string>
 
@@ -16,17 +15,6 @@ std::string capacity_message(std::size_t board, std::size_t requested,
                                 " particle memory";
   return "j segment exceeds " + where + " capacity (" +
          std::to_string(requested) + " > " + std::to_string(capacity) + ")";
-}
-
-/// Scale an accumulator count by the fault gain, saturating like the
-/// registers do. Double round-trip precision (2^53) is far above any
-/// healthy count; this is a diagnostic path (self-test) either way.
-std::int64_t scale_count(std::int64_t count, double gain) {
-  constexpr double kMax = 9.0e18;  // FixedAccumulator's saturation rail
-  double scaled = std::nearbyint(static_cast<double>(count) * gain);
-  if (scaled > kMax) scaled = kMax;
-  if (scaled < -kMax) scaled = -kMax;
-  return static_cast<std::int64_t>(scaled);
 }
 
 }  // namespace
@@ -76,21 +64,24 @@ std::size_t ProcessorBoard::run_raw(const Vec3d* i_pos, std::size_t ni,
                                     RawForce* out) {
   if (ni == 0 || j_count_ == 0) return 0;
   hib_.record_i_upload(ni);
-
-  const std::size_t slots = cfg_.i_slots();
-  for (std::size_t i = 0; i < ni; ++i) {
-    IState state = pipe_.encode_i(i_pos[i]);
-    // The whole resident j-stream through one slot (per-interaction
-    // quantization, so the batching cannot change a bit).
-    pipe_.interact_batch(state, jmem_.data(), j_count_);
-    out[i] = pipe_.read_raw(state);
-    if (faulty_chip_ >= 0 &&
-        chip_of_slot(i % slots) == static_cast<std::size_t>(faulty_chip_)) {
-      const double gain = 1.0 + fault_gain_;
-      for (std::size_t c = 0; c < 3; ++c) {
-        out[i].acc[c] = scale_count(out[i].acc[c], gain);
+  // The whole resident j-stream through one slot per i-particle
+  // (per-interaction quantization, so the batching cannot change a bit).
+  pipe_.evaluate({jmem_.data(), j_count_}, {i_pos, ni}, {out, ni});
+  if (faulty_chip_ >= 0) {
+    // The faulty chip's slots read out scaled by the fault gain, clamped
+    // to the registers' rail.
+    const std::size_t slots = cfg_.i_slots();
+    const double gain = 1.0 + fault_gain_;
+    for (std::size_t i = 0; i < ni; ++i) {
+      if (chip_of_slot(i % slots) != static_cast<std::size_t>(faulty_chip_)) {
+        continue;
       }
-      out[i].pot = scale_count(out[i].pot, gain);
+      RawForce& r = out[i];
+      for (auto& count : r.acc) {
+        count = math::rail_count(static_cast<double>(count) * gain,
+                                 r.saturated);
+      }
+      r.pot = math::rail_count(static_cast<double>(r.pot) * gain, r.saturated);
     }
   }
 

@@ -23,23 +23,6 @@ const char* board_span_name(std::size_t b) {
   return b < kBoardSpanNames.size() ? kBoardSpanNames[b] : "board8plus";
 }
 
-/// Exact integer merge with the registers' saturation semantics: two
-/// healthy counts are each below FixedAccumulator's ±9.0e18 rail, but
-/// their sum can pass int64 max (~9.22e18), so the add pre-checks and
-/// clamps to the rail instead of overflowing (UB).
-std::int64_t saturating_add(std::int64_t a, std::int64_t b, bool& saturated) {
-  constexpr auto kMax = static_cast<std::int64_t>(9.0e18);
-  if (b > 0 && a > kMax - b) {
-    saturated = true;
-    return kMax;
-  }
-  if (b < 0 && a < -kMax - b) {
-    saturated = true;
-    return -kMax;
-  }
-  return a + b;
-}
-
 }  // namespace
 
 BoardSet::BoardSet(const SystemConfig& config) : cfg_(config) {
@@ -113,9 +96,9 @@ std::size_t BoardSet::run(std::span<const Vec3d> i_pos,
       const RawForce& src = partial_[i];
       bool overflowed = false;
       for (std::size_t c = 0; c < 3; ++c) {
-        dst.acc[c] = saturating_add(dst.acc[c], src.acc[c], overflowed);
+        dst.acc[c] = math::rail_add(dst.acc[c], src.acc[c], overflowed);
       }
-      dst.pot = saturating_add(dst.pot, src.pot, overflowed);
+      dst.pot = math::rail_add(dst.pot, src.pot, overflowed);
       dst.saturated = dst.saturated || src.saturated || overflowed;
     }
     if (publish) board_obs_[b].interactions->add(done);
@@ -124,16 +107,20 @@ std::size_t BoardSet::run(std::span<const Vec3d> i_pos,
 }
 
 void BoardSet::charge_hib(std::size_t nj, std::size_t ni) {
+  const bool publish = obs::enabled();
+  if (publish) ensure_board_obs();
   const std::size_t share = shard_share(nj, boards_.size());
   std::size_t offset = 0;
-  for (auto& board : boards_) {
+  for (std::size_t b = 0; b < boards_.size(); ++b) {
     const std::size_t count = std::min(share, nj - offset);
     offset += count;
     if (count == 0) continue;
-    board->hib().record_j_upload(count);
+    HostInterface& hib = boards_[b]->hib();
+    hib.record_j_upload(count);
     if (ni == 0) continue;
-    board->hib().record_i_upload(ni);
-    board->hib().record_result_read(ni);
+    hib.record_i_upload(ni);
+    hib.record_result_read(ni);
+    if (publish) board_obs_[b].interactions->add(ni * count);
   }
 }
 

@@ -86,8 +86,9 @@ class BoardSet {
   /// interactions computed.
   std::size_t run(std::span<const Vec3d> i_pos, std::span<RawForce> raw);
 
-  /// Move the HIB meters exactly as upload() of nj particles followed by
-  /// run() on ni i-particles would, without touching particle memory
+  /// Move the HIB meters and the g5.board.<b>.interactions counters
+  /// exactly as upload() of nj particles followed by run() on ni
+  /// i-particles would, without touching particle memory
   /// (Grape5System::charge_call).
   void charge_hib(std::size_t nj, std::size_t ni);
 

@@ -37,72 +37,21 @@ void Grape5Device::set_j(std::span<const Vec3d> pos,
   system_->set_j_particles(pos, mass);
 }
 
-std::span<RawForce> Grape5Device::begin_readout(std::size_t ni,
-                                                std::span<Vec3d> acc,
-                                                std::span<double> pot) {
-  if (acc.size() != ni || pot.size() != ni) {
-    throw std::invalid_argument("output span arity mismatch");
-  }
-  std::fill(acc.begin(), acc.end(), Vec3d{});
-  std::fill(pot.begin(), pot.end(), 0.0);
-  if (raw_scratch_.size() < ni) raw_scratch_.resize(ni);
-  std::fill_n(raw_scratch_.begin(), ni, RawForce{});
-  return {raw_scratch_.data(), ni};
-}
-
-bool Grape5Device::finish_readout(std::span<const RawForce> raw,
-                                  std::span<Vec3d> acc,
-                                  std::span<double> pot) const {
-  // One conversion after the exact integer merge — the same readout a
-  // single board holding the whole j-set would perform.
-  const Pipeline& pipe = system_->pipeline();
-  bool saturated = false;
-  for (std::size_t i = 0; i < raw.size(); ++i) {
-    pipe.convert_raw(raw[i], acc[i], pot[i]);
-    saturated = saturated || raw[i].saturated;
-  }
-  return saturated;
-}
-
 void Grape5Device::compute_forces(std::span<const Vec3d> i_pos,
                                   std::span<Vec3d> acc,
                                   std::span<double> pot) {
-  const std::span<RawForce> raw = begin_readout(i_pos.size(), acc, pot);
-  system_->compute_raw(i_pos, raw);
-  finish_readout(raw, acc, pot);
-}
-
-bool Grape5Device::compute_forces_chunked(std::span<const Vec3d> i_pos,
-                                          std::span<const Vec3d> j_pos,
-                                          std::span<const double> j_mass,
-                                          std::span<Vec3d> acc,
-                                          std::span<double> pot) {
-  if (j_pos.size() != j_mass.size()) {
-    throw std::invalid_argument("j position/mass arity mismatch");
+  const std::size_t ni = i_pos.size();
+  if (acc.size() != ni || pot.size() != ni) {
+    throw std::invalid_argument("output span arity mismatch");
   }
-  const std::span<RawForce> raw = begin_readout(i_pos.size(), acc, pot);
-  if (raw.empty() || j_pos.empty()) return false;
-
-  // Accumulate every chunk's integer partial sums and convert once at
-  // the end: the counts merge exactly, so the forces are bitwise-
-  // independent of where the chunk boundaries fall (and of the board
-  // count within each chunk — grape/board_set.hpp).
-  const std::size_t cap = jmem_capacity();
-  for (std::size_t off = 0; off < j_pos.size(); off += cap) {
-    const std::size_t len = std::min(cap, j_pos.size() - off);
-    set_j(j_pos.subspan(off, len), j_mass.subspan(off, len));
-    system_->compute_raw(i_pos, raw);
+  raw_scratch_.assign(ni, RawForce{});
+  system_->compute_raw(i_pos, raw_scratch_);
+  // One conversion after the exact integer merge — the same readout a
+  // single board holding the whole j-set would perform.
+  const Pipeline& pipe = system_->pipeline();
+  for (std::size_t i = 0; i < ni; ++i) {
+    pipe.convert_raw(raw_scratch_[i], acc[i], pot[i]);
   }
-  return finish_readout(raw, acc, pot);
-}
-
-void Grape5Device::configure_like(const Grape5Device& other) {
-  range_lo_ = other.range_lo_;
-  range_hi_ = other.range_hi_;
-  min_mass_ = other.min_mass_;
-  eps_ = other.eps_;
-  range_set_ = other.range_set_;
-  if (range_set_) push_scaling();
 }
 
 void Grape5Device::charge_chunked(std::size_t ni, std::size_t nj,

@@ -4,8 +4,9 @@
 //
 //  * Grape5Device — the C++ RAII interface the rest of this library uses
 //    (force engines, examples). Accepts arbitrarily large i-sets (chunked
-//    over the virtual pipelines internally) and arbitrarily long j-lists
-//    (chunked over the particle memory with host-side partial sums).
+//    over the virtual pipelines internally); j-lists longer than the
+//    particle memory upload in chunks whose integer partial sums merge
+//    on the host (see set_j).
 //
 //  * the g5_* free functions — a faithful veneer of the original user
 //    library shipped with the hardware (g5_open, g5_set_range,
@@ -33,39 +34,25 @@ class Grape5Device {
   /// Plummer softening applied inside the pipelines.
   void set_eps(double eps);
 
-  /// Load field sources. Throws if they exceed the aggregate j-memory; use
-  /// compute_forces_chunked for longer lists.
+  /// Load field sources. Throws if they exceed the aggregate j-memory;
+  /// callers with longer lists upload them in jmem_capacity()-sized
+  /// chunks and merge each chunk's Grape5System::compute_raw counts.
   void set_j(std::span<const Vec3d> pos, std::span<const double> mass);
 
-  /// Forces of the resident j-set on the given targets (any ni), read
-  /// out through the same raw-domain merge and single conversion as
-  /// compute_forces_chunked.
+  /// Forces of the resident j-set on the given targets (any ni): the
+  /// boards' integer partial sums merge exactly, then convert once
+  /// (Pipeline::convert_raw).
   void compute_forces(std::span<const Vec3d> i_pos, std::span<Vec3d> acc,
                       std::span<double> pot);
 
-  /// Forces of an arbitrarily long j-list on the targets: the driver
-  /// splits the list into j-memory-sized chunks and accumulates the
-  /// partial sums on the host (what the real library's user code did) —
-  /// in the integer accumulator domain, so the result is bitwise-
-  /// independent of the chunk boundaries and the board count
-  /// (docs/scaling.md). Returns true if any target's accumulators
-  /// saturated.
-  bool compute_forces_chunked(std::span<const Vec3d> i_pos,
-                              std::span<const Vec3d> j_pos,
-                              std::span<const double> j_mass,
-                              std::span<Vec3d> acc, std::span<double> pot);
-
-  /// Take over another device's range window, mass scale and softening
-  /// (drops the resident j-set, like set_range).
-  void configure_like(const Grape5Device& other);
-
-  /// Charge a compute_forces_chunked call of `ni` targets against `nj`
-  /// j-particles that ran on another device of the same configuration:
-  /// the same per-chunk account, HIB-meter and saturation-latch charges
-  /// it would have made here, plus its measured emulation seconds. A
-  /// caller that evaluates on several devices folds their calls into one
-  /// with this, in a fixed order, so the modeled doubles do not depend
-  /// on which device ran which call.
+  /// Charge a call of `ni` targets against an `nj`-long j-list that was
+  /// evaluated off the device (core::GrapeListKernel's lanes run
+  /// Pipeline::evaluate on system().pipeline()): the per-jmem-chunk
+  /// account, HIB-meter and obs charges the chunked upload/compute_raw
+  /// loop would make here, plus the measured emulation seconds and the
+  /// saturation latch. A caller that evaluates on several lanes folds
+  /// their calls with this in a fixed order, so the modeled doubles do
+  /// not depend on which lane ran which call.
   void charge_chunked(std::size_t ni, std::size_t nj, double emulation_seconds,
                       bool saturated);
 
@@ -90,14 +77,8 @@ class Grape5Device {
   bool range_set_ = false;
 
   void push_scaling();
-  /// The readout both compute paths share: check arity, zero the outputs
-  /// and `ni` raw registers; finish_readout converts once, ORs saturation.
-  std::span<RawForce> begin_readout(std::size_t ni, std::span<Vec3d> acc,
-                                    std::span<double> pot);
-  bool finish_readout(std::span<const RawForce> raw, std::span<Vec3d> acc,
-                      std::span<double> pot) const;
 
-  // Cross-call (and cross-chunk) integer partial sums.
+  // compute_forces' integer partial sums.
   std::vector<RawForce> raw_scratch_;
 };
 

@@ -95,6 +95,19 @@ void Pipeline::interact_batch(IState& i_state, const JWord* j,
   interact_batch_lns(i_state, j, count);
 }
 
+void Pipeline::evaluate(std::span<const JWord> j,
+                        std::span<const Vec3d> targets,
+                        std::span<RawForce> out) const {
+  if (out.size() != targets.size()) {
+    throw std::invalid_argument("raw output span arity mismatch");
+  }
+  for (std::size_t i = 0; i < targets.size(); ++i) {
+    IState state = encode_i(targets[i]);
+    interact_batch(state, j.data(), j.size());
+    out[i] = read_raw(state);
+  }
+}
+
 // g5lint: hot-begin(pipeline-batch) — the per-interaction kernels; no
 // allocation, no unreserved growth (every lane buffer is a stack array).
 void Pipeline::interact_batch_lns(IState& i_state, const JWord* j,

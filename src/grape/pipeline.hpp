@@ -154,6 +154,15 @@ class Pipeline {
   void interact_batch(IState& i_state, const JWord* j,
                       std::size_t count) const;
 
+  /// Stream the j-words through one pipeline slot per target:
+  /// encode_i -> interact_batch -> read_raw, overwriting out[i] with the
+  /// integer counts (see RawForce). The one evaluation loop of the device:
+  /// the processor boards, the engines' list lanes and the force-error
+  /// probe all call it. Const and free of shared state, so lanes may
+  /// evaluate on one Pipeline concurrently.
+  void evaluate(std::span<const JWord> j, std::span<const Vec3d> targets,
+                std::span<RawForce> out) const;
+
   /// Lane count of the batched kernel's inner loops (a SIMD-register
   /// width worth of independent interactions, not a hardware parameter).
   [[nodiscard]] static constexpr std::size_t batch_width() noexcept {

@@ -28,14 +28,30 @@ void Grape5System::set_range(double lo, double hi, double eps,
   range_set_ = true;
 }
 
-void Grape5System::publish_obs_metrics() {
+void Grape5System::publish_obs_metrics(std::size_t nj_uploaded,
+                                       std::size_t ni, std::size_t nj) {
   if (!obs::enabled()) return;
+  if (nj_uploaded > 0) obs::counter("g5.grape.j_uploaded").add(nj_uploaded);
+  if (ni > 0 && nj > 0) {
+    obs::counter("g5.grape.force_calls").add(1);
+    obs::counter("g5.grape.interactions").add(ni * nj);
+    obs::counter("g5.grape.i_processed").add(ni);
+  }
   const std::uint64_t bytes = bytes_moved();
   if (bytes > counted_bytes_) {
     obs::counter("g5.grape.bytes").add(bytes - counted_bytes_);
   }
   counted_bytes_ = bytes;
   obs::gauge("g5.grape.occupancy").set(account_.occupancy());
+}
+
+void Grape5System::latch_saturation(bool saturated) {
+  if (!saturated) return;
+  if (!saturated_) {
+    util::log_warn() << "GRAPE-5 accumulator saturation detected; "
+                        "range window or mass scale is mis-set";
+  }
+  saturated_ = true;  // latched until reset_account()
 }
 
 void Grape5System::set_j_particles(std::span<const Vec3d> pos,
@@ -47,10 +63,7 @@ void Grape5System::set_j_particles(std::span<const Vec3d> pos,
   set_.upload(pos, mass);
   const std::size_t nj = pos.size();
   account_upload(nj);
-  if (obs::enabled()) {
-    obs::counter("g5.grape.j_uploaded").add(nj);
-    publish_obs_metrics();
-  }
+  publish_obs_metrics(nj, 0, 0);
 }
 
 std::size_t Grape5System::compute_raw(std::span<const Vec3d> i_pos,
@@ -73,20 +86,8 @@ std::size_t Grape5System::compute_raw(std::span<const Vec3d> i_pos,
   for (std::size_t i = 0; i < ni; ++i) call_saturated |= raw[i].saturated;
 
   account_compute(ni, resident_j());
-  if (obs::enabled()) {
-    obs::counter("g5.grape.force_calls").add(1);
-    obs::counter("g5.grape.interactions").add(interactions);
-    obs::counter("g5.grape.i_processed").add(ni);
-    publish_obs_metrics();
-  }
-
-  if (call_saturated) {
-    if (!saturated_) {
-      util::log_warn() << "GRAPE-5 accumulator saturation detected; "
-                          "range window or mass scale is mis-set";
-    }
-    saturated_ = true;  // latched until reset_account()
-  }
+  publish_obs_metrics(0, ni, resident_j());
+  latch_saturation(call_saturated);
   return interactions;
 }
 
@@ -111,23 +112,18 @@ void Grape5System::account_compute(std::size_t ni, std::size_t nj) {
 }
 
 void Grape5System::charge_call(std::size_t nj, std::size_t ni) {
-  const std::uint64_t bytes = bytes_moved();
   set_.charge_hib(nj, ni);
-  // The evaluating system published these bytes; keep the obs delta base
-  // in step so they are not counted twice.
-  counted_bytes_ += bytes_moved() - bytes;
   account_upload(nj);
   // compute_raw charges nothing for an empty call.
-  if (ni > 0 && nj > 0) account_compute(ni, nj);
+  const bool computed = ni > 0 && nj > 0;
+  if (computed) account_compute(ni, nj);
+  publish_obs_metrics(nj, computed ? ni : 0, nj);
 }
 
 void Grape5System::charge_evaluation(double emulation_seconds,
                                      bool saturated) {
   account_.emulation_wall += emulation_seconds;
-  saturated_ = saturated_ || saturated;
-  if (obs::enabled()) {
-    obs::gauge("g5.grape.occupancy").set(account_.occupancy());
-  }
+  latch_saturation(saturated);
 }
 
 void Grape5System::reset_account() {

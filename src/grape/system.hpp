@@ -71,10 +71,10 @@ class Grape5System {
   [[nodiscard]] std::uint64_t bytes_moved() const;
 
   /// Charge one set_j_particles(nj) + compute_raw(ni i-particles) pair
-  /// that ran on another system of the same configuration: the account
-  /// and HIB meters move exactly as those two calls would move them here
-  /// (through the same accounting code); nothing is evaluated and no
-  /// obs counter is published — the evaluating system already did.
+  /// that was evaluated off the device (on Pipeline::evaluate over
+  /// pipeline()): the account, HIB meters and the g5.grape.* and
+  /// g5.board.<b>.interactions counters move exactly as those two calls
+  /// would move them here; nothing is evaluated or uploaded.
   void charge_call(std::size_t nj, std::size_t ni);
   /// Fold the evaluation side of calls charged with charge_call: their
   /// measured emulation seconds and whether any accumulator saturated
@@ -85,7 +85,9 @@ class Grape5System {
     return scaling_;
   }
 
-  /// Direct pipeline access for tests (board 0's pipeline).
+  /// Board 0's pipeline, configured with the current scaling: the
+  /// readout conversion of every call, and the read-only Pipeline the
+  /// engines' lanes evaluate their lists on.
   [[nodiscard]] const Pipeline& pipeline() const {
     return set_.board(0).pipeline();
   }
@@ -112,12 +114,16 @@ class Grape5System {
   bool saturated_ = false;
   HardwareAccount account_;
   /// bytes_moved() value already published to the obs byte counter;
-  /// lets set_j_particles/compute_raw emit per-call deltas cheaply.
+  /// lets set_j_particles/compute_raw/charge_call emit per-call deltas.
   std::uint64_t counted_bytes_ = 0;
 
-  /// Publish the HIB byte-meter delta and occupancy to g5::obs (no-op
-  /// when instrumentation is off).
-  void publish_obs_metrics();
+  /// Publish an upload of nj_uploaded j-particles and/or a call of ni
+  /// i-particles against nj resident ones to g5::obs, plus the HIB
+  /// byte-meter delta and occupancy (no-op when instrumentation is off).
+  void publish_obs_metrics(std::size_t nj_uploaded, std::size_t ni,
+                           std::size_t nj);
+  /// Latch any_saturation(); warns once, when the latch first sets.
+  void latch_saturation(bool saturated);
   /// The account charges of one upload of nj / one call of ni
   /// i-particles against nj resident j-particles.
   void account_upload(std::size_t nj);

@@ -81,9 +81,44 @@ class FixedPointCodec {
   std::int64_t min_code_ = 0;
 };
 
+/// The accumulator registers' rail: counts saturate at +-kAccumulatorRail
+/// (< 2^63). The one rail of the device — FixedAccumulator, the BoardSet
+/// merge and the self-test fault gain all clamp here.
+inline constexpr std::int64_t kAccumulatorRail = 9'000'000'000'000'000'000;
+
+/// Round a count held in a double onto the integer grid, clamped to the
+/// rail; sets `saturated` when it clamps (a NaN clamps to +rail). In the
+/// default rounding mode std::rint equals std::nearbyint, and the compiler
+/// inlines it where nearbyint is a library call on this per-interaction path.
+[[nodiscard]] inline std::int64_t rail_count(double count,
+                                             bool& saturated) noexcept {
+  const double rounded = std::rint(count);
+  if (std::fabs(rounded) <= static_cast<double>(kAccumulatorRail)) {
+    return static_cast<std::int64_t>(rounded);
+  }
+  saturated = true;
+  return rounded < 0.0 ? -kAccumulatorRail : kAccumulatorRail;
+}
+
+/// Exact int64 add clamped to the rail; sets `saturated` when it clamps.
+/// Exact across the whole range, so partial sums merge with integer
+/// associativity however the stream was split.
+[[nodiscard]] inline std::int64_t rail_add(std::int64_t a, std::int64_t b,
+                                           bool& saturated) noexcept {
+  std::int64_t sum = 0;
+  const bool wrapped = __builtin_add_overflow(a, b, &sum);
+  if (!wrapped && sum >= -kAccumulatorRail && sum <= kAccumulatorRail) {
+    return sum;
+  }
+  saturated = true;
+  return (wrapped ? b > 0 : sum > 0) ? kAccumulatorRail : -kAccumulatorRail;
+}
+
 /// Wide fixed-point accumulator: the force sum is accumulated as an integer
 /// multiple of a fixed quantum, exactly as in the hardware's accumulator
-/// registers. Overflow saturates (and is observable for diagnostics).
+/// registers. Each term is rounded to a count and added in int64, exactly
+/// across the whole range; overflow saturates at the rail (and is
+/// observable for diagnostics).
 class FixedAccumulator {
  public:
   explicit FixedAccumulator(double quantum) : quantum_(quantum) {
@@ -91,18 +126,7 @@ class FixedAccumulator {
   }
 
   void add(double x) noexcept {
-    const double scaled = x / quantum_;
-    // Saturate rather than wrap on overflow.
-    constexpr double kMax = 9.0e18;  // < 2^63
-    double next = static_cast<double>(acc_) + std::nearbyint(scaled);
-    if (next > kMax) {
-      next = kMax;
-      saturated_ = true;
-    } else if (next < -kMax) {
-      next = -kMax;
-      saturated_ = true;
-    }
-    acc_ = static_cast<std::int64_t>(next);
+    acc_ = rail_add(acc_, rail_count(x / quantum_, saturated_), saturated_);
   }
 
   [[nodiscard]] double value() const noexcept {

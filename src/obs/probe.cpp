@@ -137,9 +137,11 @@ ProbeResult ForceErrorProbe::measure(const model::ParticleSet& pset) {
     for (std::size_t j = 0; j < list_.size(); ++j) {
       jwords_[j] = pipeline.encode_j(list_.pos[j], list_.mass[j]);
     }
-    grape::IState is = pipeline.encode_i(xi);
-    pipeline.interact_batch(is, jwords_.data(), jwords_.size());
-    const math::Vec3d acc_codec = pipeline.read_force(is);
+    grape::RawForce raw;
+    pipeline.evaluate(jwords_, {&xi, 1}, {&raw, 1});
+    math::Vec3d acc_codec{};
+    double pot_codec = 0.0;
+    pipeline.convert_raw(raw, acc_codec, pot_codec);
     const double f_host = acc_host.norm();
     if (f_host > 0.0) {
       err_codec_.push_back((acc_codec - acc_host).norm() / f_host);

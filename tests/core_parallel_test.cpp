@@ -15,8 +15,13 @@
 
 #include "core/engines.hpp"
 #include "grape/driver.hpp"
+#include "grape_chunked.hpp"
 #include "ic/plummer.hpp"
+#include "obs/registry.hpp"
+#include "obs/span.hpp"
+#include "tree/groupwalk.hpp"
 #include "tree/walk.hpp"
+#include "util/log.hpp"
 
 namespace {
 
@@ -241,6 +246,111 @@ TEST(GrapeLanes, NativeSaturationOnWorkerLaneLatchesEngineDevice) {
     expect_same_account(serial, lanes, what);
     expect_bitwise_equal(serial.pset, lanes.pset, what.c_str());
   }
+}
+
+TEST(GrapeLanes, SaturationWarnsOncePerEngineDevice) {
+  // The mis-scaled setup above saturates on many groups and lanes; the
+  // engine device's latch logs when it first sets, so one phase prints
+  // exactly one warning line however many lanes saturated.
+  auto base = ic::make_plummer(ic::PlummerConfig{.n = 2048, .seed = 5});
+  base.mass()[0] *= 1e-12;
+  const util::LogLevel before = util::log_level();
+  util::set_log_level(util::LogLevel::Warn);
+  for (const auto backend :
+       {grape::BackendKind::Native, grape::BackendKind::BitExact}) {
+    ::testing::internal::CaptureStderr();
+    const GrapeRun lanes = run_grape("grape-tree", backend, base, false, 8, 0);
+    const std::string captured = ::testing::internal::GetCapturedStderr();
+    const std::string what(grape::backend_name(backend));
+    EXPECT_TRUE(lanes.saturated) << what;
+    std::size_t lines = 0;
+    for (const char c : captured) lines += c == '\n' ? 1 : 0;
+    EXPECT_EQ(lines, 1u) << what << ":\n" << captured;
+    EXPECT_NE(captured.find("saturation"), std::string::npos) << what;
+  }
+  util::set_log_level(before);
+}
+
+TEST(GrapeLanes, FoldPublishesDeviceAccount) {
+  // The lanes publish nothing; the unit-order fold charges every call to
+  // the engine device on the calling thread, so the g5.grape.* and
+  // g5.board.<b>.interactions counters equal its account and meters.
+  const auto base = ic::make_plummer(ic::PlummerConfig{.n = 1500, .seed = 3});
+  for (const std::uint32_t threads : {1u, 4u}) {
+    const std::string what = "threads=" + std::to_string(threads);
+    obs::set_enabled(true);
+    obs::Registry::instance().reset_values();
+    const GrapeRun r = run_grape("grape-tree", grape::BackendKind::Native,
+                                 base, false, threads, 0);
+    EXPECT_GT(r.account.force_calls, 0u) << what;
+    EXPECT_EQ(obs::counter("g5.grape.force_calls").value(),
+              r.account.force_calls)
+        << what;
+    EXPECT_EQ(obs::counter("g5.grape.interactions").value(),
+              r.account.interactions)
+        << what;
+    EXPECT_EQ(obs::counter("g5.grape.i_processed").value(),
+              r.account.i_processed)
+        << what;
+    EXPECT_EQ(obs::counter("g5.grape.j_uploaded").value(),
+              r.account.j_uploaded)
+        << what;
+    EXPECT_EQ(obs::counter("g5.grape.bytes").value(), r.bytes) << what;
+    EXPECT_EQ(obs::counter("g5.board.0.interactions").value() +
+                  obs::counter("g5.board.1.interactions").value(),
+              r.account.interactions)
+        << what;
+    obs::set_enabled(false);
+    obs::Registry::instance().reset_values();
+  }
+}
+
+TEST(ParallelBitwise, GrapeTreeMatchesDeviceReplay) {
+  // Each lane streams a group's whole list through the engine device's
+  // Pipeline as one unsharded j-stream. The paper-configuration system —
+  // two boards, the list uploaded in particle-memory-sized chunks — must
+  // give the same forces bitwise: the accumulators are exact integers,
+  // so neither board shards nor chunk seams can move a count. At
+  // N = 16,384 the counts pass 2^53.
+  const auto base = ic::make_plummer(ic::PlummerConfig{.n = 16384, .seed = 1});
+  ForceParams fp{.eps = 0.02, .theta = 0.75, .n_crit = 256};
+  fp.threads = 4;
+  fp.backend = grape::BackendKind::Native;
+  auto engine = core::make_engine("grape-tree", fp);
+  model::ParticleSet pset = base;
+  engine->compute(pset);
+
+  grape::SystemConfig cfg = grape::SystemConfig::paper_system();
+  cfg.numerics.backend = fp.backend;
+  grape::Grape5Device device(cfg);
+  core::configure_device_window(device, base, fp.eps);
+  tree::BhTree bh;
+  tree::TreeBuildConfig build_cfg;
+  build_cfg.leaf_max = fp.leaf_max;
+  bh.build(base, build_cfg);
+  std::vector<tree::Group> groups;
+  tree::collect_groups(bh, tree::GroupConfig{fp.n_crit}, groups);
+  const tree::WalkConfig walk_cfg{fp.theta, fp.mac};
+  tree::InteractionList list;
+  std::vector<math::Vec3d> acc;
+  std::vector<double> pot;
+  std::size_t checked = 0;
+  for (const tree::Group& g : groups) {
+    tree::walk_group(bh, g, walk_cfg, list);
+    acc.resize(g.count);
+    pot.resize(g.count);
+    EXPECT_FALSE(testutil::chunked_forces(
+        device.system(), {bh.sorted_pos().data() + g.first, g.count},
+        list.pos, list.mass, acc, pot));
+    for (std::uint32_t k = 0; k < g.count; ++k) {
+      const std::uint32_t dst = bh.original_index()[g.first + k];
+      ASSERT_EQ(pset.acc()[dst], acc[k]) << "particle " << dst;
+      ASSERT_EQ(pset.pot()[dst], pot[k]) << "particle " << dst;
+      ++checked;
+    }
+  }
+  EXPECT_EQ(checked, base.size());
+  EXPECT_FALSE(engine->grape_device()->system().any_saturation());
 }
 
 /// GRAPE list kernel whose worker lanes hand their device a malformed

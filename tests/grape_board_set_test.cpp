@@ -21,6 +21,7 @@
 #include "grape/board_set.hpp"
 #include "grape/driver.hpp"
 #include "grape/system.hpp"
+#include "grape_chunked.hpp"
 #include "ic/uniform.hpp"
 
 namespace {
@@ -158,16 +159,16 @@ TEST_P(BoardSetBackend, ChunkedEvaluationIsBitwiseInvariant) {
   resident.set_eps(0.02);
   std::vector<Vec3d> acc_res(kNi);
   std::vector<double> pot_res(kNi);
-  resident.compute_forces_chunked(targets, src.pos(), src.mass(), acc_res,
-                                  pot_res);
+  testutil::chunked_forces(resident.system(), targets, src.pos(), src.mass(),
+                           acc_res, pot_res);
 
   Grape5Device chunked(small_config(2, 32, GetParam()));  // cap 64 -> 5 chunks
   chunked.set_range(-2.0, 2.0, src.mass()[0]);
   chunked.set_eps(0.02);
   std::vector<Vec3d> acc_chk(kNi);
   std::vector<double> pot_chk(kNi);
-  chunked.compute_forces_chunked(targets, src.pos(), src.mass(), acc_chk,
-                                 pot_chk);
+  testutil::chunked_forces(chunked.system(), targets, src.pos(), src.mass(),
+                           acc_chk, pot_chk);
 
   for (std::size_t i = 0; i < kNi; ++i) {
     EXPECT_EQ(acc_res[i].x, acc_chk[i].x) << i;
@@ -199,8 +200,8 @@ TEST(BoardSet, ResidentJobWithinCapacityRuns) {
   device.set_eps(0.02);
   std::vector<Vec3d> acc(kNi);
   std::vector<double> pot(kNi);
-  EXPECT_FALSE(
-      device.compute_forces_chunked(targets, src.pos(), src.mass(), acc, pot));
+  EXPECT_FALSE(testutil::chunked_forces(device.system(), targets, src.pos(),
+                                        src.mass(), acc, pot));
   const auto& account = device.system().account();
   EXPECT_EQ(account.force_calls, 1u);
   EXPECT_EQ(account.j_uploaded, 60u);
@@ -219,7 +220,8 @@ TEST(BoardSet, ResidentJobWithinCapacityRuns) {
   }
 
   Grape5Device charged(small_config(2, 32));
-  charged.configure_like(device);
+  charged.set_range(-2.0, 2.0, src.mass()[0]);
+  charged.set_eps(0.02);
   charged.charge_chunked(kNi, src.size(), account.emulation_wall, false);
   const auto& got = charged.system().account();
   EXPECT_EQ(got.force_calls, account.force_calls);

@@ -4,6 +4,7 @@
 
 #include "grape/driver.hpp"
 #include "grape/host_reference.hpp"
+#include "grape_chunked.hpp"
 #include "ic/uniform.hpp"
 
 namespace {
@@ -30,8 +31,8 @@ TEST(Grape5Device, ChunkedEqualsResident) {
   Grape5Device small(tiny_config(512));  // 1024 aggregate < 1500
   small.set_range(-2.0, 2.0, src.mass()[0]);
   small.set_eps(0.02);
-  small.compute_forces_chunked(targets, src.pos(), src.mass(), acc_small,
-                               pot_small);
+  testutil::chunked_forces(small.system(), targets, src.pos(), src.mass(),
+                           acc_small, pot_small);
 
   Grape5Device big(tiny_config(4096));
   big.set_range(-2.0, 2.0, src.mass()[0]);
@@ -55,7 +56,8 @@ TEST(Grape5Device, AgainstHostReference) {
   device.set_eps(0.01);
   std::vector<Vec3d> acc(400), ref_acc(400);
   std::vector<double> pot(400), ref_pot(400);
-  device.compute_forces_chunked(src.pos(), src.pos(), src.mass(), acc, pot);
+  testutil::chunked_forces(device.system(), src.pos(), src.pos(), src.mass(),
+                           acc, pot);
   grape::host_forces_on_targets(src.pos(), src.pos(), src.mass(), 0.01,
                                 ref_acc, ref_pot);
   double worst = 0.0;

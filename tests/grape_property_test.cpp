@@ -8,6 +8,7 @@
 
 #include "grape/driver.hpp"
 #include "grape/host_reference.hpp"
+#include "grape_chunked.hpp"
 #include "ic/uniform.hpp"
 #include "math/rng.hpp"
 #include "util/stats.hpp"
@@ -148,7 +149,8 @@ TEST_P(ChunkSweep, ResultIndependentOfJmemCapacity) {
   grape::Grape5Device device(cfg);
   device.set_range(-2.0, 2.0, src.mass()[0]);
   device.set_eps(0.01);
-  device.compute_forces_chunked(targets, src.pos(), src.mass(), acc, pot);
+  testutil::chunked_forces(device.system(), targets, src.pos(), src.mass(),
+                           acc, pot);
 
   // Reference: one huge memory.
   grape::SystemConfig big;
@@ -158,8 +160,8 @@ TEST_P(ChunkSweep, ResultIndependentOfJmemCapacity) {
   ref_device.set_eps(0.01);
   std::vector<Vec3d> ref(16);
   std::vector<double> pref(16);
-  ref_device.compute_forces_chunked(targets, src.pos(), src.mass(), ref,
-                                    pref);
+  testutil::chunked_forces(ref_device.system(), targets, src.pos(), src.mass(),
+                           ref, pref);
   for (std::size_t i = 0; i < 16; ++i) {
     EXPECT_LT((acc[i] - ref[i]).norm(), 1e-9 + 1e-7 * ref[i].norm())
         << "jmem=" << jmem;

@@ -1,6 +1,9 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
+#include <cstdlib>
+#include <string>
 #include <vector>
 
 #include "grape/host_reference.hpp"
@@ -30,6 +33,42 @@ void compute(Grape5System& sys, std::span<const Vec3d> targets,
   sys.compute_raw(targets, raw);
   for (std::size_t i = 0; i < raw.size(); ++i) {
     sys.pipeline().convert_raw(raw[i], acc[i], pot[i]);
+  }
+}
+
+TEST(Grape5System, BoardCountBitwiseAbove2To53Counts) {
+  // A mass scale 2^-8 of the particle mass puts the accumulator quanta
+  // 2^8 finer than the engines' default, so the counts pass 2^53 while
+  // staying below the rail. The registers add exactly in int64, so
+  // B = 1 and B = 3 still merge to the same counts on both backends.
+  const auto src = ic::make_uniform_cube(500, -1.0, 1.0, 1.0, 23);
+  constexpr std::size_t kNi = 40;
+  const std::span<const Vec3d> targets(src.pos().data(), kNi);
+  for (const auto backend :
+       {grape::BackendKind::BitExact, grape::BackendKind::Native}) {
+    const std::string what(grape::backend_name(backend));
+    std::vector<grape::RawForce> raw[2];
+    const std::size_t boards[2] = {1, 3};
+    for (int k = 0; k < 2; ++k) {
+      SystemConfig cfg = tiny_config(boards[k]);
+      cfg.numerics.backend = backend;
+      Grape5System sys(cfg);
+      sys.set_range(-2.0, 2.0, 0.01, std::ldexp(src.mass()[0], -8));
+      sys.set_j_particles(src.pos(), src.mass());
+      raw[k].assign(kNi, grape::RawForce{});
+      sys.compute_raw(targets, raw[k]);
+      EXPECT_FALSE(sys.any_saturation()) << what;
+    }
+    std::int64_t largest = 0;
+    for (std::size_t i = 0; i < kNi; ++i) {
+      for (std::size_t c = 0; c < 3; ++c) {
+        EXPECT_EQ(raw[0][i].acc[c], raw[1][i].acc[c]) << what << " i=" << i;
+        largest = std::max(largest, std::abs(raw[0][i].acc[c]));
+      }
+      EXPECT_EQ(raw[0][i].pot, raw[1][i].pot) << what << " i=" << i;
+      largest = std::max(largest, std::abs(raw[0][i].pot));
+    }
+    EXPECT_GT(largest, std::int64_t{1} << 53) << what;
   }
 }
 

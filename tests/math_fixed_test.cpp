@@ -118,6 +118,23 @@ TEST(FixedAccumulator, NegativeSaturation) {
   EXPECT_LT(acc.value(), -8.0e18);
 }
 
+TEST(FixedAccumulator, ExactAbove2To53) {
+  // The registers are integers across their whole range: one count added
+  // at 2^53 is kept (a double sum would round it away), and so is every
+  // count on the way back down.
+  constexpr std::int64_t kBig = std::int64_t{1} << 53;
+  FixedAccumulator acc(1.0);
+  acc.add(static_cast<double>(kBig));
+  acc.add(1.0);
+  EXPECT_EQ(acc.raw(), kBig + 1);
+  acc.add(1.0);
+  acc.add(1.0);
+  EXPECT_EQ(acc.raw(), kBig + 3);
+  acc.add(-static_cast<double>(kBig));
+  EXPECT_EQ(acc.raw(), 3);
+  EXPECT_FALSE(acc.saturated());
+}
+
 TEST(FixedAccumulator, RejectsBadQuantum) {
   EXPECT_THROW(FixedAccumulator(0.0), std::invalid_argument);
   EXPECT_THROW(FixedAccumulator(-1.0), std::invalid_argument);
