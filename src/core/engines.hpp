@@ -74,7 +74,7 @@ class HostListKernel final : public ListKernel {
 /// the forces equal the device's jmem-chunked, board-sharded evaluation
 /// bitwise, for any lane and board count. The device itself evaluates
 /// nothing: end_phase() charges every unit's call shape to it in unit
-/// order (Grape5Device::charge_chunked), so its account, HIB meters,
+/// order (Grape5Device::charge_chunked), so its account, byte meter,
 /// obs counters and saturation latch equal a single-lane run's, modeled
 /// doubles included.
 class GrapeListKernel final : public ListKernel {

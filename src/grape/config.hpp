@@ -22,9 +22,9 @@ inline constexpr double kFlopsPerInteraction = 38.0;
 /// The block-sharding rule for distributing nj j-particles over `boards`
 /// boards: each board takes a contiguous block of up to ceil(nj/boards)
 /// particles. The one definition shared by the timing model
-/// (TimingModel::j_per_board) and the evaluation layer (BoardSet), so
-/// the modeled compute time and the emulated shard sizes cannot drift
-/// apart.
+/// (TimingModel::j_per_board) and the evaluation layer
+/// (Grape5System::compute_raw), so the modeled compute time and the
+/// emulated shard sizes cannot drift apart.
 [[nodiscard]] constexpr std::size_t shard_share(std::size_t nj,
                                                 std::size_t boards) noexcept {
   return boards == 0 ? nj : (nj + boards - 1) / boards;

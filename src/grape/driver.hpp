@@ -48,7 +48,7 @@ class Grape5Device {
   /// Charge a call of `ni` targets against an `nj`-long j-list that was
   /// evaluated off the device (core::GrapeListKernel's lanes run
   /// Pipeline::evaluate on system().pipeline()): the per-jmem-chunk
-  /// account, HIB-meter and obs charges the chunked upload/compute_raw
+  /// account, byte-meter and obs charges the chunked upload/compute_raw
   /// loop would make here, plus the measured emulation seconds and the
   /// saturation latch. A caller that evaluates on several lanes folds
   /// their calls with this in a fixed order, so the modeled doubles do

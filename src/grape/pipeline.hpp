@@ -67,9 +67,9 @@ struct IState {
 /// of the call's force/potential quantum) plus the saturation flag.
 /// Integer addition is exact and associative, so partial sums produced
 /// by different boards merge in this domain without the double-rounding
-/// a host-side `n1*q + n2*q` reduction would introduce; the BoardSet
-/// reduction (grape/board_set.hpp) converts to doubles exactly once,
-/// after the merge.
+/// a host-side `n1*q + n2*q` reduction would introduce; the board merge
+/// in Grape5System::compute_raw (grape/system.hpp) keeps this domain and
+/// the caller converts to doubles exactly once, after the merge.
 struct RawForce {
   std::int64_t acc[3] = {0, 0, 0};
   std::int64_t pot = 0;
@@ -88,8 +88,8 @@ struct PipelineScaling {
   double range_lo = -1.0;
   double range_hi = 1.0;
   double eps = 0.0;
-  /// Accumulator quanta (set by the driver from the mass scale; see
-  /// Grape5System::prepare_scaling).
+  /// Accumulator quanta (set from the window and the mass scale by
+  /// derive_scaling_quanta, which Grape5System::set_range calls).
   double force_quantum = 1e-18;
   double potential_quantum = 1e-18;
 };
@@ -157,9 +157,9 @@ class Pipeline {
   /// Stream the j-words through one pipeline slot per target:
   /// encode_i -> interact_batch -> read_raw, overwriting out[i] with the
   /// integer counts (see RawForce). The one evaluation loop of the device:
-  /// the processor boards, the engines' list lanes and the force-error
-  /// probe all call it. Const and free of shared state, so lanes may
-  /// evaluate on one Pipeline concurrently.
+  /// Grape5System's board shards, the engines' list lanes, the self-test
+  /// and the force-error probe all call it. Const and free of shared
+  /// state, so lanes may evaluate on one Pipeline concurrently.
   void evaluate(std::span<const JWord> j, std::span<const Vec3d> targets,
                 std::span<RawForce> out) const;
 

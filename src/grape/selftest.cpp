@@ -9,7 +9,7 @@
 
 namespace g5::grape {
 
-SelfTestReport run_selftest(Grape5System& system,
+SelfTestReport run_selftest(const Grape5System& system,
                             const SelfTestConfig& config) {
   SelfTestReport report;
   report.passed = true;
@@ -30,38 +30,47 @@ SelfTestReport run_selftest(Grape5System& system,
   }
   const double eps = 0.05;
 
+  // Every board loads the whole vector set into its own particle memory.
+  const std::size_t board_capacity = system.config().board.jmem_capacity;
+  if (config.n_sources > board_capacity) {
+    throw JmemCapacityError(config.n_sources, board_capacity);
+  }
+  Pipeline pipe(system.config().numerics);
+  PipelineScaling scaling;
+  scaling.range_lo = -2.0;
+  scaling.range_hi = 2.0;
+  scaling.eps = eps;
+  scaling.force_quantum = 1e-12;
+  scaling.potential_quantum = 1e-12;
+  pipe.configure(scaling);
+  std::vector<JWord> jwords(config.n_sources);
+  for (std::size_t j = 0; j < config.n_sources; ++j) {
+    jwords[j] = pipe.encode_j(j_pos[j], j_mass[j]);
+  }
+
+  // The boards' datapaths are identical, so one evaluation serves them
+  // all; each board's chip fault then acts on its own copy.
+  std::vector<RawForce> healthy(config.n_targets);
+  pipe.evaluate(jwords, i_pos, healthy);
   std::vector<Vec3d> ref_acc(config.n_targets);
   std::vector<double> ref_pot(config.n_targets);
+  host_forces_on_targets(i_pos, j_pos, j_mass, eps, ref_acc, ref_pot);
 
-  std::vector<Vec3d> acc(config.n_targets);
-  std::vector<double> pot(config.n_targets);
   std::vector<RawForce> raw(config.n_targets);
-
   for (std::size_t b = 0; b < system.board_count(); ++b) {
-    ProcessorBoard& board = system.board(b);
-    PipelineScaling scaling;
-    scaling.range_lo = -2.0;
-    scaling.range_hi = 2.0;
-    scaling.eps = eps;
-    scaling.force_quantum = 1e-12;
-    scaling.potential_quantum = 1e-12;
-    board.configure(scaling);
-    board.set_j(0, j_pos.data(), j_mass.data(), config.n_sources);
-
-    board.run_raw(i_pos.data(), config.n_targets, raw.data());
-    for (std::size_t i = 0; i < config.n_targets; ++i) {
-      board.pipeline().convert_raw(raw[i], acc[i], pot[i]);
-    }
-
-    host_forces_on_targets(i_pos, j_pos, j_mass, eps, ref_acc, ref_pot);
+    raw = healthy;
+    system.apply_chip_fault(b, raw);
 
     BoardTestResult result;
     result.board = b;
     double sum2 = 0.0;
     for (std::size_t i = 0; i < config.n_targets; ++i) {
+      Vec3d acc;
+      double pot = 0.0;
+      pipe.convert_raw(raw[i], acc, pot);
       const double rn = ref_acc[i].norm();
       if (rn <= 0.0) continue;
-      const double e = (acc[i] - ref_acc[i]).norm() / rn;
+      const double e = (acc - ref_acc[i]).norm() / rn;
       result.max_relative_error = std::max(result.max_relative_error, e);
       sum2 += e * e;
     }
@@ -70,9 +79,6 @@ SelfTestReport run_selftest(Grape5System& system,
     result.passed = result.max_relative_error <= config.tolerance;
     report.passed = report.passed && result.passed;
     report.boards.push_back(result);
-
-    // Leave the board without stale vectors.
-    board.set_j_count(0);
   }
   return report;
 }

@@ -1,9 +1,9 @@
 // Hardware self-test: the role the original GRAPE utility library's board
 // test played. Deterministic particle vectors are pushed through every
-// board independently and the returned forces are compared against the
+// board's datapath and the returned forces are compared against the
 // host's double-precision sums; a board whose deviation exceeds what the
 // number formats can explain is flagged as faulty (e.g. a marginal chip —
-// see ProcessorBoard::inject_chip_fault for the test hook).
+// see Grape5System::inject_chip_fault for the test hook).
 #pragma once
 
 #include <cstdint>
@@ -38,9 +38,10 @@ struct SelfTestReport {
   [[nodiscard]] std::string str() const;
 };
 
-/// Run the self-test. Non-destructive apart from replacing the resident
-/// j-set and range window (call before attaching the device to a run).
-SelfTestReport run_selftest(Grape5System& system,
+/// Run the self-test on the system's configuration and chip faults. It
+/// evaluates on a Pipeline of its own, so the system's range window,
+/// particle memory, account and meters are left as they were.
+SelfTestReport run_selftest(const Grape5System& system,
                             const SelfTestConfig& config = SelfTestConfig{});
 
 }  // namespace g5::grape

@@ -82,8 +82,8 @@ class FixedPointCodec {
 };
 
 /// The accumulator registers' rail: counts saturate at +-kAccumulatorRail
-/// (< 2^63). The one rail of the device — FixedAccumulator, the BoardSet
-/// merge and the self-test fault gain all clamp here.
+/// (< 2^63). The one rail of the device — FixedAccumulator, the board
+/// merge and the chip-fault gain all clamp here.
 inline constexpr std::int64_t kAccumulatorRail = 9'000'000'000'000'000'000;
 
 /// Round a count held in a double onto the integer grid, clamped to the
@@ -136,7 +136,7 @@ class FixedAccumulator {
   /// Partial sums from different pipelines are exact in this domain
   /// (integer addition is associative), which is what lets a multi-board
   /// reduction stay bitwise-identical to a single accumulator stream —
-  /// see grape/board_set.hpp.
+  /// see grape/system.hpp.
   [[nodiscard]] std::int64_t raw() const noexcept { return acc_; }
   [[nodiscard]] bool saturated() const noexcept { return saturated_; }
   [[nodiscard]] double quantum() const noexcept { return quantum_; }

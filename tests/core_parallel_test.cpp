@@ -267,6 +267,23 @@ TEST(GrapeLanes, SaturationWarnsOncePerEngineDevice) {
     for (const char c : captured) lines += c == '\n' ? 1 : 0;
     EXPECT_EQ(lines, 1u) << what << ":\n" << captured;
     EXPECT_NE(captured.find("saturation"), std::string::npos) << what;
+
+    // The latch counts each saturated call into g5.grape.saturated as the
+    // fold charges it, in unit order, so the count is lane-independent.
+    std::uint64_t saturated_calls[2] = {0, 0};
+    const std::uint32_t thread_counts[2] = {1, 4};
+    for (int k = 0; k < 2; ++k) {
+      obs::set_enabled(true);
+      obs::Registry::instance().reset_values();
+      ::testing::internal::CaptureStderr();
+      run_grape("grape-tree", backend, base, false, thread_counts[k], 0);
+      (void)::testing::internal::GetCapturedStderr();
+      saturated_calls[k] = obs::counter("g5.grape.saturated").value();
+      obs::set_enabled(false);
+      obs::Registry::instance().reset_values();
+    }
+    EXPECT_GT(saturated_calls[0], 0u) << what;
+    EXPECT_EQ(saturated_calls[0], saturated_calls[1]) << what;
   }
   util::set_log_level(before);
 }
@@ -300,6 +317,60 @@ TEST(GrapeLanes, FoldPublishesDeviceAccount) {
                   obs::counter("g5.board.1.interactions").value(),
               r.account.interactions)
         << what;
+    obs::set_enabled(false);
+    obs::Registry::instance().reset_values();
+  }
+}
+
+TEST(GrapeLanes, BoardGaugesFollowLastChargedCall) {
+  // The fold charges every unit through the upload meter set_j_particles
+  // uses, so after a grape-tree phase the g5.board.<b>.* gauges read what
+  // the resident path sets for the last charged call: the last group's
+  // list, block-sharded over three boards.
+  const auto base = ic::make_plummer(ic::PlummerConfig{.n = 1500, .seed = 3});
+  ForceParams fp{.eps = 0.02, .theta = 0.7, .n_crit = 32};
+  fp.backend = grape::BackendKind::Native;
+  fp.boards = 3;
+  tree::BhTree bh;
+  tree::TreeBuildConfig build_cfg;
+  build_cfg.leaf_max = fp.leaf_max;
+  bh.build(base, build_cfg);
+  std::vector<tree::Group> groups;
+  tree::collect_groups(bh, tree::GroupConfig{fp.n_crit}, groups);
+  tree::InteractionList last;
+  tree::walk_group(bh, groups.back(), tree::WalkConfig{fp.theta, fp.mac},
+                   last);
+
+  const auto gauges = [](const char* field) {
+    std::vector<double> v;
+    for (int b = 0; b < 3; ++b) {
+      v.push_back(obs::gauge("g5.board." + std::to_string(b) + "." + field)
+                      .value());
+    }
+    return v;
+  };
+  for (const std::uint32_t threads : {1u, 4u}) {
+    const std::string what = "threads=" + std::to_string(threads);
+    obs::set_enabled(true);
+    obs::Registry::instance().reset_values();
+    fp.threads = threads;
+    auto engine = core::make_engine("grape-tree", fp);
+    model::ParticleSet pset = base;
+    engine->compute(pset);
+    const std::vector<double> resident = gauges("j_resident");
+    const std::vector<double> fill = gauges("jmem_fill");
+
+    grape::Grape5Device device(engine->grape_device()->system().config());
+    core::configure_device_window(device, base, fp.eps);
+    device.set_j(last.pos, last.mass);
+    const std::vector<double> want_resident = gauges("j_resident");
+    const std::vector<double> want_fill = gauges("jmem_fill");
+    for (std::size_t b = 0; b < 3; ++b) {
+      EXPECT_GT(resident[b], 0.0) << what << " board " << b;
+      EXPECT_GT(fill[b], 0.0) << what << " board " << b;
+      EXPECT_EQ(resident[b], want_resident[b]) << what << " board " << b;
+      EXPECT_EQ(fill[b], want_fill[b]) << what << " board " << b;
+    }
     obs::set_enabled(false);
     obs::Registry::instance().reset_values();
   }

@@ -1,24 +1,27 @@
-// BoardSet: j-sharding across B emulated boards (docs/scaling.md).
+// The emulated boards: one particle memory block-sharded across B boards
+// (docs/scaling.md), evaluated shard by shard on the system's Pipeline.
 //
 // The contracts pinned here:
-//   * shard_share is the single block-sharding rule, and upload()
+//   * a board's shape and memory capacity, and that uploads replace the
+//     resident set while compute_raw accumulates across them;
+//   * shard_share is the single block-sharding rule, and set_j_particles
 //     distributes ragged sets exactly as it predicts;
-//   * capacity overruns raise JmemCapacityError with the offending
-//     board / requested / capacity fields (aggregate checks use
-//     kAggregate);
+//   * capacity overruns raise JmemCapacityError with the requested and
+//     aggregate capacity fields;
 //   * the integer-domain reduction makes results bitwise-identical
 //     across board counts AND chunk boundaries, for both backends;
 //   * a list that fits the particle memory runs as one resident upload,
 //     and charging its call shape to another device moves that device's
-//     account and meters exactly as running it there would.
+//     account and byte meter exactly as running it there would — ragged
+//     shards with an empty board included.
 
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstdint>
 #include <memory>
 #include <vector>
 
-#include "grape/board_set.hpp"
 #include "grape/driver.hpp"
 #include "grape/system.hpp"
 #include "grape_chunked.hpp"
@@ -28,9 +31,10 @@ namespace {
 
 using namespace g5;
 using grape::BackendKind;
-using grape::BoardSet;
+using grape::BoardConfig;
 using grape::Grape5Device;
 using grape::Grape5System;
+using grape::HostInterfaceConfig;
 using grape::JmemCapacityError;
 using grape::SystemConfig;
 using grape::Vec3d;
@@ -51,6 +55,88 @@ static_assert(grape::shard_share(1, 4) == 1);
 static_assert(grape::shard_share(0, 4) == 0);
 static_assert(grape::shard_share(7, 1) == 7);
 
+/// Read the resident set's forces on `targets` out of `raw` (merged
+/// over calls) and add them to acc/pot.
+std::size_t add_forces(Grape5System& sys, std::span<const Vec3d> targets,
+                       std::span<Vec3d> acc, std::span<double> pot) {
+  std::vector<grape::RawForce> raw(targets.size());
+  const std::size_t interactions = sys.compute_raw(targets, raw);
+  for (std::size_t i = 0; i < targets.size(); ++i) {
+    Vec3d a;
+    double p = 0.0;
+    sys.pipeline().convert_raw(raw[i], a, p);
+    acc[i] += a;
+    pot[i] += p;
+  }
+  return interactions;
+}
+
+TEST(ProcessorBoard, PaperBoardShape) {
+  const BoardConfig cfg;
+  EXPECT_EQ(cfg.pipelines(), 16u);
+  EXPECT_EQ(cfg.i_slots(), 96u);
+  EXPECT_EQ(cfg.jmem_capacity, 131072u);
+}
+
+TEST(ProcessorBoard, CapacityEnforced) {
+  Grape5System sys(small_config(1, 256));
+  sys.set_range(-2.0, 2.0, 0.0, 1.0);
+  const auto src = ic::make_uniform_cube(300, -1.0, 1.0, 1.0, 3);
+  const std::span<const Vec3d> pos(src.pos());
+  const std::span<const double> mass(src.mass());
+  EXPECT_THROW(sys.set_j_particles(pos.first(257), mass.first(257)),
+               std::out_of_range);
+  EXPECT_NO_THROW(sys.set_j_particles(pos.first(256), mass.first(256)));
+}
+
+TEST(ProcessorBoard, RunAccumulatesAcrossCalls) {
+  // Partial j-sets: running twice with halves equals one run with all.
+  Grape5System sys(small_config(1, 256));
+  sys.set_range(-2.0, 2.0, 0.02, 1.0);
+  const auto src = ic::make_uniform_cube(128, -1.0, 1.0, 1.0, 5);
+  const std::span<const Vec3d> pos(src.pos());
+  const std::span<const double> mass(src.mass());
+  const std::span<const Vec3d> target = pos.first(1);
+
+  Vec3d acc_full{};
+  double pot_full = 0.0;
+  sys.set_j_particles(pos, mass);
+  add_forces(sys, target, {&acc_full, 1}, {&pot_full, 1});
+
+  Vec3d acc_halves{};
+  double pot_halves = 0.0;
+  sys.set_j_particles(pos.first(64), mass.first(64));
+  add_forces(sys, target, {&acc_halves, 1}, {&pot_halves, 1});
+  sys.set_j_particles(pos.subspan(64), mass.subspan(64));
+  add_forces(sys, target, {&acc_halves, 1}, {&pot_halves, 1});
+
+  EXPECT_LT((acc_full - acc_halves).norm(), 1e-8 + 1e-9 * acc_full.norm());
+  EXPECT_NEAR(pot_full, pot_halves, 1e-8);
+}
+
+TEST(ProcessorBoard, ConfigureDropsResidentJ) {
+  Grape5System sys(small_config(1, 256));
+  sys.set_range(-2.0, 2.0, 0.0, 1.0);
+  const auto src = ic::make_uniform_cube(10, -1.0, 1.0, 1.0, 3);
+  sys.set_j_particles(src.pos(), src.mass());
+  EXPECT_EQ(sys.resident_j(), 10u);
+  sys.set_range(-4.0, 4.0, 0.0, 1.0);
+  EXPECT_EQ(sys.resident_j(), 0u);
+}
+
+TEST(ProcessorBoard, EmptyRunsAreNoOps) {
+  Grape5System sys(small_config(1, 256));
+  sys.set_range(-2.0, 2.0, 0.0, 1.0);
+  Vec3d acc{};
+  double pot = 0.0;
+  const Vec3d target{0.5, 0.5, 0.5};
+  // No j resident, then no i requested.
+  EXPECT_EQ(add_forces(sys, {&target, 1}, {&acc, 1}, {&pot, 1}), 0u);
+  EXPECT_EQ(add_forces(sys, {}, {}, {}), 0u);
+  EXPECT_EQ(sys.account().force_calls, 0u);
+  EXPECT_EQ(sys.bytes_moved(), 0u);
+}
+
 TEST(BoardSet, RaggedUploadFollowsShardShare) {
   // nj = 10 over B = 4: shares of ceil(10/4) = 3 -> {3, 3, 3, 1}.
   const auto src = ic::make_uniform_cube(10, -1.0, 1.0, 1.0, 5);
@@ -58,14 +144,12 @@ TEST(BoardSet, RaggedUploadFollowsShardShare) {
   sys.set_range(-2.0, 2.0, 0.01, 0.1);
   sys.set_j_particles(src.pos(), src.mass());
 
-  BoardSet& set = sys.board_set();
-  EXPECT_EQ(set.size(), 4u);
-  EXPECT_EQ(set.resident_j(), 10u);
-  EXPECT_EQ(set.board_j(0), 3u);
-  EXPECT_EQ(set.board_j(1), 3u);
-  EXPECT_EQ(set.board_j(2), 3u);
-  EXPECT_EQ(set.board_j(3), 1u);
-  EXPECT_EQ(set.board(3).j_count(), 1u);
+  EXPECT_EQ(sys.board_count(), 4u);
+  EXPECT_EQ(sys.resident_j(), 10u);
+  EXPECT_EQ(sys.board_j(0), 3u);
+  EXPECT_EQ(sys.board_j(1), 3u);
+  EXPECT_EQ(sys.board_j(2), 3u);
+  EXPECT_EQ(sys.board_j(3), 1u);
 }
 
 TEST(BoardSet, UploadAtExactCapacitySucceeds) {
@@ -73,8 +157,8 @@ TEST(BoardSet, UploadAtExactCapacitySucceeds) {
   Grape5System sys(small_config(2, 32));
   sys.set_range(-2.0, 2.0, 0.01, 1.0 / 64.0);
   EXPECT_NO_THROW(sys.set_j_particles(src.pos(), src.mass()));
-  EXPECT_EQ(sys.board_set().board_j(0), 32u);
-  EXPECT_EQ(sys.board_set().board_j(1), 32u);
+  EXPECT_EQ(sys.board_j(0), 32u);
+  EXPECT_EQ(sys.board_j(1), 32u);
 }
 
 TEST(BoardSet, AggregateOverCapacityThrowsTypedError) {
@@ -85,7 +169,6 @@ TEST(BoardSet, AggregateOverCapacityThrowsTypedError) {
     sys.set_j_particles(src.pos(), src.mass());
     FAIL() << "expected JmemCapacityError";
   } catch (const JmemCapacityError& e) {
-    EXPECT_EQ(e.board(), JmemCapacityError::kAggregate);
     EXPECT_EQ(e.requested(), 65u);
     EXPECT_EQ(e.capacity(), 64u);
   }
@@ -93,18 +176,33 @@ TEST(BoardSet, AggregateOverCapacityThrowsTypedError) {
   EXPECT_THROW(sys.set_j_particles(src.pos(), src.mass()), std::out_of_range);
 }
 
-TEST(BoardSet, SingleBoardOverCapacityReportsBoardIndex) {
-  const auto src = ic::make_uniform_cube(40, -1.0, 1.0, 1.0, 13);
-  Grape5System sys(small_config(2, 32));
-  sys.set_range(-2.0, 2.0, 0.01, 1.0 / 40.0);
-  try {
-    sys.board(1).set_j(0, src.pos().data(), src.mass().data(), 40);
-    FAIL() << "expected JmemCapacityError";
-  } catch (const JmemCapacityError& e) {
-    EXPECT_EQ(e.board(), 1u);
-    EXPECT_EQ(e.requested(), 40u);
-    EXPECT_EQ(e.capacity(), 32u);
-  }
+TEST(BoardSet, RaggedShardBytesMatchChargedCall) {
+  // nj = 5 over B = 4 shards as {2, 2, 1, 0}: the j words go up once,
+  // and each of the three loaded boards takes the 7 i-particles up and
+  // sends 7 results back; the empty board moves nothing. Charging the
+  // same call shape moves the same bytes.
+  const auto src = ic::make_uniform_cube(12, -1.0, 1.0, 1.0, 41);
+  const std::span<const Vec3d> pos(src.pos());
+  const std::span<const double> mass(src.mass());
+  const HostInterfaceConfig hib;
+  const std::uint64_t expected =
+      5 * hib.bytes_per_j + 3 * 7 * (hib.bytes_per_i + hib.bytes_per_result);
+  ASSERT_EQ(expected, 668u);
+
+  Grape5System run(small_config(4, 16));
+  run.set_range(-2.0, 2.0, 0.01, 1.0 / 12.0);
+  run.set_j_particles(pos.first(5), mass.first(5));
+  EXPECT_EQ(run.board_j(3), 0u);
+  std::vector<grape::RawForce> raw(7);
+  EXPECT_EQ(run.compute_raw(pos.subspan(5, 7), raw), 35u);
+  EXPECT_EQ(run.bytes_moved(), expected);
+
+  Grape5System charged(small_config(4, 16));
+  charged.set_range(-2.0, 2.0, 0.01, 1.0 / 12.0);
+  charged.charge_call(5, 7);
+  EXPECT_EQ(charged.bytes_moved(), expected);
+  EXPECT_EQ(charged.account().j_uploaded, run.account().j_uploaded);
+  EXPECT_EQ(charged.account().interactions, run.account().interactions);
 }
 
 /// Forces with a given board count, on a fresh system; `nj_cap` sets the
@@ -249,7 +347,7 @@ TEST(BoardSet, ConfigureDropsResidentShards) {
   // A new window invalidates the stored words; the set must be empty.
   sys.set_range(-4.0, 4.0, 0.01, 1.0 / 20.0);
   EXPECT_EQ(sys.resident_j(), 0u);
-  EXPECT_EQ(sys.board_set().board_j(0), 0u);
+  EXPECT_EQ(sys.board_j(0), 0u);
 }
 
 }  // namespace

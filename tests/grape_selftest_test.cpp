@@ -1,6 +1,11 @@
 #include <gtest/gtest.h>
 
+#include <cstdint>
+#include <span>
+#include <vector>
+
 #include "grape/selftest.hpp"
+#include "ic/uniform.hpp"
 
 namespace {
 
@@ -27,7 +32,7 @@ TEST(SelfTest, HealthySystemPasses) {
 
 TEST(SelfTest, DetectsFaultyChipOnOneBoard) {
   Grape5System system(small_system());
-  system.board(1).inject_chip_fault(3, 1.0 / 16.0);  // 6 % gain error
+  system.inject_chip_fault(1, 3, 1.0 / 16.0);  // 6 % gain error
   const auto report = run_selftest(system);
   EXPECT_FALSE(report.passed);
   ASSERT_EQ(report.boards.size(), 2u);
@@ -40,25 +45,85 @@ TEST(SelfTest, SubtleFaultStillCaught) {
   // A 3 % gain error is the size the format noise could almost hide —
   // the per-force tolerance of 2 % must still flag it.
   Grape5System system(small_system());
-  system.board(0).inject_chip_fault(0, 0.03);
+  system.inject_chip_fault(0, 0, 0.03);
   const auto report = run_selftest(system);
   EXPECT_FALSE(report.boards[0].passed);
 }
 
 TEST(SelfTest, ClearedFaultPassesAgain) {
   Grape5System system(small_system());
-  system.board(0).inject_chip_fault(5);
+  system.inject_chip_fault(0, 5);
   EXPECT_FALSE(run_selftest(system).passed);
-  system.board(0).inject_chip_fault(-1);
+  system.inject_chip_fault(0, -1);
   EXPECT_TRUE(run_selftest(system).passed);
 }
 
 TEST(SelfTest, FaultInjectionValidation) {
   Grape5System system(small_system());
-  EXPECT_THROW(system.board(0).inject_chip_fault(99), std::out_of_range);
-  EXPECT_EQ(system.board(0).faulty_chip(), -1);
-  system.board(0).inject_chip_fault(2);
-  EXPECT_EQ(system.board(0).faulty_chip(), 2);
+  EXPECT_THROW(system.inject_chip_fault(0, 99), std::out_of_range);
+  EXPECT_EQ(system.faulty_chip(0), -1);
+  system.inject_chip_fault(0, 2);
+  EXPECT_EQ(system.faulty_chip(0), 2);
+}
+
+TEST(SelfTest, LeavesSystemUntouched) {
+  // The self-test runs on a Pipeline of its own: the system's window,
+  // resident set, account and byte meter read the same afterwards, and
+  // the resident set still gives the same forces bitwise.
+  Grape5System system(small_system());
+  const auto src = g5::ic::make_uniform_cube(300, -1.0, 1.0, 1.0, 21);
+  system.set_range(-1.5, 1.5, 0.01, src.mass()[0]);
+  system.set_j_particles(src.pos(), src.mass());
+  constexpr std::size_t kNi = 40;
+  const std::span<const Vec3d> targets(src.pos().data(), kNi);
+  const auto forces = [&](std::vector<Vec3d>& acc, std::vector<double>& pot) {
+    std::vector<RawForce> raw(kNi);
+    system.compute_raw(targets, raw);
+    acc.resize(kNi);
+    pot.resize(kNi);
+    for (std::size_t i = 0; i < kNi; ++i) {
+      system.pipeline().convert_raw(raw[i], acc[i], pot[i]);
+    }
+  };
+  std::vector<Vec3d> acc_before;
+  std::vector<double> pot_before;
+  forces(acc_before, pot_before);
+  const PipelineScaling scaling = system.scaling();
+  const HardwareAccount account = system.account();
+  const std::uint64_t bytes = system.bytes_moved();
+  const std::size_t resident = system.resident_j();
+
+  ASSERT_TRUE(run_selftest(system).passed);
+
+  const PipelineScaling& installed = system.pipeline().scaling();
+  EXPECT_EQ(system.scaling().range_lo, scaling.range_lo);
+  EXPECT_EQ(system.scaling().range_hi, scaling.range_hi);
+  EXPECT_EQ(installed.range_lo, scaling.range_lo);
+  EXPECT_EQ(installed.range_hi, scaling.range_hi);
+  EXPECT_EQ(installed.eps, scaling.eps);
+  EXPECT_EQ(installed.force_quantum, scaling.force_quantum);
+  EXPECT_EQ(installed.potential_quantum, scaling.potential_quantum);
+  EXPECT_EQ(system.resident_j(), resident);
+  EXPECT_EQ(system.bytes_moved(), bytes);
+  const HardwareAccount& after = system.account();
+  EXPECT_EQ(after.force_calls, account.force_calls);
+  EXPECT_EQ(after.interactions, account.interactions);
+  EXPECT_EQ(after.i_processed, account.i_processed);
+  EXPECT_EQ(after.j_uploaded, account.j_uploaded);
+  EXPECT_EQ(after.vmp_slots, account.vmp_slots);
+  EXPECT_EQ(after.modeled_dma_j, account.modeled_dma_j);
+  EXPECT_EQ(after.modeled_dma_i, account.modeled_dma_i);
+  EXPECT_EQ(after.modeled_compute, account.modeled_compute);
+  EXPECT_EQ(after.modeled_dma_result, account.modeled_dma_result);
+  EXPECT_EQ(after.emulation_wall, account.emulation_wall);
+
+  std::vector<Vec3d> acc_after;
+  std::vector<double> pot_after;
+  forces(acc_after, pot_after);
+  for (std::size_t i = 0; i < kNi; ++i) {
+    EXPECT_EQ(acc_after[i], acc_before[i]) << i;
+    EXPECT_EQ(pot_after[i], pot_before[i]) << i;
+  }
 }
 
 TEST(SelfTest, DeterministicInSeed) {

@@ -11,7 +11,7 @@ Validates, across README.md and docs/*.md (or an explicit --files list):
   * `#anchor` fragments, against the target file's headings using
     GitHub's anchor algorithm (lowercase, punctuation stripped, spaces
     to hyphens, -N suffixes for duplicates);
-  * inline-code path references like `src/grape/board_set.cpp` or
+  * inline-code path references like `src/grape/system.cpp` or
     `tools/check_trace.py` (a slash plus a known source extension):
     the file must exist relative to the repo root or the doc's
     directory. Spans with placeholder syntax (<...>, *, $, spaces) and
