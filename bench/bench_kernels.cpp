@@ -4,6 +4,8 @@
 
 #include <benchmark/benchmark.h>
 
+#include <algorithm>
+#include <cmath>
 #include <map>
 #include <vector>
 
@@ -101,22 +103,36 @@ void BM_PipelineEmulation(benchmark::State& state) {
   grape::PipelineNumerics num;
   if (state.range(0) != 0) num.backend = grape::BackendKind::Native;
   grape::Pipeline pipe(num);
+  math::Rng rng(3);
+  std::vector<Vec3d> pos(1024);
+  std::vector<double> mass(1024);
+  for (std::size_t k = 0; k < pos.size(); ++k) {
+    pos[k] = rng.in_unit_ball();
+    mass[k] = rng.uniform(0.5, 1.0);
+  }
+  // The quanta the engines would install for this window and mass set,
+  // so the accumulators run in range instead of on the saturation rail.
   grape::PipelineScaling scaling;
   scaling.range_lo = -2.0;
   scaling.range_hi = 2.0;
   scaling.eps = 0.01;
-  scaling.force_quantum = 1e-16;
-  scaling.potential_quantum = 1e-16;
+  grape::derive_scaling_quanta(scaling,
+                               *std::min_element(mass.begin(), mass.end()));
   pipe.configure(scaling);
-  math::Rng rng(3);
   std::vector<grape::JWord> js;
-  for (int k = 0; k < 1024; ++k) {
-    js.push_back(pipe.encode_j(rng.in_unit_ball(), rng.uniform(0.5, 1.0)));
+  for (std::size_t k = 0; k < pos.size(); ++k) {
+    js.push_back(pipe.encode_j(pos[k], mass[k]));
   }
-  auto istate = pipe.encode_i(Vec3d{0.1, 0.2, 0.3});
+  const grape::IState fresh = pipe.encode_i(Vec3d{0.1, 0.2, 0.3});
   for (auto _ : state) {
+    grape::IState istate = fresh;
     pipe.interact_batch(istate, js.data(), js.size());
     benchmark::DoNotOptimize(istate);
+    if (pipe.saturated(istate)) {
+      state.SkipWithError("accumulators saturated: the bench would time "
+                          "the rail branch");
+      break;
+    }
   }
   state.SetItemsProcessed(state.iterations() * 1024);
   state.SetLabel(num.backend == grape::BackendKind::Native ? "native"
@@ -124,19 +140,43 @@ void BM_PipelineEmulation(benchmark::State& state) {
 }
 BENCHMARK(BM_PipelineEmulation)->Arg(0)->Arg(1);
 
-void BM_LnsRoundTrip(benchmark::State& state) {
-  math::LnsFormat fmt(static_cast<int>(state.range(0)));
+/// Log-uniform magnitudes, both signs, across the exponent range the
+/// pipeline feeds the codec: from squares of coordinate differences near
+/// the 2^-32 position quantum up to r^2 sums of a wide window.
+std::vector<double> log_uniform_inputs(std::size_t n) {
   math::Rng rng(9);
-  std::vector<double> xs(1024);
-  for (auto& x : xs) x = rng.uniform(1e-6, 1e6);
+  std::vector<double> xs(n);
+  for (auto& x : xs) {
+    x = std::exp2(rng.uniform(-64.0, 16.0)) *
+        (rng.uniform() < 0.5 ? -1.0 : 1.0);
+  }
+  return xs;
+}
+
+void BM_LnsEncode(benchmark::State& state) {
+  const math::LnsFormat fmt(static_cast<int>(state.range(0)));
+  const std::vector<double> xs = log_uniform_inputs(1024);
   for (auto _ : state) {
-    double sink = 0.0;
-    for (double x : xs) sink += fmt.quantize(x);
+    std::int64_t sink = 0;
+    for (double x : xs) sink += fmt.from_double(x).logval.bits();
     benchmark::DoNotOptimize(sink);
   }
   state.SetItemsProcessed(state.iterations() * 1024);
 }
-BENCHMARK(BM_LnsRoundTrip)->Arg(8)->Arg(12);
+BENCHMARK(BM_LnsEncode)->Arg(8)->Arg(12);
+
+void BM_LnsDecode(benchmark::State& state) {
+  const math::LnsFormat fmt(static_cast<int>(state.range(0)));
+  std::vector<math::LnsValue> ws;
+  for (double x : log_uniform_inputs(1024)) ws.push_back(fmt.from_double(x));
+  for (auto _ : state) {
+    double sink = 0.0;
+    for (const auto& w : ws) sink += fmt.to_double(w);
+    benchmark::DoNotOptimize(sink);
+  }
+  state.SetItemsProcessed(state.iterations() * 1024);
+}
+BENCHMARK(BM_LnsDecode)->Arg(8)->Arg(12);
 
 void BM_MortonEncode(benchmark::State& state) {
   math::Rng rng(17);

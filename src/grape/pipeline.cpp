@@ -112,78 +112,40 @@ void Pipeline::evaluate(std::span<const JWord> j,
 // allocation, no unreserved growth (every lane buffer is a stack array).
 void Pipeline::interact_batch_lns(IState& i_state, const JWord* j,
                                   std::size_t count) const {
-  constexpr std::size_t W = kBatchWidth;
   const Fixed20 xi0 = i_state.x[0];
   const Fixed20 xi1 = i_state.x[1];
   const Fixed20 xi2 = i_state.x[2];
-  for (std::size_t base = 0; base < count; base += W) {
-    const std::size_t n = std::min(W, count - base);
+  for (std::size_t k = 0; k < count; ++k) {
+    const JWord& jw = j[k];
+    // Exact fixed-point differences and the i == j cut (the hardware's
+    // coincidence detection keeps the softened self-potential -m/eps out
+    // of the accumulators).
+    const FixedDelta d0 = jw.x[0] - xi0;
+    const FixedDelta d1 = jw.x[1] - xi1;
+    const FixedDelta d2 = jw.x[2] - xi2;
+    if (math::coincident(d0, d1, d2)) continue;
 
-    // Stage 1: exact fixed-point differences plus the i == j cut, on
-    // integer lanes. The cut (the hardware's i == j detection) keeps the
-    // softened self-potential -m/eps out of the accumulators.
-    FixedDelta d[3][W];
-    bool live[W];
-    for (std::size_t l = 0; l < n; ++l) {
-      const JWord& jw = j[base + l];
-      d[0][l] = jw.x[0] - xi0;
-      d[1][l] = jw.x[1] - xi1;
-      d[2][l] = jw.x[2] - xi2;
-      live[l] = !math::coincident(d[0][l], d[1][l], d[2][l]);
-    }
+    // The differences enter the log format (one conversion rounding per
+    // component); squares are exact log shifts, summed with eps^2 by the
+    // block-normalized adder (an exact add re-quantized to the format).
+    const LnsValue dx = lns_.from_double(codec_.delta_to_double(d0));
+    const LnsValue dy = lns_.from_double(codec_.delta_to_double(d1));
+    const LnsValue dz = lns_.from_double(codec_.delta_to_double(d2));
+    double r2 = eps2_;
+    r2 += lns_.to_double(lns_.square(dx));
+    r2 += lns_.to_double(lns_.square(dy));
+    r2 += lns_.to_double(lns_.square(dz));
+    const LnsValue r2w = lns_.from_double(r2);
 
-    // Stage 2: the differences enter the log format (one conversion
-    // rounding per component).
-    LnsValue dx[3][W];
-    for (std::size_t c = 0; c < 3; ++c) {
-      for (std::size_t l = 0; l < n; ++l) {
-        dx[c][l] = lns_.from_double(codec_.delta_to_double(d[c][l]));
-      }
-    }
-
-    // Stage 3: squares (exact log shifts) + eps^2 through the block-
-    // normalized adder (an exact add re-quantized to the log format).
-    LnsValue r2w[W];
-    for (std::size_t l = 0; l < n; ++l) {
-      double r2 = eps2_;
-      r2 += lns_.to_double(lns_.square(dx[0][l]));
-      r2 += lns_.to_double(lns_.square(dx[1][l]));
-      r2 += lns_.to_double(lns_.square(dx[2][l]));
-      r2w[l] = lns_.from_double(r2);
-    }
-
-    // Stage 4: power units g = (r^2)^(-3/2), h = (r^2)^(-1/2) + the
-    // m*g / m*g*dx / m*h products — integer adds on the log words.
-    LnsValue fout[3][W];
-    LnsValue pout[W];
-    for (std::size_t l = 0; l < n; ++l) {
-      const LnsValue g = lns_.pow_neg_3_2(r2w[l]);
-      const LnsValue h = lns_.pow_neg_1_2(r2w[l]);
-      const LnsValue mg = lns_.mul(j[base + l].mass, g);
-      fout[0][l] = lns_.mul(mg, dx[0][l]);
-      fout[1][l] = lns_.mul(mg, dx[1][l]);
-      fout[2][l] = lns_.mul(mg, dx[2][l]);
-      pout[l] = lns_.mul(j[base + l].mass, h);
-    }
-
-    // Stage 5: decode lanes (table lookups) and drain them into the
-    // fixed-point accumulators one interaction at a time, in stream
-    // order, so batch boundaries cannot change a bit.
-    double fx[3][W];
-    double fp[W];
-    for (std::size_t c = 0; c < 3; ++c) {
-      for (std::size_t l = 0; l < n; ++l) {
-        fx[c][l] = lns_.to_double(fout[c][l]);
-      }
-    }
-    for (std::size_t l = 0; l < n; ++l) fp[l] = lns_.to_double(pout[l]);
-    for (std::size_t l = 0; l < n; ++l) {
-      if (!live[l]) continue;
-      i_state.acc[0].add(fx[0][l]);
-      i_state.acc[1].add(fx[1][l]);
-      i_state.acc[2].add(fx[2][l]);
-      i_state.pot.add(-fp[l]);
-    }
+    // Power units g = (r^2)^(-3/2), h = (r^2)^(-1/2) and the m*g,
+    // m*g*dx, m*h products — integer adds on the log words — decoded
+    // into the fixed-point accumulators in stream order.
+    const LnsValue mg = lns_.mul(jw.mass, lns_.pow_neg_3_2(r2w));
+    const LnsValue mh = lns_.mul(jw.mass, lns_.pow_neg_1_2(r2w));
+    i_state.acc[0].add(lns_.to_double(lns_.mul(mg, dx)));
+    i_state.acc[1].add(lns_.to_double(lns_.mul(mg, dy)));
+    i_state.acc[2].add(lns_.to_double(lns_.mul(mg, dz)));
+    i_state.pot.add(-lns_.to_double(mh));
   }
 }
 

@@ -145,12 +145,14 @@ class Pipeline {
   [[nodiscard]] IState encode_i(const Vec3d& pos) const;
 
   /// Stream a j-segment through one pipeline slot (one pipeline cycle
-  /// per j): structure-of-arrays evaluation in blocks of `batch_width()`
-  /// lanes, so the fixed-point and log-word stages run over arrays the
-  /// compiler can vectorize. Every interaction is quantized onto the
-  /// accumulators on its own, in stream order, so the sums do not depend
-  /// on where segment boundaries fall; tests/grape_backend_test.cpp pins
-  /// the BitExact path bitwise against a scalar oracle of the datapath.
+  /// per j). BitExact runs one interaction at a time in the datapath's
+  /// stage order (table codec conversions and integer log-word ops,
+  /// which a lane split only slowed down); Native evaluates blocks of
+  /// `batch_width()` lanes the compiler can vectorize. Every interaction
+  /// is quantized onto the accumulators on its own, in stream order, so
+  /// the sums do not depend on where segment boundaries fall;
+  /// tests/grape_backend_test.cpp pins the BitExact path bitwise against
+  /// an independent scalar oracle of the datapath.
   void interact_batch(IState& i_state, const JWord* j,
                       std::size_t count) const;
 
@@ -163,7 +165,7 @@ class Pipeline {
   void evaluate(std::span<const JWord> j, std::span<const Vec3d> targets,
                 std::span<RawForce> out) const;
 
-  /// Lane count of the batched kernel's inner loops (a SIMD-register
+  /// Lane count of the Native kernel's inner loops (a SIMD-register
   /// width worth of independent interactions, not a hardware parameter).
   [[nodiscard]] static constexpr std::size_t batch_width() noexcept {
     return kBatchWidth;

@@ -128,8 +128,8 @@ static_assert(std::is_trivially_copyable_v<FixedDelta>);
 /// integer part, frac_bits fractional bits).
 [[nodiscard]] constexpr std::int32_t lns_max_log(int frac_bits,
                                                  int exp_bits) noexcept {
-  // Widened shift: the widest format (frac 24, exp 16) tops out one code
-  // below 2^39, clamped into the int32 carrier below.
+  // Widened shift: the widest format (frac 16, exp 16) tops out at
+  // exactly 2^31 - 1, the int32 carrier's maximum (lns.cpp asserts it).
   const std::int64_t exp_half = std::int64_t{1} << (exp_bits - 1);
   return static_cast<std::int32_t>((exp_half << frac_bits) - 1);
 }

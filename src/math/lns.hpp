@@ -18,14 +18,27 @@
 // whose log field is the strong math::LnsCode (domain.hpp) — raw code
 // bits cannot mix with fixed-point words or host doubles without going
 // through this class, which is the only double<->code conversion point.
-// The arithmetic is defined inline here (and decode goes through a
-// per-format exp2 fraction table) so the batched pipeline kernel can keep
-// the whole datapath in registers; the table split is bitwise-identical
-// to std::exp2 on the full logval domain (tests/math_lns_test.cpp pins
-// it), and the integer ops themselves are the constexpr log-domain ALU of
-// domain.hpp (lns.cpp static_asserts their invariants).
+//
+// Both conversions are table lookups, as on the hardware (GRAPE-5 converts
+// into and out of its log format with tables):
+//   * encode is *defined* as the exactly rounded log word round(log2|v| *
+//     2^F). It reads the IEEE bits: the exponent field gives the integer
+//     part, and one packed table indexed by the top F+1 mantissa bits
+//     gives the fraction code at the bucket start plus the one rounding
+//     threshold the bucket may hold (thresholds 2^((k-1/2)/2^F) are more
+//     than a bucket width apart). lns.cpp derives every threshold with an
+//     exact interval check; tests/math_lns_test.cpp pins the encoder
+//     against an independent reference at every threshold;
+//   * decode splits logval = q * 2^F + r, looks up exp2(r / 2^F) and
+//     scales by 2^q built in the exponent field — bitwise std::exp2 on the
+//     full logval domain (tests/math_lns_test.cpp pins it).
+// The arithmetic is defined inline here so the pipeline kernel keeps the
+// whole datapath in registers; the integer ops themselves are the
+// constexpr log-domain ALU of domain.hpp (lns.cpp static_asserts their
+// invariants).
 #pragma once
 
+#include <bit>
 #include <cmath>
 #include <cstdint>
 #include <stdexcept>
@@ -48,7 +61,8 @@ struct LnsValue {
 
 class LnsFormat {
  public:
-  /// `frac_bits` F: fractional bits of the log word (accuracy knob).
+  /// `frac_bits` F in [1, 16]: fractional bits of the log word (accuracy
+  /// knob).
   /// `exp_bits`: width of the integer part of the log word; log2|v| is
   /// clamped to [-2^(exp_bits-1), 2^(exp_bits-1)) before scaling. The
   /// defaults cover the dynamic range the pipeline needs with margin.
@@ -60,47 +74,65 @@ class LnsFormat {
   /// Relative spacing of representable magnitudes: 2^(2^-F) - 1 ~ ln2 * 2^-F.
   [[nodiscard]] double relative_step() const noexcept { return rel_step_; }
 
-  /// Encode a double: round-to-nearest in log space; the exponent
-  /// saturates at the top of the range and *flushes to zero* below the
-  /// bottom code (LNS hardware underflow). With to_double, the only
-  /// double<->code conversion in the codebase.
+  /// Encode a double: the exactly rounded log word (round-to-nearest in
+  /// log space; the boundaries are irrational, so there are no ties). The
+  /// exponent saturates at the top of the range and *flushes to zero*
+  /// below the bottom code (LNS hardware underflow). With to_double, the
+  /// only double<->code conversion in the codebase.
   [[nodiscard]] LnsValue from_double(double v) const noexcept {
-    if (v == 0.0 || !std::isfinite(v)) return LnsValue::make_zero();
-    const double scaled =
-        std::nearbyint(std::ldexp(std::log2(std::fabs(v)), frac_bits_));
+    std::uint64_t bits = std::bit_cast<std::uint64_t>(v);
+    const bool negative = (bits & kSignBit) != 0;
+    bits &= ~kSignBit;
+    // Zero, and the non-finite inputs the hardware cannot represent.
+    if (bits == 0 || bits >= kExponentMask) return LnsValue::make_zero();
+    std::int64_t exponent = -1023;
+    if (bits < kMinNormalBits) {
+      // Subnormal: scaling by 2^64 normalises it exactly.
+      const double normalised = std::bit_cast<double>(bits) * 0x1p64;
+      bits = std::bit_cast<std::uint64_t>(normalised);
+      exponent -= 64;
+    }
+    exponent += static_cast<std::int64_t>(bits >> kMantissaBits);
+    const std::uint64_t mantissa = bits & kMantissaMask;
+    // base + (low >= threshold): the low mantissa bits carry into the
+    // bucket's code exactly when they reach its threshold.
+    const std::uint64_t word = encode_table_[mantissa >> low_bits_];
+    const std::uint64_t low = mantissa & low_mask_;
+    const auto fraction = static_cast<std::int64_t>((word + low) >> low_bits_);
+    const std::int64_t scaled =
+        exponent * (std::int64_t{1} << frac_bits_) + fraction;
     // Strictly below the bottom code the underflow unit tags the word
     // zero; at the bottom code the value is representable and kept.
-    if (scaled < static_cast<double>(min_log_)) return LnsValue::make_zero();
+    if (scaled < min_log_) return LnsValue::make_zero();
     LnsValue out;
     out.zero = false;
-    out.sign = v < 0.0 ? std::int8_t{-1} : std::int8_t{1};
+    out.sign = negative ? std::int8_t{-1} : std::int8_t{1};
     out.logval = LnsCode::from_bits(
-        scaled >= static_cast<double>(max_log_)
-            ? max_log_
-            : static_cast<std::int32_t>(scaled));
+        scaled >= max_log_ ? max_log_ : static_cast<std::int32_t>(scaled));
     return out;
   }
 
   /// Decode back to double.
   [[nodiscard]] double to_double(const LnsValue& v) const noexcept {
     if (v.zero) return 0.0;
-    const double s = static_cast<double>(v.sign);
-    if (!exp2_table_.empty()) {
-      // Split logval = q * 2^F + r, r in [0, 2^F): scaling by 2^q is
-      // exact, so ldexp(exp2(r / 2^F), q) == exp2(logval / 2^F) bitwise
-      // whenever the result is a normal double. Subnormal results round
-      // differently under the split (and huge q overflows), so fall back
-      // outside the q range that can produce a normal.
-      const int q = lns_exp2_split_q(v.logval.bits(), frac_bits_);
-      if (q >= -1021 && q <= 1022) {
-        const auto r = static_cast<std::size_t>(
-            lns_exp2_split_r(v.logval.bits(), frac_bits_));
-        return s * std::ldexp(exp2_table_[r], q);
-      }
+    // Split logval = q * 2^F + r, r in [0, 2^F): scaling by 2^q is exact,
+    // so exp2(r / 2^F) * 2^q == exp2(logval / 2^F) bitwise whenever the
+    // result is a normal double. Subnormal results round differently
+    // under the split (and huge q overflows), so fall back outside the q
+    // range that can produce a normal.
+    const int q = lns_exp2_split_q(v.logval.bits(), frac_bits_);
+    if (q >= -1021 && q <= 1022) {
+      const auto r = static_cast<std::size_t>(
+          lns_exp2_split_r(v.logval.bits(), frac_bits_));
+      // +-2^q, built in the sign and exponent fields.
+      const std::uint64_t sign = v.sign < 0 ? kSignBit : 0;
+      const std::uint64_t exponent =
+          static_cast<std::uint64_t>(q + 1023) << kMantissaBits;
+      return exp2_table_[r] * std::bit_cast<double>(sign | exponent);
     }
     const double l =
         std::ldexp(static_cast<double>(v.logval.bits()), -frac_bits_);
-    return s * std::exp2(l);
+    return static_cast<double>(v.sign) * std::exp2(l);
   }
 
   /// Round-trip through the format (the value the datapath sees).
@@ -165,14 +197,29 @@ class LnsFormat {
   [[nodiscard]] int table_index_bits() const noexcept { return table_bits_; }
 
  private:
+  // IEEE binary64 fields.
+  static constexpr int kMantissaBits = 52;
+  static constexpr std::uint64_t kSignBit = 0x8000'0000'0000'0000;
+  static constexpr std::uint64_t kExponentMask = 0x7ff0'0000'0000'0000;
+  static constexpr std::uint64_t kMinNormalBits = 0x0010'0000'0000'0000;
+  static constexpr std::uint64_t kMantissaMask = kMinNormalBits - 1;
+
   int frac_bits_;
   int exp_bits_;
   int table_bits_ = 0;  // 0 = full resolution
   std::int32_t max_log_ = 0;
   std::int32_t min_log_ = 0;
   double rel_step_ = 0.0;
-  /// exp2_table_[r] = exp2(r / 2^F) for r in [0, 2^F); empty when F is too
-  /// wide to table (decode then falls back to std::exp2 throughout).
+  /// Encode split of the mantissa: the top F+1 bits index the bucket;
+  /// the `low_bits_` = 52-(F+1) below them are compared with its
+  /// threshold.
+  int low_bits_ = 0;
+  std::uint64_t low_mask_ = 0;
+  /// Packed bucket words: (fraction code at the bucket start) << low_bits_
+  /// plus 2^low_bits_ - (the bucket's threshold on the low bits, or
+  /// 2^low_bits_ when it holds none).
+  std::vector<std::uint64_t> encode_table_;
+  /// exp2_table_[r] = exp2(r / 2^F) for r in [0, 2^F).
   std::vector<double> exp2_table_;
 
   /// The positive word saturated at the top of the range (power units'

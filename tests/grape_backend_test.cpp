@@ -1,9 +1,9 @@
 // Backend-equivalence suite for the batched multi-backend force kernel.
 //
-//  * BitExact batched vs scalar: Pipeline::interact_batch must be
-//    bitwise-identical to the scalar oracle (grape_lns_oracle.hpp) for
-//    every batch shape (width 1, odd widths, the SIMD width, ragged
-//    tails) — the batching is a pure restructuring of the datapath.
+//  * BitExact vs the scalar oracle: Pipeline::interact_batch must be
+//    bitwise-identical to the independent oracle (grape_lns_oracle.hpp)
+//    for every segment shape (width 1, odd widths, the Native SIMD
+//    width, ragged tails) — segmenting a stream cannot change a bit.
 //  * Native vs host reference: the Native backend computes the same
 //    interactions in plain double on quantized coordinates, so it must
 //    track the host kernel to the position-quantization floor — per

@@ -1,8 +1,8 @@
 // Scalar oracle of the bit-exact G5 datapath: one interaction at a time,
-// written the way the hardware stages read (grape/pipeline.hpp). The
-// library evaluates through Pipeline::interact_batch only, whose BitExact
-// path restructures these operations into structure-of-arrays lanes;
-// tests/grape_backend_test.cpp pins the two bitwise against each other.
+// written the way the hardware stages read (grape/pipeline.hpp), with its
+// own LnsFormat and coordinate codec. The library evaluates through
+// Pipeline::interact_batch only; tests/grape_backend_test.cpp pins the
+// two bitwise against each other.
 #pragma once
 
 #include "grape/pipeline.hpp"

@@ -1,9 +1,13 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <bit>
 #include <cmath>
 #include <cstdint>
+#include <iostream>
 #include <limits>
+#include <utility>
+#include <vector>
 
 #include "math/lns.hpp"
 #include "math/rng.hpp"
@@ -257,9 +261,264 @@ TEST(Lns, TableBitsValidation) {
 
 TEST(Lns, ConstructorValidation) {
   EXPECT_THROW(LnsFormat(0), std::invalid_argument);
+  EXPECT_THROW(LnsFormat(17), std::invalid_argument);
+  EXPECT_NO_THROW(LnsFormat(16));
   EXPECT_THROW(LnsFormat(25), std::invalid_argument);
   EXPECT_THROW(LnsFormat(8, 2), std::invalid_argument);
   EXPECT_THROW(LnsFormat(8, 20), std::invalid_argument);
+}
+
+// ---------------------------------------------------------------------
+// Exact-rounding reference. The encoder is defined as the exactly rounded
+// word round(log2|v| * 2^F). This reference shares nothing with
+// LnsFormat's tables: it evaluates each rounding boundary
+// t_k = 2^((2k-1) / 2^(F+1)) as a double-double Taylor sum of exp(a ln2)
+// (~2^-100 relative), asserts that the boundary sits clear of the double
+// grid by far more than that error, and normalises each input with
+// std::frexp.
+// ---------------------------------------------------------------------
+
+struct DoubleDouble {
+  double hi = 0.0;
+  double lo = 0.0;
+};
+
+DoubleDouble two_sum(double a, double b) {
+  const double s = a + b;
+  const double bb = s - a;
+  return {s, (a - (s - bb)) + (b - bb)};
+}
+
+DoubleDouble dd_add(DoubleDouble x, DoubleDouble y) {
+  DoubleDouble s = two_sum(x.hi, y.hi);
+  const DoubleDouble t = two_sum(x.lo, y.lo);
+  s = two_sum(s.hi, s.lo + t.hi);
+  return two_sum(s.hi, s.lo + t.lo);
+}
+
+DoubleDouble dd_mul(DoubleDouble x, DoubleDouble y) {
+  const double p = x.hi * y.hi;
+  const double e = std::fma(x.hi, y.hi, -p);
+  return two_sum(p, e + (x.hi * y.lo + x.lo * y.hi));
+}
+
+DoubleDouble dd_div(DoubleDouble x, double d) {
+  const double q = x.hi / d;
+  const double p = q * d;
+  const double r = (x.hi - p) - std::fma(q, d, -p) + x.lo;
+  return two_sum(q, r / d);
+}
+
+/// 2^a for a in (0, 1), to ~2^-100 relative.
+DoubleDouble dd_exp2(double a) {
+  const DoubleDouble ln2{0x1.62e42fefa39efp-1, 0x1.abc9e3b39803fp-56};
+  const DoubleDouble r = dd_mul(ln2, DoubleDouble{a, 0.0});
+  DoubleDouble term{1.0, 0.0};
+  DoubleDouble sum{1.0, 0.0};
+  for (int n = 1; n < 60 && term.hi > 0x1p-120; ++n) {
+    term = dd_div(dd_mul(term, r), static_cast<double>(n));
+    sum = dd_add(sum, term);
+  }
+  return sum;
+}
+
+/// Per k = 1 .. 2^F, the smallest 52-bit mantissa field M with
+/// 1 + M * 2^-52 above t_k (ascending).
+std::vector<std::uint64_t> reference_thresholds(int f) {
+  std::vector<std::uint64_t> out;
+  for (std::int64_t k = 1; k <= (std::int64_t{1} << f); ++k) {
+    const DoubleDouble t =
+        dd_exp2(std::ldexp(static_cast<double>(2 * k - 1), -(f + 1)));
+    // t.hi is in (1, 2), so (t.hi - 1) * 2^52 is an integer and
+    // t.lo * 2^52 is the boundary's offset from it in mantissa ulps.
+    const double field = std::ldexp(t.hi - 1.0, 52);
+    const double offset = std::ldexp(t.lo, 52);
+    EXPECT_GT(std::fabs(offset), 0x1p-30) << "F " << f << " k " << k;
+    out.push_back(static_cast<std::uint64_t>(field) +
+                  static_cast<std::uint64_t>(offset > 0.0));
+  }
+  return out;
+}
+
+/// round(log2|x| * 2^F) for finite x != 0, from the reference thresholds.
+std::int64_t reference_code(double x, int f,
+                            const std::vector<std::uint64_t>& thresholds) {
+  int exponent = 0;
+  const double m = 2.0 * std::frexp(std::fabs(x), &exponent);  // [1, 2)
+  const auto field = static_cast<std::uint64_t>(std::ldexp(m - 1.0, 52));
+  const auto above = static_cast<std::int64_t>(
+      std::upper_bound(thresholds.begin(), thresholds.end(), field) -
+      thresholds.begin());
+  return static_cast<std::int64_t>(exponent - 1) * (std::int64_t{1} << f) +
+         above;
+}
+
+class LnsExactRounding : public ::testing::TestWithParam<int> {};
+
+TEST_P(LnsExactRounding, EveryThresholdPlusMinus64UlpsAllExponents) {
+  const int f = GetParam();
+  const LnsFormat fmt(f);
+  const std::vector<std::uint64_t> thresholds = reference_thresholds(f);
+  const std::int64_t scale = std::int64_t{1} << f;
+  // 2^e for every normal exponent: m * 2^e is then an exact product.
+  std::vector<double> pow2;
+  for (int e = -1022; e <= 1023; ++e) pow2.push_back(std::ldexp(1.0, e));
+  std::int64_t checked = 0;
+  std::int64_t mismatches = 0;
+  double first_bad = 0.0;
+  const auto check = [&](double x, std::int64_t expected) {
+    const LnsValue w = fmt.from_double(x);
+    const bool ok = !w.zero && w.logval.bits() == expected &&
+                    w.sign == (x < 0.0 ? -1 : 1);
+    if (!ok && mismatches++ == 0) first_bad = x;
+    ++checked;
+  };
+  for (const std::uint64_t t : thresholds) {
+    for (std::int64_t j = -64; j <= 64; ++j) {
+      // Normal inputs: the same mantissa at every binary exponent.
+      const auto field = static_cast<std::uint64_t>(
+          static_cast<std::int64_t>(t) + j);
+      const double m = 1.0 + std::ldexp(static_cast<double>(field), -52);
+      const std::int64_t code = reference_code(m, f, thresholds);
+      std::int64_t expected = code - 1022 * scale;
+      for (std::size_t i = 0; i < pow2.size(); ++i, expected += scale) {
+        check((i & 1) != 0 ? -m * pow2[i] : m * pow2[i], expected);
+      }
+      // Subnormal inputs: a p-bit integer significand S at 2^-1074; the
+      // boundary on its coarser grid is the first S above t_k.
+      for (int p = 1; p <= 52; ++p) {
+        const int drop = 53 - p;
+        const std::uint64_t significand = (std::uint64_t{1} << 52) | t;
+        const auto s_star = static_cast<std::int64_t>(
+            (significand + (std::uint64_t{1} << drop) - 1) >> drop);
+        const std::int64_t s = s_star + j;
+        if (s <= 0) continue;
+        const double x = std::ldexp(static_cast<double>(s), -1074);
+        check(x, reference_code(x, f, thresholds));
+      }
+    }
+  }
+  EXPECT_EQ(mismatches, 0) << "of " << checked << " inputs; first "
+                           << std::hexfloat << first_bad;
+}
+
+INSTANTIATE_TEST_SUITE_P(Fractions, LnsExactRounding,
+                         ::testing::Values(5, 8, 10));
+
+TEST(Lns, EncodeSpecialsAndRangeEdges) {
+  const LnsFormat fmt(8);
+  constexpr double kInf = std::numeric_limits<double>::infinity();
+  constexpr double kNan = std::numeric_limits<double>::quiet_NaN();
+  for (const double x : {0.0, -0.0, kInf, -kInf, kNan, -kNan}) {
+    const LnsValue w = fmt.from_double(x);
+    EXPECT_TRUE(w.zero) << x;
+    EXPECT_EQ(w.sign, 1) << x;
+  }
+  // The extreme finite doubles of the default format: exactly rounded,
+  // neither flushed nor saturated.
+  const double denorm_min = std::numeric_limits<double>::denorm_min();
+  EXPECT_EQ(fmt.from_double(denorm_min).logval.bits(), -1074 * 256);
+  EXPECT_EQ(fmt.from_double(-denorm_min).sign, -1);
+  EXPECT_EQ(fmt.from_double(std::numeric_limits<double>::max()).logval.bits(),
+            1024 * 256);
+
+  // exp 6: codes in [-32 * 256, 32 * 256).
+  const LnsFormat narrow(8, 6);
+  const std::vector<std::uint64_t> t = reference_thresholds(8);
+  // Flush boundary: the bottom code -8192 covers magnitudes from the
+  // boundary 2^-33 * t_256 up; the double just below it rounds to -8193
+  // and flushes to the tagged zero, for both signs.
+  const double keep =
+      std::ldexp(1.0 + std::ldexp(static_cast<double>(t[255]), -52), -33);
+  const double flush = std::nextafter(keep, 0.0);
+  for (const double sign : {1.0, -1.0}) {
+    const LnsValue kept = narrow.from_double(sign * keep);
+    EXPECT_FALSE(kept.zero);
+    EXPECT_EQ(kept.logval.bits(), -8192);
+    EXPECT_EQ(kept.sign, sign < 0.0 ? -1 : 1);
+    EXPECT_TRUE(narrow.from_double(sign * flush).zero);
+  }
+  // Saturation: the top code 8191 starts at the boundary 2^31 * t_255;
+  // just below it rounds to 8190, and everything above clamps to 8191
+  // (never flushes), for both signs.
+  const double top =
+      std::ldexp(1.0 + std::ldexp(static_cast<double>(t[254]), -52), 31);
+  EXPECT_EQ(narrow.from_double(top).logval.bits(), 8191);
+  EXPECT_EQ(narrow.from_double(std::nextafter(top, 0.0)).logval.bits(), 8190);
+  for (const double x : {std::ldexp(1.0, 32), std::ldexp(1.0, 100),
+                         std::numeric_limits<double>::max()}) {
+    for (const double sign : {1.0, -1.0}) {
+      const LnsValue w = narrow.from_double(sign * x);
+      EXPECT_FALSE(w.zero);
+      EXPECT_EQ(w.logval.bits(), 8191);
+      EXPECT_EQ(w.sign, sign < 0.0 ? -1 : 1);
+    }
+  }
+}
+
+TEST(Lns, AgreesWithLibmFormulaAwayFromThresholds) {
+  // The encoder this codec replaced, nearbyint(log2|v| * 2^F), rounds
+  // log2 before scaling, so its flip points drift a few ulps from the
+  // exact boundaries. On log-uniform inputs across the double range the
+  // two must agree except (rarely) right next to a boundary.
+  constexpr int kFrac = 8;
+  const LnsFormat fmt(kFrac);
+  const std::vector<std::uint64_t> thresholds = reference_thresholds(kFrac);
+  g5::math::Rng rng(2026);
+  constexpr int kInputs = 1 << 22;
+  int disagreements = 0;
+  for (int i = 0; i < kInputs; ++i) {
+    const double x = std::exp2(rng.uniform(-1070.0, 1020.0)) *
+                     (rng.uniform() < 0.5 ? -1.0 : 1.0);
+    const double old_code =
+        std::nearbyint(std::ldexp(std::log2(std::fabs(x)), kFrac));
+    const std::int32_t code = fmt.from_double(x).logval.bits();
+    if (static_cast<double>(code) == old_code) continue;
+    ++disagreements;
+    int exponent = 0;
+    const double m = 2.0 * std::frexp(std::fabs(x), &exponent);
+    const auto field = static_cast<std::int64_t>(std::ldexp(m - 1.0, 52));
+    std::int64_t nearest = std::numeric_limits<std::int64_t>::max();
+    for (const std::uint64_t t : thresholds) {
+      nearest = std::min(
+          nearest, std::abs(static_cast<std::int64_t>(t) - field));
+    }
+    EXPECT_LE(nearest, 64) << std::hexfloat << x;
+  }
+  std::cout << "libm formula disagreements: " << disagreements << " of "
+            << kInputs << "\n";
+  RecordProperty("libm_disagreements", disagreements);
+}
+
+TEST(Lns, DecodeRangeEdgesMatchExp2) {
+  // The exponent-field decode against std::exp2 at the edges of the
+  // narrowest and widest fractions: both ends of the word range and the
+  // normal/subnormal and overflow switch-over points of the split.
+  for (const auto& [frac, exp_bits] :
+       {std::pair{5, 4}, std::pair{5, 12}, std::pair{16, 12},
+        std::pair{16, 16}}) {
+    const LnsFormat fmt(frac, exp_bits);
+    const std::int64_t lo = g5::math::lns_min_log(frac, exp_bits);
+    const std::int64_t hi = g5::math::lns_max_log(frac, exp_bits);
+    const std::int64_t one = std::int64_t{1} << frac;
+    const std::int64_t centres[] = {lo, hi, 0, -1022 * one, -1021 * one,
+                                    1023 * one};
+    for (const std::int64_t c : centres) {
+      for (std::int64_t lv = std::max(lo, c - one - 2);
+           lv <= std::min(hi, c + one + 2); ++lv) {
+        LnsValue v;
+        v.zero = false;
+        v.sign = (lv & 1) != 0 ? -1 : 1;
+        v.logval = g5::math::LnsCode::from_bits(static_cast<std::int32_t>(lv));
+        const double direct =
+            static_cast<double>(v.sign) *
+            std::exp2(std::ldexp(static_cast<double>(lv), -frac));
+        ASSERT_EQ(std::bit_cast<std::uint64_t>(fmt.to_double(v)),
+                  std::bit_cast<std::uint64_t>(direct))
+            << "F " << frac << " exp " << exp_bits << " logval " << lv;
+      }
+    }
+  }
 }
 
 }  // namespace
