@@ -140,6 +140,46 @@ void BM_PipelineEmulation(benchmark::State& state) {
 }
 BENCHMARK(BM_PipelineEmulation)->Arg(0)->Arg(1);
 
+/// Pipeline::evaluate — the device's one entry point, which the engines'
+/// list lanes call — on a call shaped like a native-65k group: 1,400
+/// j-words of a Plummer N = 65,536 snapshot streamed past 64 of them as
+/// targets (each meets itself: the coincidence cut runs), on the window
+/// and quanta the engines install for that snapshot.
+void BM_PipelineEvaluate(benchmark::State& state) {
+  constexpr std::size_t kJ = 1400;
+  constexpr std::size_t kTargets = 64;
+  grape::PipelineNumerics num;
+  if (state.range(0) != 0) num.backend = grape::BackendKind::Native;
+  grape::Pipeline pipe(num);
+  const auto& pset = cached_plummer(65536);
+  const model::Aabb box = pset.bounding_box();
+  pipe.configure(
+      grape::snapshot_window(box.lo, box.hi, pset.mass()).scaling(0.01));
+  std::vector<grape::JWord> js(kJ);
+  for (std::size_t k = 0; k < kJ; ++k) {
+    js[k] = pipe.encode_j(pset.pos()[k], pset.mass()[k]);
+  }
+  const std::span<const Vec3d> targets(pset.pos().data(), kTargets);
+  std::vector<grape::RawForce> raw(kTargets);
+  grape::NativeStage stage;
+  for (auto _ : state) {
+    pipe.evaluate(js, targets, raw, stage);
+    benchmark::DoNotOptimize(raw.data());
+    benchmark::ClobberMemory();
+    if (std::any_of(raw.begin(), raw.end(),
+                    [](const grape::RawForce& r) { return r.saturated; })) {
+      state.SkipWithError("accumulators saturated: the bench would time "
+                          "the rail branch");
+      break;
+    }
+  }
+  state.SetItemsProcessed(state.iterations() *
+                          static_cast<std::int64_t>(kJ * kTargets));
+  state.SetLabel(num.backend == grape::BackendKind::Native ? "native"
+                                                          : "lns-datapath");
+}
+BENCHMARK(BM_PipelineEvaluate)->Arg(0)->Arg(1);
+
 /// Log-uniform magnitudes, both signs, across the exponent range the
 /// pipeline feeds the codec: from squares of coordinate differences near
 /// the 2^-32 position quantum up to r^2 sums of a wide window.

@@ -110,9 +110,11 @@ class GrapeListKernel final : public ListKernel {
     bool saturated = false;
   };
 
-  /// One lane's buffers: its list as j-words and its targets' counts.
+  /// One lane's buffers: its list as j-words, the Native staging of
+  /// that list and its targets' counts.
   struct Lane {
     std::vector<grape::JWord> jwords;
+    grape::NativeStage stage;
     std::vector<grape::RawForce> raw;
   };
 

@@ -75,7 +75,7 @@ void GrapeListKernel::evaluate_j(unsigned lane, std::size_t unit,
   }
   buf.raw.resize(ni);
   util::Stopwatch watch;
-  pipe.evaluate(buf.jwords, targets, buf.raw);
+  pipe.evaluate(buf.jwords, targets, buf.raw, buf.stage);
   const double seconds = watch.elapsed();
   bool saturated = false;
   for (std::size_t i = 0; i < ni; ++i) {

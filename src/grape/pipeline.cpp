@@ -1,6 +1,7 @@
 #include "grape/pipeline.hpp"
 
 #include <algorithm>
+#include <bit>
 #include <cmath>
 #include <limits>
 #include <stdexcept>
@@ -40,10 +41,25 @@ SnapshotWindow snapshot_window(const Vec3d& box_lo, const Vec3d& box_hi,
   return {c.min_component() - half, c.max_component() + half, min_mass};
 }
 
+namespace {
+
+/// The staged Native path holds coordinate codes in doubles; their
+/// differences are exact only while a code fits the 53-bit significand.
+int checked_position_bits(int bits) {
+  if (bits > std::numeric_limits<double>::digits) {
+    throw std::invalid_argument(
+        "position_bits > 53: coordinate differences would not be exact in "
+        "the Native datapath");
+  }
+  return bits;
+}
+
+}  // namespace
+
 Pipeline::Pipeline(const PipelineNumerics& numerics)
     : numerics_(numerics),
       lns_(numerics.lns_frac_bits),
-      codec_(-1.0, 1.0, numerics.position_bits) {
+      codec_(-1.0, 1.0, checked_position_bits(numerics.position_bits)) {
   lns_.set_table_index_bits(numerics.table_index_bits);
   configure(PipelineScaling{});
 }
@@ -97,19 +113,180 @@ void Pipeline::interact_batch(IState& i_state, const JWord* j,
 
 void Pipeline::evaluate(std::span<const JWord> j,
                         std::span<const Vec3d> targets,
-                        std::span<RawForce> out) const {
+                        std::span<RawForce> out, NativeStage& stage) const {
   if (out.size() != targets.size()) {
     throw std::invalid_argument("raw output span arity mismatch");
   }
+  const bool native = numerics_.backend == BackendKind::Native;
+  if (native) {
+    // Stage 1, once per call: the codes as doubles (exact, see
+    // checked_position_bits), padded with zero-mass lanes whose counts
+    // are zero, so the pair loop's trip count is a multiple of the block.
+    const std::size_t padded =
+        (j.size() + kBatchWidth - 1) / kBatchWidth * kBatchWidth;
+    for (auto* v : {&stage.x, &stage.y, &stage.z, &stage.m, &stage.cx,
+                    &stage.cy, &stage.cz, &stage.cp}) {
+      v->assign(padded, 0.0);
+    }
+    for (std::size_t k = 0; k < j.size(); ++k) {
+      stage.x[k] = static_cast<double>(j[k].x[0].code());
+      stage.y[k] = static_cast<double>(j[k].x[1].code());
+      stage.z[k] = static_cast<double>(j[k].x[2].code());
+      stage.m[k] = j[k].mass_exact;
+    }
+  }
   for (std::size_t i = 0; i < targets.size(); ++i) {
     IState state = encode_i(targets[i]);
-    interact_batch(state, j.data(), j.size());
+    if (native) {
+      evaluate_native(state, j.data(), j.size(), stage);
+    } else {
+      interact_batch_lns(state, j.data(), j.size());
+    }
     out[i] = read_raw(state);
   }
 }
 
 // g5lint: hot-begin(pipeline-batch) — the per-interaction kernels; no
-// allocation, no unreserved growth (every lane buffer is a stack array).
+// allocation, no unreserved growth (lane buffers are stack arrays or the
+// caller's NativeStage).
+namespace {
+
+/// Fast-path bounds of one drained block: every count within 2^59 and
+/// every accumulator at least W * 2^59 below the rail, so no partial sum
+/// of the block can reach the rail and the block's int64 sum is exact.
+constexpr double kBlockCountBound = 0x1p59;
+constexpr std::int64_t kBlockAccumulatorBound =
+    math::kAccumulatorRail - static_cast<std::int64_t>(Pipeline::batch_width()) *
+                                 (std::int64_t{1} << 59);
+
+/// Adding 1.5 * 2^52 rounds a double below 2^51 in magnitude to an
+/// integer exactly (round to nearest even, as std::rint); the integer is
+/// then the low bits of the sum's representation.
+constexpr double kRoundMagic = 0x1.8p52;
+constexpr std::int64_t kRoundMagicBits = std::bit_cast<std::int64_t>(kRoundMagic);
+
+/// Negative iff |c| > 2^59 or c is not finite: the magnitude bits of a
+/// double order like the values, NaN and inf above every finite one. A
+/// subtraction rather than a compare, so that an OR over many lanes
+/// stays a vectorizable integer reduction.
+std::int64_t count_margin(double c) {
+  constexpr std::int64_t kMagnitudeBits =
+      std::numeric_limits<std::int64_t>::max();
+  return std::bit_cast<std::int64_t>(kBlockCountBound) -
+         (std::bit_cast<std::int64_t>(c) & kMagnitudeBits);
+}
+
+/// Stage 2, the Native pair arithmetic over a staged segment of `blocks`
+/// blocks: for every j, the four counts of one target at code
+/// (xi, yi, zi), by the operations of interact_batch_native in their
+/// order. A free function over restrict pointers, with selects only
+/// between constants and a trip count that is a multiple of the block,
+/// so it vectorizes at -O2. The coincidence cut tests the exact
+/// integer-valued code differences; a cut lane gets weight 0 and
+/// r^2 + 1 (a finite rinv), a live lane weight 1 and r^2 + 0, both
+/// exact. The eps == 0 divergent corner is not cut: its inf/NaN counts
+/// send its block down the slow path. Returns whether every count is
+/// within kBlockCountBound.
+bool native_counts(std::size_t blocks, const double* __restrict x,
+                   const double* __restrict y, const double* __restrict z,
+                   const double* __restrict m, double xi, double yi,
+                   double zi, double quantum, double eps2,
+                   double force_quantum, double potential_quantum,
+                   double* __restrict cx, double* __restrict cy,
+                   double* __restrict cz, double* __restrict cp) {
+  const std::size_t n = blocks * Pipeline::batch_width();
+  std::int64_t margin = 0;
+  for (std::size_t k = 0; k < n; ++k) {
+    const double ex = x[k] - xi;
+    const double ey = y[k] - yi;
+    const double ez = z[k] - zi;
+    const double live = ex * ex + ey * ey + ez * ez == 0.0 ? 0.0 : 1.0;
+    const double dx = ex * quantum;
+    const double dy = ey * quantum;
+    const double dz = ez * quantum;
+    const double r2 = dx * dx + dy * dy + dz * dz + eps2;
+    const double rinv = 1.0 / std::sqrt(r2 + (1.0 - live));
+    const double wm = live * m[k];
+    const double mg = wm * (rinv * rinv * rinv);
+    cx[k] = mg * dx / force_quantum;
+    cy[k] = mg * dy / force_quantum;
+    cz[k] = mg * dz / force_quantum;
+    cp[k] = -(wm * rinv) / potential_quantum;
+    margin |= count_margin(cx[k]) | count_margin(cy[k]) |
+              count_margin(cz[k]) | count_margin(cp[k]);
+  }
+  return margin >= 0;
+}
+
+bool block_in_bounds(const double* c) {
+  std::int64_t margin = 0;
+  for (std::size_t l = 0; l < Pipeline::batch_width(); ++l) {
+    margin |= count_margin(c[l]);
+  }
+  return margin >= 0;
+}
+
+bool accumulator_in_bounds(const FixedAccumulator& a) {
+  return a.raw() <= kBlockAccumulatorBound &&
+         a.raw() >= -kBlockAccumulatorBound;
+}
+
+/// The exact sum of rint(c[l]) over one block of counts within 2^59:
+/// rint(c) = 2^32 h + rint(c - 2^32 h) with h = rint(c * 2^-32). The
+/// residual is exact and below 2^32, and both roundings are magic adds.
+std::int64_t block_count_sum(const double* c) {
+  std::int64_t hi = 0;
+  std::int64_t lo = 0;
+  for (std::size_t l = 0; l < Pipeline::batch_width(); ++l) {
+    const double hm = c[l] * 0x1p-32 + kRoundMagic;
+    const double h = hm - kRoundMagic;
+    const double rm = (c[l] - h * 0x1p32) + kRoundMagic;
+    hi += std::bit_cast<std::int64_t>(hm) - kRoundMagicBits;
+    lo += std::bit_cast<std::int64_t>(rm) - kRoundMagicBits;
+  }
+  return hi * (std::int64_t{1} << 32) + lo;
+}
+
+}  // namespace
+
+void Pipeline::evaluate_native(IState& i_state, const JWord* j,
+                               std::size_t count, NativeStage& stage) const {
+  const bool all_in_bounds = native_counts(
+      stage.x.size() / kBatchWidth, stage.x.data(), stage.y.data(),
+      stage.z.data(), stage.m.data(),
+      static_cast<double>(i_state.x[0].code()),
+      static_cast<double>(i_state.x[1].code()),
+      static_cast<double>(i_state.x[2].code()), codec_.quantum(), eps2_,
+      i_state.acc[0].quantum(), i_state.pot.quantum(), stage.cx.data(),
+      stage.cy.data(), stage.cz.data(), stage.cp.data());
+  // Stage 3: drain block by block. A block inside the bounds adds its
+  // exact int64 sums once per accumulator; any other block replays the
+  // per-interaction path, which clamps and latches pair by pair.
+  const double* const cx = stage.cx.data();
+  const double* const cy = stage.cy.data();
+  const double* const cz = stage.cz.data();
+  const double* const cp = stage.cp.data();
+  for (std::size_t base = 0; base < count; base += kBatchWidth) {
+    const bool fast =
+        accumulator_in_bounds(i_state.acc[0]) &&
+        accumulator_in_bounds(i_state.acc[1]) &&
+        accumulator_in_bounds(i_state.acc[2]) &&
+        accumulator_in_bounds(i_state.pot) &&
+        (all_in_bounds ||
+         (block_in_bounds(cx + base) && block_in_bounds(cy + base) &&
+          block_in_bounds(cz + base) && block_in_bounds(cp + base)));
+    if (fast) [[likely]] {
+      i_state.acc[0].add_count(block_count_sum(cx + base));
+      i_state.acc[1].add_count(block_count_sum(cy + base));
+      i_state.acc[2].add_count(block_count_sum(cz + base));
+      i_state.pot.add_count(block_count_sum(cp + base));
+    } else {
+      interact_batch_native(i_state, j + base,
+                            std::min(kBatchWidth, count - base));
+    }
+  }
+}
+
 void Pipeline::interact_batch_lns(IState& i_state, const JWord* j,
                                   std::size_t count) const {
   const Fixed20 xi0 = i_state.x[0];

@@ -20,7 +20,9 @@
 //   * accumulation: wide fixed point (64-bit) on a per-call force quantum.
 //
 // The Native backend (the one double-precision datapath) replaces only
-// the log-format core with double arithmetic.
+// the log-format core with double arithmetic: every pair's four counts
+// (m rinv^3 d / force quantum, -m rinv / potential quantum) are computed
+// in double and rounded onto the same accumulators, pair by pair.
 //
 // lns_frac_bits = 8 lands the pairwise rms relative force error at ~0.3 %,
 // the figure the paper quotes for GRAPE-5; the calibration is pinned by
@@ -77,10 +79,20 @@ struct RawForce {
 };
 
 // The strong coordinate words are layout-identical to the raw int64
-// codes they replaced, so the on-board particle-memory image (and the
-// SoA staging the batched kernel does) is the same bytes as before.
+// codes they replaced, so the on-board particle-memory image is the same
+// bytes as before.
 static_assert(sizeof(JWord::x) == 3 * sizeof(std::int64_t));
 static_assert(std::is_trivially_copyable_v<JWord>);
+
+/// A lane's staging buffers for the Native path of Pipeline::evaluate:
+/// the j-segment as arrays of doubles (coordinate codes and masses),
+/// padded with zero-mass lanes to a multiple of Pipeline::batch_width(),
+/// and one target's four count streams. The caller owns it, so one const
+/// Pipeline serves every lane; BitExact leaves it untouched.
+struct NativeStage {
+  std::vector<double> x, y, z, m;      ///< staged j-segment
+  std::vector<double> cx, cy, cz, cp;  ///< one target's counts per j
+};
 
 /// The per-call scaling state shared by all pipelines of the system
 /// (coordinate window, softening, accumulator quanta).
@@ -145,28 +157,41 @@ class Pipeline {
   [[nodiscard]] IState encode_i(const Vec3d& pos) const;
 
   /// Stream a j-segment through one pipeline slot (one pipeline cycle
-  /// per j). BitExact runs one interaction at a time in the datapath's
-  /// stage order (table codec conversions and integer log-word ops,
-  /// which a lane split only slowed down); Native evaluates blocks of
-  /// `batch_width()` lanes the compiler can vectorize. Every interaction
-  /// is quantized onto the accumulators on its own, in stream order, so
-  /// the sums do not depend on where segment boundaries fall;
-  /// tests/grape_backend_test.cpp pins the BitExact path bitwise against
-  /// an independent scalar oracle of the datapath.
+  /// per j), one interaction at a time. BitExact runs the datapath's
+  /// stage order (table codec conversions and integer log-word ops);
+  /// Native runs the same pair arithmetic as evaluate() and is its exact
+  /// slow path. Every interaction is quantized onto the accumulators on
+  /// its own, in stream order, so the sums do not depend on where
+  /// segment boundaries fall; tests/grape_backend_test.cpp pins the
+  /// BitExact path bitwise against an independent scalar oracle of the
+  /// datapath.
   void interact_batch(IState& i_state, const JWord* j,
                       std::size_t count) const;
 
-  /// Stream the j-words through one pipeline slot per target:
-  /// encode_i -> interact_batch -> read_raw, overwriting out[i] with the
-  /// integer counts (see RawForce). The one evaluation loop of the device:
+  /// Stream the j-words through one pipeline slot per target, overwriting
+  /// out[i] with the integer counts (see RawForce): encode_i, the
+  /// j-stream, read_raw. The one evaluation entry point of the device:
   /// Grape5System's board shards, the engines' list lanes, the self-test
   /// and the force-error probe all call it. Const and free of shared
-  /// state, so lanes may evaluate on one Pipeline concurrently.
+  /// state, so lanes may evaluate on one Pipeline concurrently, each with
+  /// its own `stage`.
+  ///
+  /// BitExact streams each target through interact_batch. Native stages
+  /// the j-words once into `stage`, computes each target's counts over
+  /// the whole segment in a loop the compiler vectorizes, and drains
+  /// them in blocks of batch_width(): a block whose counts are all
+  /// within 2^59 and whose accumulators sit at least batch_width() * 2^59
+  /// below the rail adds its exactly rounded int64 sum once; any other
+  /// block (non-finite counts, the eps == 0 divergent corner, a near
+  /// rail) replays interact_batch. The counts and the saturation latch
+  /// equal those of interact_batch over the whole stream bitwise
+  /// (tests/grape_backend_test.cpp).
   void evaluate(std::span<const JWord> j, std::span<const Vec3d> targets,
-                std::span<RawForce> out) const;
+                std::span<RawForce> out, NativeStage& stage) const;
 
-  /// Lane count of the Native kernel's inner loops (a SIMD-register
-  /// width worth of independent interactions, not a hardware parameter).
+  /// Block length of the Native drain and the padding of its staged
+  /// j-segment (a SIMD-register width worth of independent interactions,
+  /// not a hardware parameter).
   [[nodiscard]] static constexpr std::size_t batch_width() noexcept {
     return kBatchWidth;
   }
@@ -207,6 +232,8 @@ class Pipeline {
                           std::size_t count) const;
   void interact_batch_native(IState& i_state, const JWord* j,
                              std::size_t count) const;
+  void evaluate_native(IState& i_state, const JWord* j, std::size_t count,
+                       NativeStage& stage) const;
 };
 
 }  // namespace g5::grape

@@ -51,7 +51,8 @@ SelfTestReport run_selftest(const Grape5System& system,
   // The boards' datapaths are identical, so one evaluation serves them
   // all; each board's chip fault then acts on its own copy.
   std::vector<RawForce> healthy(config.n_targets);
-  pipe.evaluate(jwords, i_pos, healthy);
+  NativeStage stage;
+  pipe.evaluate(jwords, i_pos, healthy, stage);
   std::vector<Vec3d> ref_acc(config.n_targets);
   std::vector<double> ref_pot(config.n_targets);
   host_forces_on_targets(i_pos, j_pos, j_mass, eps, ref_acc, ref_pot);

@@ -117,7 +117,7 @@ std::size_t Grape5System::compute_raw(std::span<const Vec3d> i_pos,
       G5_OBS_SPAN(board_span_name(b), "grape");
       pipe_.evaluate({jmem_.data() + first,
                       std::min(share, resident_j_ - first)},
-                     i_pos, partial);
+                     i_pos, partial, stage_);
       apply_chip_fault(b, partial);
     }
     for (std::size_t i = 0; i < ni; ++i) {

@@ -138,7 +138,7 @@ ProbeResult ForceErrorProbe::measure(const model::ParticleSet& pset) {
       jwords_[j] = pipeline.encode_j(list_.pos[j], list_.mass[j]);
     }
     grape::RawForce raw;
-    pipeline.evaluate(jwords_, {&xi, 1}, {&raw, 1});
+    pipeline.evaluate(jwords_, {&xi, 1}, {&raw, 1}, stage_);
     math::Vec3d acc_codec{};
     double pot_codec = 0.0;
     pipeline.convert_raw(raw, acc_codec, pot_codec);

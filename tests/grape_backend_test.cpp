@@ -12,12 +12,21 @@
 //    out — the batched board path cannot move the probe's numbers.
 //  * Zero-distance semantics: the i == j cut and the divergent
 //    r^2 == 0 corner behave identically on both backends.
+//  * Native evaluate vs a scalar reference: Pipeline::evaluate's staged,
+//    block-drained Native path must equal one pair at a time through
+//    FixedAccumulator::add, bitwise, saturation latch included — for
+//    every stream length, coincident entries, the divergent corner,
+//    counts above the drain's 2^59 block bound and accumulators near the
+//    rail.
 #include <gtest/gtest.h>
 
 #include <algorithm>
 #include <bit>
 #include <cmath>
 #include <cstdint>
+#include <limits>
+#include <span>
+#include <string>
 #include <vector>
 
 #include "core/engines.hpp"
@@ -38,6 +47,7 @@ using grape::JWord;
 using grape::Pipeline;
 using grape::PipelineNumerics;
 using grape::PipelineScaling;
+using grape::RawForce;
 using grape::Vec3d;
 
 PipelineScaling test_scaling(double eps = 0.01) {
@@ -209,6 +219,240 @@ TEST(Backend, ZeroDistanceSemanticsIdenticalAcrossPaths) {
     EXPECT_TRUE(pipe.saturated(st)) << "variant " << variant;
     EXPECT_GT(pipe.read_force(st).x, 0.0) << "variant " << variant;
     EXPECT_LT(pipe.read_potential(st), 0.0) << "variant " << variant;
+  }
+}
+
+/// Independent scalar reference of the Native datapath: one pair at a
+/// time, in stream order, each term through FixedAccumulator::add. The
+/// i == j cut drops coincident codes; a non-coincident pair whose r^2
+/// underflows to zero saturates (infinite potential, force along the
+/// components that survive).
+RawForce native_reference(const Pipeline& pipe, std::span<const JWord> js,
+                          const Vec3d& target) {
+  IState st = pipe.encode_i(target);
+  const double q = pipe.position_quantum();
+  const double eps = pipe.scaling().eps;
+  const double inf = std::numeric_limits<double>::infinity();
+  for (const JWord& j : js) {
+    double d[3];
+    bool coincident = true;
+    for (std::size_t c = 0; c < 3; ++c) {
+      const std::int64_t code = j.x[c].code() - st.x[c].code();
+      coincident = coincident && code == 0;
+      d[c] = static_cast<double>(code) * q;
+    }
+    if (coincident) continue;
+    const double r2 = d[0] * d[0] + d[1] * d[1] + d[2] * d[2] + eps * eps;
+    const double m = j.mass_exact;
+    if (r2 == 0.0) {
+      const double sign = m < 0.0 ? -1.0 : 1.0;
+      for (std::size_t c = 0; c < 3; ++c) {
+        st.acc[c].add(d[c] != 0.0 ? sign * std::copysign(inf, d[c]) : 0.0);
+      }
+      st.pot.add(-(sign * inf));
+      continue;
+    }
+    const double rinv = 1.0 / std::sqrt(r2);
+    const double mg = m * (rinv * rinv * rinv);
+    for (std::size_t c = 0; c < 3; ++c) st.acc[c].add(mg * d[c]);
+    st.pot.add(-(m * rinv));
+  }
+  return pipe.read_raw(st);
+}
+
+/// Pipeline::evaluate on every target against native_reference, bitwise.
+void expect_native_matches_reference(const Pipeline& pipe,
+                                     std::span<const JWord> js,
+                                     std::span<const Vec3d> targets,
+                                     grape::NativeStage& stage,
+                                     const std::string& what) {
+  std::vector<RawForce> out(targets.size());
+  pipe.evaluate(js, targets, out, stage);
+  for (std::size_t i = 0; i < targets.size(); ++i) {
+    const RawForce ref = native_reference(pipe, js, targets[i]);
+    for (std::size_t c = 0; c < 3; ++c) {
+      EXPECT_EQ(out[i].acc[c], ref.acc[c])
+          << what << ", target " << i << ", component " << c;
+    }
+    EXPECT_EQ(out[i].pot, ref.pot) << what << ", target " << i;
+    EXPECT_EQ(out[i].saturated, ref.saturated) << what << ", target " << i;
+  }
+}
+
+Pipeline native_pipeline(const PipelineScaling& s) {
+  PipelineNumerics num;
+  num.backend = BackendKind::Native;
+  Pipeline pipe{num};
+  pipe.configure(s);
+  return pipe;
+}
+
+TEST(Backend, NativeEvaluateBitwiseMatchesScalarReference) {
+  const Pipeline pipe = native_pipeline(test_scaling());
+  const std::size_t w = Pipeline::batch_width();
+  const Vec3d xi{0.3, -0.2, 0.1};
+  // Targets: xi (coincident with j 0), one on a j-word deep in the
+  // stream and one on a j-word of the first blocks, and a free point.
+  const std::vector<Vec3d> targets = {xi, Vec3d{-1.0, 0.5, 2.0},
+                                      Vec3d{0.0, 0.0, 0.0},
+                                      Vec3d{3.0, -3.0, 1.0}};
+  auto all = make_jset(pipe, xi, 1400, 303);
+  all[700] = pipe.encode_j(targets[1], 0.9);
+  all[w + 1] = pipe.encode_j(targets[2], 0.3);
+  // One stage reused across every length, longest first, so a shorter
+  // stream also runs over the stale tail of a longer one.
+  grape::NativeStage stage;
+  expect_native_matches_reference(pipe, all, targets, stage, "length 1400");
+  for (std::size_t n = 1; n <= 2 * w + 3; ++n) {
+    expect_native_matches_reference(pipe, {all.data(), n}, targets, stage,
+                                    "length " + std::to_string(n));
+  }
+}
+
+TEST(Backend, NativeEvaluateCutsCoincidentEntries) {
+  const Pipeline pipe = native_pipeline(test_scaling());
+  const Vec3d xi{1.0, 2.0, -0.5};
+  auto js = make_jset(pipe, xi, 40, 404);
+  // Coincident copies of the first target in several lanes and blocks,
+  // including a whole block of them; the second target meets none.
+  for (const std::size_t k : {3, 8, 9, 17, 31}) js[k] = pipe.encode_j(xi, 1.1);
+  for (std::size_t k = 16; k < 24; ++k) js[k] = pipe.encode_j(xi, 0.4);
+  const std::vector<Vec3d> targets = {xi, Vec3d{-2.0, 0.25, 1.5}};
+  grape::NativeStage stage;
+  expect_native_matches_reference(pipe, js, targets, stage, "coincident");
+  // With eps == 0 the cut lanes have r^2 == 0 and must stay cut.
+  const Pipeline unsoftened = native_pipeline(test_scaling(0.0));
+  auto js0 = make_jset(unsoftened, xi, 40, 404);
+  for (std::size_t k = 16; k < 24; ++k) js0[k] = unsoftened.encode_j(xi, 0.4);
+  expect_native_matches_reference(unsoftened, js0, targets, stage,
+                                  "coincident, eps 0");
+}
+
+TEST(Backend, NativeEvaluateDivergentCornerSaturatesLikeReference) {
+  PipelineScaling s;
+  s.range_lo = -5e-155;
+  s.range_hi = 5e-155;
+  s.eps = 0.0;
+  s.force_quantum = 1e-18;
+  // In this window every non-coincident pair's rinv^3 overflows, so all
+  // force counts are infinite; the potential quantum is chosen so that
+  // only the divergent pair's potential count is.
+  s.potential_quantum = 1e150;
+  const Pipeline pipe = native_pipeline(s);
+  const double q = pipe.position_quantum();
+  ASSERT_LT(q, 1e-160);
+  const std::size_t w = Pipeline::batch_width();
+  // Two blocks of coincident entries, the second with one divergent
+  // entry (3 codes along +x: (3q)^2 == 0.0) in its middle, then entries
+  // on the +x side with finite potential counts (~2.5e4 each). The
+  // divergent entry's own counts are all that can send its block down
+  // the slow path.
+  std::vector<JWord> js(2 * w, pipe.encode_j(Vec3d{0.0, 0.0, 0.0}, 1.0));
+  js[w + 3] = pipe.encode_j(Vec3d{3.0 * q, 0.0, 0.0}, 1.0);
+  for (std::size_t k = 0; k < 3; ++k) {
+    js.push_back(pipe.encode_j(
+        Vec3d{4e-155, (k % 2 == 0 ? 1.0 : -1.0) * 1e-155, 0.0}, 1.0));
+  }
+  const std::vector<Vec3d> targets = {Vec3d{0.0, 0.0, 0.0}};
+  grape::NativeStage stage;
+  std::vector<RawForce> out(1);
+  pipe.evaluate(js, targets, out, stage);
+  EXPECT_TRUE(out[0].saturated);
+  EXPECT_EQ(out[0].acc[0], math::kAccumulatorRail);
+  // The divergent pair, not a coincident one: its infinite potential
+  // pins the well at the rail.
+  EXPECT_EQ(out[0].pot, -math::kAccumulatorRail);
+  expect_native_matches_reference(pipe, js, targets, stage, "divergent");
+  // Without it the potential is finite: the corner alone sets the rail.
+  js[w + 3] = js[w + 2];
+  pipe.evaluate(js, targets, out, stage);
+  EXPECT_GT(out[0].pot, -math::kAccumulatorRail);
+  expect_native_matches_reference(pipe, js, targets, stage,
+                                  "divergent entry replaced");
+}
+
+TEST(Backend, NativeEvaluateCountsAboveBlockBound) {
+  // A force quantum of 1e-18: a unit-mass j at distance 1 contributes
+  // ~1e18 counts, above the block drain's 2^59 bound but below the
+  // rail. Its block takes the per-interaction path; the rest drain fast.
+  PipelineScaling s = test_scaling();
+  s.force_quantum = 1e-18;
+  s.potential_quantum = 1e-18;
+  const Pipeline pipe = native_pipeline(s);
+  const Vec3d xi{0.0, 0.0, 0.0};
+  std::vector<JWord> js;
+  math::Rng rng(505);
+  for (std::size_t k = 0; k < 29; ++k) {
+    js.push_back(pipe.encode_j(4.0 * rng.on_unit_sphere(), 1e-9));
+  }
+  js[11] = pipe.encode_j(Vec3d{1.0, 0.0, 0.0}, 1.0);
+  const RawForce one = native_reference(pipe, {&js[11], 1}, xi);
+  ASSERT_GT(one.acc[0], std::int64_t{1} << 59);
+  ASSERT_FALSE(one.saturated);
+  // Counts between 2^51 and 2^59 in blocks that drain fast: only the
+  // split rounding, 2^32 h + rint(c - 2^32 h), gets these exact.
+  js[3] = pipe.encode_j(Vec3d{0.0, 0.0, -1.0}, 0.0513);
+  js[20] = pipe.encode_j(Vec3d{0.0, 1.0, 0.0}, 0.1077);
+  for (const std::size_t k : {std::size_t{3}, std::size_t{20}}) {
+    const RawForce mid = native_reference(pipe, {&js[k], 1}, xi);
+    const std::int64_t c = std::max(std::abs(mid.acc[1]), std::abs(mid.acc[2]));
+    ASSERT_GT(c, std::int64_t{1} << 51) << k;
+    ASSERT_LT(c, std::int64_t{1} << 59) << k;
+  }
+  grape::NativeStage stage;
+  const std::vector<Vec3d> targets = {xi};
+  expect_native_matches_reference(pipe, js, targets, stage,
+                                  "counts above 2^59");
+  std::vector<RawForce> out(1);
+  pipe.evaluate(js, targets, out, stage);
+  EXPECT_FALSE(out[0].saturated);
+}
+
+TEST(Backend, NativeEvaluateNearRailMatchesReference) {
+  // A heavy near j-word in the first block puts the x accumulator within
+  // batch_width() * 2^59 of the rail; every later block must take the
+  // per-interaction path. With the heavy tail — each block's first half
+  // of sources at +x (r ~ 2), its second half at -x (r ~ 2.5) — the
+  // accumulator crosses the rail in the first half of a block, latches,
+  // and steps back below it in the second, so a block sum clamped only
+  // at its end would differ; with a light tail it stays below.
+  PipelineScaling s = test_scaling();
+  s.force_quantum = 1e-18;
+  s.potential_quantum = 1e-9;
+  const Pipeline pipe = native_pipeline(s);
+  const Vec3d xi{0.0, 0.0, 0.0};
+  const double near_rail =
+      static_cast<double>(math::kAccumulatorRail) -
+      0.5 * static_cast<double>(Pipeline::batch_width()) * 0x1p59;
+  // |a| = m / r^2 at r = 1, so the count is m / quantum.
+  const double heavy = near_rail * s.force_quantum;
+  for (const double tail_mass : {1.0, 1e-7}) {
+    std::vector<JWord> js;
+    js.push_back(pipe.encode_j(Vec3d{1.0, 0.0, 0.0}, heavy));
+    const std::size_t w = Pipeline::batch_width();
+    for (std::size_t k = 1; k < 12 * w; ++k) {
+      const double offset = 1e-3 * static_cast<double>(k);
+      const double x = k % w < w / 2 ? 2.0 + offset : -2.5 - offset;
+      js.push_back(pipe.encode_j(Vec3d{x, 0.3, -0.2}, tail_mass));
+    }
+    const RawForce first = native_reference(pipe, {js.data(), 1}, xi);
+    ASSERT_GT(first.acc[0],
+              math::kAccumulatorRail -
+                  static_cast<std::int64_t>(Pipeline::batch_width()) *
+                      (std::int64_t{1} << 59));
+    grape::NativeStage stage;
+    const std::vector<Vec3d> targets = {xi};
+    // Every prefix: once the rail is hit, clamping forgets the history,
+    // so a wrong fast block could be hidden by the end of the stream.
+    for (std::size_t n = 1; n <= js.size(); ++n) {
+      expect_native_matches_reference(
+          pipe, {js.data(), n}, targets, stage,
+          "tail mass " + std::to_string(tail_mass) + ", length " +
+              std::to_string(n));
+    }
+    std::vector<RawForce> out(1);
+    pipe.evaluate(js, targets, out, stage);
+    EXPECT_EQ(out[0].saturated, tail_mass > 0.5) << tail_mass;
   }
 }
 

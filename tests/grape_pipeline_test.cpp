@@ -10,6 +10,7 @@
 namespace {
 
 using namespace g5;
+using grape::BackendKind;
 using grape::IState;
 using grape::JWord;
 using grape::Pipeline;
@@ -195,6 +196,23 @@ TEST(Pipeline, ConfigureValidation) {
   s = test_scaling();
   s.force_quantum = 0.0;
   EXPECT_THROW(pipe.configure(s), std::invalid_argument);
+}
+
+TEST(Pipeline, PositionBitsBoundedByDoubleSignificand) {
+  // The Native path stages coordinate codes as doubles; their
+  // differences are exact only up to 53-bit codes.
+  for (const BackendKind backend : {BackendKind::BitExact, BackendKind::Native}) {
+    PipelineNumerics num;
+    num.backend = backend;
+    num.position_bits = 54;
+    EXPECT_THROW(Pipeline{num}, std::invalid_argument);
+    num.position_bits = 62;
+    EXPECT_THROW(Pipeline{num}, std::invalid_argument);
+    num.position_bits = 53;
+    EXPECT_NO_THROW(Pipeline{num});
+  }
+  EXPECT_NO_THROW(Pipeline{PipelineNumerics::grape3()});  // 20 bits
+  EXPECT_EQ(PipelineNumerics{}.position_bits, 32);        // the paper's
 }
 
 TEST(Pipeline, MassQuantizedInLogFormat) {
