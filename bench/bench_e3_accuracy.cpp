@@ -53,6 +53,7 @@ double pairwise_rms_error(const grape::PipelineNumerics& numerics,
 
   math::Rng rng(seed);
   util::RunningStat err;
+  grape::NativeStage stage;
   for (std::size_t k = 0; k < pairs; ++k) {
     const Vec3d xi = 4.0 * rng.in_unit_ball();
     // Log-uniform separations over 4 decades: exercises the dynamic range
@@ -62,10 +63,12 @@ double pairwise_rms_error(const grape::PipelineNumerics& numerics,
     const Vec3d xj = xi + r * rng.on_unit_sphere();
     const double mj = std::pow(10.0, rng.uniform(-2.0, 0.0));
 
-    auto state = pipe.encode_i(xi);
     const grape::JWord j = pipe.encode_j(xj, mj);
-    pipe.interact_batch(state, &j, 1);
-    const Vec3d got = pipe.read_force(state);
+    grape::RawForce raw;
+    pipe.evaluate({&j, 1}, {&xi, 1}, {&raw, 1}, stage);
+    Vec3d got;
+    double pot = 0.0;
+    pipe.convert_raw(raw, got, pot);
 
     Vec3d ref;
     double pot_ref;

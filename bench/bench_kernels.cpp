@@ -99,48 +99,7 @@ void BM_HostKernel(benchmark::State& state) {
 }
 BENCHMARK(BM_HostKernel)->Arg(4096)->Arg(16384);
 
-void BM_PipelineEmulation(benchmark::State& state) {
-  grape::PipelineNumerics num;
-  if (state.range(0) != 0) num.backend = grape::BackendKind::Native;
-  grape::Pipeline pipe(num);
-  math::Rng rng(3);
-  std::vector<Vec3d> pos(1024);
-  std::vector<double> mass(1024);
-  for (std::size_t k = 0; k < pos.size(); ++k) {
-    pos[k] = rng.in_unit_ball();
-    mass[k] = rng.uniform(0.5, 1.0);
-  }
-  // The quanta the engines would install for this window and mass set,
-  // so the accumulators run in range instead of on the saturation rail.
-  grape::PipelineScaling scaling;
-  scaling.range_lo = -2.0;
-  scaling.range_hi = 2.0;
-  scaling.eps = 0.01;
-  grape::derive_scaling_quanta(scaling,
-                               *std::min_element(mass.begin(), mass.end()));
-  pipe.configure(scaling);
-  std::vector<grape::JWord> js;
-  for (std::size_t k = 0; k < pos.size(); ++k) {
-    js.push_back(pipe.encode_j(pos[k], mass[k]));
-  }
-  const grape::IState fresh = pipe.encode_i(Vec3d{0.1, 0.2, 0.3});
-  for (auto _ : state) {
-    grape::IState istate = fresh;
-    pipe.interact_batch(istate, js.data(), js.size());
-    benchmark::DoNotOptimize(istate);
-    if (pipe.saturated(istate)) {
-      state.SkipWithError("accumulators saturated: the bench would time "
-                          "the rail branch");
-      break;
-    }
-  }
-  state.SetItemsProcessed(state.iterations() * 1024);
-  state.SetLabel(num.backend == grape::BackendKind::Native ? "native"
-                                                          : "lns-datapath");
-}
-BENCHMARK(BM_PipelineEmulation)->Arg(0)->Arg(1);
-
-/// Pipeline::evaluate — the device's one entry point, which the engines'
+/// Pipeline::evaluate — the device's only entry point, which the engines'
 /// list lanes call — on a call shaped like a native-65k group: 1,400
 /// j-words of a Plummer N = 65,536 snapshot streamed past 64 of them as
 /// targets (each meets itself: the coincidence cut runs), on the window

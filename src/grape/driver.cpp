@@ -1,6 +1,7 @@
 #include "grape/driver.hpp"
 
 #include <algorithm>
+#include <cmath>
 #include <stdexcept>
 #include <string>
 
@@ -26,7 +27,9 @@ void Grape5Device::set_range(double xmin, double xmax, double min_mass) {
 }
 
 void Grape5Device::set_eps(double eps) {
-  if (eps < 0.0) throw std::invalid_argument("softening must be >= 0");
+  if (!std::isfinite(eps) || eps < 0.0) {
+    throw std::invalid_argument("softening must be finite and >= 0");
+  }
   eps_ = eps;
   if (range_set_) push_scaling();
 }

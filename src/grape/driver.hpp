@@ -67,7 +67,6 @@ class Grape5Device {
   [[nodiscard]] std::size_t pipelines() const {
     return system_->config().total_pipelines();
   }
-  [[nodiscard]] double eps() const noexcept { return eps_; }
 
  private:
   std::unique_ptr<Grape5System> system_;

@@ -54,6 +54,35 @@ int checked_position_bits(int bits) {
   return bits;
 }
 
+/// A target resident in a pipeline slot: its quantized coordinates and
+/// the fixed-point force/potential accumulators on the scaling's quanta.
+/// Both backends accumulate in these registers, so per-interaction
+/// contributions commute exactly and multi-board partial sums merge
+/// bitwise.
+struct IState {
+  IState(const math::FixedPointCodec& codec, const PipelineScaling& s,
+         const Vec3d& pos)
+      : x{codec.encode(pos[0]), codec.encode(pos[1]), codec.encode(pos[2])},
+        acc{FixedAccumulator(s.force_quantum),
+            FixedAccumulator(s.force_quantum),
+            FixedAccumulator(s.force_quantum)},
+        pot(s.potential_quantum) {}
+
+  Fixed20 x[3];
+  FixedAccumulator acc[3];
+  FixedAccumulator pot;
+
+  /// The readout: the integer registers and the saturation latch.
+  [[nodiscard]] RawForce raw() const noexcept {
+    RawForce r;
+    for (std::size_t c = 0; c < 3; ++c) r.acc[c] = acc[c].raw();
+    r.pot = pot.raw();
+    r.saturated = acc[0].saturated() || acc[1].saturated() ||
+                  acc[2].saturated() || pot.saturated();
+    return r;
+  }
+};
+
 }  // namespace
 
 Pipeline::Pipeline(const PipelineNumerics& numerics)
@@ -93,22 +122,13 @@ double Pipeline::potential_accumulator_quantum() const noexcept {
   return scaling_.potential_quantum;
 }
 
-IState Pipeline::encode_i(const Vec3d& pos) const {
-  IState s;
-  for (std::size_t c = 0; c < 3; ++c) s.x[c] = codec_.encode(pos[c]);
-  for (auto& a : s.acc) a = FixedAccumulator(force_accumulator_quantum());
-  s.pot = FixedAccumulator(potential_accumulator_quantum());
-  return s;
-}
-
-void Pipeline::interact_batch(IState& i_state, const JWord* j,
-                              std::size_t count) const {
-  if (count == 0) return;
-  if (numerics_.backend == BackendKind::Native) {
-    interact_batch_native(i_state, j, count);
-    return;
-  }
-  interact_batch_lns(i_state, j, count);
+void Pipeline::convert_raw(const RawForce& raw, Vec3d& acc,
+                           double& pot) const noexcept {
+  const double fq = force_accumulator_quantum();
+  acc = Vec3d{static_cast<double>(raw.acc[0]) * fq,
+              static_cast<double>(raw.acc[1]) * fq,
+              static_cast<double>(raw.acc[2]) * fq};
+  pot = static_cast<double>(raw.pot) * potential_accumulator_quantum();
 }
 
 void Pipeline::evaluate(std::span<const JWord> j,
@@ -117,38 +137,35 @@ void Pipeline::evaluate(std::span<const JWord> j,
   if (out.size() != targets.size()) {
     throw std::invalid_argument("raw output span arity mismatch");
   }
-  const bool native = numerics_.backend == BackendKind::Native;
-  if (native) {
-    // Stage 1, once per call: the codes as doubles (exact, see
-    // checked_position_bits), padded with zero-mass lanes whose counts
-    // are zero, so the pair loop's trip count is a multiple of the block.
-    const std::size_t padded =
-        (j.size() + kBatchWidth - 1) / kBatchWidth * kBatchWidth;
-    for (auto* v : {&stage.x, &stage.y, &stage.z, &stage.m, &stage.cx,
-                    &stage.cy, &stage.cz, &stage.cp}) {
-      v->assign(padded, 0.0);
+  if (numerics_.backend != BackendKind::Native) {
+    for (std::size_t i = 0; i < targets.size(); ++i) {
+      out[i] = evaluate_lns(targets[i], j);
     }
-    for (std::size_t k = 0; k < j.size(); ++k) {
-      stage.x[k] = static_cast<double>(j[k].x[0].code());
-      stage.y[k] = static_cast<double>(j[k].x[1].code());
-      stage.z[k] = static_cast<double>(j[k].x[2].code());
-      stage.m[k] = j[k].mass_exact;
-    }
+    return;
+  }
+  // Stage 1, once per call: the codes as doubles (exact, see
+  // checked_position_bits), padded with zero-mass lanes whose counts are
+  // zero, so the pair loop's trip count is a multiple of the block.
+  const std::size_t padded =
+      (j.size() + kBatchWidth - 1) / kBatchWidth * kBatchWidth;
+  for (auto* v : {&stage.x, &stage.y, &stage.z, &stage.m, &stage.cx,
+                  &stage.cy, &stage.cz, &stage.cp}) {
+    v->assign(padded, 0.0);
+  }
+  for (std::size_t k = 0; k < j.size(); ++k) {
+    stage.x[k] = static_cast<double>(j[k].x[0].code());
+    stage.y[k] = static_cast<double>(j[k].x[1].code());
+    stage.z[k] = static_cast<double>(j[k].x[2].code());
+    stage.m[k] = j[k].mass_exact;
   }
   for (std::size_t i = 0; i < targets.size(); ++i) {
-    IState state = encode_i(targets[i]);
-    if (native) {
-      evaluate_native(state, j.data(), j.size(), stage);
-    } else {
-      interact_batch_lns(state, j.data(), j.size());
-    }
-    out[i] = read_raw(state);
+    out[i] = evaluate_native(targets[i], j.size(), stage);
   }
 }
 
 // g5lint: hot-begin(pipeline-batch) — the per-interaction kernels; no
-// allocation, no unreserved growth (lane buffers are stack arrays or the
-// caller's NativeStage).
+// allocation, no unreserved growth (the lane buffers are the caller's
+// NativeStage).
 namespace {
 
 /// Fast-path bounds of one drained block: every count within 2^59 and
@@ -176,17 +193,18 @@ std::int64_t count_margin(double c) {
          (std::bit_cast<std::int64_t>(c) & kMagnitudeBits);
 }
 
-/// Stage 2, the Native pair arithmetic over a staged segment of `blocks`
-/// blocks: for every j, the four counts of one target at code
-/// (xi, yi, zi), by the operations of interact_batch_native in their
-/// order. A free function over restrict pointers, with selects only
-/// between constants and a trip count that is a multiple of the block,
-/// so it vectorizes at -O2. The coincidence cut tests the exact
-/// integer-valued code differences; a cut lane gets weight 0 and
-/// r^2 + 1 (a finite rinv), a live lane weight 1 and r^2 + 0, both
-/// exact. The eps == 0 divergent corner is not cut: its inf/NaN counts
-/// send its block down the slow path. Returns whether every count is
-/// within kBlockCountBound.
+/// Stage 2, the Native pair arithmetic — its one definition — over a
+/// staged segment of `blocks` blocks: for every j, the four counts of one
+/// target at code (xi, yi, zi), m rinv^3 d / force quantum and
+/// -m rinv / potential quantum. A free function over restrict pointers,
+/// with selects only between constants and a trip count that is a
+/// multiple of the block, so it vectorizes at -O2. The coincidence cut
+/// tests the exact integer-valued code differences; a cut lane gets
+/// weight 0 and r^2 + 1 (a finite rinv), a live lane weight 1 and
+/// r^2 + 0, both exact. The eps == 0 divergent corner is not cut: its
+/// counts are not finite, which sends its block down the slow drain,
+/// where patch_divergent_corner fixes them. Returns whether every count
+/// is within kBlockCountBound.
 bool native_counts(std::size_t blocks, const double* __restrict x,
                    const double* __restrict y, const double* __restrict z,
                    const double* __restrict m, double xi, double yi,
@@ -216,6 +234,34 @@ bool native_counts(std::size_t blocks, const double* __restrict x,
               count_margin(cz[k]) | count_margin(cp[k]);
   }
   return margin >= 0;
+}
+
+/// The eps == 0 divergent corner: a non-coincident pair whose r^2
+/// underflows to zero, where native_counts' rinv is infinite (so the
+/// potential count of entry k is not finite). The bit-exact datapath
+/// saturates there — an infinite potential well, force along the
+/// components that survived in double — so the counts become +-inf per
+/// nonzero component, 0 per zero component and -inf for the potential,
+/// each with the sign of m (m < 0 gives -1); native_counts leaves NaN
+/// where a component or m is zero. Leaves any other entry's counts as
+/// they are.
+void patch_divergent_corner(const NativeStage& stage, std::size_t k,
+                            double xi, double yi, double zi, double quantum,
+                            double eps2, double (&c)[4]) {
+  const double ex = stage.x[k] - xi;
+  const double ey = stage.y[k] - yi;
+  const double ez = stage.z[k] - zi;
+  if (ex * ex + ey * ey + ez * ez == 0.0) return;
+  const double dx = ex * quantum;
+  const double dy = ey * quantum;
+  const double dz = ez * quantum;
+  if (dx * dx + dy * dy + dz * dz + eps2 != 0.0) return;
+  const double inf = std::numeric_limits<double>::infinity();
+  const double ms = stage.m[k] < 0.0 ? -1.0 : 1.0;
+  c[0] = dx != 0.0 ? ms * std::copysign(inf, dx) : 0.0;
+  c[1] = dy != 0.0 ? ms * std::copysign(inf, dy) : 0.0;
+  c[2] = dz != 0.0 ? ms * std::copysign(inf, dz) : 0.0;
+  c[3] = -(ms * inf);
 }
 
 bool block_in_bounds(const double* c) {
@@ -249,51 +295,63 @@ std::int64_t block_count_sum(const double* c) {
 
 }  // namespace
 
-void Pipeline::evaluate_native(IState& i_state, const JWord* j,
-                               std::size_t count, NativeStage& stage) const {
+RawForce Pipeline::evaluate_native(const Vec3d& target, std::size_t count,
+                                   NativeStage& stage) const {
+  IState s(codec_, scaling_, target);
+  const double xi = static_cast<double>(s.x[0].code());
+  const double yi = static_cast<double>(s.x[1].code());
+  const double zi = static_cast<double>(s.x[2].code());
   const bool all_in_bounds = native_counts(
       stage.x.size() / kBatchWidth, stage.x.data(), stage.y.data(),
-      stage.z.data(), stage.m.data(),
-      static_cast<double>(i_state.x[0].code()),
-      static_cast<double>(i_state.x[1].code()),
-      static_cast<double>(i_state.x[2].code()), codec_.quantum(), eps2_,
-      i_state.acc[0].quantum(), i_state.pot.quantum(), stage.cx.data(),
+      stage.z.data(), stage.m.data(), xi, yi, zi, codec_.quantum(), eps2_,
+      scaling_.force_quantum, scaling_.potential_quantum, stage.cx.data(),
       stage.cy.data(), stage.cz.data(), stage.cp.data());
   // Stage 3: drain block by block. A block inside the bounds adds its
-  // exact int64 sums once per accumulator; any other block replays the
-  // per-interaction path, which clamps and latches pair by pair.
+  // exact int64 sums once per accumulator; any other block adds its
+  // counts one at a time, each rounded, clamped and latched on its own,
+  // in stream order — so the sums equal a pair-by-pair stream and do not
+  // depend on where block or board-shard boundaries fall.
   const double* const cx = stage.cx.data();
   const double* const cy = stage.cy.data();
   const double* const cz = stage.cz.data();
   const double* const cp = stage.cp.data();
   for (std::size_t base = 0; base < count; base += kBatchWidth) {
     const bool fast =
-        accumulator_in_bounds(i_state.acc[0]) &&
-        accumulator_in_bounds(i_state.acc[1]) &&
-        accumulator_in_bounds(i_state.acc[2]) &&
-        accumulator_in_bounds(i_state.pot) &&
+        accumulator_in_bounds(s.acc[0]) && accumulator_in_bounds(s.acc[1]) &&
+        accumulator_in_bounds(s.acc[2]) && accumulator_in_bounds(s.pot) &&
         (all_in_bounds ||
          (block_in_bounds(cx + base) && block_in_bounds(cy + base) &&
           block_in_bounds(cz + base) && block_in_bounds(cp + base)));
     if (fast) [[likely]] {
-      i_state.acc[0].add_count(block_count_sum(cx + base));
-      i_state.acc[1].add_count(block_count_sum(cy + base));
-      i_state.acc[2].add_count(block_count_sum(cz + base));
-      i_state.pot.add_count(block_count_sum(cp + base));
-    } else {
-      interact_batch_native(i_state, j + base,
-                            std::min(kBatchWidth, count - base));
+      s.acc[0].add_count(block_count_sum(cx + base));
+      s.acc[1].add_count(block_count_sum(cy + base));
+      s.acc[2].add_count(block_count_sum(cz + base));
+      s.pot.add_count(block_count_sum(cp + base));
+      continue;
+    }
+    const std::size_t end = std::min(base + kBatchWidth, count);
+    for (std::size_t k = base; k < end; ++k) {
+      double c[4] = {cx[k], cy[k], cz[k], cp[k]};
+      if (!std::isfinite(c[3])) [[unlikely]] {
+        patch_divergent_corner(stage, k, xi, yi, zi, codec_.quantum(), eps2_,
+                               c);
+      }
+      s.acc[0].add_rounded(c[0]);
+      s.acc[1].add_rounded(c[1]);
+      s.acc[2].add_rounded(c[2]);
+      s.pot.add_rounded(c[3]);
     }
   }
+  return s.raw();
 }
 
-void Pipeline::interact_batch_lns(IState& i_state, const JWord* j,
-                                  std::size_t count) const {
-  const Fixed20 xi0 = i_state.x[0];
-  const Fixed20 xi1 = i_state.x[1];
-  const Fixed20 xi2 = i_state.x[2];
-  for (std::size_t k = 0; k < count; ++k) {
-    const JWord& jw = j[k];
+RawForce Pipeline::evaluate_lns(const Vec3d& target,
+                                std::span<const JWord> j) const {
+  IState s(codec_, scaling_, target);
+  const Fixed20 xi0 = s.x[0];
+  const Fixed20 xi1 = s.x[1];
+  const Fixed20 xi2 = s.x[2];
+  for (const JWord& jw : j) {
     // Exact fixed-point differences and the i == j cut (the hardware's
     // coincidence detection keeps the softened self-potential -m/eps out
     // of the accumulators).
@@ -319,115 +377,13 @@ void Pipeline::interact_batch_lns(IState& i_state, const JWord* j,
     // into the fixed-point accumulators in stream order.
     const LnsValue mg = lns_.mul(jw.mass, lns_.pow_neg_3_2(r2w));
     const LnsValue mh = lns_.mul(jw.mass, lns_.pow_neg_1_2(r2w));
-    i_state.acc[0].add(lns_.to_double(lns_.mul(mg, dx)));
-    i_state.acc[1].add(lns_.to_double(lns_.mul(mg, dy)));
-    i_state.acc[2].add(lns_.to_double(lns_.mul(mg, dz)));
-    i_state.pot.add(-lns_.to_double(mh));
+    s.acc[0].add(lns_.to_double(lns_.mul(mg, dx)));
+    s.acc[1].add(lns_.to_double(lns_.mul(mg, dy)));
+    s.acc[2].add(lns_.to_double(lns_.mul(mg, dz)));
+    s.pot.add(-lns_.to_double(mh));
   }
-}
-
-void Pipeline::interact_batch_native(IState& i_state, const JWord* j,
-                                     std::size_t count) const {
-  constexpr std::size_t W = kBatchWidth;
-  const Fixed20 xi0 = i_state.x[0];
-  const Fixed20 xi1 = i_state.x[1];
-  const Fixed20 xi2 = i_state.x[2];
-  for (std::size_t base = 0; base < count; base += W) {
-    const std::size_t n = std::min(W, count - base);
-    double gx[W];
-    double gy[W];
-    double gz[W];
-    double gp[W];
-    bool divergent = false;
-    for (std::size_t l = 0; l < n; ++l) {
-      const JWord& jw = j[base + l];
-      const FixedDelta d0 = jw.x[0] - xi0;
-      const FixedDelta d1 = jw.x[1] - xi1;
-      const FixedDelta d2 = jw.x[2] - xi2;
-      const double dx = codec_.delta_to_double(d0);
-      const double dy = codec_.delta_to_double(d1);
-      const double dz = codec_.delta_to_double(d2);
-      const double r2 = dx * dx + dy * dy + dz * dz + eps2_;
-      // Masked lanes — the i == j cut and the divergent r2 == 0 corner —
-      // take a benign r2 so the rsqrt lane stays finite; their weight is
-      // zero. The rare divergent corner is patched below.
-      const bool cut = math::coincident(d0, d1, d2);
-      const bool dead = cut || r2 == 0.0;
-      divergent = divergent || (!cut && r2 == 0.0);
-      const double r2_eff = dead ? 1.0 : r2;
-      const double rinv = 1.0 / std::sqrt(r2_eff);
-      const double mg =
-          (dead ? 0.0 : 1.0) * jw.mass_exact * (rinv * rinv * rinv);
-      gx[l] = mg * dx;
-      gy[l] = mg * dy;
-      gz[l] = mg * dz;
-      gp[l] = (dead ? 0.0 : 1.0) * jw.mass_exact * rinv;
-    }
-    if (divergent) [[unlikely]] {
-      // A non-coincident pair's r^2 underflowed to zero (only reachable
-      // with eps == 0): the bit-exact datapath saturates — infinite
-      // potential, force along the components that survived in double.
-      const double inf = std::numeric_limits<double>::infinity();
-      for (std::size_t l = 0; l < n; ++l) {
-        const JWord& jw = j[base + l];
-        const FixedDelta d0 = jw.x[0] - xi0;
-        const FixedDelta d1 = jw.x[1] - xi1;
-        const FixedDelta d2 = jw.x[2] - xi2;
-        if (math::coincident(d0, d1, d2)) continue;
-        const double dx = codec_.delta_to_double(d0);
-        const double dy = codec_.delta_to_double(d1);
-        const double dz = codec_.delta_to_double(d2);
-        if (dx * dx + dy * dy + dz * dz + eps2_ != 0.0) continue;
-        const double ms = jw.mass_exact < 0.0 ? -1.0 : 1.0;
-        gx[l] = dx != 0.0 ? ms * std::copysign(inf, dx) : 0.0;
-        gy[l] = dy != 0.0 ? ms * std::copysign(inf, dy) : 0.0;
-        gz[l] = dz != 0.0 ? ms * std::copysign(inf, dz) : 0.0;
-        gp[l] = ms * inf;
-      }
-    }
-    // Drain into the fixed-point accumulators per interaction, in
-    // stream order. Each lane quantizes independently onto the same grid
-    // as BitExact, so the sum does not depend on where batch — or
-    // board-shard — boundaries fall.
-    for (std::size_t l = 0; l < n; ++l) {
-      i_state.acc[0].add(gx[l]);
-      i_state.acc[1].add(gy[l]);
-      i_state.acc[2].add(gz[l]);
-      i_state.pot.add(-gp[l]);
-    }
-  }
+  return s.raw();
 }
 // g5lint: hot-end
-
-Vec3d Pipeline::read_force(const IState& i_state) const {
-  return {i_state.acc[0].value(), i_state.acc[1].value(),
-          i_state.acc[2].value()};
-}
-
-double Pipeline::read_potential(const IState& i_state) const {
-  return i_state.pot.value();
-}
-
-bool Pipeline::saturated(const IState& i_state) const {
-  return i_state.acc[0].saturated() || i_state.acc[1].saturated() ||
-         i_state.acc[2].saturated() || i_state.pot.saturated();
-}
-
-void Pipeline::convert_raw(const RawForce& raw, Vec3d& acc,
-                           double& pot) const noexcept {
-  const double fq = force_accumulator_quantum();
-  acc = Vec3d{static_cast<double>(raw.acc[0]) * fq,
-              static_cast<double>(raw.acc[1]) * fq,
-              static_cast<double>(raw.acc[2]) * fq};
-  pot = static_cast<double>(raw.pot) * potential_accumulator_quantum();
-}
-
-RawForce Pipeline::read_raw(const IState& i_state) const {
-  RawForce r;
-  for (std::size_t c = 0; c < 3; ++c) r.acc[c] = i_state.acc[c].raw();
-  r.pot = i_state.pot.raw();
-  r.saturated = saturated(i_state);
-  return r;
-}
 
 }  // namespace g5::grape

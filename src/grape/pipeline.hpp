@@ -52,24 +52,13 @@ struct JWord {
   double mass_exact = 0.0;  ///< the double mass the Native backend uses
 };
 
-/// An i-particle resident in a pipeline: quantized coordinates and the
-/// fixed-point force/potential accumulators. Both backends accumulate in
-/// the fixed-point registers on the same per-call quanta, so
-/// per-interaction contributions commute exactly and multi-board partial
-/// sums merge bitwise.
-struct IState {
-  math::Fixed20 x[3] = {};
-  math::FixedAccumulator acc[3] = {math::FixedAccumulator(1.0),
-                                   math::FixedAccumulator(1.0),
-                                   math::FixedAccumulator(1.0)};
-  math::FixedAccumulator pot = math::FixedAccumulator(1.0);
-};
-
-/// Raw readout of one i-slot: the integer accumulator registers (counts
-/// of the call's force/potential quantum) plus the saturation flag.
-/// Integer addition is exact and associative, so partial sums produced
-/// by different boards merge in this domain without the double-rounding
-/// a host-side `n1*q + n2*q` reduction would introduce; the board merge
+/// Raw readout of one target: its fixed-point force/potential accumulator
+/// registers (integer counts of the call's force/potential quantum) plus
+/// the saturation flag. Both backends accumulate on the same per-call
+/// quanta, so per-interaction contributions commute exactly. Integer
+/// addition is exact and associative, so partial sums produced by
+/// different boards merge in this domain without the double-rounding a
+/// host-side `n1*q + n2*q` reduction would introduce; the board merge
 /// in Grape5System::compute_raw (grape/system.hpp) keeps this domain and
 /// the caller converts to doubles exactly once, after the merge.
 struct RawForce {
@@ -153,39 +142,27 @@ class Pipeline {
   /// Quantize a j-particle for the particle memory.
   [[nodiscard]] JWord encode_j(const Vec3d& pos, double mass) const;
 
-  /// Load an i-particle into a pipeline slot (resets accumulators).
-  [[nodiscard]] IState encode_i(const Vec3d& pos) const;
-
-  /// Stream a j-segment through one pipeline slot (one pipeline cycle
-  /// per j), one interaction at a time. BitExact runs the datapath's
-  /// stage order (table codec conversions and integer log-word ops);
-  /// Native runs the same pair arithmetic as evaluate() and is its exact
-  /// slow path. Every interaction is quantized onto the accumulators on
-  /// its own, in stream order, so the sums do not depend on where
-  /// segment boundaries fall; tests/grape_backend_test.cpp pins the
-  /// BitExact path bitwise against an independent scalar oracle of the
-  /// datapath.
-  void interact_batch(IState& i_state, const JWord* j,
-                      std::size_t count) const;
-
   /// Stream the j-words through one pipeline slot per target, overwriting
-  /// out[i] with the integer counts (see RawForce): encode_i, the
-  /// j-stream, read_raw. The one evaluation entry point of the device:
-  /// Grape5System's board shards, the engines' list lanes, the self-test
-  /// and the force-error probe all call it. Const and free of shared
-  /// state, so lanes may evaluate on one Pipeline concurrently, each with
-  /// its own `stage`.
+  /// out[i] with the integer counts (see RawForce). The device's only
+  /// entry point into the datapath: Grape5System's board shards, the
+  /// engines' list lanes, the self-test and the force-error probe all
+  /// call it. Const and free of shared state, so lanes may evaluate on one
+  /// Pipeline concurrently, each with its own `stage`.
   ///
-  /// BitExact streams each target through interact_batch. Native stages
-  /// the j-words once into `stage`, computes each target's counts over
-  /// the whole segment in a loop the compiler vectorizes, and drains
-  /// them in blocks of batch_width(): a block whose counts are all
-  /// within 2^59 and whose accumulators sit at least batch_width() * 2^59
-  /// below the rail adds its exactly rounded int64 sum once; any other
-  /// block (non-finite counts, the eps == 0 divergent corner, a near
-  /// rail) replays interact_batch. The counts and the saturation latch
-  /// equal those of interact_batch over the whole stream bitwise
-  /// (tests/grape_backend_test.cpp).
+  /// Every interaction is quantized onto the accumulators on its own, in
+  /// stream order, so the counts do not depend on where segment (board
+  /// shard, j-chunk) boundaries fall. BitExact runs the datapath's stage
+  /// order one interaction at a time (table codec conversions and integer
+  /// log-word ops); tests/grape_backend_test.cpp pins it bitwise against
+  /// an independent scalar oracle. Native stages the j-words once into
+  /// `stage`, computes each target's counts over the whole segment in a
+  /// loop the compiler vectorizes, and drains them in blocks of
+  /// batch_width(): a block whose counts are all within 2^59 and whose
+  /// accumulators sit at least batch_width() * 2^59 below the rail adds
+  /// its exactly rounded int64 sum once; any other block (non-finite
+  /// counts, the eps == 0 divergent corner, a near rail) adds its staged
+  /// counts one at a time. The counts and the saturation latch equal a
+  /// pair-by-pair stream bitwise (tests/grape_backend_test.cpp).
   void evaluate(std::span<const JWord> j, std::span<const Vec3d> targets,
                 std::span<RawForce> out, NativeStage& stage) const;
 
@@ -196,21 +173,12 @@ class Pipeline {
     return kBatchWidth;
   }
 
-  /// Read back the accumulated force and potential (hardware readout).
-  [[nodiscard]] Vec3d read_force(const IState& i_state) const;
-  [[nodiscard]] double read_potential(const IState& i_state) const;
-  [[nodiscard]] bool saturated(const IState& i_state) const;
-
-  /// Read back the raw integer accumulator registers (the multi-board
-  /// reduction domain; see RawForce).
-  [[nodiscard]] RawForce read_raw(const IState& i_state) const;
-
   /// Convert a raw readout to force and potential — the one raw->double
   /// conversion of the device (counts times the accumulator quanta).
   void convert_raw(const RawForce& raw, Vec3d& acc, double& pot) const noexcept;
 
-  /// The accumulator quanta encode_i installs (the scaling's quanta, for
-  /// both backends). RawForce counts convert to doubles by these.
+  /// The accumulator quanta evaluate counts in (the scaling's quanta,
+  /// for both backends). RawForce counts convert to doubles by these.
   [[nodiscard]] double force_accumulator_quantum() const noexcept;
   [[nodiscard]] double potential_accumulator_quantum() const noexcept;
 
@@ -228,12 +196,11 @@ class Pipeline {
   math::FixedPointCodec codec_;
   double eps2_ = 0.0;
 
-  void interact_batch_lns(IState& i_state, const JWord* j,
-                          std::size_t count) const;
-  void interact_batch_native(IState& i_state, const JWord* j,
-                             std::size_t count) const;
-  void evaluate_native(IState& i_state, const JWord* j, std::size_t count,
-                       NativeStage& stage) const;
+  [[nodiscard]] RawForce evaluate_lns(const Vec3d& target,
+                                      std::span<const JWord> j) const;
+  [[nodiscard]] RawForce evaluate_native(const Vec3d& target,
+                                         std::size_t count,
+                                         NativeStage& stage) const;
 };
 
 }  // namespace g5::grape

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <array>
+#include <cmath>
 #include <string>
 
 #include "obs/registry.hpp"
@@ -50,16 +51,19 @@ Grape5System::Grape5System(const SystemConfig& config)
 void Grape5System::set_range(double lo, double hi, double eps,
                              double mass_scale) {
   if (!(hi > lo)) throw std::invalid_argument("range window empty");
-  if (eps < 0.0) throw std::invalid_argument("softening must be >= 0");
-  scaling_.range_lo = lo;
-  scaling_.range_hi = hi;
-  scaling_.eps = eps;
+  if (!std::isfinite(eps) || eps < 0.0) {
+    throw std::invalid_argument("softening must be finite and >= 0");
+  }
+  PipelineScaling scaling;
+  scaling.range_lo = lo;
+  scaling.range_hi = hi;
+  scaling.eps = eps;
   // Accumulator quanta from the problem scales: small enough that
   // quantization is far below the pipeline's log-format error, large
   // enough that softened close encounters cannot overflow 63 bits. See
   // tests/grape_system_test.cpp for the headroom checks.
-  derive_scaling_quanta(scaling_, mass_scale);
-  pipe_.configure(scaling_);
+  derive_scaling_quanta(scaling, mass_scale);
+  pipe_.configure(scaling);
   // Stored words are invalid on the new window; require a fresh upload.
   resident_j_ = 0;
   range_set_ = true;

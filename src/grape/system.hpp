@@ -111,7 +111,7 @@ class Grape5System {
   void charge_evaluation(double emulation_seconds, bool saturated);
 
   [[nodiscard]] const PipelineScaling& scaling() const noexcept {
-    return scaling_;
+    return pipe_.scaling();
   }
 
   /// The system's one Pipeline, configured with the current scaling: the
@@ -155,7 +155,6 @@ class Grape5System {
   SystemConfig cfg_;
   TimingModel timing_;
   Pipeline pipe_;
-  PipelineScaling scaling_;
   /// The particle memory: resident_j_ encoded words, board b's shard at
   /// [b * share, b * share + board_j(b)).
   std::vector<JWord> jmem_;

@@ -108,7 +108,7 @@ class Fixed20 {
 }
 
 // Zero-cost: layout-identical to the carrier integers, trivial to copy,
-// so JWord/IState arrays of them are the same bytes as before the types.
+// so particle-memory words of them are the same bytes as before the types.
 static_assert(sizeof(LnsCode) == sizeof(std::int32_t));
 static_assert(alignof(LnsCode) == alignof(std::int32_t));
 static_assert(std::is_trivially_copyable_v<LnsCode>);

@@ -125,8 +125,12 @@ class FixedAccumulator {
     if (!(quantum > 0.0)) throw std::invalid_argument("quantum must be > 0");
   }
 
-  void add(double x) noexcept {
-    acc_ = rail_add(acc_, rail_count(x / quantum_, saturated_), saturated_);
+  void add(double x) noexcept { add_rounded(x / quantum_); }
+
+  /// Add a count of the quantum held in a double: rounded onto the
+  /// integer grid (rail_count), then added exactly (rail_add).
+  void add_rounded(double count) noexcept {
+    acc_ = rail_add(acc_, rail_count(count, saturated_), saturated_);
   }
 
   /// Add an integer count of the quantum (a block of terms already

@@ -1,9 +1,10 @@
 // Backend-equivalence suite for the batched multi-backend force kernel.
 //
-//  * BitExact vs the scalar oracle: Pipeline::interact_batch must be
+//  * BitExact vs the scalar oracle: Pipeline::evaluate must be
 //    bitwise-identical to the independent oracle (grape_lns_oracle.hpp)
-//    for every segment shape (width 1, odd widths, the Native SIMD
-//    width, ragged tails) — segmenting a stream cannot change a bit.
+//    for every segment shape (width 1, odd widths, the Native block
+//    width, ragged tails), the segments' counts merged as the boards
+//    merge them — segmenting a stream cannot change a bit.
 //  * Native vs host reference: the Native backend computes the same
 //    interactions in plain double on quantized coordinates, so it must
 //    track the host kernel to the position-quantization floor — per
@@ -15,9 +16,9 @@
 //  * Native evaluate vs a scalar reference: Pipeline::evaluate's staged,
 //    block-drained Native path must equal one pair at a time through
 //    FixedAccumulator::add, bitwise, saturation latch included — for
-//    every stream length, coincident entries, the divergent corner,
-//    counts above the drain's 2^59 block bound and accumulators near the
-//    rail.
+//    every stream length, coincident entries, the divergent corner (any
+//    sign of the mass), counts above the drain's 2^59 block bound and
+//    accumulators near the rail.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -42,7 +43,6 @@ namespace {
 
 using namespace g5;
 using grape::BackendKind;
-using grape::IState;
 using grape::JWord;
 using grape::Pipeline;
 using grape::PipelineNumerics;
@@ -80,13 +80,39 @@ bool bitwise_equal(double a, double b) {
   return std::bit_cast<std::uint64_t>(a) == std::bit_cast<std::uint64_t>(b);
 }
 
-bool same_state(const Pipeline& pipe, const IState& a, const IState& b) {
-  const Vec3d fa = pipe.read_force(a);
-  const Vec3d fb = pipe.read_force(b);
-  return bitwise_equal(fa.x, fb.x) && bitwise_equal(fa.y, fb.y) &&
-         bitwise_equal(fa.z, fb.z) &&
-         bitwise_equal(pipe.read_potential(a), pipe.read_potential(b)) &&
-         pipe.saturated(a) == pipe.saturated(b);
+bool same_raw(const RawForce& a, const RawForce& b) {
+  return a.acc[0] == b.acc[0] && a.acc[1] == b.acc[1] &&
+         a.acc[2] == b.acc[2] && a.pot == b.pot &&
+         a.saturated == b.saturated;
+}
+
+/// One target against a j-stream through Pipeline::evaluate.
+RawForce evaluate_one(const Pipeline& pipe, std::span<const JWord> js,
+                      const Vec3d& target) {
+  grape::NativeStage stage;
+  RawForce raw;
+  pipe.evaluate(js, {&target, 1}, {&raw, 1}, stage);
+  return raw;
+}
+
+/// Merge a segment's counts into `sum` as the board merge does (exact
+/// integer adds; the streams here stay far below the rail).
+void merge(RawForce& sum, const RawForce& part) {
+  for (std::size_t c = 0; c < 3; ++c) sum.acc[c] += part.acc[c];
+  sum.pot += part.pot;
+  sum.saturated = sum.saturated || part.saturated;
+}
+
+/// A raw readout converted to force and potential.
+struct Converted {
+  Vec3d acc;
+  double pot = 0.0;
+};
+
+Converted convert(const Pipeline& pipe, const RawForce& raw) {
+  Converted c;
+  pipe.convert_raw(raw, c.acc, c.pot);
+  return c;
 }
 
 TEST(Backend, BatchedBitwiseIdenticalAcrossWidths) {
@@ -97,27 +123,22 @@ TEST(Backend, BatchedBitwiseIdenticalAcrossWidths) {
   const auto js = make_jset(pipe, xi, 4 * w + 5, 101);
 
   // Scalar reference: one oracle interaction per j, in stream order.
-  const oracle::LnsOracle scalar(pipe);
-  IState ref = pipe.encode_i(xi);
-  for (const JWord& j : js) scalar.interact(ref, j);
+  const RawForce ref = oracle::LnsOracle(pipe).evaluate(js, xi);
+  ASSERT_FALSE(ref.saturated);
 
-  // Whole-stream batch (the board path: blocks of batch_width + a ragged
-  // tail inside interact_batch).
-  {
-    IState st = pipe.encode_i(xi);
-    pipe.interact_batch(st, js.data(), js.size());
-    EXPECT_TRUE(same_state(pipe, ref, st)) << "whole stream";
-  }
+  // The whole stream in one call.
+  EXPECT_TRUE(same_raw(ref, evaluate_one(pipe, js, xi))) << "whole stream";
 
-  // Segmented batches: width 1, an odd width, exactly the SIMD width, and
-  // a ragged split — chunk boundaries must not change a single bit.
+  // Segmented calls merged in the count domain: width 1, an odd width,
+  // exactly the block width, and a ragged split — segment boundaries must
+  // not change a single bit.
   for (const std::size_t width : {std::size_t{1}, std::size_t{3}, w, w + 5}) {
-    IState st = pipe.encode_i(xi);
+    RawForce sum;
     for (std::size_t base = 0; base < js.size(); base += width) {
       const std::size_t n = std::min(width, js.size() - base);
-      pipe.interact_batch(st, js.data() + base, n);
+      merge(sum, evaluate_one(pipe, {js.data() + base, n}, xi));
     }
-    EXPECT_TRUE(same_state(pipe, ref, st)) << "segment width " << width;
+    EXPECT_TRUE(same_raw(ref, sum)) << "segment width " << width;
   }
 }
 
@@ -127,12 +148,8 @@ TEST(Backend, BatchedBitwiseIdenticalUnsoftened) {
   pipe.configure(test_scaling(0.0));
   const Vec3d xi{-1.0, 2.0, 0.5};
   const auto js = make_jset(pipe, xi, 37, 202);
-  const oracle::LnsOracle scalar(pipe);
-  IState ref = pipe.encode_i(xi);
-  for (const JWord& j : js) scalar.interact(ref, j);
-  IState st = pipe.encode_i(xi);
-  pipe.interact_batch(st, js.data(), js.size());
-  EXPECT_TRUE(same_state(pipe, ref, st));
+  const RawForce ref = oracle::LnsOracle(pipe).evaluate(js, xi);
+  EXPECT_TRUE(same_raw(ref, evaluate_one(pipe, js, xi)));
 }
 
 TEST(Backend, NativeMatchesHostReference) {
@@ -150,12 +167,11 @@ TEST(Backend, NativeMatchesHostReference) {
     jmass[j] = rng.uniform(0.1, 1.5);
   }
   const Vec3d xi{0.25, -0.4, 0.8};
-  IState st = pipe.encode_i(xi);
   std::vector<JWord> js(nj);
   for (std::size_t j = 0; j < nj; ++j) {
     js[j] = pipe.encode_j(jpos[j], jmass[j]);
   }
-  pipe.interact_batch(st, js.data(), js.size());
+  const RawForce st = evaluate_one(pipe, js, xi);
 
   Vec3d ref_acc[1];
   double ref_pot[1];
@@ -163,17 +179,17 @@ TEST(Backend, NativeMatchesHostReference) {
                                 ref_pot);
   // Only the 32-bit coordinate quantization separates the two: ~5e-9
   // relative positions; 1e-6 leaves margin for close pairs.
-  EXPECT_LT((pipe.read_force(st) - ref_acc[0]).norm() / ref_acc[0].norm(),
+  EXPECT_LT((convert(pipe, st).acc - ref_acc[0]).norm() / ref_acc[0].norm(),
             1e-6);
-  EXPECT_NEAR(pipe.read_potential(st), ref_pot[0],
+  EXPECT_NEAR(convert(pipe, st).pot, ref_pot[0],
               1e-6 * std::fabs(ref_pot[0]));
-  EXPECT_FALSE(pipe.saturated(st));
+  EXPECT_FALSE(st.saturated);
 
   // One-j segments accumulate the same sums.
-  IState sc = pipe.encode_i(xi);
-  for (const JWord& j : js) pipe.interact_batch(sc, &j, 1);
-  EXPECT_LT((pipe.read_force(sc) - pipe.read_force(st)).norm(),
-            1e-12 * pipe.read_force(st).norm());
+  RawForce sc;
+  for (const JWord& j : js) merge(sc, evaluate_one(pipe, {&j, 1}, xi));
+  EXPECT_LT((convert(pipe, sc).acc - convert(pipe, st).acc).norm(),
+            1e-12 * convert(pipe, st).acc.norm());
 }
 
 TEST(Backend, ZeroDistanceSemanticsIdenticalAcrossPaths) {
@@ -185,13 +201,12 @@ TEST(Backend, ZeroDistanceSemanticsIdenticalAcrossPaths) {
     Pipeline pipe{num};
     pipe.configure(test_scaling(0.0));
     const Vec3d x{1.0, 2.0, 3.0};
-    IState st = pipe.encode_i(x);
     const JWord j = pipe.encode_j(x, 2.0);
-    pipe.interact_batch(st, &j, 1);
+    const RawForce st = evaluate_one(pipe, {&j, 1}, x);
     const auto variant = grape::backend_name(backend);
-    EXPECT_EQ(pipe.read_force(st), (Vec3d{})) << "variant " << variant;
-    EXPECT_DOUBLE_EQ(pipe.read_potential(st), 0.0) << "variant " << variant;
-    EXPECT_FALSE(pipe.saturated(st)) << "variant " << variant;
+    EXPECT_EQ(convert(pipe, st).acc, (Vec3d{})) << "variant " << variant;
+    EXPECT_DOUBLE_EQ(convert(pipe, st).pot, 0.0) << "variant " << variant;
+    EXPECT_FALSE(st.saturated) << "variant " << variant;
   }
 
   // Divergent corner: distinct fixed-point coordinates whose double
@@ -211,14 +226,13 @@ TEST(Backend, ZeroDistanceSemanticsIdenticalAcrossPaths) {
     pipe.configure(s);
     const double q = pipe.position_quantum();
     ASSERT_LT(q, 1e-160);
-    IState st = pipe.encode_i(Vec3d{0.0, 0.0, 0.0});
     // 3 codes along +x: nonzero fixed-point difference, (3q)^2 == 0.0.
     const JWord j = pipe.encode_j(Vec3d{3.0 * q, 0.0, 0.0}, 1.0);
-    pipe.interact_batch(st, &j, 1);
+    const RawForce st = evaluate_one(pipe, {&j, 1}, Vec3d{0.0, 0.0, 0.0});
     const auto variant = grape::backend_name(backend);
-    EXPECT_TRUE(pipe.saturated(st)) << "variant " << variant;
-    EXPECT_GT(pipe.read_force(st).x, 0.0) << "variant " << variant;
-    EXPECT_LT(pipe.read_potential(st), 0.0) << "variant " << variant;
+    EXPECT_TRUE(st.saturated) << "variant " << variant;
+    EXPECT_GT(convert(pipe, st).acc.x, 0.0) << "variant " << variant;
+    EXPECT_LT(convert(pipe, st).pot, 0.0) << "variant " << variant;
   }
 }
 
@@ -229,7 +243,12 @@ TEST(Backend, ZeroDistanceSemanticsIdenticalAcrossPaths) {
 /// components that survive).
 RawForce native_reference(const Pipeline& pipe, std::span<const JWord> js,
                           const Vec3d& target) {
-  IState st = pipe.encode_i(target);
+  const JWord ti = pipe.encode_j(target, 0.0);  // the target's codes
+  math::FixedAccumulator acc[3] = {
+      math::FixedAccumulator(pipe.force_accumulator_quantum()),
+      math::FixedAccumulator(pipe.force_accumulator_quantum()),
+      math::FixedAccumulator(pipe.force_accumulator_quantum())};
+  math::FixedAccumulator pot(pipe.potential_accumulator_quantum());
   const double q = pipe.position_quantum();
   const double eps = pipe.scaling().eps;
   const double inf = std::numeric_limits<double>::infinity();
@@ -237,7 +256,7 @@ RawForce native_reference(const Pipeline& pipe, std::span<const JWord> js,
     double d[3];
     bool coincident = true;
     for (std::size_t c = 0; c < 3; ++c) {
-      const std::int64_t code = j.x[c].code() - st.x[c].code();
+      const std::int64_t code = j.x[c].code() - ti.x[c].code();
       coincident = coincident && code == 0;
       d[c] = static_cast<double>(code) * q;
     }
@@ -247,17 +266,22 @@ RawForce native_reference(const Pipeline& pipe, std::span<const JWord> js,
     if (r2 == 0.0) {
       const double sign = m < 0.0 ? -1.0 : 1.0;
       for (std::size_t c = 0; c < 3; ++c) {
-        st.acc[c].add(d[c] != 0.0 ? sign * std::copysign(inf, d[c]) : 0.0);
+        acc[c].add(d[c] != 0.0 ? sign * std::copysign(inf, d[c]) : 0.0);
       }
-      st.pot.add(-(sign * inf));
+      pot.add(-(sign * inf));
       continue;
     }
     const double rinv = 1.0 / std::sqrt(r2);
     const double mg = m * (rinv * rinv * rinv);
-    for (std::size_t c = 0; c < 3; ++c) st.acc[c].add(mg * d[c]);
-    st.pot.add(-(m * rinv));
+    for (std::size_t c = 0; c < 3; ++c) acc[c].add(mg * d[c]);
+    pot.add(-(m * rinv));
   }
-  return pipe.read_raw(st);
+  RawForce r;
+  for (std::size_t c = 0; c < 3; ++c) r.acc[c] = acc[c].raw();
+  r.pot = pot.raw();
+  r.saturated = acc[0].saturated() || acc[1].saturated() ||
+                acc[2].saturated() || pot.saturated();
+  return r;
 }
 
 /// Pipeline::evaluate on every target against native_reference, bitwise.
@@ -369,6 +393,27 @@ TEST(Backend, NativeEvaluateDivergentCornerSaturatesLikeReference) {
   EXPECT_GT(out[0].pot, -math::kAccumulatorRail);
   expect_native_matches_reference(pipe, js, targets, stage,
                                   "divergent entry replaced");
+
+  // A negative-mass and a zero-mass divergent entry in one block with
+  // finite-potential pairs whose three components are all nonzero. The
+  // corner's counts take the sign of m (m < 0 flips it, m == 0 counts as
+  // positive): a zero component adds 0, not the NaN of inf * 0 (a +rail
+  // count), and the massless corner adds a -rail count to the potential,
+  // not the +rail of a NaN count. Every prefix, so that later entries
+  // cannot hide a wrong count.
+  std::vector<JWord> mixed;
+  for (std::size_t k = 0; k < w; ++k) {
+    const double sy = k % 2 == 0 ? 1.0 : -1.0;
+    mixed.push_back(
+        pipe.encode_j(Vec3d{4e-155, sy * 1e-155, -2e-155}, 1.0));
+  }
+  mixed[2] = pipe.encode_j(Vec3d{3.0 * q, 0.0, 0.0}, -1.0);
+  mixed[5] = pipe.encode_j(Vec3d{0.0, -3.0 * q, 0.0}, 0.0);
+  for (std::size_t n = 1; n <= mixed.size(); ++n) {
+    expect_native_matches_reference(pipe, {mixed.data(), n}, targets, stage,
+                                    "signed corners, length " +
+                                        std::to_string(n));
+  }
 }
 
 TEST(Backend, NativeEvaluateCountsAboveBlockBound) {
@@ -533,10 +578,8 @@ TEST(Backend, ProbeInvariantScalarVsBatchedBoardPath) {
     js[j] = pipe.encode_j(replay.pos()[j], replay.mass()[j]);
   }
   for (std::size_t i = 0; i < replay.size(); ++i) {
-    IState st = pipe.encode_i(replay.pos()[i]);
-    for (const JWord& j : js) scalar.interact(st, j);
-    replay.acc()[i] = pipe.read_force(st);
-    replay.pot()[i] = pipe.read_potential(st);
+    pipe.convert_raw(scalar.evaluate(js, replay.pos()[i]), replay.acc()[i],
+                     replay.pot()[i]);
   }
   for (std::size_t i = 0; i < pset.size(); ++i) {
     ASSERT_TRUE(bitwise_equal(pset.acc()[i].x, replay.acc()[i].x) &&

@@ -1,6 +1,7 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <limits>
 
 #include "grape/driver.hpp"
 #include "grape/host_reference.hpp"
@@ -71,6 +72,9 @@ TEST(Grape5Device, Validation) {
   Grape5Device device(tiny_config());
   EXPECT_THROW(device.set_range(1.0, 1.0, 0.1), std::invalid_argument);
   EXPECT_THROW(device.set_eps(-1.0), std::invalid_argument);
+  EXPECT_THROW(device.set_eps(std::nan("")), std::invalid_argument);
+  EXPECT_THROW(device.set_eps(std::numeric_limits<double>::infinity()),
+               std::invalid_argument);
   const auto src = ic::make_uniform_cube(8, -1.0, 1.0, 1.0, 1);
   EXPECT_THROW(device.set_j(src.pos(), src.mass()), std::logic_error);
 }

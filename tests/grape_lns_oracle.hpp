@@ -1,9 +1,11 @@
 // Scalar oracle of the bit-exact G5 datapath: one interaction at a time,
 // written the way the hardware stages read (grape/pipeline.hpp), with its
-// own LnsFormat and coordinate codec. The library evaluates through
-// Pipeline::interact_batch only; tests/grape_backend_test.cpp pins the
-// two bitwise against each other.
+// own LnsFormat, coordinate codec and accumulators. The library
+// evaluates through Pipeline::evaluate only; tests/grape_backend_test.cpp
+// pins the two bitwise against each other.
 #pragma once
+
+#include <span>
 
 #include "grape/pipeline.hpp"
 #include "math/fixed.hpp"
@@ -18,12 +20,47 @@ class LnsOracle {
       : lns_(pipe.numerics().lns_frac_bits),
         codec_(pipe.scaling().range_lo, pipe.scaling().range_hi,
                pipe.numerics().position_bits),
-        eps2_(pipe.scaling().eps * pipe.scaling().eps) {
+        eps2_(pipe.scaling().eps * pipe.scaling().eps),
+        force_quantum_(pipe.scaling().force_quantum),
+        potential_quantum_(pipe.scaling().potential_quantum) {
     lns_.set_table_index_bits(pipe.numerics().table_index_bits);
   }
 
+  /// The j-stream through one pipeline slot loaded with `target`, one
+  /// pipeline cycle per j, in stream order: the raw readout.
+  [[nodiscard]] grape::RawForce evaluate(std::span<const grape::JWord> js,
+                                         const grape::Vec3d& target) const {
+    Slot slot(*this, target);
+    for (const grape::JWord& j : js) interact(slot, j);
+    grape::RawForce r;
+    bool saturated = slot.pot.saturated();
+    for (int c = 0; c < 3; ++c) {
+      r.acc[c] = slot.acc[c].raw();
+      saturated = saturated || slot.acc[c].saturated();
+    }
+    r.pot = slot.pot.raw();
+    r.saturated = saturated;
+    return r;
+  }
+
+ private:
+  /// One i-particle resident in a pipeline: quantized coordinates and
+  /// the fixed-point force/potential accumulators.
+  struct Slot {
+    Slot(const LnsOracle& o, const grape::Vec3d& pos)
+        : x{o.codec_.encode(pos[0]), o.codec_.encode(pos[1]),
+            o.codec_.encode(pos[2])},
+          acc{math::FixedAccumulator(o.force_quantum_),
+              math::FixedAccumulator(o.force_quantum_),
+              math::FixedAccumulator(o.force_quantum_)},
+          pot(o.potential_quantum_) {}
+    math::Fixed20 x[3];
+    math::FixedAccumulator acc[3];
+    math::FixedAccumulator pot;
+  };
+
   /// One pipeline cycle: accumulate the interaction of one j onto one i.
-  void interact(grape::IState& i_state, const grape::JWord& j) const {
+  void interact(Slot& i_state, const grape::JWord& j) const {
     // 1. Coordinate differences: exact fixed-point subtraction, then the
     //    difference enters the log-format datapath via the codec (one
     //    conversion rounding per component).
@@ -55,10 +92,11 @@ class LnsOracle {
     i_state.pot.add(-lns_.to_double(lns_.mul(j.mass, h)));
   }
 
- private:
   math::LnsFormat lns_;
   math::FixedPointCodec codec_;
   double eps2_;
+  double force_quantum_;
+  double potential_quantum_;
 };
 
 }  // namespace g5::oracle

@@ -1,6 +1,8 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <span>
+#include <vector>
 
 #include "grape/host_reference.hpp"
 #include "grape/pipeline.hpp"
@@ -11,16 +13,36 @@ namespace {
 
 using namespace g5;
 using grape::BackendKind;
-using grape::IState;
 using grape::JWord;
 using grape::Pipeline;
 using grape::PipelineNumerics;
 using grape::PipelineScaling;
+using grape::RawForce;
 using grape::Vec3d;
 
-/// One pipeline cycle: a single-j segment through the batched datapath.
-void interact(const Pipeline& pipe, IState& st, const JWord& j) {
-  pipe.interact_batch(st, &j, 1);
+/// One target's readout, converted to force and potential.
+struct Readout {
+  Vec3d acc;
+  double pot = 0.0;
+  bool saturated = false;
+};
+
+/// A j-stream through one pipeline slot loaded with `xi`, via the
+/// device's entry point (Pipeline::evaluate).
+Readout evaluate(const Pipeline& pipe, const Vec3d& xi,
+                 std::span<const JWord> js) {
+  grape::NativeStage stage;
+  RawForce raw;
+  pipe.evaluate(js, {&xi, 1}, {&raw, 1}, stage);
+  Readout r;
+  pipe.convert_raw(raw, r.acc, r.pot);
+  r.saturated = raw.saturated;
+  return r;
+}
+
+/// One pipeline cycle: a single j on one target.
+Readout interact(const Pipeline& pipe, const Vec3d& xi, const JWord& j) {
+  return evaluate(pipe, xi, {&j, 1});
 }
 
 PipelineScaling test_scaling(double eps = 0.0) {
@@ -45,12 +67,11 @@ double pairwise_rms(const PipelineNumerics& numerics, std::size_t pairs) {
     const double r = std::pow(10.0, rng.uniform(-3.5, 0.5));
     const Vec3d xj = xi + r * rng.on_unit_sphere();
     const double mj = std::pow(10.0, rng.uniform(-2.0, 0.0));
-    IState st = pipe.encode_i(xi);
-    interact(pipe, st, pipe.encode_j(xj, mj));
+    const Readout st = interact(pipe, xi, pipe.encode_j(xj, mj));
     Vec3d ref;
     double pref;
     grape::pairwise(xi, xj, mj, 0.0, ref, pref);
-    if (ref.norm() > 0.0) err.add((pipe.read_force(st) - ref).norm() / ref.norm());
+    if (ref.norm() > 0.0) err.add((st.acc - ref).norm() / ref.norm());
   }
   return err.rms();
 }
@@ -87,8 +108,7 @@ TEST(Pipeline, NativeMatchesHostToPositionQuantum) {
     const Vec3d xi = 4.0 * rng.in_unit_ball();
     const Vec3d xj = 4.0 * rng.in_unit_ball();
     const double mj = rng.uniform(0.1, 1.0);
-    IState st = pipe.encode_i(xi);
-    interact(pipe, st, pipe.encode_j(xj, mj));
+    const Readout st = interact(pipe, xi, pipe.encode_j(xj, mj));
     // Reference uses the same quantized coordinates: then the only error
     // left is the accumulator quantum.
     const double q = pipe.position_quantum();
@@ -99,8 +119,8 @@ TEST(Pipeline, NativeMatchesHostToPositionQuantum) {
     Vec3d ref;
     double pref;
     grape::pairwise(snap(xi), snap(xj), mj, 0.01, ref, pref);
-    EXPECT_NEAR((pipe.read_force(st) - ref).norm(), 0.0, 1e-8);
-    EXPECT_NEAR(pipe.read_potential(st), pref, 1e-9);
+    EXPECT_NEAR((st.acc - ref).norm(), 0.0, 1e-8);
+    EXPECT_NEAR(st.pot, pref, 1e-9);
   }
 }
 
@@ -110,20 +130,18 @@ TEST(Pipeline, SelfInteractionCutEntirely) {
   Pipeline pipe((PipelineNumerics()));
   pipe.configure(test_scaling(0.05));
   const Vec3d x{1.0, 2.0, 3.0};
-  IState st = pipe.encode_i(x);
-  interact(pipe, st, pipe.encode_j(x, 2.0));
-  EXPECT_EQ(pipe.read_force(st), (Vec3d{}));
-  EXPECT_DOUBLE_EQ(pipe.read_potential(st), 0.0);
+  const Readout st = interact(pipe, x, pipe.encode_j(x, 2.0));
+  EXPECT_EQ(st.acc, (Vec3d{}));
+  EXPECT_DOUBLE_EQ(st.pot, 0.0);
 }
 
 TEST(Pipeline, SelfInteractionSkippedWhenUnsoftened) {
   Pipeline pipe((PipelineNumerics()));
   pipe.configure(test_scaling(0.0));
   const Vec3d x{1.0, 2.0, 3.0};
-  IState st = pipe.encode_i(x);
-  interact(pipe, st, pipe.encode_j(x, 2.0));
-  EXPECT_EQ(pipe.read_force(st), (Vec3d{}));
-  EXPECT_DOUBLE_EQ(pipe.read_potential(st), 0.0);
+  const Readout st = interact(pipe, x, pipe.encode_j(x, 2.0));
+  EXPECT_EQ(st.acc, (Vec3d{}));
+  EXPECT_DOUBLE_EQ(st.pot, 0.0);
 }
 
 TEST(Pipeline, SofteningLimitsCloseForces) {
@@ -131,10 +149,9 @@ TEST(Pipeline, SofteningLimitsCloseForces) {
   pipe.configure(test_scaling(0.1));
   const Vec3d xi{0.0, 0.0, 0.0};
   const Vec3d xj{1e-6, 0.0, 0.0};  // far below eps
-  IState st = pipe.encode_i(xi);
-  interact(pipe, st, pipe.encode_j(xj, 1.0));
+  const Readout st = interact(pipe, xi, pipe.encode_j(xj, 1.0));
   // Softened force ~ m dx / eps^3 = 1e-6/1e-3 = 1e-3, not 1e12.
-  EXPECT_LT(pipe.read_force(st).norm(), 2e-3);
+  EXPECT_LT(st.acc.norm(), 2e-3);
 }
 
 TEST(Pipeline, ForceIsAttractiveAndCentral) {
@@ -142,14 +159,13 @@ TEST(Pipeline, ForceIsAttractiveAndCentral) {
   pipe.configure(test_scaling());
   const Vec3d xi{1.0, 1.0, 1.0};
   const Vec3d xj{2.0, 1.0, 1.0};
-  IState st = pipe.encode_i(xi);
-  interact(pipe, st, pipe.encode_j(xj, 3.0));
-  const Vec3d f = pipe.read_force(st);
+  const Readout st = interact(pipe, xi, pipe.encode_j(xj, 3.0));
+  const Vec3d f = st.acc;
   EXPECT_GT(f.x, 0.0);  // pulled toward xj
   EXPECT_NEAR(f.y, 0.0, 1e-6);
   EXPECT_NEAR(f.z, 0.0, 1e-6);
   EXPECT_NEAR(f.x, 3.0, 0.05 * 3.0);
-  EXPECT_NEAR(pipe.read_potential(st), -3.0, 0.05 * 3.0);
+  EXPECT_NEAR(st.pot, -3.0, 0.05 * 3.0);
 }
 
 TEST(Pipeline, AccumulationOverStream) {
@@ -165,16 +181,16 @@ TEST(Pipeline, AccumulationOverStream) {
     ms[j] = rng.uniform(0.5, 1.5);
   }
   const Vec3d xi{0.3, -0.2, 0.1};
-  IState st = pipe.encode_i(xi);
+  std::vector<JWord> words(js.size());
   for (std::size_t j = 0; j < js.size(); ++j) {
-    interact(pipe, st, pipe.encode_j(js[j], ms[j]));
+    words[j] = pipe.encode_j(js[j], ms[j]);
   }
+  const Readout st = evaluate(pipe, xi, words);
   Vec3d ref_acc[1];
   double ref_pot[1];
   grape::host_forces_on_targets({&xi, 1}, js, ms, 0.01, ref_acc, ref_pot);
-  EXPECT_LT((pipe.read_force(st) - ref_acc[0]).norm() / ref_acc[0].norm(),
-            0.01);
-  EXPECT_NEAR(pipe.read_potential(st), ref_pot[0],
+  EXPECT_LT((st.acc - ref_acc[0]).norm() / ref_acc[0].norm(), 0.01);
+  EXPECT_NEAR(st.pot, ref_pot[0],
               0.01 * std::fabs(ref_pot[0]));
 }
 
@@ -183,9 +199,9 @@ TEST(Pipeline, SaturationFlagged) {
   PipelineScaling s = test_scaling();
   s.force_quantum = 1e-30;  // absurd quantum: everything overflows
   pipe.configure(s);
-  IState st = pipe.encode_i(Vec3d{0, 0, 0});
-  interact(pipe, st, pipe.encode_j(Vec3d{0.5, 0, 0}, 1.0));
-  EXPECT_TRUE(pipe.saturated(st));
+  EXPECT_TRUE(
+      interact(pipe, Vec3d{0, 0, 0}, pipe.encode_j(Vec3d{0.5, 0, 0}, 1.0))
+          .saturated);
 }
 
 TEST(Pipeline, ConfigureValidation) {
@@ -222,9 +238,7 @@ TEST(Pipeline, MassQuantizedInLogFormat) {
   EXPECT_FALSE(j.mass.zero);
   // The decoded mass is within the log-format relative step.
   // (accessible indirectly: force from unit distance = m)
-  IState st = pipe.encode_i(Vec3d{1, 1, 0});
-  interact(pipe, st, j);
-  EXPECT_NEAR(pipe.read_force(st).norm(), 0.123456789,
+  EXPECT_NEAR(interact(pipe, Vec3d{1, 1, 0}, j).acc.norm(), 0.123456789,
               0.123456789 * 0.01);
 }
 

@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cmath>
 #include <cstdlib>
+#include <limits>
 #include <string>
 #include <vector>
 
@@ -203,6 +204,9 @@ TEST(Grape5System, InputValidation) {
   Grape5System sys(tiny_config());
   EXPECT_THROW(sys.set_range(1.0, 1.0, 0.0), std::invalid_argument);
   EXPECT_THROW(sys.set_range(-1.0, 1.0, -0.5), std::invalid_argument);
+  EXPECT_THROW(sys.set_range(-1.0, 1.0, std::nan("")), std::invalid_argument);
+  EXPECT_THROW(sys.set_range(-1.0, 1.0, std::numeric_limits<double>::infinity()),
+               std::invalid_argument);
   sys.set_range(-1.0, 1.0, 0.0, 1.0);
   const auto src = ic::make_uniform_cube(8, -1.0, 1.0, 1.0, 9);
   std::vector<grape::RawForce> raw(4);

@@ -581,6 +581,9 @@ int main(int argc, char** argv) {
 
     core::ForceParams fp;
     fp.eps = opt.get_double("eps", ic.suggested_eps);
+    if (!std::isfinite(fp.eps) || fp.eps < 0.0) {
+      throw std::invalid_argument("--eps must be finite and >= 0");
+    }
     fp.theta = opt.get_double("theta", 0.75);
     fp.n_crit = static_cast<std::uint32_t>(opt.get_int("ncrit", 256));
     fp.quadrupole = opt.get_bool("quadrupole", false);
