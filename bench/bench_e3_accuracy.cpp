@@ -47,8 +47,8 @@ double pairwise_rms_error(const grape::PipelineNumerics& numerics,
   scaling.eps = 0.0;
   // Close pairs reach |f| ~ m/r^2 ~ 1e7 here; keep that within the 63-bit
   // accumulator while leaving the weakest forces ~1e5 quanta of headroom.
-  scaling.force_quantum = 1e-8;
-  scaling.potential_quantum = 1e-10;
+  scaling.force_quantum = 0x1p-27;
+  scaling.potential_quantum = 0x1p-33;
   pipe.configure(scaling);
 
   math::Rng rng(seed);

@@ -6,6 +6,30 @@
 #include <limits>
 #include <stdexcept>
 
+// The Native kernels are built twice from one source, for AVX2 and for
+// the baseline ISA, and dispatched once at load time through an ifunc.
+// Every operation in them is a correctly rounded IEEE add, subtract,
+// multiply, divide or sqrt, and g5_grape compiles with -ffp-contract=off
+// so no clone fuses a multiply-add: both clones give the same bits.
+// ThreadSanitizer instruments the ifunc resolver, which runs before its
+// runtime is up and crashes at load time, so TSan builds keep one clone.
+#if defined(__SANITIZE_THREAD__)  // GCC
+#define G5_TSAN_BUILD
+#elif defined(__has_feature)  // Clang
+#if __has_feature(thread_sanitizer)
+#define G5_TSAN_BUILD
+#endif
+#endif
+#if defined(__x86_64__) && defined(__linux__) && !defined(G5_TSAN_BUILD) && \
+    defined(__has_attribute)
+#if __has_attribute(target_clones)
+#define G5_ISA_CLONES __attribute__((target_clones("avx2", "default")))
+#endif
+#endif
+#ifndef G5_ISA_CLONES
+#define G5_ISA_CLONES
+#endif
+
 namespace g5::grape {
 
 using math::Fixed20;
@@ -13,12 +37,31 @@ using math::FixedAccumulator;
 using math::FixedDelta;
 using math::LnsValue;
 
+namespace {
+
+/// The smallest power of two >= q, for a finite q > 0 (any other q is
+/// returned as it is, for Pipeline::configure to reject).
+double round_up_to_power_of_two(double q) noexcept {
+  if (!(q > 0.0) || !std::isfinite(q)) return q;
+  int e = 0;
+  const double f = std::frexp(q, &e);  // q = f * 2^e, f in [0.5, 1)
+  return std::ldexp(1.0, f == 0.5 ? e - 1 : e);
+}
+
+bool is_power_of_two(double q) noexcept {
+  int e = 0;
+  return std::isnormal(q) && std::frexp(q, &e) == 0.5;
+}
+
+}  // namespace
+
 void derive_scaling_quanta(PipelineScaling& s, double mass_scale) noexcept {
   const double width = s.range_hi - s.range_lo;
   const double m = mass_scale > 0.0 ? mass_scale : 1.0;
-  s.force_quantum =
-      m / (width * width) * std::ldexp(1.0, -kAccumulatorGuardBits);
-  s.potential_quantum = m / width * std::ldexp(1.0, -kAccumulatorGuardBits);
+  s.force_quantum = round_up_to_power_of_two(
+      m / (width * width) * std::ldexp(1.0, -kAccumulatorGuardBits));
+  s.potential_quantum = round_up_to_power_of_two(
+      m / width * std::ldexp(1.0, -kAccumulatorGuardBits));
 }
 
 PipelineScaling SnapshotWindow::scaling(double eps) const noexcept {
@@ -36,8 +79,10 @@ SnapshotWindow snapshot_window(const Vec3d& box_lo, const Vec3d& box_hi,
   const Vec3d c = 0.5 * (box_lo + box_hi);
   const double half = 0.5 * size;
   double min_mass = std::numeric_limits<double>::infinity();
-  for (double m : mass) min_mass = std::min(min_mass, m);
-  if (!std::isfinite(min_mass) || min_mass <= 0.0) min_mass = 1.0;
+  for (double m : mass) {
+    if (m > 0.0) min_mass = std::min(min_mass, m);
+  }
+  if (!std::isfinite(min_mass)) min_mass = 1.0;
   return {c.min_component() - half, c.max_component() + half, min_mass};
 }
 
@@ -97,13 +142,17 @@ void Pipeline::configure(const PipelineScaling& scaling) {
   if (!(scaling.range_hi > scaling.range_lo)) {
     throw std::invalid_argument("pipeline range window empty");
   }
-  if (scaling.force_quantum <= 0.0 || scaling.potential_quantum <= 0.0) {
-    throw std::invalid_argument("accumulator quanta must be > 0");
+  if (!is_power_of_two(scaling.force_quantum) ||
+      !is_power_of_two(scaling.potential_quantum)) {
+    throw std::invalid_argument(
+        "accumulator quanta must be finite, normal powers of two");
   }
   scaling_ = scaling;
   codec_ = math::FixedPointCodec(scaling.range_lo, scaling.range_hi,
                                  numerics_.position_bits);
   eps2_ = scaling.eps * scaling.eps;
+  inv_force_quantum_ = 1.0 / scaling.force_quantum;
+  inv_potential_quantum_ = 1.0 / scaling.potential_quantum;
 }
 
 JWord Pipeline::encode_j(const Vec3d& pos, double mass) const {
@@ -146,12 +195,18 @@ void Pipeline::evaluate(std::span<const JWord> j,
   // Stage 1, once per call: the codes as doubles (exact, see
   // checked_position_bits), padded with zero-mass lanes whose counts are
   // zero, so the pair loop's trip count is a multiple of the block.
+  // The count streams and the block sums are sized, not filled: the pair
+  // loop writes every padded lane, and the block-sum pass every block.
   const std::size_t padded =
       (j.size() + kBatchWidth - 1) / kBatchWidth * kBatchWidth;
-  for (auto* v : {&stage.x, &stage.y, &stage.z, &stage.m, &stage.cx,
-                  &stage.cy, &stage.cz, &stage.cp}) {
-    v->assign(padded, 0.0);
+  for (auto* v : {&stage.x, &stage.y, &stage.z, &stage.m}) {
+    v->resize(padded);
+    std::fill_n(v->data() + j.size(), padded - j.size(), 0.0);
   }
+  for (auto* v : {&stage.cx, &stage.cy, &stage.cz, &stage.cp}) {
+    v->resize(padded);
+  }
+  stage.sums.resize(4 * (padded / kBatchWidth));
   for (std::size_t k = 0; k < j.size(); ++k) {
     stage.x[k] = static_cast<double>(j[k].x[0].code());
     stage.y[k] = static_cast<double>(j[k].x[1].code());
@@ -180,7 +235,8 @@ constexpr std::int64_t kBlockAccumulatorBound =
 /// integer exactly (round to nearest even, as std::rint); the integer is
 /// then the low bits of the sum's representation.
 constexpr double kRoundMagic = 0x1.8p52;
-constexpr std::int64_t kRoundMagicBits = std::bit_cast<std::int64_t>(kRoundMagic);
+constexpr std::uint64_t kRoundMagicBits =
+    std::bit_cast<std::uint64_t>(kRoundMagic);
 
 /// Negative iff |c| > 2^59 or c is not finite: the magnitude bits of a
 /// double order like the values, NaN and inf above every finite one. A
@@ -196,20 +252,23 @@ std::int64_t count_margin(double c) {
 /// Stage 2, the Native pair arithmetic — its one definition — over a
 /// staged segment of `blocks` blocks: for every j, the four counts of one
 /// target at code (xi, yi, zi), m rinv^3 d / force quantum and
-/// -m rinv / potential quantum. A free function over restrict pointers,
-/// with selects only between constants and a trip count that is a
-/// multiple of the block, so it vectorizes at -O2. The coincidence cut
-/// tests the exact integer-valued code differences; a cut lane gets
-/// weight 0 and r^2 + 1 (a finite rinv), a live lane weight 1 and
-/// r^2 + 0, both exact. The eps == 0 divergent corner is not cut: its
-/// counts are not finite, which sends its block down the slow drain,
-/// where patch_divergent_corner fixes them. Returns whether every count
-/// is within kBlockCountBound.
+/// -m rinv / potential quantum, the divisions done as multiplies by the
+/// exact reciprocals of the power-of-two quanta (bitwise the same, inf
+/// and NaN included). A free function over restrict pointers, with
+/// selects only between constants and a trip count that is a multiple of
+/// the block, so it vectorizes at -O2. The coincidence cut tests the
+/// exact integer-valued code differences; a cut lane gets weight 0 and
+/// r^2 + 1 (a finite rinv), a live lane weight 1 and r^2 + 0, both exact.
+/// The eps == 0 divergent corner is not cut: its counts are not finite,
+/// which sends its block down the slow drain, where
+/// patch_divergent_corner fixes them. Returns whether every count is
+/// within kBlockCountBound.
+G5_ISA_CLONES
 bool native_counts(std::size_t blocks, const double* __restrict x,
                    const double* __restrict y, const double* __restrict z,
                    const double* __restrict m, double xi, double yi,
                    double zi, double quantum, double eps2,
-                   double force_quantum, double potential_quantum,
+                   double inv_force_quantum, double inv_potential_quantum,
                    double* __restrict cx, double* __restrict cy,
                    double* __restrict cz, double* __restrict cp) {
   const std::size_t n = blocks * Pipeline::batch_width();
@@ -226,10 +285,10 @@ bool native_counts(std::size_t blocks, const double* __restrict x,
     const double rinv = 1.0 / std::sqrt(r2 + (1.0 - live));
     const double wm = live * m[k];
     const double mg = wm * (rinv * rinv * rinv);
-    cx[k] = mg * dx / force_quantum;
-    cy[k] = mg * dy / force_quantum;
-    cz[k] = mg * dz / force_quantum;
-    cp[k] = -(wm * rinv) / potential_quantum;
+    cx[k] = mg * dx * inv_force_quantum;
+    cy[k] = mg * dy * inv_force_quantum;
+    cz[k] = mg * dz * inv_force_quantum;
+    cp[k] = -(wm * rinv) * inv_potential_quantum;
     margin |= count_margin(cx[k]) | count_margin(cy[k]) |
               count_margin(cz[k]) | count_margin(cp[k]);
   }
@@ -280,17 +339,35 @@ bool accumulator_in_bounds(const FixedAccumulator& a) {
 /// The exact sum of rint(c[l]) over one block of counts within 2^59:
 /// rint(c) = 2^32 h + rint(c - 2^32 h) with h = rint(c * 2^-32). The
 /// residual is exact and below 2^32, and both roundings are magic adds.
+/// Wrapping unsigned arithmetic, so that a block outside the bounds
+/// (which the drain never adds) yields some value rather than overflow.
 std::int64_t block_count_sum(const double* c) {
-  std::int64_t hi = 0;
-  std::int64_t lo = 0;
+  std::uint64_t sum = 0;
   for (std::size_t l = 0; l < Pipeline::batch_width(); ++l) {
     const double hm = c[l] * 0x1p-32 + kRoundMagic;
     const double h = hm - kRoundMagic;
     const double rm = (c[l] - h * 0x1p32) + kRoundMagic;
-    hi += std::bit_cast<std::int64_t>(hm) - kRoundMagicBits;
-    lo += std::bit_cast<std::int64_t>(rm) - kRoundMagicBits;
+    sum += ((std::bit_cast<std::uint64_t>(hm) - kRoundMagicBits) << 32) +
+           (std::bit_cast<std::uint64_t>(rm) - kRoundMagicBits);
   }
-  return hi * (std::int64_t{1} << 32) + lo;
+  return static_cast<std::int64_t>(sum);
+}
+
+/// Stage 2b: block_count_sum of every block of the four count streams,
+/// into sums[4 b + {0, 1, 2, 3}] (x, y, z, potential). One pass the
+/// compiler vectorizes; the drain adds the sums of the blocks inside its
+/// bounds and ignores the rest.
+G5_ISA_CLONES
+void block_sums(std::size_t blocks, const double* __restrict cx,
+                const double* __restrict cy, const double* __restrict cz,
+                const double* __restrict cp, std::int64_t* __restrict sums) {
+  constexpr std::size_t w = Pipeline::batch_width();
+  for (std::size_t b = 0; b < blocks; ++b) {
+    sums[4 * b] = block_count_sum(cx + w * b);
+    sums[4 * b + 1] = block_count_sum(cy + w * b);
+    sums[4 * b + 2] = block_count_sum(cz + w * b);
+    sums[4 * b + 3] = block_count_sum(cp + w * b);
+  }
 }
 
 }  // namespace
@@ -301,20 +378,23 @@ RawForce Pipeline::evaluate_native(const Vec3d& target, std::size_t count,
   const double xi = static_cast<double>(s.x[0].code());
   const double yi = static_cast<double>(s.x[1].code());
   const double zi = static_cast<double>(s.x[2].code());
+  const std::size_t blocks = stage.x.size() / kBatchWidth;
   const bool all_in_bounds = native_counts(
-      stage.x.size() / kBatchWidth, stage.x.data(), stage.y.data(),
-      stage.z.data(), stage.m.data(), xi, yi, zi, codec_.quantum(), eps2_,
-      scaling_.force_quantum, scaling_.potential_quantum, stage.cx.data(),
-      stage.cy.data(), stage.cz.data(), stage.cp.data());
+      blocks, stage.x.data(), stage.y.data(), stage.z.data(), stage.m.data(),
+      xi, yi, zi, codec_.quantum(), eps2_, inv_force_quantum_,
+      inv_potential_quantum_, stage.cx.data(), stage.cy.data(),
+      stage.cz.data(), stage.cp.data());
+  const double* const cx = stage.cx.data();
+  const double* const cy = stage.cy.data();
+  const double* const cz = stage.cz.data();
+  const double* const cp = stage.cp.data();
+  block_sums(blocks, cx, cy, cz, cp, stage.sums.data());
+  const std::int64_t* const sums = stage.sums.data();
   // Stage 3: drain block by block. A block inside the bounds adds its
   // exact int64 sums once per accumulator; any other block adds its
   // counts one at a time, each rounded, clamped and latched on its own,
   // in stream order — so the sums equal a pair-by-pair stream and do not
   // depend on where block or board-shard boundaries fall.
-  const double* const cx = stage.cx.data();
-  const double* const cy = stage.cy.data();
-  const double* const cz = stage.cz.data();
-  const double* const cp = stage.cp.data();
   for (std::size_t base = 0; base < count; base += kBatchWidth) {
     const bool fast =
         accumulator_in_bounds(s.acc[0]) && accumulator_in_bounds(s.acc[1]) &&
@@ -323,10 +403,11 @@ RawForce Pipeline::evaluate_native(const Vec3d& target, std::size_t count,
          (block_in_bounds(cx + base) && block_in_bounds(cy + base) &&
           block_in_bounds(cz + base) && block_in_bounds(cp + base)));
     if (fast) [[likely]] {
-      s.acc[0].add_count(block_count_sum(cx + base));
-      s.acc[1].add_count(block_count_sum(cy + base));
-      s.acc[2].add_count(block_count_sum(cz + base));
-      s.pot.add_count(block_count_sum(cp + base));
+      const std::int64_t* const sum = sums + 4 * (base / kBatchWidth);
+      s.acc[0].add_count(sum[0]);
+      s.acc[1].add_count(sum[1]);
+      s.acc[2].add_count(sum[2]);
+      s.pot.add_count(sum[3]);
       continue;
     }
     const std::size_t end = std::min(base + kBatchWidth, count);
@@ -377,10 +458,10 @@ RawForce Pipeline::evaluate_lns(const Vec3d& target,
     // into the fixed-point accumulators in stream order.
     const LnsValue mg = lns_.mul(jw.mass, lns_.pow_neg_3_2(r2w));
     const LnsValue mh = lns_.mul(jw.mass, lns_.pow_neg_1_2(r2w));
-    s.acc[0].add(lns_.to_double(lns_.mul(mg, dx)));
-    s.acc[1].add(lns_.to_double(lns_.mul(mg, dy)));
-    s.acc[2].add(lns_.to_double(lns_.mul(mg, dz)));
-    s.pot.add(-lns_.to_double(mh));
+    s.acc[0].add_rounded(lns_.to_double(lns_.mul(mg, dx)) * inv_force_quantum_);
+    s.acc[1].add_rounded(lns_.to_double(lns_.mul(mg, dy)) * inv_force_quantum_);
+    s.acc[2].add_rounded(lns_.to_double(lns_.mul(mg, dz)) * inv_force_quantum_);
+    s.pot.add_rounded(-lns_.to_double(mh) * inv_potential_quantum_);
   }
   return s.raw();
 }

@@ -22,7 +22,8 @@
 // The Native backend (the one double-precision datapath) replaces only
 // the log-format core with double arithmetic: every pair's four counts
 // (m rinv^3 d / force quantum, -m rinv / potential quantum) are computed
-// in double and rounded onto the same accumulators, pair by pair.
+// in double and rounded onto the same accumulators, pair by pair. The
+// quanta are powers of two, so the divisions are exact multiplies.
 //
 // lns_frac_bits = 8 lands the pairwise rms relative force error at ~0.3 %,
 // the figure the paper quotes for GRAPE-5; the calibration is pinned by
@@ -76,11 +77,13 @@ static_assert(std::is_trivially_copyable_v<JWord>);
 /// A lane's staging buffers for the Native path of Pipeline::evaluate:
 /// the j-segment as arrays of doubles (coordinate codes and masses),
 /// padded with zero-mass lanes to a multiple of Pipeline::batch_width(),
-/// and one target's four count streams. The caller owns it, so one const
-/// Pipeline serves every lane; BitExact leaves it untouched.
+/// one target's four count streams, and their exactly rounded int64 sums
+/// per block. The caller owns it, so one const Pipeline serves every
+/// lane; BitExact leaves it untouched.
 struct NativeStage {
   std::vector<double> x, y, z, m;      ///< staged j-segment
   std::vector<double> cx, cy, cz, cp;  ///< one target's counts per j
+  std::vector<std::int64_t> sums;      ///< per block: x, y, z, pot sums
 };
 
 /// The per-call scaling state shared by all pipelines of the system
@@ -90,9 +93,11 @@ struct PipelineScaling {
   double range_hi = 1.0;
   double eps = 0.0;
   /// Accumulator quanta (set from the window and the mass scale by
-  /// derive_scaling_quanta, which Grape5System::set_range calls).
-  double force_quantum = 1e-18;
-  double potential_quantum = 1e-18;
+  /// derive_scaling_quanta, which Grape5System::set_range calls). Powers
+  /// of two (Pipeline::configure checks it), so that dividing by them is
+  /// an exact multiply.
+  double force_quantum = 0x1p-60;
+  double potential_quantum = 0x1p-60;
 };
 
 /// Headroom of the 64-bit fixed-point accumulators: the quantum sits
@@ -101,9 +106,12 @@ struct PipelineScaling {
 inline constexpr int kAccumulatorGuardBits = 34;
 
 /// Derive the accumulator quanta from the coordinate window and the mass
-/// scale (see snapshot_window). The one shared definition of the
-/// hardware's accumulator scaling, used by Grape5System::set_range and
-/// SnapshotWindow::scaling.
+/// scale (see snapshot_window): mass_scale / width^2 and
+/// mass_scale / width, times 2^-kAccumulatorGuardBits, each rounded up to
+/// the next power of two — so the headroom never shrinks, and the
+/// resolution gives up at most one guard bit. The one shared definition
+/// of the hardware's accumulator scaling, used by Grape5System::set_range
+/// and SnapshotWindow::scaling.
 void derive_scaling_quanta(PipelineScaling& s, double mass_scale) noexcept;
 
 /// The range window and mass scale the force engines give the device for
@@ -120,7 +128,8 @@ struct SnapshotWindow {
 /// The one window policy of the engines' device path and the force-error
 /// probe: a cube 1.25x the bounding cube around its center (particles
 /// drift between range updates; lists also hold cell centers of mass),
-/// and the smallest particle mass as the mass scale (1 if none is > 0).
+/// and the smallest particle mass that is > 0 as the mass scale (1 if
+/// none is; zero-mass tracers and negative masses do not set it).
 [[nodiscard]] SnapshotWindow snapshot_window(
     const Vec3d& box_lo, const Vec3d& box_hi,
     std::span<const double> mass) noexcept;
@@ -129,7 +138,9 @@ class Pipeline {
  public:
   explicit Pipeline(const PipelineNumerics& numerics);
 
-  /// (Re)build the coordinate codec for a new range window.
+  /// (Re)build the coordinate codec for a new range window. Throws
+  /// std::invalid_argument unless the window is nonempty and both
+  /// accumulator quanta are finite, normal, exact powers of two.
   void configure(const PipelineScaling& scaling);
 
   [[nodiscard]] const PipelineScaling& scaling() const noexcept {
@@ -174,7 +185,8 @@ class Pipeline {
   }
 
   /// Convert a raw readout to force and potential — the one raw->double
-  /// conversion of the device (counts times the accumulator quanta).
+  /// conversion of the device (counts times the accumulator quanta,
+  /// which are powers of two: an exact scaling, std::ldexp of the count).
   void convert_raw(const RawForce& raw, Vec3d& acc, double& pot) const noexcept;
 
   /// The accumulator quanta evaluate counts in (the scaling's quanta,
@@ -195,6 +207,10 @@ class Pipeline {
   PipelineScaling scaling_;
   math::FixedPointCodec codec_;
   double eps2_ = 0.0;
+  // Exact reciprocals of the power-of-two quanta: multiplying by them is
+  // bitwise the division by the quanta.
+  double inv_force_quantum_ = 0.0;
+  double inv_potential_quantum_ = 0.0;
 
   [[nodiscard]] RawForce evaluate_lns(const Vec3d& target,
                                       std::span<const JWord> j) const;

@@ -40,8 +40,8 @@ SelfTestReport run_selftest(const Grape5System& system,
   scaling.range_lo = -2.0;
   scaling.range_hi = 2.0;
   scaling.eps = eps;
-  scaling.force_quantum = 1e-12;
-  scaling.potential_quantum = 1e-12;
+  scaling.force_quantum = 0x1p-40;
+  scaling.potential_quantum = 0x1p-40;
   pipe.configure(scaling);
   std::vector<JWord> jwords(config.n_sources);
   for (std::size_t j = 0; j < config.n_sources; ++j) {

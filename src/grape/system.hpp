@@ -60,7 +60,7 @@ class Grape5System {
 
   /// Set the coordinate window and softening; invalidates resident j-sets.
   /// `mass_scale` feeds the accumulator quanta: the engines pass the
-  /// smallest particle mass (grape::snapshot_window); 0 means 1.
+  /// smallest particle mass > 0 (grape::snapshot_window); 0 means 1.
   void set_range(double lo, double hi, double eps, double mass_scale = 0.0);
 
   /// Upload a full j-set, block-partitioned across the boards. Throws

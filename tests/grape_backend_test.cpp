@@ -16,9 +16,10 @@
 //  * Native evaluate vs a scalar reference: Pipeline::evaluate's staged,
 //    block-drained Native path must equal one pair at a time through
 //    FixedAccumulator::add, bitwise, saturation latch included — for
-//    every stream length, coincident entries, the divergent corner (any
-//    sign of the mass), counts above the drain's 2^59 block bound and
-//    accumulators near the rail.
+//    every stream length, a Plummer N = 65,536 list on the engines'
+//    quanta, coincident entries, the divergent corner (any sign of the
+//    mass), counts above the drain's 2^59 block bound and accumulators
+//    near the rail.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -55,8 +56,8 @@ PipelineScaling test_scaling(double eps = 0.01) {
   s.range_lo = -10.0;
   s.range_hi = 10.0;
   s.eps = eps;
-  s.force_quantum = 1e-9;
-  s.potential_quantum = 1e-10;
+  s.force_quantum = 0x1p-30;
+  s.potential_quantum = 0x1p-33;
   return s;
 }
 
@@ -221,8 +222,8 @@ TEST(Backend, ZeroDistanceSemanticsIdenticalAcrossPaths) {
     s.range_lo = -5e-155;
     s.range_hi = 5e-155;
     s.eps = 0.0;
-    s.force_quantum = 1e-18;
-    s.potential_quantum = 1e-18;
+    s.force_quantum = 0x1p-60;
+    s.potential_quantum = 0x1p-60;
     pipe.configure(s);
     const double q = pipe.position_quantum();
     ASSERT_LT(q, 1e-160);
@@ -331,6 +332,32 @@ TEST(Backend, NativeEvaluateBitwiseMatchesScalarReference) {
     expect_native_matches_reference(pipe, {all.data(), n}, targets, stage,
                                     "length " + std::to_string(n));
   }
+
+  // On the quanta the engines install (snapshot_window of a Plummer
+  // N = 65,536 snapshot): a list shaped like a native-65k group's, 1,000
+  // particles and 400 cells (the mass of 64 particles, placed where the
+  // snapshot's density puts them), streamed past 64 of its particles
+  // (each meets itself). On an AVX2 host this pins the dispatched AVX2
+  // clone against the reference.
+  const auto pset =
+      ic::make_plummer(ic::PlummerConfig{.n = 65536, .seed = 1});
+  const model::Aabb box = pset.bounding_box();
+  const Pipeline engine_pipe = native_pipeline(
+      grape::snapshot_window(box.lo, box.hi, pset.mass()).scaling(0.02));
+  std::vector<JWord> list;
+  for (std::size_t k = 0; k < 1000; ++k) {
+    list.push_back(engine_pipe.encode_j(pset.pos()[k], pset.mass()[k]));
+  }
+  for (std::size_t k = 1000; k < 1400; ++k) {
+    list.push_back(engine_pipe.encode_j(pset.pos()[k], 64.0 * pset.mass()[k]));
+  }
+  const std::vector<Vec3d> list_targets(pset.pos().begin(),
+                                        pset.pos().begin() + 64);
+  expect_native_matches_reference(engine_pipe, list, list_targets, stage,
+                                  "plummer-65k list");
+  std::vector<RawForce> out(list_targets.size());
+  engine_pipe.evaluate(list, list_targets, out, stage);
+  for (const RawForce& r : out) EXPECT_FALSE(r.saturated);
 }
 
 TEST(Backend, NativeEvaluateCutsCoincidentEntries) {
@@ -357,18 +384,18 @@ TEST(Backend, NativeEvaluateDivergentCornerSaturatesLikeReference) {
   s.range_lo = -5e-155;
   s.range_hi = 5e-155;
   s.eps = 0.0;
-  s.force_quantum = 1e-18;
+  s.force_quantum = 0x1p-60;
   // In this window every non-coincident pair's rinv^3 overflows, so all
   // force counts are infinite; the potential quantum is chosen so that
   // only the divergent pair's potential count is.
-  s.potential_quantum = 1e150;
+  s.potential_quantum = 0x1p498;
   const Pipeline pipe = native_pipeline(s);
   const double q = pipe.position_quantum();
   ASSERT_LT(q, 1e-160);
   const std::size_t w = Pipeline::batch_width();
   // Two blocks of coincident entries, the second with one divergent
   // entry (3 codes along +x: (3q)^2 == 0.0) in its middle, then entries
-  // on the +x side with finite potential counts (~2.5e4 each). The
+  // on the +x side with finite potential counts (~3e4 each). The
   // divergent entry's own counts are all that can send its block down
   // the slow path.
   std::vector<JWord> js(2 * w, pipe.encode_j(Vec3d{0.0, 0.0, 0.0}, 1.0));
@@ -417,12 +444,12 @@ TEST(Backend, NativeEvaluateDivergentCornerSaturatesLikeReference) {
 }
 
 TEST(Backend, NativeEvaluateCountsAboveBlockBound) {
-  // A force quantum of 1e-18: a unit-mass j at distance 1 contributes
-  // ~1e18 counts, above the block drain's 2^59 bound but below the
+  // A force quantum of 2^-60: a unit-mass j at distance 1 contributes
+  // 2^60 counts, above the block drain's 2^59 bound but below the
   // rail. Its block takes the per-interaction path; the rest drain fast.
   PipelineScaling s = test_scaling();
-  s.force_quantum = 1e-18;
-  s.potential_quantum = 1e-18;
+  s.force_quantum = 0x1p-60;
+  s.potential_quantum = 0x1p-60;
   const Pipeline pipe = native_pipeline(s);
   const Vec3d xi{0.0, 0.0, 0.0};
   std::vector<JWord> js;
@@ -462,8 +489,8 @@ TEST(Backend, NativeEvaluateNearRailMatchesReference) {
   // and steps back below it in the second, so a block sum clamped only
   // at its end would differ; with a light tail it stays below.
   PipelineScaling s = test_scaling();
-  s.force_quantum = 1e-18;
-  s.potential_quantum = 1e-9;
+  s.force_quantum = 0x1p-60;
+  s.potential_quantum = 0x1p-30;
   const Pipeline pipe = native_pipeline(s);
   const Vec3d xi{0.0, 0.0, 0.0};
   const double near_rail =

@@ -1,6 +1,8 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstdint>
+#include <limits>
 #include <span>
 #include <vector>
 
@@ -50,15 +52,15 @@ PipelineScaling test_scaling(double eps = 0.0) {
   s.range_lo = -10.0;
   s.range_hi = 10.0;
   s.eps = eps;
-  s.force_quantum = 1e-9;
-  s.potential_quantum = 1e-10;
+  s.force_quantum = 0x1p-30;
+  s.potential_quantum = 0x1p-33;
   return s;
 }
 
 double pairwise_rms(const PipelineNumerics& numerics, std::size_t pairs) {
   Pipeline pipe(numerics);
   PipelineScaling s = test_scaling();
-  s.force_quantum = 1e-8;
+  s.force_quantum = 0x1p-27;
   pipe.configure(s);
   math::Rng rng(7);
   util::RunningStat err;
@@ -197,7 +199,7 @@ TEST(Pipeline, AccumulationOverStream) {
 TEST(Pipeline, SaturationFlagged) {
   Pipeline pipe((PipelineNumerics()));
   PipelineScaling s = test_scaling();
-  s.force_quantum = 1e-30;  // absurd quantum: everything overflows
+  s.force_quantum = 0x1p-100;  // absurd quantum: everything overflows
   pipe.configure(s);
   EXPECT_TRUE(
       interact(pipe, Vec3d{0, 0, 0}, pipe.encode_j(Vec3d{0.5, 0, 0}, 1.0))
@@ -212,6 +214,132 @@ TEST(Pipeline, ConfigureValidation) {
   s = test_scaling();
   s.force_quantum = 0.0;
   EXPECT_THROW(pipe.configure(s), std::invalid_argument);
+}
+
+TEST(Pipeline, ConfigureRequiresPowerOfTwoQuanta) {
+  // The Native pair loop and the LNS drain multiply by the reciprocals
+  // of the quanta; only for normal powers of two is that the division.
+  Pipeline pipe((PipelineNumerics()));
+  const double bad[] = {1e-9,
+                        3.0 * 0x1p-30,
+                        std::nextafter(0x1p-30, 1.0),
+                        -0x1p-30,
+                        0x1p-1060,  // subnormal
+                        std::numeric_limits<double>::infinity(),
+                        std::numeric_limits<double>::quiet_NaN()};
+  for (const double q : bad) {
+    PipelineScaling s = test_scaling();
+    s.force_quantum = q;
+    EXPECT_THROW(pipe.configure(s), std::invalid_argument) << "force " << q;
+    s = test_scaling();
+    s.potential_quantum = q;
+    EXPECT_THROW(pipe.configure(s), std::invalid_argument) << "pot " << q;
+  }
+  for (const double q : {0x1p-1022, 0x1p-60, 1.0, 0x1p1023}) {
+    PipelineScaling s = test_scaling();
+    s.force_quantum = q;
+    s.potential_quantum = q;
+    EXPECT_NO_THROW(pipe.configure(s)) << q;
+  }
+  // A rejected scaling leaves the installed one in place.
+  PipelineScaling s = test_scaling();
+  pipe.configure(s);
+  s.force_quantum = 1e-9;
+  EXPECT_THROW(pipe.configure(s), std::invalid_argument);
+  EXPECT_EQ(pipe.force_accumulator_quantum(), test_scaling().force_quantum);
+}
+
+TEST(Pipeline, DerivedQuantaArePowersOfTwoRoundedUp) {
+  // Windows 1e-3 .. 1e3 and mass scales 1e-9 .. 1: each quantum is a
+  // power of two, no finer than the policy's unrounded quantum
+  // (m / width^2 and m / width, times 2^-34: the headroom never shrinks)
+  // and less than twice it (at most one guard bit of resolution lost).
+  Pipeline pipe((PipelineNumerics()));
+  int cases = 0;
+  for (double width = 1e-3; width <= 1e3 * 1.0001; width *= 1.7782794) {
+    for (double m = 1e-9; m <= 1.0001; m *= 3.16227766) {
+      PipelineScaling s;
+      s.range_lo = -0.37 * width;
+      s.range_hi = s.range_lo + width;
+      grape::derive_scaling_quanta(s, m);
+      const double w = s.range_hi - s.range_lo;
+      const double unrounded[2] = {m / (w * w) * 0x1p-34, m / w * 0x1p-34};
+      const double derived[2] = {s.force_quantum, s.potential_quantum};
+      for (int k = 0; k < 2; ++k) {
+        int e = 0;
+        EXPECT_EQ(std::frexp(derived[k], &e), 0.5)
+            << "width " << width << " mass " << m << " quantum " << k;
+        EXPECT_GE(derived[k], unrounded[k]) << width << " " << m << " " << k;
+        EXPECT_LT(derived[k], 2.0 * unrounded[k])
+            << width << " " << m << " " << k;
+      }
+      EXPECT_NO_THROW(pipe.configure(s));
+      ++cases;
+    }
+  }
+  EXPECT_GT(cases, 100);
+  // An exact power of two stays where it is.
+  PipelineScaling s;
+  s.range_lo = -1.0;
+  s.range_hi = 1.0;
+  grape::derive_scaling_quanta(s, 0.25);
+  EXPECT_EQ(s.force_quantum, 0x1p-38);
+  EXPECT_EQ(s.potential_quantum, 0x1p-37);
+}
+
+TEST(Pipeline, ConvertRawIsExactScaling) {
+  // With power-of-two quanta the count-to-double conversion is
+  // std::ldexp of the count, exactly, for every count a double holds.
+  math::Rng rng(11);
+  for (const int e : {-100, -60, -33, -1, 0, 7}) {
+    Pipeline pipe((PipelineNumerics()));
+    PipelineScaling s = test_scaling();
+    s.force_quantum = std::ldexp(1.0, e);
+    s.potential_quantum = std::ldexp(1.0, e - 3);
+    pipe.configure(s);
+    for (int k = 0; k < 2000; ++k) {
+      RawForce raw;
+      // Counts of every magnitude below 2^53, both signs.
+      const int bits = k % 54;
+      for (std::int64_t* c :
+           {&raw.acc[0], &raw.acc[1], &raw.acc[2], &raw.pot}) {
+        const double mag = std::floor(std::ldexp(rng.uniform(), bits));
+        *c = static_cast<std::int64_t>(rng.uniform() < 0.5 ? -mag : mag);
+      }
+      Vec3d acc;
+      double pot = 0.0;
+      pipe.convert_raw(raw, acc, pot);
+      for (std::size_t c = 0; c < 3; ++c) {
+        ASSERT_EQ(acc[c], std::ldexp(static_cast<double>(raw.acc[c]), e))
+            << "e " << e << " count " << raw.acc[c];
+      }
+      ASSERT_EQ(pot, std::ldexp(static_cast<double>(raw.pot), e - 3))
+          << "e " << e << " count " << raw.pot;
+    }
+  }
+}
+
+TEST(Pipeline, SnapshotWindowMassScaleIgnoresNonPositiveMasses) {
+  // A 1/N-mass set with a zero-mass tracer (and a negative mass): the
+  // mass scale is the smallest mass > 0, not the fallback of 1, which
+  // would make the quanta 1/m_min = N times coarser.
+  const std::size_t n = 4096;
+  std::vector<double> mass(n, 1.0 / static_cast<double>(n));
+  mass[17] = 0.0;
+  const Vec3d lo{-1.0, -1.0, -1.0};
+  const Vec3d hi{1.0, 1.0, 1.0};
+  EXPECT_EQ(grape::snapshot_window(lo, hi, mass).mass_scale,
+            1.0 / static_cast<double>(n));
+  mass[40] = -0.5;
+  EXPECT_EQ(grape::snapshot_window(lo, hi, mass).mass_scale,
+            1.0 / static_cast<double>(n));
+  mass[3] = 0.25 / static_cast<double>(n);
+  EXPECT_EQ(grape::snapshot_window(lo, hi, mass).mass_scale,
+            0.25 / static_cast<double>(n));
+  // Without any mass > 0 the scale falls back to 1.
+  const std::vector<double> massless(8, 0.0);
+  EXPECT_EQ(grape::snapshot_window(lo, hi, massless).mass_scale, 1.0);
+  EXPECT_EQ(grape::snapshot_window(lo, hi, {}).mass_scale, 1.0);
 }
 
 TEST(Pipeline, PositionBitsBoundedByDoubleSignificand) {
