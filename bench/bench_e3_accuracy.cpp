@@ -53,7 +53,7 @@ double pairwise_rms_error(const grape::PipelineNumerics& numerics,
 
   math::Rng rng(seed);
   util::RunningStat err;
-  grape::NativeStage stage;
+  grape::EvalStage stage;
   for (std::size_t k = 0; k < pairs; ++k) {
     const Vec3d xi = 4.0 * rng.in_unit_ball();
     // Log-uniform separations over 4 decades: exercises the dynamic range

@@ -120,7 +120,7 @@ void BM_PipelineEvaluate(benchmark::State& state) {
   }
   const std::span<const Vec3d> targets(pset.pos().data(), kTargets);
   std::vector<grape::RawForce> raw(kTargets);
-  grape::NativeStage stage;
+  grape::EvalStage stage;
   for (auto _ : state) {
     pipe.evaluate(js, targets, raw, stage);
     benchmark::DoNotOptimize(raw.data());

@@ -114,7 +114,7 @@ class GrapeListKernel final : public ListKernel {
   /// that list and its targets' counts.
   struct Lane {
     std::vector<grape::JWord> jwords;
-    grape::NativeStage stage;
+    grape::EvalStage stage;
     std::vector<grape::RawForce> raw;
   };
 

@@ -43,7 +43,7 @@ enum class BackendKind : std::uint8_t {
   /// "standard 64-bit floating point" row ("the relative accuracy was
   /// practically the same") and the emulator's fast path. Codec error
   /// vanishes (probe reports g5.err.codec ~ 0); tree error is untouched.
-  /// Roughly an order of magnitude faster than BitExact.
+  /// About 3x faster than BitExact per interaction (both vectorized).
   Native,
 };
 

@@ -1,16 +1,20 @@
 #include "grape/pipeline.hpp"
 
 #include <algorithm>
+#include <array>
 #include <bit>
 #include <cmath>
 #include <limits>
 #include <stdexcept>
+#include <string>
 
-// The Native kernels are built twice from one source, for AVX2 and for
-// the baseline ISA, and dispatched once at load time through an ifunc.
-// Every operation in them is a correctly rounded IEEE add, subtract,
-// multiply, divide or sqrt, and g5_grape compiles with -ffp-contract=off
-// so no clone fuses a multiply-add: both clones give the same bits.
+// The kernels (both backends' pair loops and the block-sum pass) are
+// built twice from one source, for AVX2 and for the baseline ISA, and
+// dispatched once at load time through an ifunc. Every operation in them
+// is integer work, a table read or a correctly rounded IEEE add,
+// subtract, multiply, divide or sqrt, and g5_grape compiles with
+// -ffp-contract=off so no clone fuses a multiply-add: both clones give
+// the same bits.
 // ThreadSanitizer instruments the ifunc resolver, which runs before its
 // runtime is up and crashes at load time, so TSan builds keep one clone.
 #if defined(__SANITIZE_THREAD__)  // GCC
@@ -33,7 +37,6 @@
 namespace g5::grape {
 
 using math::Fixed20;
-using math::FixedAccumulator;
 using math::FixedDelta;
 using math::LnsValue;
 
@@ -99,34 +102,15 @@ int checked_position_bits(int bits) {
   return bits;
 }
 
-/// A target resident in a pipeline slot: its quantized coordinates and
-/// the fixed-point force/potential accumulators on the scaling's quanta.
-/// Both backends accumulate in these registers, so per-interaction
-/// contributions commute exactly and multi-board partial sums merge
-/// bitwise.
-struct IState {
-  IState(const math::FixedPointCodec& codec, const PipelineScaling& s,
-         const Vec3d& pos)
-      : x{codec.encode(pos[0]), codec.encode(pos[1]), codec.encode(pos[2])},
-        acc{FixedAccumulator(s.force_quantum),
-            FixedAccumulator(s.force_quantum),
-            FixedAccumulator(s.force_quantum)},
-        pot(s.potential_quantum) {}
-
-  Fixed20 x[3];
-  FixedAccumulator acc[3];
-  FixedAccumulator pot;
-
-  /// The readout: the integer registers and the saturation latch.
-  [[nodiscard]] RawForce raw() const noexcept {
-    RawForce r;
-    for (std::size_t c = 0; c < 3; ++c) r.acc[c] = acc[c].raw();
-    r.pot = pot.raw();
-    r.saturated = acc[0].saturated() || acc[1].saturated() ||
-                  acc[2].saturated() || pot.saturated();
-    return r;
+/// The staged coordinate codes are doubles; a non-finite coordinate has
+/// no code (FixedPointCodec::encode would convert NaN to an integer).
+void require_finite(const Vec3d& pos, const char* what) {
+  if (!std::isfinite(pos[0]) || !std::isfinite(pos[1]) ||
+      !std::isfinite(pos[2])) {
+    throw std::invalid_argument(std::string("non-finite ") + what +
+                                " coordinate");
   }
-};
+}
 
 }  // namespace
 
@@ -156,6 +140,7 @@ void Pipeline::configure(const PipelineScaling& scaling) {
 }
 
 JWord Pipeline::encode_j(const Vec3d& pos, double mass) const {
+  require_finite(pos, "j-particle");
   JWord j;
   for (std::size_t c = 0; c < 3; ++c) j.x[c] = codec_.encode(pos[c]);
   j.mass = lns_.from_double(mass);
@@ -182,45 +167,79 @@ void Pipeline::convert_raw(const RawForce& raw, Vec3d& acc,
 
 void Pipeline::evaluate(std::span<const JWord> j,
                         std::span<const Vec3d> targets,
-                        std::span<RawForce> out, NativeStage& stage) const {
+                        std::span<RawForce> out, EvalStage& stage) const {
   if (out.size() != targets.size()) {
     throw std::invalid_argument("raw output span arity mismatch");
   }
-  if (numerics_.backend != BackendKind::Native) {
+  for (const Vec3d& t : targets) require_finite(t, "target");
+  std::fill(out.begin(), out.end(), RawForce{});
+  const bool native = numerics_.backend == BackendKind::Native;
+  // Every buffer is one tile long (the sums one entry per stream and
+  // block), whatever the stream length. The pair loops write every
+  // padded lane of the count streams, and the block-sum pass every block.
+  for (auto* v : {&stage.x, &stage.y, &stage.z, &stage.cx, &stage.cy,
+                  &stage.cz, &stage.cp}) {
+    v->resize(kTileLength);
+  }
+  if (native) {
+    stage.m.resize(kTileLength);
+  } else {
+    stage.mlog.resize(kTileLength);
+    stage.msign.resize(kTileLength);
+    stage.mlive.resize(kTileLength);
+  }
+  stage.sums.resize(4 * (kTileLength / kBatchWidth));
+  for (std::size_t base = 0; base < j.size(); base += kTileLength) {
+    const std::span<const JWord> tile =
+        j.subspan(base, std::min(kTileLength, j.size() - base));
+    const std::size_t blocks = (tile.size() + kBatchWidth - 1) / kBatchWidth;
+    stage_tile(tile, blocks * kBatchWidth, stage);
     for (std::size_t i = 0; i < targets.size(); ++i) {
-      out[i] = evaluate_lns(targets[i], j);
+      const Fixed20 xi[3] = {codec_.encode(targets[i][0]),
+                             codec_.encode(targets[i][1]),
+                             codec_.encode(targets[i][2])};
+      drain_tile(xi, tile.size(),
+                 native ? native_tile_counts(xi, blocks, stage)
+                        : lns_tile_counts(xi, tile, blocks, stage),
+                 stage, out[i]);
     }
+  }
+}
+
+void Pipeline::stage_tile(std::span<const JWord> tile, std::size_t padded,
+                          EvalStage& stage) const {
+  // The codes as doubles (exact, see checked_position_bits), padded with
+  // zero-mass lanes, whose counts are zero.
+  for (std::size_t k = 0; k < tile.size(); ++k) {
+    stage.x[k] = static_cast<double>(tile[k].x[0].code());
+    stage.y[k] = static_cast<double>(tile[k].x[1].code());
+    stage.z[k] = static_cast<double>(tile[k].x[2].code());
+  }
+  for (auto* v : {&stage.x, &stage.y, &stage.z}) {
+    std::fill(v->begin() + static_cast<std::ptrdiff_t>(tile.size()),
+              v->begin() + static_cast<std::ptrdiff_t>(padded), 0.0);
+  }
+  if (numerics_.backend == BackendKind::Native) {
+    for (std::size_t k = 0; k < tile.size(); ++k) {
+      stage.m[k] = tile[k].mass_exact;
+    }
+    std::fill(stage.m.begin() + static_cast<std::ptrdiff_t>(tile.size()),
+              stage.m.begin() + static_cast<std::ptrdiff_t>(padded), 0.0);
     return;
   }
-  // Stage 1, once per call: the codes as doubles (exact, see
-  // checked_position_bits), padded with zero-mass lanes whose counts are
-  // zero, so the pair loop's trip count is a multiple of the block.
-  // The count streams and the block sums are sized, not filled: the pair
-  // loop writes every padded lane, and the block-sum pass every block.
-  const std::size_t padded =
-      (j.size() + kBatchWidth - 1) / kBatchWidth * kBatchWidth;
-  for (auto* v : {&stage.x, &stage.y, &stage.z, &stage.m}) {
-    v->resize(padded);
-    std::fill_n(v->data() + j.size(), padded - j.size(), 0.0);
-  }
-  for (auto* v : {&stage.cx, &stage.cy, &stage.cz, &stage.cp}) {
-    v->resize(padded);
-  }
-  stage.sums.resize(4 * (padded / kBatchWidth));
-  for (std::size_t k = 0; k < j.size(); ++k) {
-    stage.x[k] = static_cast<double>(j[k].x[0].code());
-    stage.y[k] = static_cast<double>(j[k].x[1].code());
-    stage.z[k] = static_cast<double>(j[k].x[2].code());
-    stage.m[k] = j[k].mass_exact;
-  }
-  for (std::size_t i = 0; i < targets.size(); ++i) {
-    out[i] = evaluate_native(targets[i], j.size(), stage);
+  for (std::size_t k = 0; k < padded; ++k) {
+    const math::LnsLane w = k < tile.size()
+                                ? math::LnsFormat::lane(tile[k].mass)
+                                : math::LnsLane{};  // the zero tag
+    stage.mlog[k] = w.log;
+    stage.msign[k] = w.sign;
+    stage.mlive[k] = w.live;
   }
 }
 
 // g5lint: hot-begin(pipeline-batch) — the per-interaction kernels; no
 // allocation, no unreserved growth (the lane buffers are the caller's
-// NativeStage).
+// EvalStage).
 namespace {
 
 /// Fast-path bounds of one drained block: every count within 2^59 and
@@ -235,6 +254,8 @@ constexpr std::int64_t kBlockAccumulatorBound =
 /// integer exactly (round to nearest even, as std::rint); the integer is
 /// then the low bits of the sum's representation.
 constexpr double kRoundMagic = 0x1.8p52;
+constexpr std::uint64_t kSignBit = std::uint64_t{1} << 63;
+constexpr std::uint64_t kAllOnes = ~std::uint64_t{0};
 constexpr std::uint64_t kRoundMagicBits =
     std::bit_cast<std::uint64_t>(kRoundMagic);
 
@@ -304,7 +325,7 @@ bool native_counts(std::size_t blocks, const double* __restrict x,
 /// each with the sign of m (m < 0 gives -1); native_counts leaves NaN
 /// where a component or m is zero. Leaves any other entry's counts as
 /// they are.
-void patch_divergent_corner(const NativeStage& stage, std::size_t k,
+void patch_divergent_corner(const EvalStage& stage, std::size_t k,
                             double xi, double yi, double zi, double quantum,
                             double eps2, double (&c)[4]) {
   const double ex = stage.x[k] - xi;
@@ -331,9 +352,8 @@ bool block_in_bounds(const double* c) {
   return margin >= 0;
 }
 
-bool accumulator_in_bounds(const FixedAccumulator& a) {
-  return a.raw() <= kBlockAccumulatorBound &&
-         a.raw() >= -kBlockAccumulatorBound;
+bool register_in_bounds(std::int64_t count) {
+  return count <= kBlockAccumulatorBound && count >= -kBlockAccumulatorBound;
 }
 
 /// The exact sum of rint(c[l]) over one block of counts within 2^59:
@@ -370,20 +390,118 @@ void block_sums(std::size_t blocks, const double* __restrict cx,
   }
 }
 
+/// Stage 2, the bit-exact pair arithmetic in lane form, over a staged
+/// tile of `blocks` blocks: for every j, the four counts of one target at
+/// code (xi, yi, zi), in the datapath's stage order — lns_pair_counts is
+/// the same arithmetic one pair at a time. Branch-free, so that it
+/// vectorizes at -O2: no FP operation is conditional, every select is an
+/// integer AND with a zero-tag mask (math::LnsLane), the floors are
+/// logical shifts, and the x/y/z steps are written out. The products are
+/// not saturated: in the pipeline's format (exp_bits 12) a product whose
+/// scalar form clamps decodes outside the table split clamped or not, so
+/// its lane is flagged either way. Returns false when a live lane (not
+/// cut, nonzero mass) met a case the table arithmetic cannot do bitwise —
+/// a subnormal or non-finite |d| * quantum, a subnormal, non-finite or
+/// zero r^2, a decode outside the table split — and the caller then
+/// recomputes the tile through lns_pair_counts. Sets `all_in_bounds` to
+/// whether every count is within kBlockCountBound.
+G5_ISA_CLONES
+bool lns_counts(std::size_t blocks, const math::LnsFormat& lns,
+                const double* __restrict x, const double* __restrict y,
+                const double* __restrict z, const std::int64_t* __restrict mlog,
+                const std::uint64_t* __restrict msign,
+                const std::uint64_t* __restrict mlive, double xi, double yi,
+                double zi, double quantum, double eps2,
+                double inv_force_quantum, double inv_potential_quantum,
+                double* __restrict cx, double* __restrict cy,
+                double* __restrict cz, double* __restrict cp,
+                bool& all_in_bounds) {
+  const std::size_t n = blocks * Pipeline::batch_width();
+  std::uint64_t bad = 0;
+  std::int64_t margin = 0;
+  for (std::size_t k = 0; k < n; ++k) {
+    const double ex = x[k] - xi;
+    const double ey = y[k] - yi;
+    const double ez = z[k] - zi;
+    // The i == j cut (all three integer-valued differences zero) tags the
+    // mass zero: the pair adds nothing.
+    const std::uint64_t any_bits = std::bit_cast<std::uint64_t>(ex) |
+                                   std::bit_cast<std::uint64_t>(ey) |
+                                   std::bit_cast<std::uint64_t>(ez);
+    const std::uint64_t live = math::lns_nonzero_mask(any_bits & ~kSignBit);
+    const math::LnsLane m{mlog[k], msign[k], mlive[k] & live};
+    std::uint64_t lane_bad = 0;
+    const math::LnsLane dx = lns.encode_lane(ex * quantum, lane_bad);
+    const math::LnsLane dy = lns.encode_lane(ey * quantum, lane_bad);
+    const math::LnsLane dz = lns.encode_lane(ez * quantum, lane_bad);
+    double r2 = eps2;
+    r2 += lns.decode_lane(math::LnsFormat::mul_lane(dx, dx), lane_bad);
+    r2 += lns.decode_lane(math::LnsFormat::mul_lane(dy, dy), lane_bad);
+    r2 += lns.decode_lane(math::LnsFormat::mul_lane(dz, dz), lane_bad);
+    const math::LnsLane r2w = lns.encode_lane(r2, lane_bad);
+    lane_bad |= ~r2w.live;  // r^2 == 0: the power units' saturated input
+    const math::LnsLane mg = math::LnsFormat::mul_lane(
+        m, {lns.pow_neg_3_2_log(r2w.log), 0, kAllOnes});
+    const math::LnsLane mh = math::LnsFormat::mul_lane(
+        m, {lns.pow_neg_1_2_log(r2w.log), 0, kAllOnes});
+    cx[k] = lns.decode_lane(math::LnsFormat::mul_lane(mg, dx), lane_bad) *
+            inv_force_quantum;
+    cy[k] = lns.decode_lane(math::LnsFormat::mul_lane(mg, dy), lane_bad) *
+            inv_force_quantum;
+    cz[k] = lns.decode_lane(math::LnsFormat::mul_lane(mg, dz), lane_bad) *
+            inv_force_quantum;
+    cp[k] = -lns.decode_lane(mh, lane_bad) * inv_potential_quantum;
+    bad |= lane_bad & m.live;
+    margin |= count_margin(cx[k]) | count_margin(cy[k]) |
+              count_margin(cz[k]) | count_margin(cp[k]);
+  }
+  all_in_bounds = margin >= 0;
+  return static_cast<std::int64_t>(bad) >= 0;
+}
+
 }  // namespace
 
-RawForce Pipeline::evaluate_native(const Vec3d& target, std::size_t count,
-                                   NativeStage& stage) const {
-  IState s(codec_, scaling_, target);
-  const double xi = static_cast<double>(s.x[0].code());
-  const double yi = static_cast<double>(s.x[1].code());
-  const double zi = static_cast<double>(s.x[2].code());
-  const std::size_t blocks = stage.x.size() / kBatchWidth;
-  const bool all_in_bounds = native_counts(
+bool Pipeline::native_tile_counts(const Fixed20 (&xi)[3], std::size_t blocks,
+                                  EvalStage& stage) const {
+  return native_counts(
       blocks, stage.x.data(), stage.y.data(), stage.z.data(), stage.m.data(),
-      xi, yi, zi, codec_.quantum(), eps2_, inv_force_quantum_,
-      inv_potential_quantum_, stage.cx.data(), stage.cy.data(),
-      stage.cz.data(), stage.cp.data());
+      static_cast<double>(xi[0].code()), static_cast<double>(xi[1].code()),
+      static_cast<double>(xi[2].code()), codec_.quantum(), eps2_,
+      inv_force_quantum_, inv_potential_quantum_, stage.cx.data(),
+      stage.cy.data(), stage.cz.data(), stage.cp.data());
+}
+
+bool Pipeline::lns_tile_counts(const Fixed20 (&xi)[3],
+                               std::span<const JWord> tile,
+                               std::size_t blocks, EvalStage& stage) const {
+  bool all_in_bounds = false;
+  const bool exact = lns_counts(
+      blocks, lns_, stage.x.data(), stage.y.data(), stage.z.data(),
+      stage.mlog.data(), stage.msign.data(), stage.mlive.data(),
+      static_cast<double>(xi[0].code()), static_cast<double>(xi[1].code()),
+      static_cast<double>(xi[2].code()), codec_.quantum(), eps2_,
+      inv_force_quantum_, inv_potential_quantum_, stage.cx.data(),
+      stage.cy.data(), stage.cz.data(), stage.cp.data(), all_in_bounds);
+  if (!exact) [[unlikely]] {
+    // A lane the table arithmetic cannot do bitwise: the whole tile
+    // again, one pair at a time (the padding keeps its zero counts).
+    for (std::size_t k = 0; k < tile.size(); ++k) {
+      const std::array<double, 4> c = lns_pair_counts(xi, tile[k]);
+      stage.cx[k] = c[0];
+      stage.cy[k] = c[1];
+      stage.cz[k] = c[2];
+      stage.cp[k] = c[3];
+    }
+    return false;  // bounds unknown: the drain checks each block
+  }
+  return all_in_bounds;
+}
+
+void Pipeline::drain_tile(const Fixed20 (&xi)[3], std::size_t count,
+                          bool all_in_bounds, EvalStage& stage,
+                          RawForce& r) const {
+  const bool native = numerics_.backend == BackendKind::Native;
+  const std::size_t blocks = (count + kBatchWidth - 1) / kBatchWidth;
   const double* const cx = stage.cx.data();
   const double* const cy = stage.cy.data();
   const double* const cz = stage.cz.data();
@@ -391,79 +509,75 @@ RawForce Pipeline::evaluate_native(const Vec3d& target, std::size_t count,
   block_sums(blocks, cx, cy, cz, cp, stage.sums.data());
   const std::int64_t* const sums = stage.sums.data();
   // Stage 3: drain block by block. A block inside the bounds adds its
-  // exact int64 sums once per accumulator; any other block adds its
-  // counts one at a time, each rounded, clamped and latched on its own,
-  // in stream order — so the sums equal a pair-by-pair stream and do not
-  // depend on where block or board-shard boundaries fall.
+  // exact int64 sums once per register; any other block adds its counts
+  // one at a time, each rounded, clamped and latched on its own, in
+  // stream order — so the registers equal a pair-by-pair stream and do
+  // not depend on where block, tile or board-shard boundaries fall.
   for (std::size_t base = 0; base < count; base += kBatchWidth) {
     const bool fast =
-        accumulator_in_bounds(s.acc[0]) && accumulator_in_bounds(s.acc[1]) &&
-        accumulator_in_bounds(s.acc[2]) && accumulator_in_bounds(s.pot) &&
+        register_in_bounds(r.acc[0]) && register_in_bounds(r.acc[1]) &&
+        register_in_bounds(r.acc[2]) && register_in_bounds(r.pot) &&
         (all_in_bounds ||
          (block_in_bounds(cx + base) && block_in_bounds(cy + base) &&
           block_in_bounds(cz + base) && block_in_bounds(cp + base)));
     if (fast) [[likely]] {
       const std::int64_t* const sum = sums + 4 * (base / kBatchWidth);
-      s.acc[0].add_count(sum[0]);
-      s.acc[1].add_count(sum[1]);
-      s.acc[2].add_count(sum[2]);
-      s.pot.add_count(sum[3]);
+      r.acc[0] = math::rail_add(r.acc[0], sum[0], r.saturated);
+      r.acc[1] = math::rail_add(r.acc[1], sum[1], r.saturated);
+      r.acc[2] = math::rail_add(r.acc[2], sum[2], r.saturated);
+      r.pot = math::rail_add(r.pot, sum[3], r.saturated);
       continue;
     }
     const std::size_t end = std::min(base + kBatchWidth, count);
     for (std::size_t k = base; k < end; ++k) {
       double c[4] = {cx[k], cy[k], cz[k], cp[k]};
-      if (!std::isfinite(c[3])) [[unlikely]] {
-        patch_divergent_corner(stage, k, xi, yi, zi, codec_.quantum(), eps2_,
-                               c);
+      if (native && !std::isfinite(c[3])) [[unlikely]] {
+        patch_divergent_corner(stage, k, static_cast<double>(xi[0].code()),
+                               static_cast<double>(xi[1].code()),
+                               static_cast<double>(xi[2].code()),
+                               codec_.quantum(), eps2_, c);
       }
-      s.acc[0].add_rounded(c[0]);
-      s.acc[1].add_rounded(c[1]);
-      s.acc[2].add_rounded(c[2]);
-      s.pot.add_rounded(c[3]);
+      for (std::size_t a = 0; a < 3; ++a) {
+        r.acc[a] = math::rail_add(r.acc[a], math::rail_count(c[a], r.saturated),
+                                  r.saturated);
+      }
+      r.pot = math::rail_add(r.pot, math::rail_count(c[3], r.saturated),
+                             r.saturated);
     }
   }
-  return s.raw();
 }
 
-RawForce Pipeline::evaluate_lns(const Vec3d& target,
-                                std::span<const JWord> j) const {
-  IState s(codec_, scaling_, target);
-  const Fixed20 xi0 = s.x[0];
-  const Fixed20 xi1 = s.x[1];
-  const Fixed20 xi2 = s.x[2];
-  for (const JWord& jw : j) {
-    // Exact fixed-point differences and the i == j cut (the hardware's
-    // coincidence detection keeps the softened self-potential -m/eps out
-    // of the accumulators).
-    const FixedDelta d0 = jw.x[0] - xi0;
-    const FixedDelta d1 = jw.x[1] - xi1;
-    const FixedDelta d2 = jw.x[2] - xi2;
-    if (math::coincident(d0, d1, d2)) continue;
+std::array<double, 4> Pipeline::lns_pair_counts(const Fixed20 (&xi)[3],
+                                                const JWord& jw) const {
+  // Exact fixed-point differences and the i == j cut (the hardware's
+  // coincidence detection keeps the softened self-potential -m/eps out
+  // of the accumulators).
+  const FixedDelta d0 = jw.x[0] - xi[0];
+  const FixedDelta d1 = jw.x[1] - xi[1];
+  const FixedDelta d2 = jw.x[2] - xi[2];
+  if (math::coincident(d0, d1, d2)) return {};
 
-    // The differences enter the log format (one conversion rounding per
-    // component); squares are exact log shifts, summed with eps^2 by the
-    // block-normalized adder (an exact add re-quantized to the format).
-    const LnsValue dx = lns_.from_double(codec_.delta_to_double(d0));
-    const LnsValue dy = lns_.from_double(codec_.delta_to_double(d1));
-    const LnsValue dz = lns_.from_double(codec_.delta_to_double(d2));
-    double r2 = eps2_;
-    r2 += lns_.to_double(lns_.square(dx));
-    r2 += lns_.to_double(lns_.square(dy));
-    r2 += lns_.to_double(lns_.square(dz));
-    const LnsValue r2w = lns_.from_double(r2);
+  // The differences enter the log format (one conversion rounding per
+  // component); squares are exact log shifts, summed with eps^2 by the
+  // block-normalized adder (an exact add re-quantized to the format).
+  const LnsValue dx = lns_.from_double(codec_.delta_to_double(d0));
+  const LnsValue dy = lns_.from_double(codec_.delta_to_double(d1));
+  const LnsValue dz = lns_.from_double(codec_.delta_to_double(d2));
+  double r2 = eps2_;
+  r2 += lns_.to_double(lns_.square(dx));
+  r2 += lns_.to_double(lns_.square(dy));
+  r2 += lns_.to_double(lns_.square(dz));
+  const LnsValue r2w = lns_.from_double(r2);
 
-    // Power units g = (r^2)^(-3/2), h = (r^2)^(-1/2) and the m*g,
-    // m*g*dx, m*h products — integer adds on the log words — decoded
-    // into the fixed-point accumulators in stream order.
-    const LnsValue mg = lns_.mul(jw.mass, lns_.pow_neg_3_2(r2w));
-    const LnsValue mh = lns_.mul(jw.mass, lns_.pow_neg_1_2(r2w));
-    s.acc[0].add_rounded(lns_.to_double(lns_.mul(mg, dx)) * inv_force_quantum_);
-    s.acc[1].add_rounded(lns_.to_double(lns_.mul(mg, dy)) * inv_force_quantum_);
-    s.acc[2].add_rounded(lns_.to_double(lns_.mul(mg, dz)) * inv_force_quantum_);
-    s.pot.add_rounded(-lns_.to_double(mh) * inv_potential_quantum_);
-  }
-  return s.raw();
+  // Power units g = (r^2)^(-3/2), h = (r^2)^(-1/2) and the m*g,
+  // m*g*dx, m*h products — integer adds on the log words — decoded
+  // into counts of the accumulator quanta.
+  const LnsValue mg = lns_.mul(jw.mass, lns_.pow_neg_3_2(r2w));
+  const LnsValue mh = lns_.mul(jw.mass, lns_.pow_neg_1_2(r2w));
+  return {lns_.to_double(lns_.mul(mg, dx)) * inv_force_quantum_,
+          lns_.to_double(lns_.mul(mg, dy)) * inv_force_quantum_,
+          lns_.to_double(lns_.mul(mg, dz)) * inv_force_quantum_,
+          -lns_.to_double(mh) * inv_potential_quantum_};
 }
 // g5lint: hot-end
 

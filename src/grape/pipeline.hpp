@@ -25,11 +25,17 @@
 // in double and rounded onto the same accumulators, pair by pair. The
 // quanta are powers of two, so the divisions are exact multiplies.
 //
+// Both backends evaluate the same way (Pipeline::evaluate): one j-tile
+// staged at a time, every pair's counts in one branch-free loop the
+// compiler vectorizes — for BitExact on the LNS codec's lane forms, with
+// an exact scalar fallback per tile — and one exact block drain.
+//
 // lns_frac_bits = 8 lands the pairwise rms relative force error at ~0.3 %,
 // the figure the paper quotes for GRAPE-5; the calibration is pinned by
 // tests/grape_pipeline_test.cpp and swept by bench_e3_accuracy.
 #pragma once
 
+#include <array>
 #include <cstdint>
 #include <span>
 #include <type_traits>
@@ -74,16 +80,21 @@ struct RawForce {
 static_assert(sizeof(JWord::x) == 3 * sizeof(std::int64_t));
 static_assert(std::is_trivially_copyable_v<JWord>);
 
-/// A lane's staging buffers for the Native path of Pipeline::evaluate:
-/// the j-segment as arrays of doubles (coordinate codes and masses),
-/// padded with zero-mass lanes to a multiple of Pipeline::batch_width(),
-/// one target's four count streams, and their exactly rounded int64 sums
-/// per block. The caller owns it, so one const Pipeline serves every
-/// lane; BitExact leaves it untouched.
-struct NativeStage {
-  std::vector<double> x, y, z, m;      ///< staged j-segment
-  std::vector<double> cx, cy, cz, cp;  ///< one target's counts per j
-  std::vector<std::int64_t> sums;      ///< per block: x, y, z, pot sums
+/// A lane's staging buffers for Pipeline::evaluate: one j-tile of at
+/// most Pipeline::tile_length() words, padded with zero-mass lanes to a
+/// multiple of Pipeline::batch_width(), one target's four count streams
+/// over it, and their exactly rounded int64 sums per block. Both
+/// backends stage the coordinate codes as doubles; Native adds the
+/// masses, BitExact the mass words in lane form (math::LnsLane). Every
+/// buffer stays one tile long whatever the stream length. The caller
+/// owns it, so one const Pipeline serves every lane.
+struct EvalStage {
+  std::vector<double> x, y, z;              ///< staged coordinate codes
+  std::vector<double> m;                    ///< Native: masses
+  std::vector<std::int64_t> mlog;           ///< BitExact: mass log words,
+  std::vector<std::uint64_t> msign, mlive;  ///< sign bits, zero-tag masks
+  std::vector<double> cx, cy, cz, cp;       ///< one target's counts per j
+  std::vector<std::int64_t> sums;           ///< per block: x, y, z, pot sums
 };
 
 /// The per-call scaling state shared by all pipelines of the system
@@ -150,7 +161,8 @@ class Pipeline {
     return numerics_;
   }
 
-  /// Quantize a j-particle for the particle memory.
+  /// Quantize a j-particle for the particle memory. Throws
+  /// std::invalid_argument for a non-finite coordinate.
   [[nodiscard]] JWord encode_j(const Vec3d& pos, double mass) const;
 
   /// Stream the j-words through one pipeline slot per target, overwriting
@@ -158,30 +170,42 @@ class Pipeline {
   /// entry point into the datapath: Grape5System's board shards, the
   /// engines' list lanes, the self-test and the force-error probe all
   /// call it. Const and free of shared state, so lanes may evaluate on one
-  /// Pipeline concurrently, each with its own `stage`.
+  /// Pipeline concurrently, each with its own `stage`. Throws
+  /// std::invalid_argument if out and targets differ in length or a
+  /// target coordinate is not finite.
   ///
   /// Every interaction is quantized onto the accumulators on its own, in
   /// stream order, so the counts do not depend on where segment (board
-  /// shard, j-chunk) boundaries fall. BitExact runs the datapath's stage
-  /// order one interaction at a time (table codec conversions and integer
-  /// log-word ops); tests/grape_backend_test.cpp pins it bitwise against
-  /// an independent scalar oracle. Native stages the j-words once into
-  /// `stage`, computes each target's counts over the whole segment in a
-  /// loop the compiler vectorizes, and drains them in blocks of
-  /// batch_width(): a block whose counts are all within 2^59 and whose
-  /// accumulators sit at least batch_width() * 2^59 below the rail adds
-  /// its exactly rounded int64 sum once; any other block (non-finite
-  /// counts, the eps == 0 divergent corner, a near rail) adds its staged
-  /// counts one at a time. The counts and the saturation latch equal a
-  /// pair-by-pair stream bitwise (tests/grape_backend_test.cpp).
+  /// shard, j-chunk) boundaries fall. Both backends run the same three
+  /// stages over j-tiles of tile_length() words: stage the tile once into
+  /// `stage`; per target, compute every pair's four counts in one
+  /// branch-free loop the compiler vectorizes; drain them in blocks of
+  /// batch_width() — a block whose counts are all within 2^59 and whose
+  /// registers sit at least batch_width() * 2^59 below the rail adds its
+  /// exactly rounded int64 sums once, any other block (non-finite counts,
+  /// Native's eps == 0 divergent corner, a near rail) adds its counts one
+  /// at a time. BitExact's loop is the datapath's stage order on the
+  /// table codec's lane forms; a target whose tile holds a pair they
+  /// cannot do bitwise (a subnormal difference or r^2, a decode outside
+  /// the table split) recomputes that tile one pair at a time. The counts
+  /// and the saturation latch equal a pair-by-pair stream bitwise: BitExact
+  /// against an independent scalar oracle, Native against a scalar
+  /// reference (tests/grape_backend_test.cpp).
   void evaluate(std::span<const JWord> j, std::span<const Vec3d> targets,
-                std::span<RawForce> out, NativeStage& stage) const;
+                std::span<RawForce> out, EvalStage& stage) const;
 
-  /// Block length of the Native drain and the padding of its staged
-  /// j-segment (a SIMD-register width worth of independent interactions,
-  /// not a hardware parameter).
+  /// Block length of the drain and the padding of a staged tile (a
+  /// SIMD-register width worth of independent interactions, not a
+  /// hardware parameter).
   [[nodiscard]] static constexpr std::size_t batch_width() noexcept {
     return kBatchWidth;
+  }
+
+  /// Length of the j-tile evaluate stages at a time: a multiple of
+  /// batch_width() whose staged tile and counts stay in the L1/L2 cache,
+  /// and which bounds a stage's buffers whatever the stream length.
+  [[nodiscard]] static constexpr std::size_t tile_length() noexcept {
+    return kTileLength;
   }
 
   /// Convert a raw readout to force and potential — the one raw->double
@@ -201,6 +225,7 @@ class Pipeline {
 
  private:
   static constexpr std::size_t kBatchWidth = 8;
+  static constexpr std::size_t kTileLength = 512;
 
   PipelineNumerics numerics_;
   math::LnsFormat lns_;
@@ -212,11 +237,23 @@ class Pipeline {
   double inv_force_quantum_ = 0.0;
   double inv_potential_quantum_ = 0.0;
 
-  [[nodiscard]] RawForce evaluate_lns(const Vec3d& target,
-                                      std::span<const JWord> j) const;
-  [[nodiscard]] RawForce evaluate_native(const Vec3d& target,
-                                         std::size_t count,
-                                         NativeStage& stage) const;
+  void stage_tile(std::span<const JWord> tile, std::size_t padded,
+                  EvalStage& stage) const;
+  [[nodiscard]] bool native_tile_counts(const math::Fixed20 (&xi)[3],
+                                        std::size_t blocks,
+                                        EvalStage& stage) const;
+  [[nodiscard]] bool lns_tile_counts(const math::Fixed20 (&xi)[3],
+                                     std::span<const JWord> tile,
+                                     std::size_t blocks,
+                                     EvalStage& stage) const;
+  /// The bit-exact pair arithmetic, one pair at a time in the datapath's
+  /// stage order: the four counts of `j` against a target at codes `xi`
+  /// (zeros for a coincident pair). The one scalar copy — the exact
+  /// fallback of the lane loop.
+  [[nodiscard]] std::array<double, 4> lns_pair_counts(
+      const math::Fixed20 (&xi)[3], const JWord& j) const;
+  void drain_tile(const math::Fixed20 (&xi)[3], std::size_t count,
+                  bool all_in_bounds, EvalStage& stage, RawForce& r) const;
 };
 
 }  // namespace g5::grape

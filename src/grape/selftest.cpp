@@ -51,7 +51,7 @@ SelfTestReport run_selftest(const Grape5System& system,
   // The boards' datapaths are identical, so one evaluation serves them
   // all; each board's chip fault then acts on its own copy.
   std::vector<RawForce> healthy(config.n_targets);
-  NativeStage stage;
+  EvalStage stage;
   pipe.evaluate(jwords, i_pos, healthy, stage);
   std::vector<Vec3d> ref_acc(config.n_targets);
   std::vector<double> ref_pot(config.n_targets);

@@ -162,7 +162,7 @@ class Grape5System {
   std::vector<Board> boards_;
   /// One board's raw partial sums before compute_raw merges them.
   std::vector<RawForce> partial_;
-  NativeStage stage_;
+  EvalStage stage_;
   bool range_set_ = false;
   bool saturated_ = false;
   HardwareAccount account_;

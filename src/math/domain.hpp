@@ -147,6 +147,22 @@ static_assert(std::is_trivially_copyable_v<FixedDelta>);
                        : static_cast<std::int32_t>(v);
 }
 
+/// How many low bits of a log word the power units' shared lookup table
+/// drops: F - table_bits for a table narrower than the format, else 0.
+[[nodiscard]] constexpr int lns_table_drop(int frac_bits,
+                                           int table_bits) noexcept {
+  return table_bits > 0 && table_bits < frac_bits ? frac_bits - table_bits : 0;
+}
+
+/// `l` rounded to the nearest multiple of 2^drop, ties toward +inf.
+/// Branch-free in l — a mask, not a shift pair — so that the bit-exact
+/// lane loop (grape/pipeline.cpp) vectorizes over it.
+[[nodiscard]] constexpr std::int64_t lns_round_to_grid(std::int64_t l,
+                                                       int drop) noexcept {
+  const std::int64_t step = std::int64_t{1} << drop;
+  return (l + step / 2) & -step;
+}
+
 /// The power units' shared lookup-table grid: drop mantissa resolution
 /// below `table_bits` (round-to-nearest onto the coarser grid). Both
 /// r^(-3/2) and r^(-1/2) read the same physical table, so both must see
@@ -154,32 +170,47 @@ static_assert(std::is_trivially_copyable_v<FixedDelta>);
 [[nodiscard]] constexpr std::int64_t lns_table_grid(std::int64_t l,
                                                     int frac_bits,
                                                     int table_bits) noexcept {
-  if (table_bits > 0 && table_bits < frac_bits) {
-    const int drop = frac_bits - table_bits;
-    const std::int64_t half = std::int64_t{1} << (drop - 1);
-    l = ((l + half) >> drop) << drop;
-  }
-  return l;
+  return lns_round_to_grid(l, lns_table_drop(frac_bits, table_bits));
 }
 
-/// num / 2, rounded half away from zero (the power units' /2 shift).
+/// Floor division of a log word by 2^shift, for |l| < 2^61: a logical
+/// shift of the word biased by 2^62 (a multiple of 2^shift), so that it
+/// vectorizes — AVX2 has no 64-bit arithmetic right shift.
+[[nodiscard]] constexpr std::int64_t lns_floor_shift(std::int64_t l,
+                                                     int shift) noexcept {
+  constexpr std::uint64_t kBias = std::uint64_t{1} << 62;
+  const std::uint64_t biased = static_cast<std::uint64_t>(l) + kBias;
+  return static_cast<std::int64_t>(biased >> shift) -
+         static_cast<std::int64_t>(kBias >> shift);
+}
+
+/// num / 2, rounded half away from zero (the power units' /2 shift), for
+/// |num| < 2^61: floor((num + 1) / 2) for num >= 0, floor(num / 2) below.
 [[nodiscard]] constexpr std::int64_t lns_half_away(std::int64_t num) noexcept {
-  return num >= 0 ? (num + 1) / 2 : -((-num + 1) / 2);
+  const auto nonnegative =
+      static_cast<std::int64_t>(static_cast<std::uint64_t>(~num) >> 63);
+  return lns_floor_shift(num + nonnegative, 1);
+}
+
+/// All ones for 0 < m < 2^63, 0 for m == 0: the zero-tag mask of a
+/// magnitude, from a subtraction and a logical shift rather than a 64-bit
+/// compare (SSE2 has none).
+[[nodiscard]] constexpr std::uint64_t lns_nonzero_mask(
+    std::uint64_t m) noexcept {
+  return -((0 - m) >> 63);
 }
 
 /// Integer part q of the exp2-table decode split logval = q * 2^F + r
 /// (floor division) ...
-[[nodiscard]] constexpr int lns_exp2_split_q(std::int32_t logval,
-                                             int frac_bits) noexcept {
-  return logval >> frac_bits;  // arithmetic shift: floor division
+[[nodiscard]] constexpr std::int64_t lns_exp2_split_q(std::int64_t logval,
+                                                      int frac_bits) noexcept {
+  return lns_floor_shift(logval, frac_bits);
 }
 /// ... and the fraction-table index r, always in [0, 2^F) (asserted at
 /// compile time in lns.cpp for the format range edges).
-[[nodiscard]] constexpr std::int64_t lns_exp2_split_r(std::int32_t logval,
+[[nodiscard]] constexpr std::int64_t lns_exp2_split_r(std::int64_t logval,
                                                       int frac_bits) noexcept {
-  return static_cast<std::int64_t>(logval) -
-         (static_cast<std::int64_t>(lns_exp2_split_q(logval, frac_bits))
-          << frac_bits);
+  return logval & ((std::int64_t{1} << frac_bits) - 1);
 }
 
 }  // namespace g5::math

@@ -133,12 +133,6 @@ class FixedAccumulator {
     acc_ = rail_add(acc_, rail_count(count, saturated_), saturated_);
   }
 
-  /// Add an integer count of the quantum (a block of terms already
-  /// rounded by the caller); clamps and latches like add().
-  void add_count(std::int64_t count) noexcept {
-    acc_ = rail_add(acc_, count, saturated_);
-  }
-
   [[nodiscard]] double value() const noexcept {
     return static_cast<double>(acc_) * quantum_;
   }

@@ -150,6 +150,38 @@ static_assert(lns_table_grid(-1000, 10, 4) == -1024);
 static_assert(lns_table_grid(-992, 10, 4) == -960);  // the tie rounds up
 static_assert(lns_half_away(-3) == -2 && lns_half_away(3) == 2);
 
+// The branch-free ALU forms (a mask for the grid, biased logical shifts
+// for the floors) against their plain definitions — the shift pair and
+// the sign split — on every word of a range and at the int32 carrier's
+// edges, scaled as the power units scale them.
+constexpr std::int64_t grid_reference(std::int64_t l, int f, int t) {
+  if (t <= 0 || t >= f) return l;
+  const int drop = f - t;
+  return ((l + (std::int64_t{1} << (drop - 1))) >> drop) << drop;
+}
+constexpr std::int64_t half_away_reference(std::int64_t n) {
+  return n >= 0 ? (n + 1) / 2 : -((-n + 1) / 2);
+}
+constexpr bool alu_matches_reference() {
+  constexpr std::int64_t kEdge = std::numeric_limits<std::int32_t>::max();
+  for (const std::int64_t base : {std::int64_t{0}, 3 * kEdge, -3 * kEdge}) {
+    for (std::int64_t l = base - 2100; l <= base + 2100; ++l) {
+      if (lns_half_away(l) != half_away_reference(l)) return false;
+      if (lns_exp2_split_q(l, 8) != (l >> 8)) return false;
+      if (lns_exp2_split_r(l, 8) != l - ((l >> 8) << 8)) return false;
+      for (const int t : {0, 3, 7, 8, 9}) {
+        if (lns_table_grid(l, 8, t) != grid_reference(l, 8, t)) return false;
+      }
+    }
+  }
+  return true;
+}
+static_assert(alu_matches_reference());
+static_assert(lns_nonzero_mask(0) == 0);
+static_assert(lns_nonzero_mask(1) == ~std::uint64_t{0});
+static_assert(lns_nonzero_mask((std::uint64_t{1} << 63) - 1) ==
+              ~std::uint64_t{0});
+
 // exp2-table decode split: the fraction index r = logval - (q << F) must
 // stay inside the table for every representable word, including both
 // range edges (production format F=8/exp 12, and the widest format
@@ -229,7 +261,8 @@ LnsFormat::LnsFormat(int frac_bits, int exp_bits)
   const std::size_t entries = std::size_t{1} << frac_bits;
   exp2_table_.resize(entries);
   for (std::size_t r = 0; r < entries; ++r) {
-    exp2_table_[r] = std::exp2(std::ldexp(static_cast<double>(r), -frac_bits));
+    exp2_table_[r] = std::bit_cast<std::uint64_t>(
+        std::exp2(std::ldexp(static_cast<double>(r), -frac_bits)));
   }
 }
 
@@ -238,6 +271,7 @@ void LnsFormat::set_table_index_bits(int bits) {
     throw std::invalid_argument("table_index_bits must be in [0, frac_bits]");
   }
   table_bits_ = bits;
+  table_drop_ = lns_table_drop(frac_bits_, bits);
 }
 
 }  // namespace g5::math

@@ -32,6 +32,13 @@
 //   * decode splits logval = q * 2^F + r, looks up exp2(r / 2^F) and
 //     scales by 2^q built in the exponent field — bitwise std::exp2 on the
 //     full logval domain (tests/math_lns_test.cpp pins it).
+// Both also come in a branch-free lane form (encode_lane / decode_lane,
+// over the LnsLane word) for loops the compiler vectorizes: the bit-exact
+// pipeline kernel runs every pair through them. The scalar and lane forms
+// share the table arithmetic (log_of_normal, exp2_split); the scalar ones
+// branch where the lane forms flag (subnormals, non-finite inputs,
+// decodes outside the table split), and tests/math_lns_test.cpp pins the
+// two together.
 // The arithmetic is defined inline here so the pipeline kernel keeps the
 // whole datapath in registers; the integer ops themselves are the
 // constexpr log-domain ALU of domain.hpp (lns.cpp static_asserts their
@@ -57,6 +64,16 @@ struct LnsValue {
   bool zero = true;
 
   [[nodiscard]] static LnsValue make_zero() noexcept { return LnsValue{}; }
+};
+
+/// A log word in the lane form of the conversions: the log (unsaturated
+/// when it is a lane sum), the IEEE sign bit (0 or 2^63) and the zero tag
+/// as a mask (all ones for a nonzero word, 0 for the tagged zero). Selects
+/// on it are integer ANDs, which a vectorized loop keeps branch-free.
+struct LnsLane {
+  std::int64_t log = 0;
+  std::uint64_t sign = 0;
+  std::uint64_t live = 0;
 };
 
 class LnsFormat {
@@ -85,22 +102,15 @@ class LnsFormat {
     bits &= ~kSignBit;
     // Zero, and the non-finite inputs the hardware cannot represent.
     if (bits == 0 || bits >= kExponentMask) return LnsValue::make_zero();
-    std::int64_t exponent = -1023;
+    std::int64_t scaled = 0;
     if (bits < kMinNormalBits) {
       // Subnormal: scaling by 2^64 normalises it exactly.
       const double normalised = std::bit_cast<double>(bits) * 0x1p64;
-      bits = std::bit_cast<std::uint64_t>(normalised);
-      exponent -= 64;
+      scaled = log_of_normal(std::bit_cast<std::uint64_t>(normalised)) -
+               (std::int64_t{64} << frac_bits_);
+    } else {
+      scaled = log_of_normal(bits);
     }
-    exponent += static_cast<std::int64_t>(bits >> kMantissaBits);
-    const std::uint64_t mantissa = bits & kMantissaMask;
-    // base + (low >= threshold): the low mantissa bits carry into the
-    // bucket's code exactly when they reach its threshold.
-    const std::uint64_t word = encode_table_[mantissa >> low_bits_];
-    const std::uint64_t low = mantissa & low_mask_;
-    const auto fraction = static_cast<std::int64_t>((word + low) >> low_bits_);
-    const std::int64_t scaled =
-        exponent * (std::int64_t{1} << frac_bits_) + fraction;
     // Strictly below the bottom code the underflow unit tags the word
     // zero; at the bottom code the value is representable and kept.
     if (scaled < min_log_) return LnsValue::make_zero();
@@ -115,24 +125,65 @@ class LnsFormat {
   /// Decode back to double.
   [[nodiscard]] double to_double(const LnsValue& v) const noexcept {
     if (v.zero) return 0.0;
-    // Split logval = q * 2^F + r, r in [0, 2^F): scaling by 2^q is exact,
-    // so exp2(r / 2^F) * 2^q == exp2(logval / 2^F) bitwise whenever the
-    // result is a normal double. Subnormal results round differently
-    // under the split (and huge q overflows), so fall back outside the q
-    // range that can produce a normal.
-    const int q = lns_exp2_split_q(v.logval.bits(), frac_bits_);
+    const std::int64_t q = lns_exp2_split_q(v.logval.wide(), frac_bits_);
     if (q >= -1021 && q <= 1022) {
-      const auto r = static_cast<std::size_t>(
-          lns_exp2_split_r(v.logval.bits(), frac_bits_));
-      // +-2^q, built in the sign and exponent fields.
-      const std::uint64_t sign = v.sign < 0 ? kSignBit : 0;
-      const std::uint64_t exponent =
-          static_cast<std::uint64_t>(q + 1023) << kMantissaBits;
-      return exp2_table_[r] * std::bit_cast<double>(sign | exponent);
+      return exp2_split(v.logval.wide(), v.sign < 0 ? kSignBit : 0);
     }
     const double l =
         std::ldexp(static_cast<double>(v.logval.bits()), -frac_bits_);
     return static_cast<double>(v.sign) * std::exp2(l);
+  }
+
+  /// Lane form of from_double, branch-free: the word of v as an LnsLane
+  /// (a zero v gives the zero tag). Equals from_double for zero and every
+  /// normal v; for a subnormal or non-finite v it sets the sign bit of
+  /// `bad` and the word is meaningless. Exact without saturation because
+  /// the format holds the log of every normal double — which needs
+  /// exp_bits() >= 12, the default.
+  [[nodiscard]] LnsLane encode_lane(double v,
+                                    std::uint64_t& bad) const noexcept {
+    const std::uint64_t bits = std::bit_cast<std::uint64_t>(v);
+    const std::uint64_t magnitude = bits & ~kSignBit;
+    LnsLane out;
+    out.log = log_of_normal(magnitude);
+    out.sign = bits & kSignBit;
+    out.live = lns_nonzero_mask(magnitude);
+    // Both differences are below 2^63 exactly for a normal, finite v.
+    bad |= ((magnitude - kMinNormalBits) | (kExponentMask - 1 - magnitude)) &
+           out.live;
+    return out;
+  }
+
+  /// Lane form of to_double, branch-free: +-exp2(w.log / 2^F) for a live
+  /// word, 0.0 for the zero tag. It splits log = q * 2^F + r, r in
+  /// [0, 2^F); scaling by 2^q is exact, so exp2(r / 2^F) * 2^q equals
+  /// exp2(log / 2^F) bitwise whenever the result is a normal double,
+  /// which it is for q in [-1021, 1022]. For any other live word (a
+  /// subnormal result rounds differently under the split, and a huge q
+  /// overflows) it sets the sign bit of `bad` — to_double's std::exp2
+  /// branch — and the result is meaningless.
+  [[nodiscard]] double decode_lane(const LnsLane& w,
+                                   std::uint64_t& bad) const noexcept {
+    const std::int64_t q = lns_exp2_split_q(w.log, frac_bits_);
+    bad |= static_cast<std::uint64_t>((q + 1021) | (1022 - q)) & w.live;
+    const double d = exp2_split(w.log, w.sign);
+    return std::bit_cast<double>(std::bit_cast<std::uint64_t>(d) & w.live);
+  }
+
+  /// Lane form of mul (and of square, as mul_lane(a, a)), unsaturated:
+  /// the logs add, the signs multiply, the zero tags combine.
+  [[nodiscard]] static LnsLane mul_lane(const LnsLane& a,
+                                        const LnsLane& b) noexcept {
+    return {a.log + b.log, a.sign ^ b.sign, a.live & b.live};
+  }
+
+  /// A word in lane form: its log, sign bit and zero tag.
+  [[nodiscard]] static LnsLane lane(const LnsValue& v) noexcept {
+    LnsLane out;
+    out.log = v.logval.wide();
+    out.sign = v.sign < 0 ? kSignBit : 0;
+    out.live = v.zero ? 0 : ~std::uint64_t{0};
+    return out;
   }
 
   /// Round-trip through the format (the value the datapath sees).
@@ -170,12 +221,9 @@ class LnsFormat {
   [[nodiscard]] LnsValue pow_neg_3_2(const LnsValue& a) const noexcept {
     if (a.zero) {
       // r^-3/2 of zero would be infinite; saturate at the top of the range.
-      return saturated_top();
+      return saturated(max_log_);
     }
-    // logval(out) = -(3/2) * logval(in), round half away from zero.
-    const std::int64_t num =
-        -3 * lns_table_grid(a.logval.wide(), frac_bits_, table_bits_);
-    return half_of(num);
+    return saturated(pow_neg_3_2_log(a.logval.wide()));
   }
 
   /// x^(-1/2) for x > 0 (the potential unit): logval -> -logval / 2. The
@@ -183,11 +231,19 @@ class LnsFormat {
   /// path sees the identical table-index granularity as the force path.
   [[nodiscard]] LnsValue pow_neg_1_2(const LnsValue& a) const noexcept {
     if (a.zero) {
-      return saturated_top();
+      return saturated(max_log_);
     }
-    const std::int64_t num =
-        -lns_table_grid(a.logval.wide(), frac_bits_, table_bits_);
-    return half_of(num);
+    return saturated(pow_neg_1_2_log(a.logval.wide()));
+  }
+
+  /// The power units' log words for a nonzero input of log `l`, before
+  /// pow_neg_3_2 / pow_neg_1_2 saturate them: -(3/2) * l and -l / 2 on the
+  /// table grid, rounded half away from zero. Branch-free (lane form).
+  [[nodiscard]] std::int64_t pow_neg_3_2_log(std::int64_t l) const noexcept {
+    return lns_half_away(-3 * lns_round_to_grid(l, table_drop_));
+  }
+  [[nodiscard]] std::int64_t pow_neg_1_2_log(std::int64_t l) const noexcept {
+    return lns_half_away(-lns_round_to_grid(l, table_drop_));
   }
 
   /// Restrict the power units' mantissa resolution to `bits` fractional
@@ -207,6 +263,7 @@ class LnsFormat {
   int frac_bits_;
   int exp_bits_;
   int table_bits_ = 0;  // 0 = full resolution
+  int table_drop_ = 0;  // lns_table_drop(frac_bits_, table_bits_)
   std::int32_t max_log_ = 0;
   std::int32_t min_log_ = 0;
   double rel_step_ = 0.0;
@@ -219,27 +276,49 @@ class LnsFormat {
   /// plus 2^low_bits_ - (the bucket's threshold on the low bits, or
   /// 2^low_bits_ when it holds none).
   std::vector<std::uint64_t> encode_table_;
-  /// exp2_table_[r] = exp2(r / 2^F) for r in [0, 2^F).
-  std::vector<double> exp2_table_;
+  /// exp2_table_[r] = the bits of exp2(r / 2^F) for r in [0, 2^F). Held
+  /// as integers, so that a loop storing doubles cannot alias its reads
+  /// (type-based alias analysis then lets the table reads vectorize as
+  /// gathers).
+  std::vector<std::uint64_t> exp2_table_;
 
-  /// The positive word saturated at the top of the range (power units'
-  /// response to a zero input).
-  [[nodiscard]] LnsValue saturated_top() const noexcept {
+  /// exp2(log / 2^F) with the IEEE sign bit `sign`, by the table: the
+  /// fraction r of the split log = q * 2^F + r looked up, times +-2^q
+  /// built in the sign and exponent fields. Exact for q in
+  /// [-1021, 1022]; any other q gives some double.
+  [[nodiscard]] double exp2_split(std::int64_t log,
+                                  std::uint64_t sign) const noexcept {
+    const std::int64_t q = lns_exp2_split_q(log, frac_bits_);
+    const std::uint64_t scale =
+        sign | (static_cast<std::uint64_t>(q + 1023) << kMantissaBits);
+    const auto r = static_cast<std::size_t>(lns_exp2_split_r(log, frac_bits_));
+    return std::bit_cast<double>(exp2_table_[r]) *
+           std::bit_cast<double>(scale);
+  }
+
+  /// The positive word of log `l`, saturated into the format.
+  [[nodiscard]] LnsValue saturated(std::int64_t l) const noexcept {
     LnsValue out;
     out.zero = false;
     out.sign = 1;
-    out.logval = LnsCode::from_bits(max_log_);
+    out.logval = LnsCode::from_bits(lns_saturate(l, min_log_, max_log_));
     return out;
   }
 
-  /// num / 2 rounded half away from zero, saturated into a log word.
-  [[nodiscard]] LnsValue half_of(std::int64_t num) const noexcept {
-    LnsValue out;
-    out.zero = false;
-    out.sign = 1;
-    out.logval = LnsCode::from_bits(
-        lns_saturate(lns_half_away(num), min_log_, max_log_));
-    return out;
+  /// round(log2(m) * 2^F) for the magnitude bits of a normal double m, by
+  /// the packed table: base + (low >= threshold), the low mantissa bits
+  /// carrying into the bucket's code exactly when they reach its
+  /// threshold. Any other bits give some log (the table index stays in
+  /// range).
+  [[nodiscard]] std::int64_t log_of_normal(
+      std::uint64_t magnitude) const noexcept {
+    const std::uint64_t mantissa = magnitude & kMantissaMask;
+    const std::uint64_t word = encode_table_[mantissa >> low_bits_];
+    const std::uint64_t fraction =
+        (word + (mantissa & low_mask_)) >> low_bits_;
+    const std::uint64_t exponent = (magnitude >> kMantissaBits) << frac_bits_;
+    return static_cast<std::int64_t>(exponent + fraction) -
+           (std::int64_t{1023} << frac_bits_);
   }
 };
 

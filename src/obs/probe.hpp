@@ -85,7 +85,7 @@ class ForceErrorProbe {
   tree::BhTree tree_;
   tree::InteractionList list_;
   std::vector<grape::JWord> jwords_;
-  grape::NativeStage stage_;
+  grape::EvalStage stage_;
   std::vector<std::uint32_t> indices_;
   std::vector<double> err_total_, err_tree_, err_codec_;
 };

@@ -5,6 +5,11 @@
 //    for every segment shape (width 1, odd widths, the Native block
 //    width, ragged tails), the segments' counts merged as the boards
 //    merge them — segmenting a stream cannot change a bit.
+//  * BitExact lanes vs the scalar oracle: the vectorized lane loop and
+//    its exact scalar fallback, bitwise, across tile boundaries, formats,
+//    zero and negative masses, eps == 0, subnormal coordinate
+//    differences, decodes below the table split and accumulators at the
+//    rail; a stage stays one tile long; non-finite coordinates throw.
 //  * Native vs host reference: the Native backend computes the same
 //    interactions in plain double on quantized coordinates, so it must
 //    track the host kernel to the position-quantization floor — per
@@ -28,7 +33,9 @@
 #include <cstdint>
 #include <limits>
 #include <span>
+#include <stdexcept>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "core/engines.hpp"
@@ -90,7 +97,7 @@ bool same_raw(const RawForce& a, const RawForce& b) {
 /// One target against a j-stream through Pipeline::evaluate.
 RawForce evaluate_one(const Pipeline& pipe, std::span<const JWord> js,
                       const Vec3d& target) {
-  grape::NativeStage stage;
+  grape::EvalStage stage;
   RawForce raw;
   pipe.evaluate(js, {&target, 1}, {&raw, 1}, stage);
   return raw;
@@ -151,6 +158,232 @@ TEST(Backend, BatchedBitwiseIdenticalUnsoftened) {
   const auto js = make_jset(pipe, xi, 37, 202);
   const RawForce ref = oracle::LnsOracle(pipe).evaluate(js, xi);
   EXPECT_TRUE(same_raw(ref, evaluate_one(pipe, js, xi)));
+}
+
+/// Pipeline::evaluate on every target against the scalar oracle, bitwise.
+void expect_lns_matches_oracle(const Pipeline& pipe, std::span<const JWord> js,
+                               std::span<const Vec3d> targets,
+                               grape::EvalStage& stage,
+                               const std::string& what) {
+  std::vector<RawForce> out(targets.size());
+  pipe.evaluate(js, targets, out, stage);
+  const oracle::LnsOracle scalar(pipe);
+  for (std::size_t i = 0; i < targets.size(); ++i) {
+    const RawForce ref = scalar.evaluate(js, targets[i]);
+    for (std::size_t c = 0; c < 3; ++c) {
+      EXPECT_EQ(out[i].acc[c], ref.acc[c])
+          << what << ", target " << i << ", component " << c;
+    }
+    EXPECT_EQ(out[i].pot, ref.pot) << what << ", target " << i;
+    EXPECT_EQ(out[i].saturated, ref.saturated) << what << ", target " << i;
+  }
+}
+
+Pipeline lns_pipeline(const PipelineScaling& s, int frac_bits = 8,
+                      int table_index_bits = 7) {
+  PipelineNumerics num;
+  num.lns_frac_bits = frac_bits;
+  num.table_index_bits = table_index_bits;
+  Pipeline pipe{num};
+  pipe.configure(s);
+  return pipe;
+}
+
+/// make_jset with every 5th mass zero and every 7th negative, and the
+/// second and last targets placed on j-words in the first and the last
+/// tile.
+std::vector<JWord> make_signed_jset(const Pipeline& pipe,
+                                    const std::vector<Vec3d>& targets,
+                                    std::size_t n, std::uint64_t seed) {
+  math::Rng rng(seed);
+  std::vector<JWord> js = make_jset(pipe, targets[0], std::max<std::size_t>(n, 2),
+                                    seed);
+  js.resize(n);
+  for (std::size_t k = 2; k < n; ++k) {
+    const Vec3d pos = 4.0 * rng.in_unit_ball();
+    const double m = rng.uniform(0.1, 1.5);
+    js[k] = pipe.encode_j(pos, k % 5 == 0 ? 0.0 : k % 7 == 0 ? -m : m);
+  }
+  if (n > 3 && targets.size() > 1) js[3] = pipe.encode_j(targets[1], 0.9);
+  if (n > 8) js[n - 2] = pipe.encode_j(targets.back(), -0.4);
+  return js;
+}
+
+TEST(Backend, LnsLanesMatchOracleAcrossTileLengths) {
+  const std::size_t t = Pipeline::tile_length();
+  const std::vector<Vec3d> targets = {Vec3d{0.3, -0.2, 0.1},
+                                      Vec3d{-1.0, 0.5, 2.0},
+                                      Vec3d{1.5, 1.0, -0.5},
+                                      Vec3d{3.0, -3.0, 1.0}};
+  for (const double eps : {0.01, 0.0}) {
+    const Pipeline pipe = lns_pipeline(test_scaling(eps));
+    grape::EvalStage stage;
+    for (const std::size_t n : {std::size_t{1}, std::size_t{7}, t - 1, t,
+                                t + 1, 3 * t + 5}) {
+      const auto js = make_signed_jset(pipe, targets, n, 600 + n);
+      expect_lns_matches_oracle(pipe, js, targets, stage,
+                                "eps " + std::to_string(eps) + ", length " +
+                                    std::to_string(n));
+    }
+  }
+}
+
+TEST(Backend, LnsLanesMatchOracleAcrossFormats) {
+  const std::vector<Vec3d> targets = {Vec3d{0.3, -0.2, 0.1},
+                                      Vec3d{-1.0, 0.5, 2.0},
+                                      Vec3d{2.0, 2.0, 2.0}};
+  for (const auto& [frac, table] : {std::pair{5, 0}, std::pair{8, 7},
+                                    std::pair{12, 7}, std::pair{16, 7}}) {
+    const Pipeline pipe = lns_pipeline(test_scaling(), frac, table);
+    const auto js = make_signed_jset(pipe, targets, 300, 700);
+    grape::EvalStage stage;
+    expect_lns_matches_oracle(pipe, js, targets, stage,
+                              "F " + std::to_string(frac) + ", table " +
+                                  std::to_string(table));
+  }
+}
+
+TEST(Backend, LnsLanesFallBackOnSubnormalDifferences) {
+  // A window whose position quantum is subnormal: differences of a few
+  // codes are subnormal doubles, which the lane encode cannot take, and
+  // every square underflows below the table split. Each tile goes
+  // through the exact scalar fallback.
+  PipelineScaling s;
+  s.range_lo = -2e-299;
+  s.range_hi = 2e-299;
+  s.eps = 0.0;
+  s.force_quantum = 0x1p900;
+  s.potential_quantum = 0x1p280;
+  const Pipeline pipe = lns_pipeline(s);
+  const double q = pipe.position_quantum();
+  ASSERT_LT(q, std::numeric_limits<double>::min());
+  std::vector<JWord> js;
+  math::Rng rng(801);
+  for (std::size_t k = 0; k < 40; ++k) {
+    const double code = std::floor(rng.uniform(-40.0, 40.0));
+    js.push_back(pipe.encode_j(Vec3d{code * q, 3.0 * q, -code * q},
+                               rng.uniform(0.5, 2.0)));
+  }
+  const std::vector<Vec3d> targets = {Vec3d{0.0, 0.0, 0.0},
+                                      Vec3d{5.0 * q, 3.0 * q, -5.0 * q}};
+  grape::EvalStage stage;
+  expect_lns_matches_oracle(pipe, js, targets, stage, "subnormal window");
+}
+
+TEST(Backend, LnsLanesFallBackBelowTheTableSplit) {
+  // One word of a bottom-of-range mass in the second tile: its products
+  // decode below q = -1021, where the lanes flag and the tile is
+  // recomputed one pair at a time; the other tiles stay in the lanes.
+  const Pipeline pipe = lns_pipeline(test_scaling());
+  const std::vector<Vec3d> targets = {Vec3d{0.3, -0.2, 0.1},
+                                      Vec3d{-2.0, 1.0, 0.5}};
+  auto js = make_signed_jset(pipe, targets, 2 * Pipeline::tile_length() + 9,
+                             900);
+  const std::size_t k = Pipeline::tile_length() + 17;
+  js[k] = pipe.encode_j(Vec3d{1.0, 2.0, 3.0}, 2.5e-308);
+  const math::LnsFormat lns(8);
+  ASSERT_LT(lns.to_double(lns.mul(js[k].mass, lns.from_double(0.3))),
+            0x1p-1021);
+  grape::EvalStage stage;
+  expect_lns_matches_oracle(pipe, js, targets, stage, "bottom-of-range mass");
+  // A subnormal mass word as well.
+  js[5] = pipe.encode_j(Vec3d{-1.0, -2.0, 0.5}, 1e-320);
+  expect_lns_matches_oracle(pipe, js, targets, stage, "subnormal mass");
+}
+
+TEST(Backend, LnsEvaluateNearRailMatchesOracle) {
+  // As NativeEvaluateNearRailMatchesReference, on the bit-exact datapath:
+  // a heavy first j-word puts the x register within batch_width() * 2^59
+  // of the rail; with the heavy tail it crosses the rail, latches and
+  // steps back below it. Every prefix against the oracle.
+  PipelineScaling s = test_scaling();
+  s.force_quantum = 0x1p-60;
+  s.potential_quantum = 0x1p-30;
+  const Pipeline pipe = lns_pipeline(s);
+  const Vec3d xi{0.0, 0.0, 0.0};
+  const double heavy =
+      (static_cast<double>(math::kAccumulatorRail) -
+       0.5 * static_cast<double>(Pipeline::batch_width()) * 0x1p59) *
+      s.force_quantum;
+  const std::size_t w = Pipeline::batch_width();
+  for (const double tail_mass : {1.0, 1e-7}) {
+    std::vector<JWord> js;
+    js.push_back(pipe.encode_j(Vec3d{1.0, 0.0, 0.0}, heavy));
+    for (std::size_t k = 1; k < 12 * w; ++k) {
+      const double offset = 1e-3 * static_cast<double>(k);
+      const double x = k % w < w / 2 ? 2.0 + offset : -2.5 - offset;
+      js.push_back(pipe.encode_j(Vec3d{x, 0.3, -0.2}, tail_mass));
+    }
+    const oracle::LnsOracle scalar(pipe);
+    ASSERT_GT(scalar.evaluate({js.data(), 1}, xi).acc[0],
+              math::kAccumulatorRail -
+                  static_cast<std::int64_t>(w) * (std::int64_t{1} << 59));
+    EXPECT_EQ(scalar.evaluate(js, xi).saturated, tail_mass > 0.5);
+    grape::EvalStage stage;
+    const std::vector<Vec3d> targets = {xi};
+    for (std::size_t n = 1; n <= js.size(); ++n) {
+      expect_lns_matches_oracle(pipe, {js.data(), n}, targets, stage,
+                                "tail mass " + std::to_string(tail_mass) +
+                                    ", length " + std::to_string(n));
+    }
+  }
+}
+
+TEST(Backend, StageBuffersStayOneTileLong) {
+  const std::size_t t = Pipeline::tile_length();
+  for (const BackendKind backend : {BackendKind::BitExact, BackendKind::Native}) {
+    PipelineNumerics num;
+    num.backend = backend;
+    Pipeline pipe{num};
+    pipe.configure(test_scaling());
+    const std::vector<Vec3d> targets = {Vec3d{0.3, -0.2, 0.1},
+                                        Vec3d{1.0, 1.0, 1.0}};
+    const auto js = make_jset(pipe, targets[0], 20000, 1001);
+    grape::EvalStage stage;
+    std::vector<RawForce> out(targets.size());
+    pipe.evaluate(js, targets, out, stage);
+    const auto variant = grape::backend_name(backend);
+    for (const auto* v : {&stage.x, &stage.y, &stage.z, &stage.m, &stage.cx,
+                          &stage.cy, &stage.cz, &stage.cp}) {
+      EXPECT_LE(v->capacity(), t) << variant;
+    }
+    EXPECT_LE(stage.mlog.capacity(), t) << variant;
+    EXPECT_LE(stage.msign.capacity(), t) << variant;
+    EXPECT_LE(stage.mlive.capacity(), t) << variant;
+    EXPECT_LE(stage.sums.capacity(), 4 * (t / Pipeline::batch_width()))
+        << variant;
+  }
+}
+
+TEST(Backend, NonFiniteCoordinatesRejected) {
+  const double nan = std::numeric_limits<double>::quiet_NaN();
+  const double inf = std::numeric_limits<double>::infinity();
+  for (const BackendKind backend : {BackendKind::BitExact, BackendKind::Native}) {
+    PipelineNumerics num;
+    num.backend = backend;
+    Pipeline pipe{num};
+    pipe.configure(test_scaling());
+    const auto variant = grape::backend_name(backend);
+    EXPECT_THROW((void)pipe.encode_j(Vec3d{nan, 0.0, 0.0}, 1.0),
+                 std::invalid_argument)
+        << variant;
+    EXPECT_THROW((void)pipe.encode_j(Vec3d{0.0, 0.0, -inf}, 1.0),
+                 std::invalid_argument)
+        << variant;
+    const auto js = make_jset(pipe, Vec3d{}, 10, 1101);
+    grape::EvalStage stage;
+    std::vector<RawForce> out(2);
+    for (const Vec3d bad : {Vec3d{0.0, nan, 0.0}, Vec3d{inf, 0.0, 0.0}}) {
+      const std::vector<Vec3d> targets = {Vec3d{0.5, 0.5, 0.5}, bad};
+      EXPECT_THROW(pipe.evaluate(js, targets, out, stage),
+                   std::invalid_argument)
+          << variant;
+      // Rejected even with no j-words to stream.
+      EXPECT_THROW(pipe.evaluate({}, targets, out, stage),
+                   std::invalid_argument)
+          << variant;
+    }
+  }
 }
 
 TEST(Backend, NativeMatchesHostReference) {
@@ -289,7 +522,7 @@ RawForce native_reference(const Pipeline& pipe, std::span<const JWord> js,
 void expect_native_matches_reference(const Pipeline& pipe,
                                      std::span<const JWord> js,
                                      std::span<const Vec3d> targets,
-                                     grape::NativeStage& stage,
+                                     grape::EvalStage& stage,
                                      const std::string& what) {
   std::vector<RawForce> out(targets.size());
   pipe.evaluate(js, targets, out, stage);
@@ -326,7 +559,7 @@ TEST(Backend, NativeEvaluateBitwiseMatchesScalarReference) {
   all[w + 1] = pipe.encode_j(targets[2], 0.3);
   // One stage reused across every length, longest first, so a shorter
   // stream also runs over the stale tail of a longer one.
-  grape::NativeStage stage;
+  grape::EvalStage stage;
   expect_native_matches_reference(pipe, all, targets, stage, "length 1400");
   for (std::size_t n = 1; n <= 2 * w + 3; ++n) {
     expect_native_matches_reference(pipe, {all.data(), n}, targets, stage,
@@ -369,7 +602,7 @@ TEST(Backend, NativeEvaluateCutsCoincidentEntries) {
   for (const std::size_t k : {3, 8, 9, 17, 31}) js[k] = pipe.encode_j(xi, 1.1);
   for (std::size_t k = 16; k < 24; ++k) js[k] = pipe.encode_j(xi, 0.4);
   const std::vector<Vec3d> targets = {xi, Vec3d{-2.0, 0.25, 1.5}};
-  grape::NativeStage stage;
+  grape::EvalStage stage;
   expect_native_matches_reference(pipe, js, targets, stage, "coincident");
   // With eps == 0 the cut lanes have r^2 == 0 and must stay cut.
   const Pipeline unsoftened = native_pipeline(test_scaling(0.0));
@@ -405,7 +638,7 @@ TEST(Backend, NativeEvaluateDivergentCornerSaturatesLikeReference) {
         Vec3d{4e-155, (k % 2 == 0 ? 1.0 : -1.0) * 1e-155, 0.0}, 1.0));
   }
   const std::vector<Vec3d> targets = {Vec3d{0.0, 0.0, 0.0}};
-  grape::NativeStage stage;
+  grape::EvalStage stage;
   std::vector<RawForce> out(1);
   pipe.evaluate(js, targets, out, stage);
   EXPECT_TRUE(out[0].saturated);
@@ -471,7 +704,7 @@ TEST(Backend, NativeEvaluateCountsAboveBlockBound) {
     ASSERT_GT(c, std::int64_t{1} << 51) << k;
     ASSERT_LT(c, std::int64_t{1} << 59) << k;
   }
-  grape::NativeStage stage;
+  grape::EvalStage stage;
   const std::vector<Vec3d> targets = {xi};
   expect_native_matches_reference(pipe, js, targets, stage,
                                   "counts above 2^59");
@@ -512,7 +745,7 @@ TEST(Backend, NativeEvaluateNearRailMatchesReference) {
               math::kAccumulatorRail -
                   static_cast<std::int64_t>(Pipeline::batch_width()) *
                       (std::int64_t{1} << 59));
-    grape::NativeStage stage;
+    grape::EvalStage stage;
     const std::vector<Vec3d> targets = {xi};
     // Every prefix: once the rail is hit, clamping forgets the history,
     // so a wrong fast block could be hidden by the end of the stream.

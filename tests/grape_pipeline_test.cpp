@@ -33,7 +33,7 @@ struct Readout {
 /// device's entry point (Pipeline::evaluate).
 Readout evaluate(const Pipeline& pipe, const Vec3d& xi,
                  std::span<const JWord> js) {
-  grape::NativeStage stage;
+  grape::EvalStage stage;
   RawForce raw;
   pipe.evaluate(js, {&xi, 1}, {&raw, 1}, stage);
   Readout r;

@@ -521,4 +521,130 @@ TEST(Lns, DecodeRangeEdgesMatchExp2) {
   }
 }
 
+TEST(Lns, PowerUnitsMatchPlainReference) {
+  // The power units against their plain definition, written here
+  // independently of the branch-free log-domain ALU they run on (and
+  // the bit-exact lanes with them): the log word on the table grid by a
+  // shift pair, times -3 or -1, halved with ties away from zero by a
+  // sign split, saturated into the format.
+  for (const auto& [frac, table] : {std::pair{5, 0}, std::pair{8, 7},
+                                    std::pair{10, 4}, std::pair{12, 7},
+                                    std::pair{16, 7}}) {
+    LnsFormat fmt(frac);
+    fmt.set_table_index_bits(table);
+    const std::int64_t lo = g5::math::lns_min_log(frac, 12);
+    const std::int64_t hi = g5::math::lns_max_log(frac, 12);
+    const auto grid = [&](std::int64_t l) {
+      if (table == 0 || table >= frac) return l;
+      const int drop = frac - table;
+      return ((l + (std::int64_t{1} << (drop - 1))) >> drop) << drop;
+    };
+    const auto half_away = [](std::int64_t n) {
+      return n >= 0 ? (n + 1) / 2 : -((-n + 1) / 2);
+    };
+    const auto saturate = [&](std::int64_t l) {
+      return std::min(std::max(l, lo), hi);
+    };
+    std::vector<std::int64_t> logs;
+    for (std::int64_t l = -700; l <= 700; ++l) logs.push_back(l);
+    for (std::int64_t l = lo; l <= hi; l += (std::int64_t{1} << frac) + 13) {
+      logs.push_back(l);
+    }
+    logs.push_back(hi);
+    for (const std::int64_t l : logs) {
+      LnsValue v;
+      v.zero = false;
+      v.logval = g5::math::LnsCode::from_bits(static_cast<std::int32_t>(l));
+      ASSERT_EQ(fmt.pow_neg_3_2(v).logval.wide(),
+                saturate(half_away(-3 * grid(l))))
+          << "F " << frac << " table " << table << " logval " << l;
+      ASSERT_EQ(fmt.pow_neg_1_2(v).logval.wide(),
+                saturate(half_away(-grid(l))))
+          << "F " << frac << " table " << table << " logval " << l;
+    }
+  }
+}
+
+TEST(Lns, LaneFormsMatchScalarAndFlagOnlyTheirFallbacks) {
+  // encode_lane / decode_lane are the branch-free forms the bit-exact
+  // pipeline kernel runs on. Wherever they do not flag they must give
+  // exactly the scalar word and double; they may flag only where the
+  // scalar conversions take their own branches (a subnormal or
+  // non-finite input, a decode outside the table split).
+  using g5::math::LnsLane;
+  const double specials[] = {0.0,
+                             -0.0,
+                             std::numeric_limits<double>::denorm_min(),
+                             -0x1.fffffffffffffp-1023,
+                             std::numeric_limits<double>::min(),
+                             -std::numeric_limits<double>::max(),
+                             std::numeric_limits<double>::infinity(),
+                             std::numeric_limits<double>::quiet_NaN(),
+                             1.0,
+                             -3.0};
+  for (const int frac : {5, 8, 12, 16}) {
+    const LnsFormat fmt(frac);
+    g5::math::Rng rng(static_cast<std::uint64_t>(frac));
+    std::vector<double> inputs(std::begin(specials), std::end(specials));
+    for (int k = 0; k < 20000; ++k) {
+      inputs.push_back(std::bit_cast<double>(rng.next_u64()));
+    }
+    for (const double v : inputs) {
+      std::uint64_t bad = 0;
+      const LnsLane w = fmt.encode_lane(v, bad);
+      const bool special = v != 0.0 && !std::isnormal(v);
+      ASSERT_EQ(static_cast<std::int64_t>(bad) < 0, special)
+          << "F " << frac << " v " << v;
+      if (special) continue;
+      const LnsValue s = fmt.from_double(v);
+      ASSERT_EQ(w.live == 0, s.zero) << "F " << frac << " v " << v;
+      ASSERT_TRUE(w.live == 0 || w.live == ~std::uint64_t{0});
+      if (s.zero) continue;
+      ASSERT_EQ(w.log, s.logval.wide()) << "F " << frac << " v " << v;
+      ASSERT_EQ(w.sign != 0, s.sign < 0) << "F " << frac << " v " << v;
+      ASSERT_EQ(fmt.pow_neg_3_2_log(w.log),
+                fmt.pow_neg_3_2(s).logval.wide());
+      ASSERT_EQ(fmt.pow_neg_1_2_log(w.log),
+                fmt.pow_neg_1_2(s).logval.wide());
+    }
+
+    // Decode: every word around the split's edges and a sweep between.
+    const std::int64_t one = std::int64_t{1} << frac;
+    std::vector<std::int64_t> logs;
+    for (const std::int64_t c : {-1022 * one, -1021 * one, 0 * one,
+                                 1022 * one, 1023 * one}) {
+      for (std::int64_t l = c - 3; l <= c + 3; ++l) logs.push_back(l);
+    }
+    for (std::int64_t l = -1100 * one; l <= 1100 * one; l += one / 4 + 7) {
+      logs.push_back(l);
+    }
+    for (const std::int64_t l : logs) {
+      for (const bool negative : {false, true}) {
+        LnsValue v;
+        v.zero = false;
+        v.sign = negative ? std::int8_t{-1} : std::int8_t{1};
+        v.logval = g5::math::LnsCode::from_bits(static_cast<std::int32_t>(l));
+        std::uint64_t bad = 0;
+        const double got = fmt.decode_lane(LnsFormat::lane(v), bad);
+        const std::int64_t q = l >= 0 ? l / one : -((-l + one - 1) / one);
+        const bool outside = q < -1021 || q > 1022;
+        ASSERT_EQ(static_cast<std::int64_t>(bad) < 0, outside)
+            << "F " << frac << " logval " << l;
+        if (!outside) {
+          ASSERT_EQ(std::bit_cast<std::uint64_t>(got),
+                    std::bit_cast<std::uint64_t>(fmt.to_double(v)))
+              << "F " << frac << " logval " << l;
+        }
+        // The zero tag decodes to +0.0 and never flags.
+        LnsLane dead = LnsFormat::lane(v);
+        dead.live = 0;
+        std::uint64_t dead_bad = 0;
+        ASSERT_EQ(std::bit_cast<std::uint64_t>(fmt.decode_lane(dead, dead_bad)),
+                  std::uint64_t{0});
+        ASSERT_EQ(dead_bad, 0u);
+      }
+    }
+  }
+}
+
 }  // namespace

@@ -20,7 +20,7 @@
 //                           the bit-level GRAPE-5 datapath, the default and
 //                           what every golden number refers to; native =
 //                           plain double on the same quantized coordinates,
-//                           ~10x faster emulation, codec error ~ 0)
+//                           ~3x faster emulation, codec error ~ 0)
 //         [--boards B]     (grape engines: processor boards in the emulated
 //                           machine; default 2 = the paper's configuration.
 //                           j-particles block-shard across boards and the
