@@ -1,23 +1,27 @@
-// P3 — lane-parallel evaluation: thread scaling of the grape-tree engine.
+// P3 — lane-parallel walk + evaluation: thread scaling of the tree
+// engines.
 //
 // Each pool lane walks a group and evaluates its interaction list at once
-// on the device's shared, read-only emulated pipeline, so the emulated
-// kernel — nearly all of a grape-tree force phase — spreads over the
-// host's cores. The same Plummer snapshot runs through a fresh
-// grape-tree engine at 1 thread and at --threads (0 = every core), for
-// both arithmetic backends, and we report wall clock, walk and kernel
-// CPU seconds and the speedup. Forces must be bitwise-identical across
-// thread counts: the bench exits nonzero otherwise.
+// — on the host (host-tree-modified) or on the device's shared, read-only
+// emulated pipeline (grape-tree), so the walk and the kernel spread over
+// the host's cores. The same Plummer snapshot runs through a fresh
+// host-tree-modified engine and a fresh grape-tree engine per arithmetic
+// backend, at 1 thread and at --threads (0 = every core), and we report
+// wall clock, walk and kernel CPU seconds and the speedup; the host row
+// also carries HostCostModel's modeled walk speedup for the same lane
+// count. Forces must be bitwise-identical across thread counts: the bench
+// exits nonzero otherwise.
 //
 //   ./bench_p3_pipeline [--n 65536] [--theta 0.75] [--ncrit 256]
 //                       [--eps 0.02] [--threads 0 (auto)]
 //                       [--backend both|bit-exact|native]
 //                       [--boards 0 (paper)] [--json FILE]
 //
-// --backend selects the pipeline arithmetic (BackendKind): bit-exact is
-// the bit-level datapath, native evaluates the same lists in plain
-// double. --boards scales the emulated cluster (0 = the paper's 2
-// boards); forces stay bitwise-identical across B too (docs/scaling.md).
+// --backend selects the grape-tree rows' pipeline arithmetic
+// (BackendKind): bit-exact is the bit-level datapath, native evaluates
+// the same lists in plain double. --boards scales the emulated cluster
+// (0 = the paper's 2 boards); forces stay bitwise-identical across B too
+// (docs/scaling.md).
 
 #include <cstdio>
 #include <cstdlib>
@@ -25,6 +29,7 @@
 #include <vector>
 
 #include "core/engines.hpp"
+#include "core/perf.hpp"
 #include "ic/plummer.hpp"
 #include "util/options.hpp"
 #include "util/parallel.hpp"
@@ -42,8 +47,10 @@ struct RunResult {
   model::ParticleSet pset;
 };
 
+/// One engine configuration at 1 thread and at --threads.
 struct Row {
-  grape::BackendKind backend;
+  std::string engine;
+  std::string backend;  ///< "host" for host-tree-modified
   RunResult serial;
   RunResult parallel;
   bool identical = false;
@@ -91,11 +98,12 @@ int main(int argc, char** argv) {
   const auto base = ic::make_plummer(pc);
 
   std::printf(
-      "P3: grape-tree thread scaling, N=%zu, theta=%g, n_crit=%u, "
+      "P3: tree engine thread scaling, N=%zu, theta=%g, n_crit=%u, "
       "threads 1 vs %u, boards=%u (0=paper)\n\n",
       n, theta, n_crit, threads, boards);
 
-  auto run = [&](grape::BackendKind backend, unsigned lanes) {
+  auto run = [&](const std::string& engine_name, grape::BackendKind backend,
+                 unsigned lanes) {
     RunResult r;
     r.pset = base;
     core::ForceParams fp;
@@ -106,7 +114,7 @@ int main(int argc, char** argv) {
     fp.backend = backend;
     fp.boards = boards;
     // Fresh engine + fresh device per run: no cross-run device state.
-    auto engine = core::make_engine("grape-tree", fp);
+    auto engine = core::make_engine(engine_name, fp);
     util::Stopwatch watch;
     engine->compute(r.pset);
     r.wall_s = watch.elapsed();
@@ -117,28 +125,48 @@ int main(int argc, char** argv) {
 
   std::vector<Row> rows;
   bool identical = true;
-  for (const grape::BackendKind backend : backends) {
-    Row row{backend, run(backend, 1), run(backend, threads)};
+  const auto add = [&](const std::string& engine, grape::BackendKind backend,
+                       const std::string& backend_label) {
+    Row row{engine, backend_label, run(engine, backend, 1),
+            run(engine, backend, threads)};
     row.identical = same_forces(row.serial.pset, row.parallel.pset);
     identical = identical && row.identical;
     rows.push_back(std::move(row));
+  };
+  add("host-tree-modified", grape::BackendKind::BitExact, "host");
+  for (const grape::BackendKind backend : backends) {
+    add("grape-tree", backend, std::string(grape::backend_name(backend)));
   }
+  core::HostCostModel model;
+  model.threads = threads;
+  const double modeled = model.walk_speedup();
+  char modeled_json[32];
+  std::snprintf(modeled_json, sizeof modeled_json, "%.4g", modeled);
 
-  util::Table t({"backend", "threads", "wall s", "walk cpu-s", "kernel cpu-s",
-                 "speedup", "bitwise"});
+  util::Table t({"engine", "backend", "threads", "wall s", "walk cpu-s",
+                 "kernel cpu-s", "speedup", "modeled", "bitwise"});
   for (const Row& row : rows) {
-    const std::string name(grape::backend_name(row.backend));
-    char speedup[32];
+    const bool host = row.backend == "host";
+    char speedup[32], modeled_s[32] = "-";
     std::snprintf(speedup, sizeof speedup, "%.2f", row.speedup());
-    t.add_row({name, "1", util::sci(row.serial.wall_s),
+    if (host) std::snprintf(modeled_s, sizeof modeled_s, "%.2f", modeled);
+    t.add_row({row.engine, row.backend, "1", util::sci(row.serial.wall_s),
                util::sci(row.serial.walk_cpu_s),
-               util::sci(row.serial.kernel_cpu_s), "1.00", "ref"});
-    t.add_row({name, std::to_string(threads), util::sci(row.parallel.wall_s),
+               util::sci(row.serial.kernel_cpu_s), "1.00", host ? "1.00" : "-",
+               "ref"});
+    t.add_row({row.engine, row.backend, std::to_string(threads),
+               util::sci(row.parallel.wall_s),
                util::sci(row.parallel.walk_cpu_s),
-               util::sci(row.parallel.kernel_cpu_s), speedup,
+               util::sci(row.parallel.kernel_cpu_s), speedup, modeled_s,
                row.identical ? "yes" : "NO"});
   }
   t.print();
+  std::printf(
+      "\nspeedup = 1-thread wall / %u-thread wall (tree build, walk and"
+      "\nkernel; bench_p4_treebuild times the build on its own)."
+      "\nmodeled = HostCostModel.walk_speedup() (host walk rows only)."
+      "\nbitwise = forces identical to the 1-thread run.\n",
+      threads);
 
   if (!json.empty()) {
     std::FILE* f = std::fopen(json.c_str(), "w");
@@ -152,20 +180,22 @@ int main(int argc, char** argv) {
       std::fprintf(
           f,
           "  {\"run\": {\"n\": %zu, \"theta\": %g, \"n_crit\": %u, "
-          "\"threads\": %u, \"backend\": \"%s\", \"boards\": %u},\n"
+          "\"threads\": %u, \"engine\": \"%s\", \"backend\": \"%s\", "
+          "\"boards\": %u},\n"
           "   \"serial\": {\"wall_s\": %.6g, \"walk_cpu_s\": %.6g, "
           "\"kernel_cpu_s\": %.6g},\n"
           "   \"parallel\": {\"wall_s\": %.6g, \"walk_cpu_s\": %.6g, "
           "\"kernel_cpu_s\": %.6g},\n"
-          "   \"speedup\": %.4g, \"bitwise_identical\": %s}%s\n",
-          n, theta, n_crit, threads,
-          std::string(grape::backend_name(row.backend)).c_str(),
+          "   \"speedup\": %.4g, \"modeled_speedup\": %s, "
+          "\"bitwise_identical\": %s}%s\n",
+          n, theta, n_crit, threads, row.engine.c_str(), row.backend.c_str(),
           boards != 0 ? boards
                       : static_cast<std::uint32_t>(
                             grape::SystemConfig::paper_system().boards),
           row.serial.wall_s, row.serial.walk_cpu_s, row.serial.kernel_cpu_s,
           row.parallel.wall_s, row.parallel.walk_cpu_s,
           row.parallel.kernel_cpu_s, row.speedup(),
+          row.backend == "host" ? modeled_json : "null",
           row.identical ? "true" : "false", k + 1 < rows.size() ? "," : "");
     }
     std::fprintf(f, "]\n");

@@ -1,24 +1,29 @@
-// P4 — parallel Morton-ordered tree build scaling (build phase only).
+// P4 — Morton-ordered tree build scaling (build phase only).
 //
 // The paper's host built the tree serially on one Alpha core; at the
-// paper's N = 2,159,038 the serial sort + node construction is the
-// dominant host phase once the force loop is off-loaded. This harness
-// times BhTree::build alone over an N x threads sweep and verifies the
-// threaded build is bitwise-identical (nodes, keys, permutation) to the
-// serial one at every thread count.
+// paper's N = 2,159,038 the sort + node construction is the dominant
+// host phase once the force loop is off-loaded. This harness times
+// BhTree::build alone over an N x threads sweep: with no pool (the
+// build's chunks in order on the calling thread) and on pools of 1, 2,
+// 4, ... lanes, and verifies every pooled tree is bitwise-identical
+// (nodes, keys, permutation) to the no-pool one.
 //
 //   ./bench_p4_treebuild [--n 65536,524288,2159038] [--maxthreads 0 (auto)]
-//                        [--reps 2] [--cutoff 32768] [--leafmax 8]
-//                        [--json out.json]
+//                        [--reps 5] [--leafmax 8] [--json out.json]
 //
-// JSON rows: {"n", "threads", "build_ms", "speedup",
-// "bitwise_identical"}; threads = 0 encodes the serial reference run.
+// Timings are the median and p90 over --reps builds. JSON: a leading
+// {"host": {nproc, compiler, build_type, reps}} object, then rows
+// {"n", "threads", "build_ms" (the median), "p90_ms", "speedup",
+// "bitwise_identical"}; threads = 0 is the no-pool build, which the
+// speedups divide.
 
+#include <algorithm>
 #include <cstdint>
 #include <cstdio>
 #include <cstdlib>
 #include <memory>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include "ic/uniform.hpp"
@@ -69,10 +74,24 @@ bool trees_identical(const tree::BhTree& a, const tree::BhTree& b) {
   return true;
 }
 
+/// Median and p90 (nearest rank) of a sample.
+struct Spread {
+  double median = 0.0;
+  double p90 = 0.0;
+};
+
+Spread spread(std::vector<double> ms) {
+  std::sort(ms.begin(), ms.end());
+  const std::size_t k = ms.size();
+  const std::size_t p90_rank = (9 * k + 9) / 10;  // ceil(0.9 k)
+  return {k % 2 == 1 ? ms[k / 2] : 0.5 * (ms[k / 2 - 1] + ms[k / 2]),
+          ms[p90_rank - 1]};
+}
+
 struct Row {
   std::size_t n = 0;
-  unsigned threads = 0;  ///< 0 = serial reference
-  double build_ms = 0.0;
+  unsigned threads = 0;  ///< 0 = no pool
+  Spread build_ms;
   double speedup = 1.0;
   bool identical = true;
 };
@@ -85,8 +104,8 @@ int main(int argc, char** argv) {
       parse_sizes(opt.get_string("n", "65536,524288,2159038"));
   auto max_threads = static_cast<unsigned>(opt.get_int("maxthreads", 0));
   if (max_threads == 0) max_threads = util::resolve_thread_count();
-  const auto reps = static_cast<int>(opt.get_int("reps", 2));
-  const auto cutoff = static_cast<std::uint32_t>(opt.get_int("cutoff", 32768));
+  const auto reps = static_cast<int>(std::max<std::int64_t>(
+      1, opt.get_int("reps", 5)));
   const auto leaf_max = static_cast<std::uint32_t>(opt.get_int("leafmax", 8));
   const std::string json_path = opt.get_string("json", "");
 
@@ -103,44 +122,45 @@ int main(int argc, char** argv) {
     const auto pset = ic::make_uniform_ball(n, 1.0, 1.0, 101);
     tree::TreeBuildConfig cfg;
     cfg.leaf_max = leaf_max;
-    cfg.parallel.parallel_cutoff = cutoff;
 
     auto timed_build = [&](tree::BhTree& tree,
-                           util::ThreadPool* pool) -> double {
-      double best = 0.0;
+                           util::ThreadPool* pool) -> Spread {
+      std::vector<double> ms;
       for (int rep = 0; rep < reps; ++rep) {
         util::Stopwatch watch;
         tree.build(pset, cfg, pool);
-        const double ms = watch.elapsed() * 1e3;
-        if (rep == 0 || ms < best) best = ms;
+        ms.push_back(watch.elapsed() * 1e3);
       }
-      return best;
+      return spread(std::move(ms));
+    };
+    auto add_row = [&](util::Table& t, const std::string& label,
+                       const Row& row, const char* bitwise) {
+      char med[64], p90[64], sp[64];
+      std::snprintf(med, sizeof med, "%.2f", row.build_ms.median);
+      std::snprintf(p90, sizeof p90, "%.2f", row.build_ms.p90);
+      std::snprintf(sp, sizeof sp, "%.2f", row.speedup);
+      t.add_row({label, med, p90, sp, bitwise});
+      rows.push_back(row);
     };
 
-    tree::BhTree serial;
-    const double serial_ms = timed_build(serial, nullptr);
-    rows.push_back(Row{n, 0, serial_ms, 1.0, true});
-
-    util::Table t({"threads", "build ms", "speedup", "bitwise"});
-    char buf[64];
-    std::snprintf(buf, sizeof buf, "%.2f", serial_ms);
-    t.add_row({"serial", buf, "1.00", "ref"});
+    util::Table t({"threads", "median ms", "p90 ms", "speedup", "bitwise"});
+    tree::BhTree no_pool;
+    const Spread ref = timed_build(no_pool, nullptr);
+    add_row(t, "no pool", Row{n, 0, ref, 1.0, true}, "ref");
 
     for (unsigned threads = 1; threads <= max_threads; threads *= 2) {
       util::ThreadPool pool(threads);
-      tree::BhTree par;
-      const double ms = timed_build(par, &pool);
-      const bool identical = trees_identical(serial, par);
+      tree::BhTree pooled;
+      const Spread ms = timed_build(pooled, &pool);
+      const bool identical = trees_identical(no_pool, pooled);
       all_identical = all_identical && identical;
-      rows.push_back(Row{n, threads, ms, serial_ms / ms, identical});
-      char ms_s[64], sp_s[64];
-      std::snprintf(ms_s, sizeof ms_s, "%.2f", ms);
-      std::snprintf(sp_s, sizeof sp_s, "%.2f", serial_ms / ms);
-      t.add_row({std::to_string(threads), ms_s, sp_s,
-                 identical ? "yes" : "NO"});
+      add_row(t, std::to_string(threads),
+              Row{n, threads, ms, ref.median / ms.median, identical},
+              identical ? "yes" : "NO");
     }
-    std::printf("N = %zu (serial %.2f ms, %zu nodes, depth %d)\n", n,
-                serial_ms, serial.node_count(), serial.max_depth_reached());
+    std::printf("N = %zu (no pool %.2f ms, %zu nodes, depth %d)\n", n,
+                ref.median, no_pool.node_count(),
+                no_pool.max_depth_reached());
     t.print();
     std::printf("\n");
   }
@@ -151,14 +171,19 @@ int main(int argc, char** argv) {
       std::printf("ERROR: cannot write %s\n", json_path.c_str());
       return EXIT_FAILURE;
     }
-    std::fprintf(f, "[\n");
+    std::fprintf(f,
+                 "[\n  {\"host\": {\"nproc\": %u, \"compiler\": \"%s\", "
+                 "\"build_type\": \"%s\", \"reps\": %d}},\n",
+                 std::thread::hardware_concurrency(), G5_BENCH_COMPILER,
+                 G5_BENCH_BUILD_TYPE, reps);
     for (std::size_t i = 0; i < rows.size(); ++i) {
       const Row& r = rows[i];
       std::fprintf(f,
                    "  {\"n\": %zu, \"threads\": %u, \"build_ms\": %.3f, "
-                   "\"speedup\": %.3f, \"bitwise_identical\": %s}%s\n",
-                   r.n, r.threads, r.build_ms, r.speedup,
-                   r.identical ? "true" : "false",
+                   "\"p90_ms\": %.3f, \"speedup\": %.3f, "
+                   "\"bitwise_identical\": %s}%s\n",
+                   r.n, r.threads, r.build_ms.median, r.build_ms.p90,
+                   r.speedup, r.identical ? "true" : "false",
                    i + 1 < rows.size() ? "," : "");
     }
     std::fprintf(f, "]\n");
@@ -167,11 +192,12 @@ int main(int argc, char** argv) {
   }
 
   std::printf(
-      "threads = 0/serial row is the reference std::sort build; threaded"
-      "\nrows run the chunked bbox/keys, parallel radix sort and subtree"
-      "\ntasks. bitwise = nodes/keys/permutation identical to serial.\n");
+      "median/p90 over %d builds. The no-pool row runs the build's chunks"
+      "\nin order on the calling thread; speedup = its median / the row's."
+      "\nbitwise = nodes/keys/permutation identical to the no-pool tree.\n",
+      reps);
   if (!all_identical) {
-    std::printf("ERROR: threaded build diverged from the serial tree\n");
+    std::printf("ERROR: a pooled build diverged from the no-pool tree\n");
     return EXIT_FAILURE;
   }
   return EXIT_SUCCESS;

@@ -44,13 +44,6 @@ struct ForceParams {
   /// variable, else hardware concurrency. Results are bitwise-identical
   /// for any thread count.
   std::uint32_t threads = 0;
-  /// Tree engines: minimum particle count for the parallel tree build
-  /// (tree::TreeBuildParams::parallel_cutoff). Below it the build runs
-  /// serially — the fork-join overhead would dominate; above it all
-  /// build phases (bbox, keys, radix sort, subtree construction,
-  /// moments) spread across the walk pool, bitwise-identical to the
-  /// serial build.
-  std::uint32_t build_parallel_cutoff = 1u << 15;
   /// GRAPE engines: arithmetic backend of the emulated pipelines.
   /// BitExact (default) is the bit-level GRAPE-5 datapath every golden
   /// number refers to; Native evaluates the same interaction lists in

@@ -45,7 +45,6 @@ util::ThreadPool& TreeEngine::begin_phase(const model::ParticleSet& pset) {
     tree::TreeBuildConfig build_cfg;
     build_cfg.leaf_max = params_.leaf_max;
     build_cfg.quadrupole = quadrupole();
-    build_cfg.parallel = {params_.threads, params_.build_parallel_cutoff};
     tree_.build(pset, build_cfg, &pool);
   }
   stats_.seconds_tree_build += phase.lap();

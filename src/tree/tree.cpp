@@ -3,7 +3,7 @@
 #include <algorithm>
 #include <cmath>
 #include <limits>
-#include <numeric>
+#include <optional>
 #include <stdexcept>
 
 #include "obs/registry.hpp"
@@ -15,8 +15,8 @@ namespace g5::tree {
 
 namespace {
 
-/// Fixed chunk edge of the parallel phases. Chunk boundaries depend only
-/// on N, never on the lane count — the determinism contract of every
+/// Fixed chunk edge of the build phases. Chunk boundaries depend only on
+/// N, never on the lane count — the determinism contract of every
 /// per-chunk merge below.
 constexpr std::size_t kChunk = std::size_t{1} << 16;
 
@@ -27,6 +27,51 @@ constexpr unsigned kRadixPasses = 8;
 
 constexpr std::size_t chunk_count(std::size_t n) {
   return (n + kChunk - 1) / kChunk;
+}
+
+/// Cell node with its range and geometry set (no children, no moments).
+Node make_cell(std::uint32_t first, std::uint32_t count, int depth,
+               const Vec3d& center, double half_size, std::int32_t parent) {
+  Node node;
+  node.first = first;
+  node.count = count;
+  node.center = center;
+  node.half_size = half_size;
+  node.depth = static_cast<std::uint8_t>(depth);
+  node.parent = parent;
+  return node;
+}
+
+/// Calls fn(oct, first, count, center, half_size) for every non-empty
+/// octant child of the cell over the sorted keys [first, first + count)
+/// at `depth`, in octant order. Keys are sorted, so each octant is a
+/// contiguous sub-range found by binary search on its 3-bit digit.
+template <typename Fn>
+void for_each_octant(const std::vector<std::uint64_t>& keys,
+                     std::uint32_t first, std::uint32_t count, int depth,
+                     const Vec3d& center, double half_size, Fn&& fn) {
+  const double quarter = 0.5 * half_size;
+  std::uint32_t begin = first;
+  const std::uint32_t end = first + count;
+  for (unsigned oct = 0; oct < 8 && begin < end; ++oct) {
+    // Upper bound of this octant's range.
+    std::uint32_t lo = begin, hi = end;
+    while (lo < hi) {
+      const std::uint32_t mid = lo + (hi - lo) / 2;
+      if (math::morton_octant(keys[mid], depth) <= oct) {
+        lo = mid + 1;
+      } else {
+        hi = mid;
+      }
+    }
+    if (lo > begin) {
+      const Vec3d child_center{center.x + ((oct & 1u) ? quarter : -quarter),
+                               center.y + ((oct & 2u) ? quarter : -quarter),
+                               center.z + ((oct & 4u) ? quarter : -quarter)};
+      fn(oct, begin, lo - begin, child_center, quarter);
+    }
+    begin = lo;
+  }
 }
 
 }  // namespace
@@ -58,43 +103,30 @@ void BhTree::build(std::span<const Vec3d> pos, std::span<const double> mass,
   keys_.resize(n);
   if (n == 0) return;
 
-  // The parallel path needs a pool with >1 lanes, enough bodies to beat
-  // the fork-join overhead, and no explicit serial override. Either path
-  // produces bitwise-identical nodes_/keys_/orig_index_.
-  const bool par = pool != nullptr && pool->size() > 1 &&
-                   cfg_.parallel.threads != 1 &&
-                   n >= cfg_.parallel.parallel_cutoff;
+  // Without a pool the same chunks run in order on the calling thread; a
+  // one-lane pool starts no thread.
+  std::optional<util::ThreadPool> own_pool;
+  if (pool == nullptr) pool = &own_pool.emplace(1u);
   util::Stopwatch build_watch;
 
   // Cubic hull, padded so boundary particles stay strictly inside.
-  model::Aabb box;
+  // Per-chunk hulls merged in chunk order (min/max is exact).
+  model::Aabb box{pos[0], pos[0]};
   {
     G5_OBS_SPAN("bbox", "tree");
-    box.lo = pos[0];
-    box.hi = pos[0];
-    if (par) {
-      // Per-chunk hulls merged in chunk order. min/max is exact, so the
-      // merged hull is bit-identical to the serial left-to-right scan.
-      const std::size_t chunks = chunk_count(n);
-      std::vector<model::Aabb> partial(chunks, model::Aabb{pos[0], pos[0]});
-      pool->parallel_for(
-          n, kChunk, [&](std::size_t begin, std::size_t end, unsigned) {
-            model::Aabb local{pos[begin], pos[begin]};
-            for (std::size_t i = begin; i < end; ++i) {
-              local.lo = math::cwise_min(local.lo, pos[i]);
-              local.hi = math::cwise_max(local.hi, pos[i]);
-            }
-            partial[begin / kChunk] = local;
-          });
-      for (const auto& p : partial) {
-        box.lo = math::cwise_min(box.lo, p.lo);
-        box.hi = math::cwise_max(box.hi, p.hi);
-      }
-    } else {
-      for (const auto& p : pos) {
-        box.lo = math::cwise_min(box.lo, p);
-        box.hi = math::cwise_max(box.hi, p);
-      }
+    std::vector<model::Aabb> partial(chunk_count(n), box);
+    pool->parallel_for(
+        n, kChunk, [&](std::size_t begin, std::size_t end, unsigned) {
+          model::Aabb local{pos[begin], pos[begin]};
+          for (std::size_t i = begin; i < end; ++i) {
+            local.lo = math::cwise_min(local.lo, pos[i]);
+            local.hi = math::cwise_max(local.hi, pos[i]);
+          }
+          partial[begin / kChunk] = local;
+        });
+    for (const auto& p : partial) {
+      box.lo = math::cwise_min(box.lo, p.lo);
+      box.hi = math::cwise_max(box.hi, p.hi);
     }
   }
   const double size = std::max(box.cube_size(), 1e-300) * (1.0 + 1e-9);
@@ -106,88 +138,50 @@ void BhTree::build(std::span<const Vec3d> pos, std::span<const double> mass,
   // until the sort below permutes the pairs).
   {
     G5_OBS_SPAN("keys", "tree");
-    std::iota(orig_index_.begin(), orig_index_.end(), 0u);
-    if (par) {
-      pool->parallel_for(
-          n, kChunk, [&](std::size_t begin, std::size_t end, unsigned) {
-            // g5lint: hot-begin(tree_keys)
-            for (std::size_t i = begin; i < end; ++i) {
-              keys_[i] = math::morton_key(pos[i], root_lo_, root_size_);
-            }
-            // g5lint: hot-end
-          });
-    } else {
-      for (std::uint32_t i = 0; i < n; ++i) {
-        keys_[i] = math::morton_key(pos[i], root_lo_, root_size_);
-      }
-    }
+    pool->parallel_for(
+        n, kChunk, [&](std::size_t begin, std::size_t end, unsigned) {
+          // g5lint: hot-begin(tree_keys)
+          for (std::size_t i = begin; i < end; ++i) {
+            keys_[i] = math::morton_key(pos[i], root_lo_, root_size_);
+            orig_index_[i] = static_cast<std::uint32_t>(i);
+          }
+          // g5lint: hot-end
+        });
   }
 
   // Sort the (key, original index) pairs by key, ties broken by original
-  // index — the pinned order coincident particles rely on. The serial
-  // comparator sort and the stable radix sort (which starts from the
-  // identity permutation) produce exactly this order, so the two paths
-  // agree bit for bit.
+  // index — the pinned order coincident particles rely on: the radix sort
+  // is stable and starts from the identity permutation.
   {
     G5_OBS_SPAN("sort", "tree");
-    if (par) {
-      sort_pairs_parallel(n, *pool);
-      pool->parallel_for(
-          n, kChunk, [&](std::size_t begin, std::size_t end, unsigned) {
-            for (std::size_t i = begin; i < end; ++i) {
-              const std::uint32_t src = orig_index_[i];
-              sorted_pos_[i] = pos[src];
-              sorted_mass_[i] = mass[src];
-            }
-          });
-    } else {
-      std::sort(orig_index_.begin(), orig_index_.end(),
-                [&](std::uint32_t a, std::uint32_t b) {
-                  return keys_[a] != keys_[b] ? keys_[a] < keys_[b] : a < b;
-                });
-      key_scratch_.resize(n);
-      for (std::uint32_t i = 0; i < n; ++i) {
-        const std::uint32_t src = orig_index_[i];
-        sorted_pos_[i] = pos[src];
-        sorted_mass_[i] = mass[src];
-        key_scratch_[i] = keys_[src];
-      }
-      std::swap(keys_, key_scratch_);
-    }
+    sort_pairs(n, *pool);
+    pool->parallel_for(
+        n, kChunk, [&](std::size_t begin, std::size_t end, unsigned) {
+          for (std::size_t i = begin; i < end; ++i) {
+            const std::uint32_t src = orig_index_[i];
+            sorted_pos_[i] = pos[src];
+            sorted_mass_[i] = mass[src];
+          }
+        });
   }
 
   {
     G5_OBS_SPAN("nodes", "tree");
-    if (par) {
-      build_nodes_parallel(n, center, 0.5 * size, *pool);
-    } else {
-      nodes_.reserve(2 * n / std::max(1u, cfg_.leaf_max) + 64);
-      build_structure(nodes_, 0, n, 0, center, 0.5 * size, -1, max_depth_);
-    }
+    build_nodes(n, center, 0.5 * size, *pool);
   }
 
   {
     G5_OBS_SPAN("moments", "tree");
-    if (par) {
-      pool->parallel_for(
-          nodes_.size(), 64,
-          [&](std::size_t begin, std::size_t end, unsigned) {
-            moments_range(begin, end);
-          });
-    } else {
-      moments_range(0, nodes_.size());
-    }
+    pool->parallel_for(nodes_.size(), 64,
+                       [&](std::size_t begin, std::size_t end, unsigned) {
+                         moments_range(begin, end);
+                       });
     if (cfg_.quadrupole) {
       quads_.resize(nodes_.size());
-      if (par) {
-        pool->parallel_for(
-            nodes_.size(), 64,
-            [&](std::size_t begin, std::size_t end, unsigned) {
-              quadrupole_range(begin, end);
-            });
-      } else {
-        quadrupole_range(0, nodes_.size());
-      }
+      pool->parallel_for(nodes_.size(), 64,
+                         [&](std::size_t begin, std::size_t end, unsigned) {
+                           quadrupole_range(begin, end);
+                         });
     }
   }
 
@@ -196,87 +190,27 @@ void BhTree::build(std::span<const Vec3d> pos, std::span<const double> mass,
   }
 }
 
-std::int32_t BhTree::build_structure(std::vector<Node>& arena,
-                                     std::uint32_t first, std::uint32_t count,
-                                     int depth, const Vec3d& center,
-                                     double half_size, std::int32_t parent,
-                                     int& max_depth) const {
-  const auto idx = static_cast<std::int32_t>(arena.size());
-  // g5lint: hot-begin(tree_nodes)
-  arena.emplace_back();
-  {
-    Node& node = arena.back();
-    node.first = first;
-    node.count = count;
-    node.center = center;
-    node.half_size = half_size;
-    node.depth = static_cast<std::uint8_t>(depth);
-    node.parent = parent;
-  }
-  // g5lint: hot-end
-  max_depth = std::max(max_depth, depth);
-
-  const bool split = count > cfg_.leaf_max && depth < cfg_.max_depth;
-  if (split) {
-    arena[static_cast<std::size_t>(idx)].leaf = false;
-    // Partition [first, first+count) by octant at this depth: keys are
-    // sorted, so each octant is a contiguous sub-range found by binary
-    // search on the 3-bit digit.
-    std::uint32_t begin = first;
-    const std::uint32_t end = first + count;
-    for (unsigned oct = 0; oct < 8; ++oct) {
-      // Upper bound of this octant's range.
-      std::uint32_t lo = begin, hi = end;
-      while (lo < hi) {
-        const std::uint32_t mid = lo + (hi - lo) / 2;
-        if (math::morton_octant(keys_[mid], depth) <= oct) {
-          lo = mid + 1;
-        } else {
-          hi = mid;
-        }
-      }
-      const std::uint32_t child_count = lo - begin;
-      if (child_count > 0) {
-        const double quarter = 0.5 * half_size;
-        const Vec3d child_center{
-            center.x + ((oct & 1u) ? quarter : -quarter),
-            center.y + ((oct & 2u) ? quarter : -quarter),
-            center.z + ((oct & 4u) ? quarter : -quarter)};
-        const std::int32_t child =
-            build_structure(arena, begin, child_count, depth + 1, child_center,
-                            quarter, idx, max_depth);
-        arena[static_cast<std::size_t>(idx)].child[oct] = child;
-      }
-      begin = lo;
-      if (begin >= end) break;
-    }
-  }
-  return idx;
-}
-
-void BhTree::build_nodes_parallel(std::uint32_t n, const Vec3d& center,
-                                  double half_size, util::ThreadPool& pool) {
-  // Subtree task planned by the serial top-of-tree split: one complete
-  // octant subtree, built into a private arena by one pool lane.
+void BhTree::build_nodes(std::uint32_t n, const Vec3d& center,
+                         double half_size, util::ThreadPool& pool) {
+  // Subtree task planned by the top-of-tree split: one complete octant
+  // subtree, built into a private arena by one pool lane.
   struct SubtreeTask {
     std::uint32_t first = 0;
     std::uint32_t count = 0;
     int depth = 0;
     Vec3d center{};
     double half_size = 0.0;
-    std::int32_t parent_top = -1;  ///< owning top node (tops index)
-    unsigned oct = 0;              ///< octant slot in the owner
   };
-  // Node of the serially built top of the tree; children are either other
-  // top nodes or whole subtree tasks, per octant.
+  // Node of the top of the tree; children are either other top nodes or
+  // whole subtree tasks, per octant.
   struct TopNode {
     Node node;
     std::int32_t child_top[8] = {-1, -1, -1, -1, -1, -1, -1, -1};
     std::int32_t child_task[8] = {-1, -1, -1, -1, -1, -1, -1, -1};
   };
 
-  // Stop the serial descent once a subtree is small enough to be one
-  // task. Depends only on N (never on the lane count), so the task
+  // Stop the top descent once a subtree is small enough to be one task.
+  // Depends only on N (never on the lane count), so the task
   // decomposition — and with it the stitched layout — is identical for
   // every thread count. The depth cap bounds the skeleton for adversarial
   // (e.g. fully coincident) distributions.
@@ -288,63 +222,35 @@ void BhTree::build_nodes_parallel(std::uint32_t n, const Vec3d& center,
   tops.reserve(1024);
   tasks.reserve(1024);
 
-  // Serial top split: exactly the build_structure recursion, except that
-  // child subtrees below the cutoff become tasks instead of recursing.
+  // Top split on the calling thread: the build_structure recursion,
+  // except that child subtrees below the cutoff become tasks.
   const auto plan = [&](auto&& self, std::uint32_t first, std::uint32_t count,
                         int depth, const Vec3d& cell_center, double cell_half,
                         std::int32_t parent) -> std::int32_t {
     const auto ti = static_cast<std::int32_t>(tops.size());
     tops.emplace_back();
-    {
-      Node& node = tops.back().node;
-      node.first = first;
-      node.count = count;
-      node.center = cell_center;
-      node.half_size = cell_half;
-      node.depth = static_cast<std::uint8_t>(depth);
-      node.parent = parent;
-    }
+    tops.back().node =
+        make_cell(first, count, depth, cell_center, cell_half, parent);
     max_depth_ = std::max(max_depth_, depth);
-
-    const bool split = count > cfg_.leaf_max && depth < cfg_.max_depth;
-    if (split) {
-      tops[static_cast<std::size_t>(ti)].node.leaf = false;
-      std::uint32_t begin = first;
-      const std::uint32_t end = first + count;
-      for (unsigned oct = 0; oct < 8; ++oct) {
-        std::uint32_t lo = begin, hi = end;
-        while (lo < hi) {
-          const std::uint32_t mid = lo + (hi - lo) / 2;
-          if (math::morton_octant(keys_[mid], depth) <= oct) {
-            lo = mid + 1;
-          } else {
-            hi = mid;
-          }
-        }
-        const std::uint32_t child_count = lo - begin;
-        if (child_count > 0) {
-          const double quarter = 0.5 * cell_half;
-          const Vec3d child_center{
-              cell_center.x + ((oct & 1u) ? quarter : -quarter),
-              cell_center.y + ((oct & 2u) ? quarter : -quarter),
-              cell_center.z + ((oct & 4u) ? quarter : -quarter)};
-          const bool child_splits =
-              child_count > cfg_.leaf_max && depth + 1 < cfg_.max_depth;
-          auto& slots = tops[static_cast<std::size_t>(ti)];
-          if (child_splits && child_count > top_cutoff &&
+    if (!splits(count, depth)) return ti;
+    tops[static_cast<std::size_t>(ti)].node.leaf = false;
+    for_each_octant(
+        keys_, first, count, depth, cell_center, cell_half,
+        [&](unsigned oct, std::uint32_t child_first, std::uint32_t child_count,
+            const Vec3d& child_center, double child_half) {
+          if (splits(child_count, depth + 1) && child_count > top_cutoff &&
               depth + 1 < kTopDepthCap) {
-            slots.child_top[oct] = self(self, begin, child_count, depth + 1,
-                                        child_center, quarter, ti);
+            const std::int32_t child = self(self, child_first, child_count,
+                                            depth + 1, child_center,
+                                            child_half, ti);
+            tops[static_cast<std::size_t>(ti)].child_top[oct] = child;
           } else {
-            slots.child_task[oct] = static_cast<std::int32_t>(tasks.size());
-            tasks.push_back(SubtreeTask{begin, child_count, depth + 1,
-                                        child_center, quarter, ti, oct});
+            tops[static_cast<std::size_t>(ti)].child_task[oct] =
+                static_cast<std::int32_t>(tasks.size());
+            tasks.push_back(SubtreeTask{child_first, child_count, depth + 1,
+                                        child_center, child_half});
           }
-        }
-        begin = lo;
-        if (begin >= end) break;
-      }
-    }
+        });
     return ti;
   };
   plan(plan, 0, n, 0, center, half_size, -1);
@@ -360,21 +266,17 @@ void BhTree::build_nodes_parallel(std::uint32_t n, const Vec3d& center,
           const SubtreeTask& task = tasks[t];
           std::vector<Node>& arena = arenas[t];
           arena.reserve(2 * task.count / std::max(1u, cfg_.leaf_max) + 16);
-          int local_depth = 0;
           build_structure(arena, task.first, task.count, task.depth,
-                          task.center, task.half_size, -1, local_depth);
-          task_depth[t] = local_depth;
+                          task.center, task.half_size, -1, task_depth[t]);
         }
       });
-  for (std::size_t t = 0; t < tasks.size(); ++t) {
-    max_depth_ = std::max(max_depth_, task_depth[t]);
-  }
+  for (const int depth : task_depth) max_depth_ = std::max(max_depth_, depth);
 
-  // Stitch: a serial preorder walk over the top skeleton assigns every
-  // top node and every task arena its final index block — node, then the
-  // octant children's complete subtrees in order, which is exactly the
-  // layout the serial recursion emits. Top nodes are written here; the
-  // arenas are rebased and copied across the pool afterwards.
+  // Stitch: a preorder walk over the top skeleton assigns every top node
+  // and every task arena its final index block — node, then the octant
+  // children's complete subtrees in order, the layout build_structure
+  // emits. Top nodes are written here; the arenas are rebased and copied
+  // across the pool afterwards.
   std::size_t total = tops.size();
   for (const auto& arena : arenas) total += arena.size();
   nodes_.resize(total);
@@ -425,7 +327,31 @@ void BhTree::build_nodes_parallel(std::uint32_t n, const Vec3d& center,
       });
 }
 
-void BhTree::sort_pairs_parallel(std::uint32_t n, util::ThreadPool& pool) {
+std::int32_t BhTree::build_structure(std::vector<Node>& arena,
+                                     std::uint32_t first, std::uint32_t count,
+                                     int depth, const Vec3d& center,
+                                     double half_size, std::int32_t parent,
+                                     int& max_depth) const {
+  const auto idx = static_cast<std::int32_t>(arena.size());
+  // g5lint: hot-begin(tree_nodes)
+  arena.push_back(make_cell(first, count, depth, center, half_size, parent));
+  // g5lint: hot-end
+  max_depth = std::max(max_depth, depth);
+  if (!splits(count, depth)) return idx;
+  arena[static_cast<std::size_t>(idx)].leaf = false;
+  for_each_octant(
+      keys_, first, count, depth, center, half_size,
+      [&](unsigned oct, std::uint32_t child_first, std::uint32_t child_count,
+          const Vec3d& child_center, double child_half) {
+        const std::int32_t child =
+            build_structure(arena, child_first, child_count, depth + 1,
+                            child_center, child_half, idx, max_depth);
+        arena[static_cast<std::size_t>(idx)].child[oct] = child;
+      });
+  return idx;
+}
+
+void BhTree::sort_pairs(std::uint32_t n, util::ThreadPool& pool) {
   key_scratch_.resize(n);
   idx_scratch_.resize(n);
   const std::size_t chunks = chunk_count(n);

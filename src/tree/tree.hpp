@@ -9,10 +9,10 @@
 // point-mass forces, so monopole is what the paper's code shipped to the
 // hardware.
 //
-// The build runs serially or, given a util::ThreadPool, in parallel over
-// every phase (bounding box, keys, sort, node construction, moments).
-// The parallel build is bitwise-identical to the serial one for any
-// thread count: chunk boundaries, the sort order (Morton key, then
+// Every phase (bounding box, keys, radix sort, node construction,
+// moments) runs in fixed chunks across a util::ThreadPool's lanes, or in
+// order on the calling thread without one. The tree is bitwise-identical
+// for any lane count: chunk boundaries, the sort order (Morton key, then
 // original index), the node preorder layout, and every per-node moment
 // loop are independent of how chunks land on lanes.
 //
@@ -37,18 +37,6 @@ namespace g5::tree {
 
 using math::Vec3d;
 
-/// Threading knobs of the tree build (tentatively plumbed from
-/// core::ForceParams by the tree engines).
-struct TreeBuildParams {
-  /// Requested build parallelism. 1 forces the serial path even when a
-  /// pool is supplied; any other value uses every lane of the supplied
-  /// pool (0 = default). Results are bitwise-identical either way.
-  std::uint32_t threads = 0;
-  /// Minimum particle count for the parallel path: below this the serial
-  /// build wins on fork-join overhead alone, so the pool is ignored.
-  std::uint32_t parallel_cutoff = 1u << 15;
-};
-
 struct TreeBuildConfig {
   /// A cell with <= leaf_max bodies becomes a leaf.
   std::uint32_t leaf_max = 8;
@@ -60,8 +48,6 @@ struct TreeBuildConfig {
   /// point masses only, so quadrupoles serve the host-evaluation path
   /// (accuracy-vs-cost ablation against the hardware's monopole lists).
   bool quadrupole = false;
-  /// Parallel-build knobs; only honored when build() is handed a pool.
-  TreeBuildParams parallel;
 };
 
 /// Traceless quadrupole tensor about the node's center of mass:
@@ -105,10 +91,10 @@ class BhTree {
   BhTree() = default;
 
   /// Build over the given snapshot (positions copied and sorted inside).
-  /// With a pool and config.parallel permitting, every phase runs across
-  /// the pool's lanes; the result is bitwise-identical to the serial
-  /// build (pool == nullptr) for any lane count. The pool must not be
-  /// executing another parallel_for (ThreadPool is not reentrant).
+  /// With a pool every phase runs across its lanes; without one the same
+  /// chunks run in order on the calling thread. The tree is
+  /// bitwise-identical either way, for any lane count. The pool must not
+  /// be executing another parallel_for (ThreadPool is not reentrant).
   void build(std::span<const Vec3d> pos, std::span<const double> mass,
              const TreeBuildConfig& config = TreeBuildConfig{},
              util::ThreadPool* pool = nullptr);
@@ -178,14 +164,18 @@ class BhTree {
   std::vector<double> sorted_mass_;
   std::vector<std::uint32_t> orig_index_;
   std::vector<std::uint64_t> keys_;
-  /// Radix-sort ping-pong halves (parallel path); kept as members so
-  /// steady-state per-step rebuilds reuse their capacity.
+  /// Radix-sort ping-pong halves; kept as members so steady-state
+  /// per-step rebuilds reuse their capacity.
   std::vector<std::uint64_t> key_scratch_;
   std::vector<std::uint32_t> idx_scratch_;
   Vec3d root_lo_{};
   double root_size_ = 0.0;
   int max_depth_ = 0;
 
+  /// A cell with `count` bodies at `depth` gets children.
+  [[nodiscard]] bool splits(std::uint32_t count, int depth) const {
+    return count > cfg_.leaf_max && depth < cfg_.max_depth;
+  }
   /// Recursive preorder structure build into `arena` (node fields except
   /// moments; child/parent indices are arena-local, the arena root's
   /// parent is `parent`). Returns the arena index of the subtree root and
@@ -194,14 +184,14 @@ class BhTree {
                                std::uint32_t count, int depth,
                                const Vec3d& center, double half_size,
                                std::int32_t parent, int& max_depth) const;
-  /// Parallel node construction: serial top-of-tree split into subtree
-  /// tasks, per-task arenas built across the pool, stitched into nodes_
-  /// in the exact serial preorder.
-  void build_nodes_parallel(std::uint32_t n, const Vec3d& center,
-                            double half_size, util::ThreadPool& pool);
+  /// Node construction: top-of-tree split into subtree tasks, per-task
+  /// arenas built across the pool, stitched into nodes_ in preorder (a
+  /// node, then each child's whole subtree in octant order).
+  void build_nodes(std::uint32_t n, const Vec3d& center, double half_size,
+                   util::ThreadPool& pool);
   /// Stable LSD radix sort of (keys_, orig_index_) pairs by key across
-  /// the pool; reproduces the serial comparator order exactly.
-  void sort_pairs_parallel(std::uint32_t n, util::ThreadPool& pool);
+  /// the pool: ascending key, ties in ascending original index.
+  void sort_pairs(std::uint32_t n, util::ThreadPool& pool);
   /// Per-node monopole moments (mass, com, bradius) over [begin, end).
   void moments_range(std::size_t begin, std::size_t end);
   /// Per-node quadrupole moments over [begin, end).

@@ -84,7 +84,9 @@ void ThreadPool::parallel_for(std::size_t n, std::size_t grain,
   if (n == 0) return;
   if (grain == 0) grain = 1;
   if (lanes_ == 1 || n <= grain) {
-    body(0, n, 0);
+    for (std::size_t b = 0; b < n; b += grain) {
+      body(b, std::min(n, b + grain), 0);
+    }
     return;
   }
   std::string obs_parent;

@@ -50,7 +50,8 @@ class ThreadPool {
   using Body = std::function<void(std::size_t, std::size_t, unsigned)>;
 
   /// Run body over [0, n) in dynamically scheduled contiguous chunks of
-  /// `grain` indices (grain == 0 behaves as 1). Blocks until every index
+  /// `grain` indices (grain == 0 behaves as 1). A one-lane pool runs the
+  /// same chunks in order on the calling thread. Blocks until every index
   /// is processed, then rethrows the first exception a chunk threw. Not
   /// reentrant: the body must not call back into the same pool.
   void parallel_for(std::size_t n, std::size_t grain, const Body& body);

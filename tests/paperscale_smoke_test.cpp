@@ -50,7 +50,7 @@ TEST(PaperScale, TreeBuildAndNativeForceStep) {
   auto pset = ic::make_uniform_ball(n, 1.0, 1.0, 1999);
 
   // --- Tree build (parallel over the resolved lane count) ---
-  tree::TreeBuildConfig cfg;  // leaf_max 8, parallel cutoff 32768
+  tree::TreeBuildConfig cfg;  // leaf_max 8
   util::ThreadPool pool(0);   // 0 = resolve via G5_THREADS / hw concurrency
   tree::BhTree tree;
   util::Stopwatch build_watch;

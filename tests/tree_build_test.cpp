@@ -2,6 +2,7 @@
 
 #include <cmath>
 #include <set>
+#include <vector>
 
 #include "ic/plummer.hpp"
 #include "ic/uniform.hpp"
@@ -31,24 +32,47 @@ TEST(BhTree, EmptyAndSingle) {
 }
 
 TEST(BhTree, ChildrenPartitionParentRange) {
-  const auto pset = ic::make_uniform_cube(2000, -1.0, 1.0, 1.0, 3);
-  BhTree tree;
-  tree.build(pset);
-  for (std::size_t idx = 0; idx < tree.node_count(); ++idx) {
-    const Node& node = tree.node(idx);
-    if (node.leaf) continue;
-    std::uint32_t covered = 0;
-    std::uint32_t cursor = node.first;
-    for (int oct = 0; oct < 8; ++oct) {
-      if (node.child[oct] < 0) continue;
-      const Node& child = tree.node(static_cast<std::size_t>(node.child[oct]));
-      EXPECT_EQ(child.first, cursor) << "gap in node " << idx;
-      EXPECT_EQ(child.parent, static_cast<std::int32_t>(idx));
-      EXPECT_EQ(child.depth, node.depth + 1);
-      cursor = child.first + child.count;
-      covered += child.count;
+  // 2,000 bodies split the root straight into subtree tasks; 40,000 put
+  // a level of top nodes between the root and the tasks.
+  for (const std::size_t n : {std::size_t{2000}, std::size_t{40000}}) {
+    const auto pset = ic::make_uniform_cube(n, -1.0, 1.0, 1.0, 3);
+    BhTree tree;
+    tree.build(pset);
+    // Subtree sizes, children first: every child follows its parent.
+    std::vector<std::size_t> subtree(tree.node_count(), 1);
+    for (std::size_t idx = tree.node_count(); idx-- > 0;) {
+      const Node& node = tree.node(idx);
+      for (int oct = 0; oct < 8; ++oct) {
+        if (node.child[oct] < 0) continue;
+        const auto child = static_cast<std::size_t>(node.child[oct]);
+        ASSERT_GT(child, idx) << "child precedes parent at node " << idx;
+        subtree[idx] += subtree[child];
+      }
     }
-    EXPECT_EQ(covered, node.count) << "node " << idx;
+    EXPECT_EQ(subtree[0], tree.node_count()) << "n " << n;
+    for (std::size_t idx = 0; idx < tree.node_count(); ++idx) {
+      const Node& node = tree.node(idx);
+      if (node.leaf) continue;
+      std::uint32_t covered = 0;
+      std::uint32_t cursor = node.first;
+      // Preorder layout: the first child sits right after its parent, and
+      // each later child right after its previous sibling's subtree.
+      std::size_t next = idx + 1;
+      for (int oct = 0; oct < 8; ++oct) {
+        if (node.child[oct] < 0) continue;
+        const auto child_idx = static_cast<std::size_t>(node.child[oct]);
+        EXPECT_EQ(child_idx, next) << "layout of node " << idx;
+        next = child_idx + subtree[child_idx];
+        const Node& child = tree.node(child_idx);
+        EXPECT_EQ(child.first, cursor) << "gap in node " << idx;
+        EXPECT_EQ(child.parent, static_cast<std::int32_t>(idx));
+        EXPECT_EQ(child.depth, node.depth + 1);
+        cursor = child.first + child.count;
+        covered += child.count;
+      }
+      EXPECT_EQ(covered, node.count) << "node " << idx;
+      EXPECT_EQ(next, idx + subtree[idx]) << "node " << idx;
+    }
   }
 }
 

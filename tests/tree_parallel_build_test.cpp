@@ -1,14 +1,15 @@
-// Parallel tree build determinism: the threaded build (chunked bbox /
-// keys, parallel radix sort, subtree-task node construction, parallel
-// moments) must be bitwise-identical to the serial build for any lane
-// count — same nodes_, keys_, orig_index_, sorted arrays and forces.
-// Also pins the duplicate-Morton-key ordering: coincident particles sort
-// by original index, so equal-key runs are a deterministic permutation
-// regardless of how (or whether) the build is threaded.
+// Tree build determinism: the build (chunked bbox / keys, radix sort,
+// subtree-task node construction, moments) must give bitwise-identical
+// trees with no pool (the chunks in order on the calling thread) and on
+// a pool of any lane count — same nodes_, keys_, orig_index_, sorted
+// arrays and forces. Also pins the duplicate-Morton-key ordering:
+// coincident particles sort by original index, so equal-key runs are a
+// deterministic permutation regardless of how the build is threaded.
 #include <gtest/gtest.h>
 
 #include <cstdint>
 #include <memory>
+#include <span>
 #include <vector>
 
 #include "core/engines.hpp"
@@ -68,79 +69,32 @@ void expect_identical_trees(const BhTree& a, const BhTree& b) {
   }
 }
 
-TreeBuildConfig parallel_config(std::uint32_t cutoff = 64,
-                                bool quadrupole = false) {
+TreeBuildConfig build_config(bool quadrupole = false) {
   TreeBuildConfig cfg;
   cfg.quadrupole = quadrupole;
-  cfg.parallel.parallel_cutoff = cutoff;
   return cfg;
 }
 
-TEST(ParallelBuild, BitwiseIdenticalAcrossThreadCounts) {
-  const auto pset = ic::make_plummer({.n = 20000, .seed = 7});
-  BhTree serial;
-  serial.build(pset, parallel_config());
-
-  for (const unsigned threads : {1u, 2u, 4u, 8u}) {
+/// Builds with no pool and on pools of 1, 2 and 4 lanes; all four trees
+/// must be bitwise-identical.
+void expect_identical_with_any_pool(std::span<const Vec3d> pos,
+                                    std::span<const double> mass,
+                                    const TreeBuildConfig& cfg) {
+  BhTree no_pool;
+  no_pool.build(pos, mass, cfg);
+  for (const unsigned threads : {1u, 2u, 4u}) {
+    SCOPED_TRACE(threads);
     util::ThreadPool pool(threads);
-    BhTree par;
-    par.build(pset, parallel_config(), &pool);
-    expect_identical_trees(serial, par);
+    BhTree pooled;
+    pooled.build(pos, mass, cfg, &pool);
+    expect_identical_trees(no_pool, pooled);
   }
 }
 
-TEST(ParallelBuild, QuadrupoleMomentsIdentical) {
-  const auto pset = ic::make_uniform_cube(8192, -1.0, 1.0, 1.0, 11);
-  BhTree serial;
-  serial.build(pset, parallel_config(64, true));
-  util::ThreadPool pool(4);
-  BhTree par;
-  par.build(pset, parallel_config(64, true), &pool);
-  expect_identical_trees(serial, par);
-}
-
-TEST(ParallelBuild, ClusteredDistributionIdentical) {
-  // Gaussian clumps produce deep, imbalanced subtrees — the worst case
-  // for the top-of-tree task decomposition.
-  const auto pset = ic::make_clustered(16384, 8, 2.0, 0.05, 1.0, 3);
-  BhTree serial;
-  serial.build(pset, parallel_config());
-  util::ThreadPool pool(4);
-  BhTree par;
-  par.build(pset, parallel_config(), &pool);
-  expect_identical_trees(serial, par);
-}
-
-TEST(ParallelBuild, CutoffForcesSerialPath) {
-  const auto pset = ic::make_plummer({.n = 4096, .seed = 3});
-  BhTree serial;
-  serial.build(pset);
-  util::ThreadPool pool(4);
-  BhTree par;
-  // Default cutoff (32768) exceeds N: the pool must be ignored and the
-  // result is trivially the serial one.
-  par.build(pset, TreeBuildConfig{}, &pool);
-  expect_identical_trees(serial, par);
-}
-
-TEST(ParallelBuild, ThreadsOneForcesSerialPath) {
-  const auto pset = ic::make_plummer({.n = 8192, .seed = 5});
-  BhTree serial;
-  serial.build(pset);
-  util::ThreadPool pool(4);
-  BhTree par;
-  TreeBuildConfig cfg = parallel_config();
-  cfg.parallel.threads = 1;  // explicit serial override
-  par.build(pset, cfg, &pool);
-  expect_identical_trees(serial, par);
-}
-
-TEST(ParallelBuild, CoincidentClustersPinSortOrder) {
-  // Clusters of exactly coincident particles: their Morton keys tie, and
-  // the pinned order is ascending original index within each run. The
-  // cluster members are deliberately interleaved in caller order.
-  std::vector<Vec3d> pos;
-  std::vector<double> mass;
+/// Clusters of exactly coincident particles (their Morton keys tie),
+/// interleaved in caller order, over a uniform background: n bodies.
+void coincident_clusters(std::size_t n, std::vector<Vec3d>& pos,
+                         std::vector<double>& mass) {
   const int kClusters = 7;
   const int kPerCluster = 97;  // > leaf_max: clusters hit the depth cap
   for (int rep = 0; rep < kPerCluster; ++rep) {
@@ -149,15 +103,112 @@ TEST(ParallelBuild, CoincidentClustersPinSortOrder) {
       mass.push_back(1.0 / (1.0 + c));
     }
   }
-  // Background so the parallel path has real subtree tasks.
-  const auto bg = ic::make_uniform_cube(4096, -2.0, 2.0, 1.0, 17);
+  const auto bg = ic::make_uniform_cube(n - pos.size(), -2.0, 2.0, 1.0, 17);
   for (std::size_t i = 0; i < bg.size(); ++i) {
     pos.push_back(bg.pos()[i]);
     mass.push_back(bg.mass()[i]);
   }
+}
+
+/// Sizes for the no-pool-vs-pool checks: one chunk, and more than three
+/// chunks of the build's fixed 65,536-element chunk edge, whose last
+/// chunk is short — on one lane every chunk must still be its own call.
+constexpr std::size_t kSizes[] = {20000, 3 * 65536 + 17};
+
+TEST(ParallelBuild, BitwiseIdenticalAcrossThreadCounts) {
+  const auto pset = ic::make_plummer({.n = 20000, .seed = 7});
+  BhTree serial;
+  serial.build(pset, build_config());
+
+  for (const unsigned threads : {1u, 2u, 4u, 8u}) {
+    util::ThreadPool pool(threads);
+    BhTree par;
+    par.build(pset, build_config(), &pool);
+    expect_identical_trees(serial, par);
+  }
+}
+
+TEST(ParallelBuild, QuadrupoleMomentsIdentical) {
+  const auto pset = ic::make_uniform_cube(8192, -1.0, 1.0, 1.0, 11);
+  BhTree serial;
+  serial.build(pset, build_config(true));
+  util::ThreadPool pool(4);
+  BhTree par;
+  par.build(pset, build_config(true), &pool);
+  expect_identical_trees(serial, par);
+}
+
+TEST(ParallelBuild, ClusteredDistributionIdentical) {
+  // Gaussian clumps produce deep, imbalanced subtrees — the worst case
+  // for the top-of-tree task decomposition.
+  const auto pset = ic::make_clustered(16384, 8, 2.0, 0.05, 1.0, 3);
+  BhTree serial;
+  serial.build(pset, build_config());
+  util::ThreadPool pool(4);
+  BhTree par;
+  par.build(pset, build_config(), &pool);
+  expect_identical_trees(serial, par);
+}
+
+TEST(ParallelBuild, NoPoolMatchesPooledBuild) {
+  const auto pset = ic::make_plummer({.n = 4096, .seed = 3});
+  BhTree no_pool;
+  no_pool.build(pset);
+  util::ThreadPool pool(4);
+  BhTree par;
+  par.build(pset, TreeBuildConfig{}, &pool);
+  expect_identical_trees(no_pool, par);
+}
+
+TEST(ParallelBuild, NoPoolMatchesOneLanePool) {
+  const auto pset = ic::make_plummer({.n = 8192, .seed = 5});
+  BhTree no_pool;
+  no_pool.build(pset);
+  util::ThreadPool pool(1);
+  BhTree one_lane;
+  one_lane.build(pset, build_config(), &pool);
+  expect_identical_trees(no_pool, one_lane);
+}
+
+TEST(ParallelBuild, MultiChunkPlummer) {
+  for (const std::size_t n : kSizes) {
+    SCOPED_TRACE(n);
+    const auto pset = ic::make_plummer({.n = n, .seed = 29});
+    expect_identical_with_any_pool(pset.pos(), pset.mass(),
+                                   build_config(true));
+  }
+}
+
+TEST(ParallelBuild, MultiChunkClustered) {
+  for (const std::size_t n : kSizes) {
+    SCOPED_TRACE(n);
+    const auto pset = ic::make_clustered(n, 8, 2.0, 0.05, 1.0, 31);
+    expect_identical_with_any_pool(pset.pos(), pset.mass(),
+                                   build_config(true));
+  }
+}
+
+TEST(ParallelBuild, MultiChunkCoincident) {
+  for (const std::size_t n : kSizes) {
+    SCOPED_TRACE(n);
+    std::vector<Vec3d> pos;
+    std::vector<double> mass;
+    coincident_clusters(n, pos, mass);
+    expect_identical_with_any_pool(pos, mass, build_config(true));
+  }
+}
+
+TEST(ParallelBuild, CoincidentClustersPinSortOrder) {
+  // Clusters of exactly coincident particles: their Morton keys tie, and
+  // the pinned order is ascending original index within each run. The
+  // cluster members are deliberately interleaved in caller order; the
+  // background gives the build real subtree tasks.
+  std::vector<Vec3d> pos;
+  std::vector<double> mass;
+  coincident_clusters(7 * 97 + 4096, pos, mass);
 
   BhTree serial;
-  serial.build(pos, mass, parallel_config());
+  serial.build(pos, mass, build_config());
   const auto& keys = serial.keys();
   const auto& orig = serial.original_index();
   for (std::size_t i = 1; i < keys.size(); ++i) {
@@ -171,14 +222,14 @@ TEST(ParallelBuild, CoincidentClustersPinSortOrder) {
   for (const unsigned threads : {2u, 4u, 8u}) {
     util::ThreadPool pool(threads);
     BhTree par;
-    par.build(pos, mass, parallel_config(), &pool);
+    par.build(pos, mass, build_config(), &pool);
     expect_identical_trees(serial, par);
   }
 }
 
 /// Engine-level check: forces bitwise-identical across thread counts for
-/// both emulated-GRAPE backends and the host tree engine, with the
-/// parallel build forced on (cutoff below N).
+/// both emulated-GRAPE backends and the host tree engine; the engines
+/// build their trees on their walk pools.
 class ParallelBuildForces : public ::testing::Test {
  protected:
   static core::ForceParams params(std::uint32_t threads,
@@ -186,7 +237,6 @@ class ParallelBuildForces : public ::testing::Test {
     core::ForceParams fp;
     fp.eps = 0.02;
     fp.threads = threads;
-    fp.build_parallel_cutoff = 256;
     fp.backend = backend;
     return fp;
   }

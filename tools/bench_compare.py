@@ -4,17 +4,12 @@
 Usage:
   bench_compare.py FRESH.json BASELINE.json [--threshold 10.0] [--strict]
 
-Understands both row shapes the bench harnesses emit:
-
-  * pipeline rows (bench_p3_pipeline; baselines BENCH_p3/p6/p8.json):
-    objects with a "run" configuration dict plus "sync"/"pipelined"
-    sections carrying wall_s — rows are matched on the full "run" dict;
-  * tree-build rows (bench_p4_treebuild --json; baseline BENCH_p9.json):
-    objects with n/threads/build_ms — rows are matched on (n, threads).
-
-Note-only entries (objects without timing fields) are skipped. For each
-matched row the tool prints baseline vs fresh timings and the delta in
-percent; a slowdown beyond --threshold is flagged as a REGRESSION.
+Reads the tree-build rows of bench_p4_treebuild --json (baseline
+BENCH_p9.json): objects with n/threads/build_ms (the median build),
+matched on (n, threads). Other entries (the host descriptor, notes) are
+skipped. For each matched row the tool prints baseline vs fresh
+timings and the delta in percent; a slowdown beyond --threshold is
+flagged as a REGRESSION.
 Rows present in only one file are listed but never count as
 regressions, so a quick fresh run over a subset of the baseline grid is
 fine.
@@ -34,26 +29,17 @@ import sys
 
 
 def row_key(row):
-    """Stable identity for a bench row, or None for note-only entries."""
+    """Stable identity for a bench row, or None for other entries."""
     if not isinstance(row, dict):
         return None
-    if "run" in row and isinstance(row["run"], dict):
-        return tuple(sorted(row["run"].items()))
     if "n" in row and "threads" in row and "build_ms" in row:
         return (("n", row["n"]), ("threads", row["threads"]))
     return None
 
 
 def row_times(row):
-    """{metric-name: seconds-or-ms} for every timing the row carries."""
-    times = {}
-    for section in ("sync", "pipelined"):
-        sub = row.get(section)
-        if isinstance(sub, dict) and "wall_s" in sub:
-            times[f"{section}.wall_s"] = float(sub["wall_s"])
-    if "build_ms" in row:
-        times["build_ms"] = float(row["build_ms"])
-    return times
+    """{metric-name: ms} for every timing the row carries."""
+    return {"build_ms": float(row["build_ms"])}
 
 
 def key_label(key):

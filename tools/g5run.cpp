@@ -9,12 +9,11 @@
 //         --engine grape-tree|grape-direct|host-tree|host-tree-modified|
 //                  host-direct
 //         [--n 8192] [--steps 100] [--dt 0.01] [--eps 0.02] [--theta 0.75]
-//         [--ncrit 256] [--mac edge|bmax] [--quadrupole] [--threads 0]
-//         [--build-cutoff 32768]
-//                          (tree engines: minimum N for the parallel tree
-//                           build; the build threads across the --threads
-//                           pool above it, bitwise-identical to the
-//                           serial build either way)
+//         [--ncrit 256] [--mac edge|bmax] [--quadrupole]
+//         [--threads 0]    (host lanes for the tree build and the walk +
+//                           evaluate phase; 0 = G5_THREADS, else every
+//                           core. Results are bitwise-identical for any
+//                           count)
 //         [--backend bit-exact|native]
 //                          (grape engines: pipeline arithmetic. bit-exact =
 //                           the bit-level GRAPE-5 datapath, the default and
@@ -68,6 +67,11 @@
 // Cosmological runs (--ic cosmo) integrate z=24 -> 0 with a log-a step
 // schedule (or --comoving for the comoving-coordinate integrator) and set
 // dt/eps from the lattice automatically.
+//
+// Initial-condition options: --virial (cold), --pericenter and
+// --mass-ratio (collision), --grid, --omega-m, --omega-l, --hubble,
+// --sigma8 and --z-start (cosmo). Any other flag not named here is an
+// error: g5run exits 1 and names it.
 
 #include <cmath>
 #include <cstdio>
@@ -104,6 +108,27 @@
 namespace {
 
 using namespace g5;
+
+/// Every flag g5run reads, each between spaces; main() rejects the rest.
+constexpr std::string_view kKnownOptions =
+    " analyze backend boards comoving debug-crash dt engine eps grid help"
+    " hubble ic live-port log-every mac mass-ratio metrics n ncrit omega-l"
+    " omega-m out pericenter postmortem probe-every probe-samples probe-seed"
+    " prom-file quadrupole report resume seed selftest sigma8"
+    " snapshot-prefix snapshots stats-csv status-file status-period steps"
+    " theta threads timing timing-json tipsy trace virial z-start ";
+
+/// Throws naming the first flag g5run does not know: a misspelt or
+/// removed flag would otherwise be silently dropped.
+void reject_unknown_options(const util::Options& opt) {
+  for (const std::string& key : opt.keys()) {
+    if (key.find(' ') != std::string::npos ||
+        kKnownOptions.find(" " + key + " ") == std::string_view::npos) {
+      throw std::invalid_argument("unknown option --" + key +
+                                  " (see the header of tools/g5run.cpp)");
+    }
+  }
+}
 
 struct Prepared {
   model::ParticleSet pset;
@@ -514,6 +539,7 @@ int main(int argc, char** argv) {
   try {
     util::set_current_thread_name("g5-main");
     util::Options opt(argc, argv);
+    reject_unknown_options(opt);
     if (opt.has("help")) {
       std::printf("see the header of tools/g5run.cpp for usage\n");
       return 0;
@@ -588,8 +614,6 @@ int main(int argc, char** argv) {
     fp.n_crit = static_cast<std::uint32_t>(opt.get_int("ncrit", 256));
     fp.quadrupole = opt.get_bool("quadrupole", false);
     fp.threads = static_cast<std::uint32_t>(opt.get_int("threads", 0));
-    fp.build_parallel_cutoff = static_cast<std::uint32_t>(
-        opt.get_int("build-cutoff", 1 << 15));
     const std::string mac = opt.get_string("mac", "edge");
     fp.mac = mac == "bmax" ? tree::Mac::Bmax : tree::Mac::Edge;
     const std::string backend = opt.get_string("backend", "bit-exact");
