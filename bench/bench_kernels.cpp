@@ -82,6 +82,8 @@ void BM_WalkGroup(benchmark::State& state) {
 }
 BENCHMARK(BM_WalkGroup)->Arg(64)->Arg(256)->Arg(1024);
 
+/// grape::host_forces_on_targets, the tests' scalar oracle — no engine
+/// runs it; BM_HostListKernel times the host engines' list kernel.
 void BM_HostKernel(benchmark::State& state) {
   const auto& pset = cached_plummer(static_cast<std::size_t>(state.range(0)));
   const std::size_t n = pset.size();
@@ -138,6 +140,33 @@ void BM_PipelineEvaluate(benchmark::State& state) {
                                                           : "lns-datapath");
 }
 BENCHMARK(BM_PipelineEvaluate)->Arg(0)->Arg(1);
+
+/// tree::evaluate_list_host — the host engines' list kernel — on
+/// BM_PipelineEvaluate's call shape: 1,400 entries of the Plummer
+/// N = 65,536 snapshot streamed past 64 of them as targets, with their
+/// self masses as the grouped engine passes them. Its ns per interaction
+/// reads against BM_PipelineEvaluate/1 (Native) from the same binary.
+void BM_HostListKernel(benchmark::State& state) {
+  constexpr std::size_t kJ = 1400;
+  constexpr std::size_t kTargets = 64;
+  const auto& pset = cached_plummer(65536);
+  tree::InteractionList list;
+  for (std::size_t k = 0; k < kJ; ++k) {
+    list.push(pset.pos()[k], pset.mass()[k]);
+  }
+  const std::span<const Vec3d> targets(pset.pos().data(), kTargets);
+  const std::span<const double> self_mass(pset.mass().data(), kTargets);
+  std::vector<Vec3d> acc(kTargets);
+  std::vector<double> pot(kTargets);
+  for (auto _ : state) {
+    tree::evaluate_list_host(list, targets, 0.01, acc, pot, self_mass);
+    benchmark::DoNotOptimize(acc.data());
+    benchmark::ClobberMemory();
+  }
+  state.SetItemsProcessed(state.iterations() *
+                          static_cast<std::int64_t>(kJ * kTargets));
+}
+BENCHMARK(BM_HostListKernel);
 
 /// Log-uniform magnitudes, both signs, across the exponent range the
 /// pipeline feeds the codec: from squares of coordinate differences near

@@ -83,10 +83,13 @@ void TreeEngine::order_groups(util::ThreadPool& pool,
   // lane busy while the others idle, and the step time swings with the
   // draw. A count-only walk costs well under 1 % of the emulated
   // evaluation and lets the lanes take the groups longest first. Host
-  // evaluation is ~25x cheaper per interaction than the bit-exact
-  // emulation, so there the extra walk would cost more than the
-  // imbalance it removes. Groups write disjoint outputs and calls are
-  // charged in group order, so the order changes no result.
+  // evaluation is ~10x cheaper per interaction than the bit-exact
+  // emulation (bench_kernels on a 4-core AVX2 host: HostListKernel
+  // ~2.5 ns, PipelineEvaluate/0 23-26 ns), and there the extra walk costs
+  // more than the imbalance it removes (g5bench host-modified-65k
+  // step_s, 6 pairs: 0.091 s without the ordering, 0.095 s with it).
+  // Groups write disjoint outputs and calls are charged in group order,
+  // so the order changes no result.
   group_cost_.resize(groups_.size());
   pool.parallel_for(
       groups_.size(), 8,

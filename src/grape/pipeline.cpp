@@ -8,31 +8,7 @@
 #include <stdexcept>
 #include <string>
 
-// The kernels (both backends' pair loops and the block-sum pass) are
-// built twice from one source, for AVX2 and for the baseline ISA, and
-// dispatched once at load time through an ifunc. Every operation in them
-// is integer work, a table read or a correctly rounded IEEE add,
-// subtract, multiply, divide or sqrt, and g5_grape compiles with
-// -ffp-contract=off so no clone fuses a multiply-add: both clones give
-// the same bits.
-// ThreadSanitizer instruments the ifunc resolver, which runs before its
-// runtime is up and crashes at load time, so TSan builds keep one clone.
-#if defined(__SANITIZE_THREAD__)  // GCC
-#define G5_TSAN_BUILD
-#elif defined(__has_feature)  // Clang
-#if __has_feature(thread_sanitizer)
-#define G5_TSAN_BUILD
-#endif
-#endif
-#if defined(__x86_64__) && defined(__linux__) && !defined(G5_TSAN_BUILD) && \
-    defined(__has_attribute)
-#if __has_attribute(target_clones)
-#define G5_ISA_CLONES __attribute__((target_clones("avx2", "default")))
-#endif
-#endif
-#ifndef G5_ISA_CLONES
-#define G5_ISA_CLONES
-#endif
+#include "util/isa.hpp"
 
 namespace g5::grape {
 

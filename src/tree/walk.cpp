@@ -1,9 +1,13 @@
 #include "tree/walk.hpp"
 
 #include <algorithm>
+#include <bit>
 #include <cmath>
+#include <cstdint>
 
+#include "math/domain.hpp"
 #include "tree/traversal_stack.hpp"
+#include "util/isa.hpp"
 
 namespace g5::tree {
 
@@ -128,8 +132,121 @@ std::uint64_t count_original(const BhTree& tree, const Vec3d& target,
   return len;
 }
 
+namespace {
+
 // g5lint: hot-begin(list-eval-host) — the host-side O(targets x list)
 // kernel; everything lives in registers / the caller's spans.
+
+/// The sums of one target over a list: force, potential and the mass
+/// of the zero-separation entries (left out of both).
+struct TargetSums {
+  Vec3d a{};
+  double p = 0.0;
+  double coincident_mass = 0.0;
+};
+
+/// Targets per pass of the lane loop: one AVX2 register of doubles.
+constexpr std::size_t kLanes = 4;
+
+/// The list's sums for one target, one entry at a time.
+TargetSums scalar_sums(const InteractionList& list, const Vec3d& xi,
+                       double eps2, bool quads) {
+  TargetSums s;
+  for (std::size_t j = 0; j < list.size(); ++j) {
+    const Vec3d dx = list.pos[j] - xi;
+    if (dx.norm2() == 0.0) {
+      // Zero separation: the softened force is exactly zero, the
+      // softened potential is -m/eps. Collect the mass so the self term
+      // (and only the self term) can be excluded below; without
+      // self-mass information — or unsoftened, where the pair is
+      // singular — these entries are skipped entirely.
+      s.coincident_mass += list.mass[j];
+      continue;
+    }
+    const double r2 = dx.norm2() + eps2;
+    const double rinv = 1.0 / std::sqrt(r2);
+    const double rinv2 = rinv * rinv;
+    const double rinv3 = rinv * rinv2;
+    s.a += (list.mass[j] * rinv3) * dx;
+    s.p -= list.mass[j] * rinv;
+    if (quads) {
+      const Quadrupole& q = list.quad[j];
+      if (q.is_zero()) continue;
+      // Traceless-quadrupole terms about the source's center of mass:
+      //   phi  = -(dx^T Q dx) / (2 r^5)
+      //   a    = -Q dx / r^5 + (5/2) (dx^T Q dx) dx / r^7.
+      const double rinv5 = rinv3 * rinv2;
+      const Vec3d qdx = q.apply(dx);
+      const double dqd = dx.dot(qdx);
+      s.a += -rinv5 * qdx + (2.5 * dqd * rinv5 * rinv2) * dx;
+      s.p -= 0.5 * dqd * rinv5;
+    }
+  }
+  return s;
+}
+
+double masked(double v, std::uint64_t mask) {
+  return std::bit_cast<double>(std::bit_cast<std::uint64_t>(v) & mask);
+}
+
+/// The monopole sums of kLanes targets xi[0..kLanes) over n list
+/// entries, each entry loaded once and broadcast to every lane, into
+/// out[l] for target l. Each lane does the scalar loop's operations in
+/// its order, so its sums are bitwise scalar_sums'. Branch-free, so that
+/// it vectorizes at -O2 for AVX2 and for SSE2:
+/// - the zero-separation cut is an integer mask, all ones exactly when
+///   d2 != 0.0 (a live lane), made from d2's magnitude bits by a
+///   subtraction and a logical shift (SSE2 has no 64-bit compare, and an
+///   FP compare's mask turned into an integer one does not vectorize
+///   there);
+/// - a cut lane takes r^2 + 1 (a finite rinv) and its terms are ANDed to
+///   +0.0, which leaves an accumulator unchanged as long as it is not
+///   -0.0, and a sum that starts at +0.0 never is (x + y and x - y are
+///   -0.0 only from a -0.0 x);
+/// - a live lane adds +0.0 to r^2 > 0 and to its coincident mass.
+G5_ISA_CLONES
+void lane_sums(std::size_t n, const Vec3d* __restrict pos,
+               const double* __restrict mass, const Vec3d* __restrict xi,
+               double eps2, TargetSums (&out)[kLanes]) {
+  constexpr std::uint64_t kOneBits = std::bit_cast<std::uint64_t>(1.0);
+  constexpr std::uint64_t kSignBit = std::uint64_t{1} << 63;
+  double tx[kLanes], ty[kLanes], tz[kLanes];
+  double ax[kLanes] = {}, ay[kLanes] = {}, az[kLanes] = {};
+  double p[kLanes] = {}, cm[kLanes] = {};
+  for (std::size_t l = 0; l < kLanes; ++l) {
+    tx[l] = xi[l].x;
+    ty[l] = xi[l].y;
+    tz[l] = xi[l].z;
+  }
+  for (std::size_t j = 0; j < n; ++j) {
+    const double jx = pos[j].x;
+    const double jy = pos[j].y;
+    const double jz = pos[j].z;
+    const double m = mass[j];
+    for (std::size_t l = 0; l < kLanes; ++l) {
+      const double dx = jx - tx[l];
+      const double dy = jy - ty[l];
+      const double dz = jz - tz[l];
+      const double d2 = dx * dx + dy * dy + dz * dz;
+      const std::uint64_t live = math::lns_nonzero_mask(
+          std::bit_cast<std::uint64_t>(d2) & ~kSignBit);
+      const double r2 = (d2 + eps2) + std::bit_cast<double>(~live & kOneBits);
+      const double rinv = 1.0 / std::sqrt(r2);
+      const double mr3 = m * (rinv * (rinv * rinv));
+      ax[l] += masked(mr3 * dx, live);
+      ay[l] += masked(mr3 * dy, live);
+      az[l] += masked(mr3 * dz, live);
+      p[l] -= masked(m * rinv, live);
+      cm[l] += masked(m, ~live);
+    }
+  }
+  for (std::size_t l = 0; l < kLanes; ++l) {
+    out[l] = {{ax[l], ay[l], az[l]}, p[l], cm[l]};
+  }
+}
+
+}  // namespace
+
 void evaluate_list_host(const InteractionList& list,
                         std::span<const Vec3d> targets, double eps,
                         std::span<Vec3d> acc, std::span<double> pot,
@@ -137,51 +254,33 @@ void evaluate_list_host(const InteractionList& list,
   const double eps2 = eps * eps;
   const bool quads = list.has_quadrupoles();
   const bool self_aware = !self_mass.empty() && eps2 > 0.0;
-  for (std::size_t i = 0; i < targets.size(); ++i) {
-    Vec3d a{};
-    double p = 0.0;
-    double coincident_mass = 0.0;
-    const Vec3d xi = targets[i];
-    for (std::size_t j = 0; j < list.size(); ++j) {
-      const Vec3d dx = list.pos[j] - xi;
-      if (dx.norm2() == 0.0) {
-        // Zero separation: the softened force is exactly zero, the
-        // softened potential is -m/eps. Collect the mass so the self term
-        // (and only the self term) can be excluded below; without
-        // self-mass information — or unsoftened, where the pair is
-        // singular — these entries are skipped entirely.
-        coincident_mass += list.mass[j];
-        continue;
-      }
-      const double r2 = dx.norm2() + eps2;
-      const double rinv = 1.0 / std::sqrt(r2);
-      const double rinv2 = rinv * rinv;
-      const double rinv3 = rinv * rinv2;
-      a += (list.mass[j] * rinv3) * dx;
-      p -= list.mass[j] * rinv;
-      if (quads) {
-        const Quadrupole& q = list.quad[j];
-        if (q.is_zero()) continue;
-        // Traceless-quadrupole terms about the source's center of mass:
-        //   phi  = -(dx^T Q dx) / (2 r^5)
-        //   a    = -Q dx / r^5 + (5/2) (dx^T Q dx) dx / r^7.
-        const double rinv5 = rinv3 * rinv2;
-        const Vec3d qdx = q.apply(dx);
-        const double dqd = dx.dot(qdx);
-        a += -rinv5 * qdx + (2.5 * dqd * rinv5 * rinv2) * dx;
-        p -= 0.5 * dqd * rinv5;
-      }
-    }
+  const auto finish = [&](std::size_t i, const TargetSums& s) {
+    double p = s.p;
     if (self_aware) {
       // The target appears once in its own list; every other coincident
       // entry is a distinct particle whose softened potential was lost by
       // the old drop-all-coincident cut. The common case (self term only)
       // leaves `excess` exactly zero, keeping results bit-identical.
-      const double excess = coincident_mass - self_mass[i];
+      const double excess = s.coincident_mass - self_mass[i];
       if (excess != 0.0) p -= excess / std::sqrt(eps2);
     }
-    acc[i] = a;
+    acc[i] = s.a;
     pot[i] = p;
+  };
+  // Monopole lists: kLanes targets per pass over the list. Lists with
+  // quadrupoles, single targets and a call's last few take the scalar
+  // loop.
+  std::size_t i = 0;
+  if (!quads) {
+    for (; i + kLanes <= targets.size(); i += kLanes) {
+      TargetSums out[kLanes];
+      lane_sums(list.size(), list.pos.data(), list.mass.data(), &targets[i],
+                eps2, out);
+      for (std::size_t l = 0; l < kLanes; ++l) finish(i + l, out[l]);
+    }
+  }
+  for (; i < targets.size(); ++i) {
+    finish(i, scalar_sums(list, targets[i], eps2, quads));
   }
 }
 // g5lint: hot-end
