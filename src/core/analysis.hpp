@@ -3,9 +3,9 @@
 // The paper shows clustering qualitatively (a slab plot); these estimators
 // quantify it: the two-point correlation function xi(r) (the standard
 // clustering statistic of the era), spherical density/velocity profiles,
-// and nearest-neighbour statistics. All estimators are exact
-// (pair-counting via the octree for the correlation function, so large
-// snapshots stay tractable).
+// and nearest-neighbour statistics. All estimators are exact (the
+// correlation function counts pairs through a spatial hash of cell size
+// r_max, so large snapshots stay tractable).
 #pragma once
 
 #include <cstdint>

@@ -143,54 +143,30 @@ void TreeEngine::end_phase() {
 void TreeEngine::compute(model::ParticleSet& pset) {
   G5_OBS_SPAN("force", "engine");
   util::Stopwatch total;
-  const std::size_t n = pset.size();
   pset.zero_force();
-  if (n == 0) return;
+  if (pset.empty()) return;
 
   auto& pool = begin_phase(pset);
-  const tree::WalkConfig walk_cfg{params_.theta, params_.mac, quadrupole()};
-  const auto& orig = tree_.original_index();
-  const auto& sorted_pos = tree_.sorted_pos();
-  const auto& sorted_mass = tree_.sorted_mass();
-
   G5_OBS_SPAN("walk", "tree");
-  // Distribution telemetry: hoisted once per phase (one enabled() check);
-  // lanes publish through the pinned slots lock-free.
-  obs::Histogram* h_list =
-      obs::enabled() ? &obs::histogram("g5.walk.list_len") : nullptr;
-  obs::Histogram* h_group =
-      obs::enabled() ? &obs::histogram("g5.walk.group_size") : nullptr;
-
-  // Every particle belongs to exactly one group (modified) or slot
-  // (original), so each lane writes disjoint acc/pot entries: the
-  // result is bitwise-identical for any assignment of units to lanes.
-  // Both walks place the target itself in its own list (the original
-  // walk via its leaf, the modified walk via the group's direct part);
-  // the kernel drops exactly that self term.
+  // Every particle belongs to exactly one group (modified) or is one
+  // target (original, in slot order), so each lane writes disjoint
+  // acc/pot entries: the result is bitwise-identical for any assignment
+  // of units to lanes. Both walks place the target itself in its own
+  // list (the original walk via its leaf, the modified walk via the
+  // group's direct part); the kernel drops exactly that self term.
   if (mode_ == Mode::Original) {
-    kernel_->begin_phase(pset, params_.eps, pool.size(), n);
-    pool.parallel_for(
-        n, 32, [&](std::size_t begin, std::size_t end, unsigned lane) {
-          WalkScratch& ws = scratch_[lane];
-          for (std::size_t slot = begin; slot < end; ++slot) {
-            math::Vec3d acc{};
-            double pot = 0.0;
-            walk_and_evaluate(
-                ws, lane, slot,
-                [&](tree::InteractionList& list, tree::WalkStats* stats) {
-                  tree::walk_original(tree_, sorted_pos[slot], walk_cfg, list,
-                                      stats);
-                },
-                {&sorted_pos[slot], 1}, {&sorted_mass[slot], 1}, {&acc, 1},
-                {&pot, 1});
-            if (h_list != nullptr) {
-              h_list->observe(static_cast<double>(ws.list.size()));
-            }
-            pset.acc()[orig[slot]] = acc;
-            pset.pot()[orig[slot]] = pot;
-          }
-        });
+    walk_targets(pool, pset, tree_.original_index());
   } else {
+    const tree::WalkConfig walk_cfg{params_.theta, params_.mac, quadrupole()};
+    const auto& orig = tree_.original_index();
+    const auto& sorted_pos = tree_.sorted_pos();
+    const auto& sorted_mass = tree_.sorted_mass();
+    // Distribution telemetry: hoisted once per phase (one enabled()
+    // check); lanes publish through the pinned slots lock-free.
+    obs::Histogram* h_list =
+        obs::enabled() ? &obs::histogram("g5.walk.list_len") : nullptr;
+    obs::Histogram* h_group =
+        obs::enabled() ? &obs::histogram("g5.walk.group_size") : nullptr;
     tree::collect_groups(tree_, tree::GroupConfig{params_.n_crit}, groups_);
     kernel_->begin_phase(pset, params_.eps, pool.size(), groups_.size());
     order_groups(pool, walk_cfg);
@@ -236,12 +212,21 @@ void TreeEngine::compute_targets(model::ParticleSet& pset,
   if (pset.empty() || targets.empty()) return;
 
   auto& pool = begin_phase(pset);
-  // Per-target original walks: groups do not pay off for scattered
-  // subsets, as individual-timestep GRAPE codes found. Target indices
-  // are distinct by the engine contract, so per-target writes stay
+  G5_OBS_SPAN("walk", "tree");
+  walk_targets(pool, pset, targets);
+  end_phase();
+  stats_.seconds_total += total.elapsed();
+}
+
+void TreeEngine::walk_targets(util::ThreadPool& pool,
+                              model::ParticleSet& pset,
+                              std::span<const std::uint32_t> targets) {
+  // Per-target original walks: the original algorithm, and
+  // compute_targets, since groups do not pay off for scattered subsets
+  // (as individual-timestep GRAPE codes found). Target indices are
+  // distinct by the engine contract, so per-target writes stay
   // race-free.
   const tree::WalkConfig walk_cfg{params_.theta, params_.mac, quadrupole()};
-  G5_OBS_SPAN("walk", "tree");
   obs::Histogram* h_list =
       obs::enabled() ? &obs::histogram("g5.walk.list_len") : nullptr;
   kernel_->begin_phase(pset, params_.eps, pool.size(), targets.size());
@@ -264,8 +249,6 @@ void TreeEngine::compute_targets(model::ParticleSet& pset,
           }
         }
       });
-  end_phase();
-  stats_.seconds_total += total.elapsed();
 }
 
 std::unique_ptr<ForceEngine> make_engine(

@@ -140,10 +140,10 @@ class HostDirectEngine final : public ForceEngine {
 };
 
 /// Barnes-Hut: parallel tree build, then each pool lane walks a unit — a
-/// group (modified), a particle (original) or a target
-/// (compute_targets) — and evaluates its list at once through the
-/// ListKernel. Every unit writes disjoint outputs, so the forces are
-/// bitwise-identical for any thread count.
+/// group (modified) or a target (original, where every particle is one
+/// in slot order, and compute_targets) — and evaluates its list at once
+/// through the ListKernel. Every unit writes disjoint outputs, so the
+/// forces are bitwise-identical for any thread count.
 class TreeEngine final : public ForceEngine {
  public:
   enum class Mode {
@@ -198,6 +198,10 @@ class TreeEngine final : public ForceEngine {
   }
   /// Pool, lane scratch and tree for one force phase.
   util::ThreadPool& begin_phase(const model::ParticleSet& pset);
+  /// One per-target list for each of `targets` (distinct particle
+  /// indices; unit i is targets[i]), evaluated into their acc/pot.
+  void walk_targets(util::ThreadPool& pool, model::ParticleSet& pset,
+                    std::span<const std::uint32_t> targets);
   /// Walk `unit`'s list into `ws.list` and evaluate it on `targets`.
   template <typename Walk>
   void walk_and_evaluate(WalkScratch& ws, unsigned lane, std::size_t unit,

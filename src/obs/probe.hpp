@@ -37,8 +37,12 @@
 namespace g5::obs {
 
 /// What to sample and which engine geometry to replicate. The walk
-/// parameters must mirror the force engine's ForceParams so the probe's
-/// lists match what the engine shipped (Simulation fills them in).
+/// parameters mirror the force engine's ForceParams (Simulation fills
+/// them in), but the probe always walks per-particle (original
+/// algorithm) lists and has no n_crit: for a grouped engine
+/// (grape-tree, host-tree-modified) its tree and codec legs measure the
+/// original algorithm's lists, not the grouped lists the engine
+/// shipped, whatever n_crit is.
 struct ProbeConfig {
   std::uint32_t samples = 64;     ///< particles re-evaluated per call
   std::uint64_t seed = 0x5eedULL; ///< sampling stream seed

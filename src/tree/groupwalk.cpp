@@ -1,10 +1,5 @@
 #include "tree/groupwalk.hpp"
 
-#include <algorithm>
-#include <cmath>
-
-#include "tree/traversal_stack.hpp"
-
 namespace g5::tree {
 
 std::vector<Group> collect_groups(const BhTree& tree,
@@ -34,132 +29,6 @@ void collect_groups(const BhTree& tree, const GroupConfig& config,
       if (c >= 0) stack.push_back(c);
     }
   }
-}
-
-namespace {
-
-// g5lint: hot-begin(group-traverse) — one walk per group instead of per
-// particle (the paper's modified algorithm); same no-allocation rule as
-// the per-target traversal.
-/// Group-MAC traversal skipping the group's own subtree. Calls on_node /
-/// on_particle for external sources only; returns node visits.
-template <typename NodeFn, typename ParticleFn>
-std::uint64_t traverse_group(const BhTree& tree, const Group& group,
-                             const WalkConfig& cfg, NodeFn&& on_node,
-                             ParticleFn&& on_particle) {
-  const Node& gnode = tree.node(static_cast<std::size_t>(group.node));
-  // Bounding sphere of the group: cell center + radius to farthest member.
-  const Vec3d gcenter = gnode.center;
-  const double gradius = gnode.bradius;
-
-  std::uint64_t visits = 0;
-  TraversalStack stack;
-  stack.push(0);
-  while (!stack.empty()) {
-    const std::int32_t idx = stack.pop();
-    if (idx == group.node) continue;  // own subtree handled directly
-    const Node& node = tree.node(static_cast<std::size_t>(idx));
-    ++visits;
-    // The group's ancestors must always be opened (the group is inside
-    // them); the containment test covers that: the group's center lies in
-    // every ancestor cell.
-    const Vec3d dc = gcenter - node.center;
-    const double reach = node.half_size + gradius;
-    const bool overlaps = std::fabs(dc.x) <= reach &&
-                          std::fabs(dc.y) <= reach &&
-                          std::fabs(dc.z) <= reach;
-    const double d_eff =
-        std::max((node.com - gcenter).norm() - gradius, 0.0);
-    const double s = mac_size(node, cfg.mac);
-    const bool accept = !overlaps && s < cfg.theta * d_eff;
-    if (accept) {
-      on_node(node, static_cast<std::size_t>(idx));
-      continue;
-    }
-    if (node.leaf) {
-      for (std::uint32_t k = node.first; k < node.first + node.count; ++k) {
-        on_particle(k);
-      }
-      continue;
-    }
-    for (int oct = 7; oct >= 0; --oct) {
-      const std::int32_t c = node.child[oct];
-      if (c >= 0) stack.push(c);
-    }
-  }
-  return visits;
-}
-// g5lint: hot-end
-
-}  // namespace
-
-std::size_t walk_group(const BhTree& tree, const Group& group,
-                       const WalkConfig& config, InteractionList& out,
-                       WalkStats* stats) {
-  out.clear();
-  if (tree.empty() || tree.particle_count() == 0) return 0;
-  std::uint64_t node_terms = 0, particle_terms = 0;
-  const bool quads = config.use_quadrupole && tree.has_quadrupoles();
-  const auto visits = traverse_group(
-      tree, group, config,
-      [&](const Node& node, std::size_t idx) {
-        if (quads) {
-          out.push(node.com, node.mass, tree.quadrupole(idx));
-        } else {
-          out.push(node.com, node.mass);
-        }
-        ++node_terms;
-      },
-      [&](std::uint32_t slot) {
-        if (quads) {
-          out.push(tree.sorted_pos()[slot], tree.sorted_mass()[slot],
-                   Quadrupole{});
-        } else {
-          out.push(tree.sorted_pos()[slot], tree.sorted_mass()[slot]);
-        }
-        ++particle_terms;
-      });
-  // Members of the group: direct-sum sources shared by the whole group.
-  for (std::uint32_t k = group.first; k < group.first + group.count; ++k) {
-    if (quads) {
-      out.push(tree.sorted_pos()[k], tree.sorted_mass()[k], Quadrupole{});
-    } else {
-      out.push(tree.sorted_pos()[k], tree.sorted_mass()[k]);
-    }
-    ++particle_terms;
-  }
-  if (stats != nullptr) {
-    ++stats->lists;
-    stats->list_entries += out.size();
-    stats->interactions +=
-        static_cast<std::uint64_t>(out.size()) * group.count;
-    stats->node_terms += node_terms;
-    stats->particle_terms += particle_terms;
-    stats->nodes_visited += visits;
-    stats->max_list = std::max<std::uint64_t>(stats->max_list, out.size());
-  }
-  return out.size();
-}
-
-std::uint64_t count_group(const BhTree& tree, const Group& group,
-                          const WalkConfig& config, WalkStats* stats) {
-  if (tree.empty() || tree.particle_count() == 0) return 0;
-  std::uint64_t node_terms = 0, particle_terms = 0;
-  const auto visits = traverse_group(
-      tree, group, config,
-      [&](const Node&, std::size_t) { ++node_terms; },
-      [&](std::uint32_t) { ++particle_terms; });
-  const std::uint64_t len = node_terms + particle_terms + group.count;
-  if (stats != nullptr) {
-    ++stats->lists;
-    stats->list_entries += len;
-    stats->interactions += len * group.count;
-    stats->node_terms += node_terms;
-    stats->particle_terms += particle_terms + group.count;
-    stats->nodes_visited += visits;
-    stats->max_list = std::max(stats->max_list, len);
-  }
-  return len;
 }
 
 }  // namespace g5::tree

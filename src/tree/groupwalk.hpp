@@ -10,6 +10,9 @@
 // group's own subtree and the group's bodies are appended to the list as
 // particle terms.
 //
+// walk_group and count_group run the per-target walk's traversal
+// (walk.cpp); only the acceptance test and the skipped subtree differ.
+//
 // This trades host work (one traversal per group instead of per particle,
 // ~ a factor n_g) for extra pipeline work (longer, shared lists) — the
 // paper's Section 3, and the tradeoff bench_e2_ng_sweep measures.

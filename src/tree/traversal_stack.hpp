@@ -41,7 +41,7 @@ class TraversalStack {
     if (size_ < kInlineCapacity) {
       inline_[size_] = v;
     } else {
-      spill_.push_back(v);
+      spill(v);
     }
     ++size_;
     if (size_ > max_size_) max_size_ = size_;
@@ -56,6 +56,10 @@ class TraversalStack {
   }
 
  private:
+  /// Out of line, so that push() stays small enough for the compiler to
+  /// inline into the walk loop (a call per pushed child otherwise).
+  [[gnu::noinline]] void spill(std::int32_t v) { spill_.push_back(v); }
+
   std::int32_t inline_[kInlineCapacity];
   std::vector<std::int32_t> spill_;
   std::size_t size_ = 0;

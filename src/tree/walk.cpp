@@ -6,6 +6,7 @@
 #include <cstdint>
 
 #include "math/domain.hpp"
+#include "tree/groupwalk.hpp"
 #include "tree/traversal_stack.hpp"
 #include "util/isa.hpp"
 
@@ -23,42 +24,75 @@ void WalkStats::merge(const WalkStats& o) {
 
 namespace {
 
-// g5lint: hot-begin(tree-traverse) — the per-target walk inner loop; the
-// only storage is the guarded TraversalStack (inline, heap spill only on
-// pathological depth).
-/// Shared traversal: calls on_node(node) for accepted cells and
-/// on_particle(slot) for expanded leaves; returns visits.
-template <typename NodeFn, typename ParticleFn>
-std::uint64_t traverse(const BhTree& tree, const Vec3d& target,
-                       const WalkConfig& cfg, NodeFn&& on_node,
-                       ParticleFn&& on_particle) {
+// g5lint: hot-begin(tree-traverse) — the walks' inner loop, for one target
+// and for one group; the only storage is the guarded TraversalStack
+// (inline, heap spill only on pathological depth).
+
+/// Counts a walk's entries: accepted cells and particles.
+struct CountSink {
+  std::uint64_t node_terms = 0;
+  std::uint64_t particle_terms = 0;
+  void node(const Node& /*node*/, std::int32_t /*idx*/) { ++node_terms; }
+  void particle(std::uint32_t /*slot*/) { ++particle_terms; }
+  [[nodiscard]] std::uint64_t size() const {
+    return node_terms + particle_terms;
+  }
+};
+
+/// Counts a walk's entries and writes them into a list: accepted cells
+/// as monopoles, with their quadrupole tensor when `quads`; particles as
+/// point masses, with a zero tensor when `quads`. Forced inline: called
+/// from both walks' loops, GCC otherwise keeps these out of line, a call
+/// per list entry.
+struct ListSink : CountSink {
+  const BhTree& tree;
+  InteractionList& out;
+  bool quads;
+  [[gnu::always_inline]] void node(const Node& node, std::int32_t idx) {
+    if (quads) {
+      out.push(node.com, node.mass,
+               tree.quadrupole(static_cast<std::size_t>(idx)));
+    } else {
+      out.push(node.com, node.mass);
+    }
+    ++node_terms;
+  }
+  [[gnu::always_inline]] void particle(std::uint32_t slot) {
+    if (quads) {
+      out.push(tree.sorted_pos()[slot], tree.sorted_mass()[slot],
+               Quadrupole{});
+    } else {
+      out.push(tree.sorted_pos()[slot], tree.sorted_mass()[slot]);
+    }
+    ++particle_terms;
+  }
+};
+
+/// The one traversal of both walks, depth first from the root: node
+/// `skip` and its subtree are left out (-1 skips nothing); every other
+/// node popped is a visit. A node `accept` passes goes to sink.node, an
+/// opened leaf's particles to sink.particle, an opened cell's children on
+/// the stack, octant 7 first. Returns the visits.
+template <typename Accept, typename Sink>
+std::uint64_t traverse(const BhTree& tree, std::int32_t skip,
+                       Accept&& accept, Sink& sink) {
   // Explicit guarded stack: inline storage covers the Morton-bounded
   // worst case, deeper trees spill to the heap instead of overflowing.
   std::uint64_t visits = 0;
   TraversalStack stack;
   stack.push(0);
-  const double theta2 = cfg.theta * cfg.theta;
   while (!stack.empty()) {
-    const Node& node = tree.node(static_cast<std::size_t>(stack.pop()));
+    const std::int32_t idx = stack.pop();
+    if (idx == skip) continue;
+    const Node& node = tree.node(static_cast<std::size_t>(idx));
     ++visits;
-    const double d2 = (node.com - target).norm2();
-    const double s = mac_size(node, cfg.mac);
-    // Accept when (s/d)^2 < theta^2 — but never a cell that contains the
-    // target itself (with theta > 1/sqrt(3) such a cell could otherwise
-    // pass the MAC and absorb the target's own mass into a monopole).
-    const Vec3d dc = target - node.center;
-    const bool contains_target = std::fabs(dc.x) <= node.half_size &&
-                                 std::fabs(dc.y) <= node.half_size &&
-                                 std::fabs(dc.z) <= node.half_size;
-    const bool accept = !contains_target && s * s < theta2 * d2;
-    if (accept) {
-      on_node(node, static_cast<std::size_t>(
-                        &node - tree.nodes().data()));
+    if (accept(node)) {
+      sink.node(node, idx);
       continue;
     }
     if (node.leaf) {
       for (std::uint32_t k = node.first; k < node.first + node.count; ++k) {
-        on_particle(k);
+        sink.particle(k);
       }
       continue;
     }
@@ -69,7 +103,78 @@ std::uint64_t traverse(const BhTree& tree, const Vec3d& target,
   }
   return visits;
 }
-// g5lint: hot-end
+
+/// The per-target walk (Barnes & Hut 1986) into `sink`; returns visits.
+template <typename Sink>
+std::uint64_t traverse_target(const BhTree& tree, const Vec3d& target,
+                              const WalkConfig& cfg, Sink& sink) {
+  const double theta2 = cfg.theta * cfg.theta;
+  return traverse(
+      tree, -1,
+      [&](const Node& node) {
+        const double d2 = (node.com - target).norm2();
+        const double s = mac_size(node, cfg.mac);
+        // Accept when (s/d)^2 < theta^2 — but never a cell that contains
+        // the target itself (with theta > 1/sqrt(3) such a cell could
+        // otherwise pass the MAC and absorb the target's own mass into a
+        // monopole).
+        const Vec3d dc = target - node.center;
+        const bool contains_target = std::fabs(dc.x) <= node.half_size &&
+                                     std::fabs(dc.y) <= node.half_size &&
+                                     std::fabs(dc.z) <= node.half_size;
+        return !contains_target && s * s < theta2 * d2;
+      },
+      sink);
+}
+
+/// The group walk (Barnes 1990) into `sink`: the external sources by the
+/// group MAC, skipping the group's own subtree, then the group's members
+/// as direct terms. Returns visits.
+template <typename Sink>
+std::uint64_t traverse_group(const BhTree& tree, const Group& group,
+                             const WalkConfig& cfg, Sink& sink) {
+  const Node& gnode = tree.node(static_cast<std::size_t>(group.node));
+  // Bounding sphere of the group: cell center + radius to farthest member.
+  const Vec3d gcenter = gnode.center;
+  const double gradius = gnode.bradius;
+  const std::uint64_t visits = traverse(
+      tree, group.node,
+      [&](const Node& node) {
+        // The group's ancestors must always be opened (the group is inside
+        // them); the containment test covers that: the group's center
+        // lies in every ancestor cell.
+        const Vec3d dc = gcenter - node.center;
+        const double reach = node.half_size + gradius;
+        const bool overlaps = std::fabs(dc.x) <= reach &&
+                              std::fabs(dc.y) <= reach &&
+                              std::fabs(dc.z) <= reach;
+        const double d_eff =
+            std::max((node.com - gcenter).norm() - gradius, 0.0);
+        const double s = mac_size(node, cfg.mac);
+        return !overlaps && s < cfg.theta * d_eff;
+      },
+      sink);
+  for (std::uint32_t k = group.first; k < group.first + group.count; ++k) {
+    sink.particle(k);
+  }
+  return visits;
+}
+
+/// Charge one list of `terms.size()` entries, shared by `ni` targets, to
+/// `stats` (if any). `terms` by value: a sink whose address escapes keeps
+/// its counters and list pointer in memory through the walk.
+void record(WalkStats* stats, std::uint64_t ni, CountSink terms,
+            std::uint64_t visits) {
+  if (stats == nullptr) return;
+  const std::uint64_t len = terms.size();
+  ++stats->lists;
+  stats->interactions += len * ni;
+  stats->list_entries += len;
+  stats->node_terms += terms.node_terms;
+  stats->particle_terms += terms.particle_terms;
+  stats->nodes_visited += visits;
+  stats->max_list = std::max(stats->max_list, len);
+}
 
 }  // namespace
 
@@ -78,59 +183,43 @@ std::size_t walk_original(const BhTree& tree, const Vec3d& target,
                           WalkStats* stats) {
   out.clear();
   if (tree.empty() || tree.particle_count() == 0) return 0;
-  std::uint64_t node_terms = 0, particle_terms = 0;
-  const bool quads = config.use_quadrupole && tree.has_quadrupoles();
-  const auto visits = traverse(
-      tree, target, config,
-      [&](const Node& node, std::size_t idx) {
-        if (quads) {
-          out.push(node.com, node.mass, tree.quadrupole(idx));
-        } else {
-          out.push(node.com, node.mass);
-        }
-        ++node_terms;
-      },
-      [&](std::uint32_t slot) {
-        if (quads) {
-          out.push(tree.sorted_pos()[slot], tree.sorted_mass()[slot],
-                   Quadrupole{});
-        } else {
-          out.push(tree.sorted_pos()[slot], tree.sorted_mass()[slot]);
-        }
-        ++particle_terms;
-      });
-  if (stats != nullptr) {
-    ++stats->lists;
-    stats->interactions += out.size();
-    stats->list_entries += out.size();
-    stats->node_terms += node_terms;
-    stats->particle_terms += particle_terms;
-    stats->nodes_visited += visits;
-    stats->max_list = std::max<std::uint64_t>(stats->max_list, out.size());
-  }
+  ListSink sink{
+      {}, tree, out, config.use_quadrupole && tree.has_quadrupoles()};
+  const std::uint64_t visits = traverse_target(tree, target, config, sink);
+  record(stats, 1, sink, visits);
   return out.size();
 }
 
 std::uint64_t count_original(const BhTree& tree, const Vec3d& target,
                              const WalkConfig& config, WalkStats* stats) {
   if (tree.empty() || tree.particle_count() == 0) return 0;
-  std::uint64_t node_terms = 0, particle_terms = 0;
-  const auto visits = traverse(
-      tree, target, config,
-      [&](const Node&, std::size_t) { ++node_terms; },
-      [&](std::uint32_t) { ++particle_terms; });
-  const std::uint64_t len = node_terms + particle_terms;
-  if (stats != nullptr) {
-    ++stats->lists;
-    stats->interactions += len;
-    stats->list_entries += len;
-    stats->node_terms += node_terms;
-    stats->particle_terms += particle_terms;
-    stats->nodes_visited += visits;
-    stats->max_list = std::max(stats->max_list, len);
-  }
-  return len;
+  CountSink sink;
+  const std::uint64_t visits = traverse_target(tree, target, config, sink);
+  record(stats, 1, sink, visits);
+  return sink.size();
 }
+
+std::size_t walk_group(const BhTree& tree, const Group& group,
+                       const WalkConfig& config, InteractionList& out,
+                       WalkStats* stats) {
+  out.clear();
+  if (tree.empty() || tree.particle_count() == 0) return 0;
+  ListSink sink{
+      {}, tree, out, config.use_quadrupole && tree.has_quadrupoles()};
+  const std::uint64_t visits = traverse_group(tree, group, config, sink);
+  record(stats, group.count, sink, visits);
+  return out.size();
+}
+
+std::uint64_t count_group(const BhTree& tree, const Group& group,
+                          const WalkConfig& config, WalkStats* stats) {
+  if (tree.empty() || tree.particle_count() == 0) return 0;
+  CountSink sink;
+  const std::uint64_t visits = traverse_group(tree, group, config, sink);
+  record(stats, group.count, sink, visits);
+  return sink.size();
+}
+// g5lint: hot-end
 
 namespace {
 

@@ -9,6 +9,7 @@
 
 #include <cmath>
 #include <memory>
+#include <numeric>
 #include <stdexcept>
 #include <string>
 #include <vector>
@@ -125,6 +126,34 @@ TEST(ParallelBitwise, TargetSubsetMatchesSerial) {
     };
     const auto serial = run(1);
     expect_bitwise_equal(serial, run(4), name);
+  }
+}
+
+// host-tree-original's compute() is the compute_targets loop over every
+// particle: the same forces and the same walk statistics, on any lanes.
+TEST(ParallelBitwise, OriginalComputeIsComputeTargetsOverAll) {
+  for (const auto& base :
+       {ic::make_plummer(ic::PlummerConfig{.n = 1500, .seed = 9}),
+        clustered_set(900)}) {
+    std::vector<std::uint32_t> all(base.size());
+    std::iota(all.begin(), all.end(), std::uint32_t{0});
+    for (std::uint32_t threads : {1u, 4u}) {
+      ForceParams fp{.eps = 0.02, .theta = 0.7, .n_crit = 32, .leaf_max = 4};
+      fp.threads = threads;
+      auto whole = core::make_engine("host-tree-original", fp);
+      auto targeted = core::make_engine("host-tree-original", fp);
+      model::ParticleSet a = base;
+      model::ParticleSet b = base;
+      whole->compute(a);
+      targeted->compute_targets(b, all);
+      expect_bitwise_equal(a, b, threads == 1 ? "1 thread" : "4 threads");
+      const core::EngineStats& sa = whole->stats();
+      const core::EngineStats& sb = targeted->stats();
+      EXPECT_EQ(sa.interactions, sb.interactions);
+      EXPECT_EQ(sa.walk.lists, sb.walk.lists);
+      EXPECT_EQ(sa.walk.list_entries, sb.walk.list_entries);
+      EXPECT_EQ(sa.walk.nodes_visited, sb.walk.nodes_visited);
+    }
   }
 }
 

@@ -1,10 +1,14 @@
 #include <gtest/gtest.h>
 
+#include <bit>
 #include <cmath>
+#include <cstdint>
+#include <ios>
 
 #include "grape/host_reference.hpp"
 #include "ic/plummer.hpp"
 #include "ic/uniform.hpp"
+#include "tree/groupwalk.hpp"
 #include "tree/walk.hpp"
 
 namespace {
@@ -125,6 +129,112 @@ TEST(WalkOriginal, StatsAccumulate) {
   EXPECT_EQ(stats.node_terms + stats.particle_terms, stats.list_entries);
   EXPECT_GE(stats.max_list, stats.mean_list());
   EXPECT_GT(stats.nodes_visited, 10u);
+}
+
+/// FNV-1a over 64-bit words.
+struct WordHash {
+  std::uint64_t h = 0xcbf29ce484222325ULL;
+  void add(std::uint64_t v) { h = (h ^ v) * 0x100000001b3ULL; }
+  void add(double v) { add(std::bit_cast<std::uint64_t>(v)); }
+};
+
+/// Every entry's position, mass and (when carried) quadrupole bits in list
+/// order, then the walk's visit count.
+void hash_list(WordHash& hash, const InteractionList& list,
+               std::uint64_t visits) {
+  hash.add(static_cast<std::uint64_t>(list.size()));
+  for (std::size_t j = 0; j < list.size(); ++j) {
+    hash.add(list.pos[j].x);
+    hash.add(list.pos[j].y);
+    hash.add(list.pos[j].z);
+    hash.add(list.mass[j]);
+    if (list.has_quadrupoles()) {
+      const tree::Quadrupole& q = list.quad[j];
+      for (double v : {q.xx, q.yy, q.zz, q.xy, q.xz, q.yz}) hash.add(v);
+    }
+  }
+  hash.add(visits);
+}
+
+void expect_same_stats(const WalkStats& a, const WalkStats& b) {
+  EXPECT_EQ(a.lists, b.lists);
+  EXPECT_EQ(a.interactions, b.interactions);
+  EXPECT_EQ(a.list_entries, b.list_entries);
+  EXPECT_EQ(a.node_terms, b.node_terms);
+  EXPECT_EQ(a.particle_terms, b.particle_terms);
+  EXPECT_EQ(a.nodes_visited, b.nodes_visited);
+  EXPECT_EQ(a.max_list, b.max_list);
+}
+
+/// Tight knots of near-coincident bodies in a sparse halo: a deep tree
+/// with very uneven groups.
+model::ParticleSet knotted_set(std::size_t n) {
+  model::ParticleSet pset;
+  pset.reserve(n);
+  const double m = 1.0 / static_cast<double>(n);
+  for (std::size_t i = 0; i < n; ++i) {
+    const double t = static_cast<double>(i);
+    if (i % 3 == 0) {
+      pset.add({1.0 - 1e-12 * t, 1.0 - 2e-12 * t, 1.0 + 1e-12 * t}, {}, m);
+    } else {
+      pset.add({std::cos(0.1 * t), std::sin(0.2 * t), std::cos(0.3 * t)}, {},
+               m);
+    }
+  }
+  return pset;
+}
+
+// The lists themselves, not only their lengths: a hash of every list of
+// the per-target walk (from every slot) and of the group walk (every
+// group), per particle set x MAC x monopole/quadrupole, in that order,
+// per-target before group. The count-only walks must report each list's
+// length and the walk's statistics.
+TEST(WalkLists, ContentsPinned) {
+  constexpr std::uint64_t kPinned[16] = {
+      0x0a4cbc6d7cfccb33ULL, 0x853638bc1ad1d2ccULL,
+      0x5b9d66baa6959b8cULL, 0x81fbca477f71fa18ULL,
+      0x00653176ec99d454ULL, 0x9a14a88cd283f361ULL,
+      0xfc3edf5f4b71c88bULL, 0x1fe4ad96a3e05f18ULL,
+      0x3e34c1001d9222d3ULL, 0x3b5548743bab552fULL,
+      0x375c79df525b5356ULL, 0xd5ca6d0d850357d3ULL,
+      0xe6e0ac487271d41dULL, 0xfaadab7f45562b89ULL,
+      0x965f0a6230373e3eULL, 0x215a48d813e532e5ULL};
+  std::size_t k = 0;
+  for (const auto& pset :
+       {ic::make_plummer(ic::PlummerConfig{.n = 2000, .seed = 13}),
+        knotted_set(1200)}) {
+    BhTree tree;
+    tree.build(pset, tree::TreeBuildConfig{.quadrupole = true});
+    const auto groups = tree::collect_groups(tree, tree::GroupConfig{64});
+    InteractionList list;
+    for (tree::Mac mac : {tree::Mac::Edge, tree::Mac::Bmax}) {
+      for (bool quads : {false, true}) {
+        const WalkConfig cfg{0.7, mac, quads};
+        WordHash per_target, per_group;
+        for (std::size_t slot = 0; slot < pset.size(); ++slot) {
+          const Vec3d& target = tree.sorted_pos()[slot];
+          WalkStats walked, counted;
+          const auto len =
+              tree::walk_original(tree, target, cfg, list, &walked);
+          ASSERT_EQ(tree::count_original(tree, target, cfg, &counted), len);
+          expect_same_stats(counted, walked);
+          hash_list(per_target, list, walked.nodes_visited);
+        }
+        for (const tree::Group& group : groups) {
+          WalkStats walked, counted;
+          const auto len = tree::walk_group(tree, group, cfg, list, &walked);
+          ASSERT_EQ(tree::count_group(tree, group, cfg, &counted), len);
+          expect_same_stats(counted, walked);
+          hash_list(per_group, list, walked.nodes_visited);
+        }
+        for (const std::uint64_t got : {per_target.h, per_group.h}) {
+          EXPECT_EQ(got, kPinned[k])
+              << "case " << k << ": 0x" << std::hex << got;
+          ++k;
+        }
+      }
+    }
+  }
 }
 
 TEST(WalkStats, MergeAddsCounters) {
