@@ -4,6 +4,8 @@
 #include <array>
 #include <bit>
 #include <cmath>
+#include <cstdint>
+#include <cstdlib>
 #include <limits>
 #include <stdexcept>
 #include <string>
@@ -174,10 +176,12 @@ void Pipeline::evaluate(std::span<const JWord> j,
       const Fixed20 xi[3] = {codec_.encode(targets[i][0]),
                              codec_.encode(targets[i][1]),
                              codec_.encode(targets[i][2])};
-      drain_tile(xi, tile.size(),
-                 native ? native_tile_counts(xi, blocks, stage)
-                        : lns_tile_counts(xi, tile, blocks, stage),
-                 stage, out[i]);
+      if (native) {
+        native_tile(xi, tile.size(), blocks, stage, out[i]);
+      } else {
+        drain_tile(xi, tile.size(), lns_tile_counts(xi, tile, blocks, stage),
+                   stage, out[i]);
+      }
     }
   }
 }
@@ -228,12 +232,22 @@ constexpr std::int64_t kBlockAccumulatorBound =
 
 /// Adding 1.5 * 2^52 rounds a double below 2^51 in magnitude to an
 /// integer exactly (round to nearest even, as std::rint); the integer is
-/// then the low bits of the sum's representation.
+/// then the low bits of the sum's representation. Adding 1.5 * 2^84
+/// rounds one below 2^83 to a multiple of 2^32 the same way, and 1.5 *
+/// 2^96 one in [0, 2^95) to a multiple of 2^44.
 constexpr double kRoundMagic = 0x1.8p52;
+constexpr double kHighMagic = 0x1.8p84;
+constexpr double kBoundMagic = 0x1.8p96;
+constexpr int kBoundShift = 44;
 constexpr std::uint64_t kSignBit = std::uint64_t{1} << 63;
 constexpr std::uint64_t kAllOnes = ~std::uint64_t{0};
+constexpr std::uint64_t kOneBits = std::bit_cast<std::uint64_t>(1.0);
 constexpr std::uint64_t kRoundMagicBits =
     std::bit_cast<std::uint64_t>(kRoundMagic);
+constexpr std::uint64_t kHighMagicBits =
+    std::bit_cast<std::uint64_t>(kHighMagic);
+constexpr std::uint64_t kBoundMagicBits =
+    std::bit_cast<std::uint64_t>(kBoundMagic);
 
 /// Negative iff |c| > 2^59 or c is not finite: the magnitude bits of a
 /// double order like the values, NaN and inf above every finite one. A
@@ -246,59 +260,183 @@ std::int64_t count_margin(double c) {
          (std::bit_cast<std::int64_t>(c) & kMagnitudeBits);
 }
 
-/// Stage 2, the Native pair arithmetic — its one definition — over a
-/// staged segment of `blocks` blocks: for every j, the four counts of one
-/// target at code (xi, yi, zi), m rinv^3 d / force quantum and
-/// -m rinv / potential quantum, the divisions done as multiplies by the
-/// exact reciprocals of the power-of-two quanta (bitwise the same, inf
-/// and NaN included). A free function over restrict pointers, with
-/// selects only between constants and a trip count that is a multiple of
-/// the block, so it vectorizes at -O2. The coincidence cut tests the
-/// exact integer-valued code differences; a cut lane gets weight 0 and
-/// r^2 + 1 (a finite rinv), a live lane weight 1 and r^2 + 0, both exact.
+/// rint(c) of a count below 2^83 in magnitude, in two halves that sum
+/// over many counts as plain integers: h = c + 1.5 * 2^84 - 1.5 * 2^84 is
+/// c rounded to a multiple of 2^32 (ties to an even multiple), c - h is
+/// exact and at most 2^31 in magnitude, and rint(c) = h + rint(c - h).
+/// Adds bits(c + 1.5 * 2^84) to `high` and bits((c - h) + 1.5 * 2^52) to
+/// `low`, wrapping; rounded_sum takes the magic constants back out.
+[[gnu::always_inline]] inline void add_rounded_halves(double c,
+                                                      std::uint64_t& high,
+                                                      std::uint64_t& low) {
+  const double hm = c + kHighMagic;
+  high += std::bit_cast<std::uint64_t>(hm);
+  low += std::bit_cast<std::uint64_t>((c - (hm - kHighMagic)) + kRoundMagic);
+}
+
+/// The sum of rint(c) over the n counts add_rounded_halves summed into
+/// `high` and `low`, modulo 2^64 (exact whenever the sum is below 2^63 in
+/// magnitude).
+std::int64_t rounded_sum(std::uint64_t high, std::uint64_t low,
+                         std::uint64_t n) {
+  return static_cast<std::int64_t>(((high - n * kHighMagicBits) << 32) +
+                                   (low - n * kRoundMagicBits));
+}
+
+/// One target of the Native pair arithmetic: its coordinate codes and
+/// the call's constants.
+struct NativeTarget {
+  double xi, yi, zi;
+  double quantum, eps2, inv_force_quantum, inv_potential_quantum;
+};
+
+/// One pair's four counts: x, y, z force and potential.
+struct PairCounts {
+  double x, y, z, p;
+};
+
+/// The Native pair arithmetic — its one definition, inlined into both
+/// pair loops: the four counts of the pair (target t, staged j at codes
+/// x, y, z with mass m), m rinv^3 d / force quantum and -m rinv /
+/// potential quantum, the divisions done as multiplies by the exact
+/// reciprocals of the power-of-two quanta (bitwise the same, inf and NaN
+/// included). Branch-free, so the loops around it vectorize at -O2: the
+/// coincidence cut is an integer mask on the bits of the exact
+/// integer-valued ex^2 + ey^2 + ez^2 (math::lns_nonzero_mask) — GCC
+/// splits a `cond ? 0.0 : 1.0` there into a branch around `live * m`.
+/// A cut lane gets weight 0 and r^2 + 1 (a finite rinv), a live lane
+/// weight 1 and r^2 + 0, both exact.
 /// The eps == 0 divergent corner is not cut: its counts are not finite,
-/// which sends its block down the slow drain, where
-/// patch_divergent_corner fixes them. Returns whether every count is
-/// within kBlockCountBound.
+/// which refuses its tile the tile sums and sends its block down the
+/// slow drain, where patch_divergent_corner fixes them.
+[[gnu::always_inline]] inline PairCounts native_pair(const NativeTarget& t,
+                                                     double x, double y,
+                                                     double z, double m) {
+  const double ex = x - t.xi;
+  const double ey = y - t.yi;
+  const double ez = z - t.zi;
+  const double live = std::bit_cast<double>(
+      kOneBits & math::lns_nonzero_mask(
+                     std::bit_cast<std::uint64_t>(ex * ex + ey * ey + ez * ez)));
+  const double dx = ex * t.quantum;
+  const double dy = ey * t.quantum;
+  const double dz = ez * t.quantum;
+  const double r2 = dx * dx + dy * dy + dz * dz + t.eps2;
+  const double rinv = 1.0 / std::sqrt(r2 + (1.0 - live));
+  const double wm = live * m;
+  const double mg = wm * (rinv * rinv * rinv);
+  return {mg * dx * t.inv_force_quantum, mg * dy * t.inv_force_quantum,
+          mg * dz * t.inv_force_quantum,
+          -(wm * rinv) * t.inv_potential_quantum};
+}
+
+/// One target's tile: the sum of rint(count) per register (x, y, z,
+/// potential), and a bound in units of 2^44 counts on what any partial
+/// sum of those rounded counts can add to a register — the maximum
+/// uint64 when the tile is refused.
+struct TileSums {
+  std::int64_t sum[4];
+  std::uint64_t bound;
+};
+
+/// Stage 2, Native's fast path: the pair loop over a staged tile of
+/// `blocks` blocks that sums every pair's rounded counts itself
+/// (add_rounded_halves) — no count streams, no block pass.
+///
+/// The bound, and why adding the tile's sums equals streaming its pairs
+/// one at a time (rail_count, then rail_add) whenever
+/// max|register| + 2^44 * bound <= rail (fits_under_rail):
+///  - Per pair, pb = |cx| + |cy| + |cz| + |cp|, three additions of
+///    non-negative doubles. Rounding is monotone, so pb >= every |c| (an
+///    inf or NaN count makes pb inf or NaN), and the exact magnitude sum
+///    P <= pb / (1 - 2^-53)^3 < pb (1 + 2^-51).
+///  - bits(pb + 1.5 * 2^96) has exponent field 0x45F and sign 0 only if
+///    pb is finite and below 2^95; the tile is refused unless the OR of
+///    all of them has. Then t = bits - bits(1.5 * 2^96) =
+///    rint(pb / 2^44) >= pb / 2^44 - 1/2, summed as integers.
+///  - A pair moves any one register by at most Σ|rint(c)| <= P + 2 <=
+///    2^44 t + 2^43 + 2 + 2^-51 pb. Over the tile's n lanes, by at most
+///    2^44 Σt + n (2^43 + 2) + 2^-51 Σpb. The fast path needs
+///    2^44 (Σt + n + 1) <= rail < 2^63, so Σpb <= 2^44 Σt + n 2^43 <
+///    2^63 + 2^52 and its term is below 2^13: the bound Σt + n + 1
+///    covers it, and every |c| <= pb <= 2^44 t + 2^43 < 2^64, inside the
+///    split rounding's 2^83.
+///  - So no rounded count clamps and no partial sum reaches the rail (the
+///    latch is untouched), and each register ends at its start plus the
+///    exact sum of the rounded counts — the tile sum, exact modulo 2^64
+///    and below 2^63 in magnitude.
+/// Padding lanes have zero counts. The trip count is a multiple of the
+/// block inside the function: GCC's -O2 cost model vectorizes no loop
+/// that needs an epilogue.
+G5_ISA_CLONES
+TileSums native_tile_sums(std::size_t blocks, const double* __restrict x,
+                          const double* __restrict y,
+                          const double* __restrict z,
+                          const double* __restrict m, NativeTarget t) {
+  const std::size_t n = blocks * Pipeline::batch_width();
+  std::uint64_t hx = 0, lx = 0, hy = 0, ly = 0, hz = 0, lz = 0, hp = 0,
+                lp = 0, bound_sum = 0, bound_or = 0;
+  for (std::size_t k = 0; k < n; ++k) {
+    const PairCounts c = native_pair(t, x[k], y[k], z[k], m[k]);
+    add_rounded_halves(c.x, hx, lx);
+    add_rounded_halves(c.y, hy, ly);
+    add_rounded_halves(c.z, hz, lz);
+    add_rounded_halves(c.p, hp, lp);
+    const double pb = std::fabs(c.x) + std::fabs(c.y) + std::fabs(c.z) +
+                      std::fabs(c.p);
+    const std::uint64_t b = std::bit_cast<std::uint64_t>(pb + kBoundMagic);
+    bound_sum += b;
+    bound_or |= b;
+  }
+  constexpr std::uint64_t kBoundExponent = kBoundMagicBits >> 52;
+  const std::uint64_t bound =
+      bound_or >> 52 == kBoundExponent
+          ? bound_sum - n * kBoundMagicBits + n + 1
+          : std::numeric_limits<std::uint64_t>::max();
+  return {{rounded_sum(hx, lx, n), rounded_sum(hy, ly, n),
+           rounded_sum(hz, lz, n), rounded_sum(hp, lp, n)},
+          bound};
+}
+
+/// Whether a tile with native_tile_sums' `bound` fits under the rail
+/// from r's registers: max|register| + 2^44 * bound <= rail.
+bool fits_under_rail(const RawForce& r, std::uint64_t bound) {
+  const std::int64_t reg = std::max({std::abs(r.acc[0]), std::abs(r.acc[1]),
+                                     std::abs(r.acc[2]), std::abs(r.pot)});
+  return bound <= static_cast<std::uint64_t>(
+                      (math::kAccumulatorRail - reg) >> kBoundShift);
+}
+
+/// Native's fallback pair loop: the same pair arithmetic into the
+/// target's four count streams, for the block drain. Returns whether
+/// every count is within kBlockCountBound.
 G5_ISA_CLONES
 bool native_counts(std::size_t blocks, const double* __restrict x,
                    const double* __restrict y, const double* __restrict z,
-                   const double* __restrict m, double xi, double yi,
-                   double zi, double quantum, double eps2,
-                   double inv_force_quantum, double inv_potential_quantum,
+                   const double* __restrict m, NativeTarget t,
                    double* __restrict cx, double* __restrict cy,
                    double* __restrict cz, double* __restrict cp) {
   const std::size_t n = blocks * Pipeline::batch_width();
   std::int64_t margin = 0;
   for (std::size_t k = 0; k < n; ++k) {
-    const double ex = x[k] - xi;
-    const double ey = y[k] - yi;
-    const double ez = z[k] - zi;
-    const double live = ex * ex + ey * ey + ez * ez == 0.0 ? 0.0 : 1.0;
-    const double dx = ex * quantum;
-    const double dy = ey * quantum;
-    const double dz = ez * quantum;
-    const double r2 = dx * dx + dy * dy + dz * dz + eps2;
-    const double rinv = 1.0 / std::sqrt(r2 + (1.0 - live));
-    const double wm = live * m[k];
-    const double mg = wm * (rinv * rinv * rinv);
-    cx[k] = mg * dx * inv_force_quantum;
-    cy[k] = mg * dy * inv_force_quantum;
-    cz[k] = mg * dz * inv_force_quantum;
-    cp[k] = -(wm * rinv) * inv_potential_quantum;
-    margin |= count_margin(cx[k]) | count_margin(cy[k]) |
-              count_margin(cz[k]) | count_margin(cp[k]);
+    const PairCounts c = native_pair(t, x[k], y[k], z[k], m[k]);
+    cx[k] = c.x;
+    cy[k] = c.y;
+    cz[k] = c.z;
+    cp[k] = c.p;
+    margin |= count_margin(c.x) | count_margin(c.y) | count_margin(c.z) |
+              count_margin(c.p);
   }
   return margin >= 0;
 }
 
 /// The eps == 0 divergent corner: a non-coincident pair whose r^2
-/// underflows to zero, where native_counts' rinv is infinite (so the
+/// underflows to zero, where native_pair's rinv is infinite (so the
 /// potential count of entry k is not finite). The bit-exact datapath
 /// saturates there — an infinite potential well, force along the
 /// components that survived in double — so the counts become +-inf per
 /// nonzero component, 0 per zero component and -inf for the potential,
-/// each with the sign of m (m < 0 gives -1); native_counts leaves NaN
+/// each with the sign of m (m < 0 gives -1); native_pair leaves NaN
 /// where a component or m is zero. Leaves any other entry's counts as
 /// they are.
 void patch_divergent_corner(const EvalStage& stage, std::size_t k,
@@ -332,27 +470,23 @@ bool register_in_bounds(std::int64_t count) {
   return count <= kBlockAccumulatorBound && count >= -kBlockAccumulatorBound;
 }
 
-/// The exact sum of rint(c[l]) over one block of counts within 2^59:
-/// rint(c) = 2^32 h + rint(c - 2^32 h) with h = rint(c * 2^-32). The
-/// residual is exact and below 2^32, and both roundings are magic adds.
-/// Wrapping unsigned arithmetic, so that a block outside the bounds
-/// (which the drain never adds) yields some value rather than overflow.
-std::int64_t block_count_sum(const double* c) {
-  std::uint64_t sum = 0;
+/// The exact sum of rint(c[l]) over one block of counts within 2^59
+/// (add_rounded_halves). Wrapping unsigned arithmetic, so that a block
+/// outside the bounds (which the drain never adds) yields some value
+/// rather than overflow.
+[[gnu::always_inline]] inline std::int64_t block_count_sum(const double* c) {
+  std::uint64_t high = 0;
+  std::uint64_t low = 0;
   for (std::size_t l = 0; l < Pipeline::batch_width(); ++l) {
-    const double hm = c[l] * 0x1p-32 + kRoundMagic;
-    const double h = hm - kRoundMagic;
-    const double rm = (c[l] - h * 0x1p32) + kRoundMagic;
-    sum += ((std::bit_cast<std::uint64_t>(hm) - kRoundMagicBits) << 32) +
-           (std::bit_cast<std::uint64_t>(rm) - kRoundMagicBits);
+    add_rounded_halves(c[l], high, low);
   }
-  return static_cast<std::int64_t>(sum);
+  return rounded_sum(high, low, Pipeline::batch_width());
 }
 
-/// Stage 2b: block_count_sum of every block of the four count streams,
-/// into sums[4 b + {0, 1, 2, 3}] (x, y, z, potential). One pass the
-/// compiler vectorizes; the drain adds the sums of the blocks inside its
-/// bounds and ignores the rest.
+/// Stage 2b of the block drain: block_count_sum of every block of the
+/// four count streams, into sums[4 b + {0, 1, 2, 3}] (x, y, z,
+/// potential). One pass the compiler vectorizes; the drain adds the sums
+/// of the blocks inside its bounds and ignores the rest.
 G5_ISA_CLONES
 void block_sums(std::size_t blocks, const double* __restrict cx,
                 const double* __restrict cy, const double* __restrict cz,
@@ -437,14 +571,34 @@ bool lns_counts(std::size_t blocks, const math::LnsFormat& lns,
 
 }  // namespace
 
-bool Pipeline::native_tile_counts(const Fixed20 (&xi)[3], std::size_t blocks,
-                                  EvalStage& stage) const {
-  return native_counts(
-      blocks, stage.x.data(), stage.y.data(), stage.z.data(), stage.m.data(),
-      static_cast<double>(xi[0].code()), static_cast<double>(xi[1].code()),
-      static_cast<double>(xi[2].code()), codec_.quantum(), eps2_,
-      inv_force_quantum_, inv_potential_quantum_, stage.cx.data(),
-      stage.cy.data(), stage.cz.data(), stage.cp.data());
+void Pipeline::native_tile(const Fixed20 (&xi)[3], std::size_t count,
+                           std::size_t blocks, EvalStage& stage,
+                           RawForce& r) const {
+  const NativeTarget t{static_cast<double>(xi[0].code()),
+                       static_cast<double>(xi[1].code()),
+                       static_cast<double>(xi[2].code()),
+                       codec_.quantum(),
+                       eps2_,
+                       inv_force_quantum_,
+                       inv_potential_quantum_};
+  const double* const x = stage.x.data();
+  const double* const y = stage.y.data();
+  const double* const z = stage.z.data();
+  const double* const m = stage.m.data();
+  const TileSums s = native_tile_sums(blocks, x, y, z, m, t);
+  // Stage 3, one rail check per target and tile: inside it, the tile's
+  // exact sums are what its pairs streamed one at a time would add.
+  if (fits_under_rail(r, s.bound)) [[likely]] {
+    r.acc[0] += s.sum[0];
+    r.acc[1] += s.sum[1];
+    r.acc[2] += s.sum[2];
+    r.pot += s.sum[3];
+    return;
+  }
+  drain_tile(xi, count,
+             native_counts(blocks, x, y, z, m, t, stage.cx.data(),
+                           stage.cy.data(), stage.cz.data(), stage.cp.data()),
+             stage, r);
 }
 
 bool Pipeline::lns_tile_counts(const Fixed20 (&xi)[3],

@@ -25,10 +25,13 @@
 // in double and rounded onto the same accumulators, pair by pair. The
 // quanta are powers of two, so the divisions are exact multiplies.
 //
-// Both backends evaluate the same way (Pipeline::evaluate): one j-tile
-// staged at a time, every pair's counts in one branch-free loop the
-// compiler vectorizes — for BitExact on the LNS codec's lane forms, with
-// an exact scalar fallback per tile — and one exact block drain.
+// Both backends evaluate one j-tile staged at a time
+// (Pipeline::evaluate), every pair's counts in one branch-free loop the
+// compiler vectorizes. Native's loop sums each target's rounded counts
+// over the tile itself and adds them after one rail check; BitExact's
+// (on the LNS codec's lane forms, with an exact scalar fallback per
+// tile) stages them for an exact block drain, which is also Native's
+// fallback.
 //
 // lns_frac_bits = 8 lands the pairwise rms relative force error at ~0.3 %,
 // the figure the paper quotes for GRAPE-5; the calibration is pinned by
@@ -82,12 +85,14 @@ static_assert(std::is_trivially_copyable_v<JWord>);
 
 /// A lane's staging buffers for Pipeline::evaluate: one j-tile of at
 /// most Pipeline::tile_length() words, padded with zero-mass lanes to a
-/// multiple of Pipeline::batch_width(), one target's four count streams
-/// over it, and their exactly rounded int64 sums per block. Both
-/// backends stage the coordinate codes as doubles; Native adds the
-/// masses, BitExact the mass words in lane form (math::LnsLane). Every
-/// buffer stays one tile long whatever the stream length. The caller
-/// owns it, so one const Pipeline serves every lane.
+/// multiple of Pipeline::batch_width(), and the block drain's buffers —
+/// one target's four count streams over the tile and their exactly
+/// rounded int64 sums per block. Both backends stage the coordinate
+/// codes as doubles; Native adds the masses, BitExact the mass words in
+/// lane form (math::LnsLane). BitExact drains every tile through the
+/// count streams; Native only a (target, tile) its rail check refuses.
+/// Every buffer stays one tile long whatever the stream length. The
+/// caller owns it, so one const Pipeline serves every lane.
 struct EvalStage {
   std::vector<double> x, y, z;              ///< staged coordinate codes
   std::vector<double> m;                    ///< Native: masses
@@ -176,21 +181,25 @@ class Pipeline {
   ///
   /// Every interaction is quantized onto the accumulators on its own, in
   /// stream order, so the counts do not depend on where segment (board
-  /// shard, j-chunk) boundaries fall. Both backends run the same three
-  /// stages over j-tiles of tile_length() words: stage the tile once into
-  /// `stage`; per target, compute every pair's four counts in one
-  /// branch-free loop the compiler vectorizes; drain them in blocks of
-  /// batch_width() — a block whose counts are all within 2^59 and whose
-  /// registers sit at least batch_width() * 2^59 below the rail adds its
-  /// exactly rounded int64 sums once, any other block (non-finite counts,
-  /// Native's eps == 0 divergent corner, a near rail) adds its counts one
-  /// at a time. BitExact's loop is the datapath's stage order on the
-  /// table codec's lane forms; a target whose tile holds a pair they
-  /// cannot do bitwise (a subnormal difference or r^2, a decode outside
-  /// the table split) recomputes that tile one pair at a time. The counts
-  /// and the saturation latch equal a pair-by-pair stream bitwise: BitExact
-  /// against an independent scalar oracle, Native against a scalar
-  /// reference (tests/grape_backend_test.cpp).
+  /// shard, j-chunk) boundaries fall. Both backends work over j-tiles of
+  /// tile_length() words, staged once into `stage`, and compute every
+  /// pair's four counts per target in one branch-free loop the compiler
+  /// vectorizes. Native's loop sums the target's exactly rounded counts
+  /// over the tile and a bound on their magnitude; when the bound fits
+  /// under the rail from the target's registers (one check per target and
+  /// tile) the sums are added once. A refused tile (non-finite counts,
+  /// the eps == 0 divergent corner, a near rail) runs the block drain:
+  /// the counts into the stage's streams, then in blocks of batch_width()
+  /// — a block whose counts are all within 2^59 and whose registers sit
+  /// at least batch_width() * 2^59 below the rail adds its exactly
+  /// rounded int64 sums once, any other block adds its counts one at a
+  /// time. BitExact always drains by blocks; its loop is the datapath's
+  /// stage order on the table codec's lane forms, and a target whose tile
+  /// holds a pair they cannot do bitwise (a subnormal difference or r^2,
+  /// a decode outside the table split) recomputes that tile one pair at a
+  /// time. The counts and the saturation latch equal a pair-by-pair
+  /// stream bitwise: BitExact against an independent scalar oracle,
+  /// Native against a scalar reference (tests/grape_backend_test.cpp).
   void evaluate(std::span<const JWord> j, std::span<const Vec3d> targets,
                 std::span<RawForce> out, EvalStage& stage) const;
 
@@ -239,9 +248,8 @@ class Pipeline {
 
   void stage_tile(std::span<const JWord> tile, std::size_t padded,
                   EvalStage& stage) const;
-  [[nodiscard]] bool native_tile_counts(const math::Fixed20 (&xi)[3],
-                                        std::size_t blocks,
-                                        EvalStage& stage) const;
+  void native_tile(const math::Fixed20 (&xi)[3], std::size_t count,
+                   std::size_t blocks, EvalStage& stage, RawForce& r) const;
   [[nodiscard]] bool lns_tile_counts(const math::Fixed20 (&xi)[3],
                                      std::span<const JWord> tile,
                                      std::size_t blocks,

@@ -39,34 +39,74 @@ struct CountSink {
   }
 };
 
-/// Counts a walk's entries and writes them into a list: accepted cells
-/// as monopoles, with their quadrupole tensor when `quads`; particles as
-/// point masses, with a zero tensor when `quads`. Forced inline: called
-/// from both walks' loops, GCC otherwise keeps these out of line, a call
-/// per list entry.
+/// Counts a walk's entries and writes them into a list's columns
+/// through raw pointers: accepted cells as monopoles, with their
+/// quadrupole tensor when the list carries them; particles as point
+/// masses, with a zero tensor then. open_list sizes the columns to their
+/// capacity; an entry past it grows them out of line. Forced inline:
+/// called from both walks' loops, GCC otherwise keeps these out of line,
+/// a call per list entry.
 struct ListSink : CountSink {
   const BhTree& tree;
   InteractionList& out;
   bool quads;
+  Vec3d* pos = nullptr;
+  double* mass = nullptr;
+  Quadrupole* quad = nullptr;
+  std::size_t cap = 0;
+
+  [[gnu::always_inline]] std::size_t next() {
+    const std::size_t k = size();
+    if (k == cap) [[unlikely]] grow();
+    return k;
+  }
   [[gnu::always_inline]] void node(const Node& node, std::int32_t idx) {
-    if (quads) {
-      out.push(node.com, node.mass,
-               tree.quadrupole(static_cast<std::size_t>(idx)));
-    } else {
-      out.push(node.com, node.mass);
-    }
+    const std::size_t k = next();
+    pos[k] = node.com;
+    mass[k] = node.mass;
+    if (quads) quad[k] = tree.quadrupole(static_cast<std::size_t>(idx));
     ++node_terms;
   }
   [[gnu::always_inline]] void particle(std::uint32_t slot) {
-    if (quads) {
-      out.push(tree.sorted_pos()[slot], tree.sorted_mass()[slot],
-               Quadrupole{});
-    } else {
-      out.push(tree.sorted_pos()[slot], tree.sorted_mass()[slot]);
-    }
+    const std::size_t k = next();
+    pos[k] = tree.sorted_pos()[slot];
+    mass[k] = tree.sorted_mass()[slot];
+    if (quads) quad[k] = Quadrupole{};
     ++particle_terms;
   }
+  /// Size the columns to `n` entries (ColumnAllocator: growing them
+  /// writes nothing new) and point the cursors at them.
+  void resize(std::size_t n) {
+    out.pos.resize(n);
+    out.mass.resize(n);
+    if (quads) out.quad.resize(n);
+    pos = out.pos.data();
+    mass = out.mass.data();
+    quad = out.quad.data();
+    cap = n;
+  }
+  [[gnu::noinline]] void grow() { resize(2 * cap); }
 };
+
+/// The sink writing a walk into `out`: its columns cleared, then sized
+/// to their capacity (at least kMinCapacity entries) without writing
+/// them.
+ListSink open_list(const BhTree& tree, const WalkConfig& config,
+                   InteractionList& out) {
+  constexpr std::size_t kMinCapacity = 1024;
+  ListSink sink{{}, tree, out, config.use_quadrupole && tree.has_quadrupoles()};
+  out.clear();
+  sink.resize(std::max(out.pos.capacity(), kMinCapacity));
+  return sink;
+}
+
+/// Trim `out`'s columns to the entries the walk wrote.
+void close_list(const ListSink& sink, InteractionList& out) {
+  const std::size_t n = sink.size();
+  out.pos.resize(n);
+  out.mass.resize(n);
+  if (sink.quads) out.quad.resize(n);
+}
 
 /// The one traversal of both walks, depth first from the root: node
 /// `skip` and its subtree are left out (-1 skips nothing); every other
@@ -181,11 +221,13 @@ void record(WalkStats* stats, std::uint64_t ni, CountSink terms,
 std::size_t walk_original(const BhTree& tree, const Vec3d& target,
                           const WalkConfig& config, InteractionList& out,
                           WalkStats* stats) {
-  out.clear();
-  if (tree.empty() || tree.particle_count() == 0) return 0;
-  ListSink sink{
-      {}, tree, out, config.use_quadrupole && tree.has_quadrupoles()};
+  if (tree.empty() || tree.particle_count() == 0) {
+    out.clear();
+    return 0;
+  }
+  ListSink sink = open_list(tree, config, out);
   const std::uint64_t visits = traverse_target(tree, target, config, sink);
+  close_list(sink, out);
   record(stats, 1, sink, visits);
   return out.size();
 }
@@ -202,11 +244,13 @@ std::uint64_t count_original(const BhTree& tree, const Vec3d& target,
 std::size_t walk_group(const BhTree& tree, const Group& group,
                        const WalkConfig& config, InteractionList& out,
                        WalkStats* stats) {
-  out.clear();
-  if (tree.empty() || tree.particle_count() == 0) return 0;
-  ListSink sink{
-      {}, tree, out, config.use_quadrupole && tree.has_quadrupoles()};
+  if (tree.empty() || tree.particle_count() == 0) {
+    out.clear();
+    return 0;
+  }
+  ListSink sink = open_list(tree, config, out);
   const std::uint64_t visits = traverse_group(tree, group, config, sink);
+  close_list(sink, out);
   record(stats, group.count, sink, visits);
   return out.size();
 }

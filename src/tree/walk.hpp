@@ -8,21 +8,47 @@
 #pragma once
 
 #include <cstdint>
+#include <memory>
+#include <new>
+#include <type_traits>
+#include <utility>
 #include <vector>
 
 #include "tree/tree.hpp"
 
 namespace g5::tree {
 
+/// The allocator of InteractionList's columns: growing a column
+/// constructs nothing, so a walk sizes its columns to their capacity
+/// without writing them, then writes each entry once. For trivially
+/// copyable, trivially destructible entries only, whose lifetime begins
+/// with their storage.
+template <typename T>
+struct ColumnAllocator : std::allocator<T> {
+  static_assert(std::is_trivially_copyable_v<T> &&
+                std::is_trivially_destructible_v<T>);
+  /// Default construction leaves the storage as it is.
+  template <typename U>
+  void construct(U* /*p*/) noexcept {}
+  template <typename U, typename... Args>
+  void construct(U* p, Args&&... args) {
+    ::new (static_cast<void*>(p)) U(std::forward<Args>(args)...);
+  }
+};
+
+template <typename T>
+using ListColumn = std::vector<T, ColumnAllocator<T>>;
+
 /// A flat interaction list: field sources as (position, mass) pairs —
 /// exactly the stream a GRAPE board consumes. When a walk runs with
 /// use_quadrupole, a parallel array of quadrupole tensors is filled (host
 /// evaluation only; the hardware takes point masses). Reused across walks
-/// to keep allocations off the hot path.
+/// to keep allocations off the hot path: a walk writes its entries
+/// through raw pointers into the columns sized to their capacity.
 struct InteractionList {
-  std::vector<Vec3d> pos;
-  std::vector<double> mass;
-  std::vector<Quadrupole> quad;  ///< empty unless built with quadrupoles
+  ListColumn<Vec3d> pos;
+  ListColumn<double> mass;
+  ListColumn<Quadrupole> quad;  ///< empty unless built with quadrupoles
 
   [[nodiscard]] std::size_t size() const noexcept { return pos.size(); }
   [[nodiscard]] bool has_quadrupoles() const noexcept {
@@ -41,10 +67,6 @@ struct InteractionList {
     pos.push_back(p);
     mass.push_back(m);
     quad.push_back(q);
-  }
-  void reserve(std::size_t n) {
-    pos.reserve(n);
-    mass.reserve(n);
   }
 };
 

@@ -18,13 +18,17 @@
 //    out — the batched board path cannot move the probe's numbers.
 //  * Zero-distance semantics: the i == j cut and the divergent
 //    r^2 == 0 corner behave identically on both backends.
-//  * Native evaluate vs a scalar reference: Pipeline::evaluate's staged,
-//    block-drained Native path must equal one pair at a time through
+//  * Native evaluate vs a scalar reference: Pipeline::evaluate's Native
+//    path — tile sums behind one rail check, the block drain for a
+//    refused tile — must equal one pair at a time through
 //    FixedAccumulator::add, bitwise, saturation latch included — for
-//    every stream length, a Plummer N = 65,536 list on the engines'
-//    quanta, coincident entries, the divergent corner (any sign of the
-//    mass), counts above the drain's 2^59 block bound and accumulators
-//    near the rail.
+//    stream lengths around the block and the tile against 1 to 5
+//    targets, a Plummer N = 65,536 list on the engines' quanta,
+//    coincident entries, the divergent corner (any sign of the mass,
+//    and among cut entries of an otherwise fast tile), counts above the
+//    drain's 2^59 block bound and up to 2^62 in a fast tile, registers
+//    just under, on and just over the tile's rail check, pair bounds
+//    whose sum wraps, and accumulators near the rail.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -679,7 +683,9 @@ TEST(Backend, NativeEvaluateDivergentCornerSaturatesLikeReference) {
 TEST(Backend, NativeEvaluateCountsAboveBlockBound) {
   // A force quantum of 2^-60: a unit-mass j at distance 1 contributes
   // 2^60 counts, above the block drain's 2^59 bound but below the
-  // rail. Its block takes the per-interaction path; the rest drain fast.
+  // rail. The tile still fits under the rail, so it adds its exact tile
+  // sums: the 2^59 bound is the block drain's, and Native drains blocks
+  // only for a tile refused the tile sums.
   PipelineScaling s = test_scaling();
   s.force_quantum = 0x1p-60;
   s.potential_quantum = 0x1p-60;
@@ -694,8 +700,8 @@ TEST(Backend, NativeEvaluateCountsAboveBlockBound) {
   const RawForce one = native_reference(pipe, {&js[11], 1}, xi);
   ASSERT_GT(one.acc[0], std::int64_t{1} << 59);
   ASSERT_FALSE(one.saturated);
-  // Counts between 2^51 and 2^59 in blocks that drain fast: only the
-  // split rounding, 2^32 h + rint(c - 2^32 h), gets these exact.
+  // Counts between 2^51 and 2^59: only the split rounding,
+  // h + rint(c - h) with h a multiple of 2^32, gets these exact.
   js[3] = pipe.encode_j(Vec3d{0.0, 0.0, -1.0}, 0.0513);
   js[20] = pipe.encode_j(Vec3d{0.0, 1.0, 0.0}, 0.1077);
   for (const std::size_t k : {std::size_t{3}, std::size_t{20}}) {
@@ -758,6 +764,218 @@ TEST(Backend, NativeEvaluateNearRailMatchesReference) {
     std::vector<RawForce> out(1);
     pipe.evaluate(js, targets, out, stage);
     EXPECT_EQ(out[0].saturated, tail_mass > 0.5) << tail_mass;
+  }
+}
+
+/// The tile bound's unit: native_tile_sums bounds a tile's rounded
+/// counts in multiples of 2^44 (pipeline.cpp).
+constexpr int kTileBoundShift = 44;
+
+TEST(Backend, NativeFastTileHoldsCountsUpTo2To62) {
+  // Two counts between 2^61 and 2^62 in one tile, one at +x and one at
+  // -x, among light pairs: above the block drain's 2^59 bound, which the
+  // tile sums do not have. Their magnitudes, summed over the tile's
+  // pairs and registers with the tile bound's slack, stay under the
+  // rail, so the tile sums apply.
+  PipelineScaling s = test_scaling();
+  s.force_quantum = 0x1p-60;
+  s.potential_quantum = 0x1p-30;
+  const Pipeline pipe = native_pipeline(s);
+  const Vec3d xi{0.0, 0.0, 0.0};
+  std::vector<JWord> js;
+  math::Rng rng(606);
+  for (std::size_t k = 0; k < 45; ++k) {
+    js.push_back(pipe.encode_j(4.0 * rng.on_unit_sphere(), 1e-6));
+  }
+  js[9] = pipe.encode_j(Vec3d{1.0, 0.0, 0.0}, 3.1);
+  js[30] = pipe.encode_j(Vec3d{-1.0, 0.0, 0.0}, 2.3);
+  double magnitude = 0.0;  // sum of |rounded count| over the tile
+  for (const JWord& j : js) {
+    const RawForce one = native_reference(pipe, {&j, 1}, xi);
+    for (const std::int64_t c : {one.acc[0], one.acc[1], one.acc[2], one.pot}) {
+      magnitude += std::fabs(static_cast<double>(c));
+    }
+  }
+  for (const std::size_t k : {std::size_t{9}, std::size_t{30}}) {
+    const RawForce one = native_reference(pipe, {&js[k], 1}, xi);
+    ASSERT_GT(std::abs(one.acc[0]), std::int64_t{1} << 61) << k;
+    ASSERT_LT(std::abs(one.acc[0]), std::int64_t{1} << 62) << k;
+  }
+  // The bound's rounding (up to half a unit of 2^44 per lane) and its
+  // n + 1 units over the tile's padded n lanes: below 2 units per j-word
+  // plus 8.
+  const double slack = std::ldexp(static_cast<double>(2 * js.size() + 8),
+                                 kTileBoundShift);
+  ASSERT_LT(magnitude + slack, static_cast<double>(math::kAccumulatorRail));
+  grape::EvalStage stage;
+  const std::vector<Vec3d> targets = {xi, Vec3d{0.25, -0.5, 0.125}};
+  expect_native_matches_reference(pipe, js, targets, stage,
+                                  "counts up to 2^62");
+  std::vector<RawForce> out(targets.size());
+  pipe.evaluate(js, targets, out, stage);
+  EXPECT_FALSE(out[0].saturated);
+}
+
+TEST(Backend, NativeTileBoundAtTheRailMatchesReference) {
+  // A window of width 16 (quantum 2^-28) and eps 0, so that a j-word at
+  // distance 1 along an axis has dx = 1, r^2 = 1, rinv = 1 exactly: its
+  // force count is m * 2^60, exactly. The first tile's heavy j-word puts
+  // a register at R0; the second tile's j-words each add
+  // c = 2^48 + 2^43 - 2^20 to it — t = rint(pb / 2^44) = 16 per pair,
+  // about 0.5 below c / 2^44, so that a bound without its slack would
+  // let the register cross the rail. For every prefix of n2 pairs of the
+  // second tile (padded to n) the tile bound is T = 16 n2 + n + 1, and R0
+  // sits at rail - 2^44 (T + delta): delta = 1 is just under the rail
+  // condition, 0 on it (both take the tile sums), -1 just over it (the
+  // block drain). At delta = -n the bound without its n would still fit
+  // while the pairs cross the rail, and at a delta of half the tile's
+  // growth they cross it and latch. Along +x and along -y, so both signs
+  // and two registers; every prefix against the reference, latch
+  // included.
+  PipelineScaling s;
+  s.range_lo = -8.0;
+  s.range_hi = 8.0;
+  s.eps = 0.0;
+  s.force_quantum = 0x1p-60;
+  s.potential_quantum = 0x1p-30;
+  const Pipeline pipe = native_pipeline(s);
+  ASSERT_EQ(pipe.position_quantum(), 0x1p-28);
+  const Vec3d xi{0.0, 0.0, 0.0};
+  const std::size_t tile = Pipeline::tile_length();
+  const std::size_t w = Pipeline::batch_width();
+  const double tail_count = 0x1p48 + 0x1p43 - 0x1p20;
+  const std::vector<Vec3d> targets = {xi};
+  grape::EvalStage stage;
+  for (const Vec3d axis : {Vec3d{1.0, 0.0, 0.0}, Vec3d{0.0, -1.0, 0.0}}) {
+    for (std::size_t n2 = 1; n2 <= tile; ++n2) {
+      const std::size_t padded = (n2 + w - 1) / w * w;
+      const std::int64_t bound = static_cast<std::int64_t>(16 * n2 + padded + 1);
+      const std::int64_t half_growth = static_cast<std::int64_t>(8 * n2 + 1);
+      for (const std::int64_t delta :
+           {std::int64_t{1}, std::int64_t{0}, std::int64_t{-1},
+            -static_cast<std::int64_t>(padded), -half_growth}) {
+        const std::int64_t r0 =
+            math::kAccumulatorRail - ((bound + delta) << kTileBoundShift);
+        std::vector<JWord> js;
+        js.push_back(pipe.encode_j(axis, std::ldexp(static_cast<double>(r0), -60)));
+        while (js.size() < tile) {
+          js.push_back(pipe.encode_j(Vec3d{0.5, 0.5, 0.5}, 0.0));
+        }
+        for (std::size_t k = 0; k < n2; ++k) {
+          js.push_back(pipe.encode_j(axis, std::ldexp(tail_count, -60)));
+        }
+        const std::string what = "axis (" + std::to_string(axis.x) + ", " +
+                                 std::to_string(axis.y) + "), n2 " +
+                                 std::to_string(n2) + ", delta " +
+                                 std::to_string(delta);
+        const RawForce first = native_reference(pipe, {js.data(), tile}, xi);
+        ASSERT_EQ(std::max(std::abs(first.acc[0]), std::abs(first.acc[1])), r0)
+            << what;
+        expect_native_matches_reference(pipe, js, targets, stage, what);
+        if (delta == -half_growth && n2 > 1) {
+          EXPECT_TRUE(native_reference(pipe, js, xi).saturated) << what;
+        }
+      }
+    }
+  }
+}
+
+TEST(Backend, NativeTileRefusesHugeCountsWhoseBoundsWrap) {
+  // Five potential counts of ~2^915 whose pair bounds, as integers above
+  // bits(1.5 * 2^96), are each (2^64 - 1) / 5: their sum wraps to a
+  // bound that fits under the rail. Only the exponent check on the OR of
+  // the pair bounds refuses the tile; the pairs then saturate the
+  // potential register, as the reference does. j-words at distance 1
+  // along x in a width-16 window with eps 0 (rinv = 1 exactly), and a
+  // force quantum so large that the force counts vanish beside them.
+  PipelineScaling s;
+  s.range_lo = -8.0;
+  s.range_hi = 8.0;
+  s.eps = 0.0;
+  s.force_quantum = 0x1p500;
+  s.potential_quantum = 0x1p-1000;
+  const Pipeline pipe = native_pipeline(s);
+  const std::uint64_t share = ~std::uint64_t{0} / 5;
+  const double count = std::bit_cast<double>(
+      std::bit_cast<std::uint64_t>(0x1.8p96) + share);
+  ASSERT_TRUE(std::isfinite(count));
+  std::vector<JWord> js(
+      5, pipe.encode_j(Vec3d{1.0, 0.0, 0.0}, std::ldexp(count, -1000)));
+  const Vec3d xi{0.0, 0.0, 0.0};
+  const std::vector<Vec3d> targets = {xi};
+  grape::EvalStage stage;
+  expect_native_matches_reference(pipe, js, targets, stage, "wrapped bound");
+  std::vector<RawForce> out(1);
+  pipe.evaluate(js, targets, out, stage);
+  EXPECT_TRUE(out[0].saturated);
+  EXPECT_EQ(out[0].pot, -math::kAccumulatorRail);
+}
+
+TEST(Backend, NativeDivergentPairRefusesOnlyItsTile) {
+  // eps == 0 and a window in which r^2 of a 3-code separation underflows
+  // to zero. There every other non-coincident pair's rinv^3 overflows, so
+  // the tiles around the divergent pair hold coincident (cut) j-words
+  // only, whose counts are zero: the first tile takes the tile sums, the
+  // divergent pair's own tile is refused (its pair bound is not finite)
+  // and drains block by block, where its counts are patched, and the
+  // registers it leaves at the rail send the last tile to the drain too.
+  // Every prefix, latch included.
+  PipelineScaling s;
+  s.range_lo = -5e-155;
+  s.range_hi = 5e-155;
+  s.eps = 0.0;
+  s.force_quantum = 0x1p-60;
+  s.potential_quantum = 0x1p498;
+  const Pipeline pipe = native_pipeline(s);
+  const double q = pipe.position_quantum();
+  const std::size_t tile = Pipeline::tile_length();
+  std::vector<JWord> js(2 * tile + 7,
+                        pipe.encode_j(Vec3d{0.0, 0.0, 0.0}, 1.0));
+  js[tile + 100] = pipe.encode_j(Vec3d{3.0 * q, 0.0, 0.0}, 1.0);
+  const std::vector<Vec3d> targets = {Vec3d{0.0, 0.0, 0.0}};
+  grape::EvalStage stage;
+  for (std::size_t n = 1; n <= js.size(); ++n) {
+    expect_native_matches_reference(pipe, {js.data(), n}, targets, stage,
+                                    "divergent tile, length " +
+                                        std::to_string(n));
+  }
+  std::vector<RawForce> out(1);
+  pipe.evaluate(js, targets, out, stage);
+  EXPECT_TRUE(out[0].saturated);
+  EXPECT_EQ(out[0].acc[0], math::kAccumulatorRail);
+  EXPECT_EQ(out[0].pot, -math::kAccumulatorRail);
+}
+
+TEST(Backend, NativeEvaluateMatchesReferenceAcrossLengthsAndTargets) {
+  // Stream lengths around the block and the tile (1, 7, 8, 511, 512,
+  // 513, 1031) against 1 to 5 targets, each a j-word of the stream (the
+  // coincidence cut runs), on the test window and on the quanta the
+  // engines install for a Plummer N = 65,536 snapshot.
+  const auto pset =
+      ic::make_plummer(ic::PlummerConfig{.n = 65536, .seed = 3});
+  const model::Aabb box = pset.bounding_box();
+  const Pipeline engine_pipe = native_pipeline(
+      grape::snapshot_window(box.lo, box.hi, pset.mass()).scaling(0.02));
+  const Pipeline test_pipe = native_pipeline(test_scaling());
+  grape::EvalStage stage;
+  for (const Pipeline* pipe : {&test_pipe, &engine_pipe}) {
+    std::vector<JWord> all;
+    for (std::size_t k = 0; k < 1031; ++k) {
+      all.push_back(pipe->encode_j(pset.pos()[k], pset.mass()[k]));
+    }
+    for (const std::size_t len : {1, 7, 8, 511, 512, 513, 1031}) {
+      for (std::size_t nt = 1; nt <= 5; ++nt) {
+        std::vector<Vec3d> targets;
+        for (std::size_t i = 0; i < nt; ++i) {
+          targets.push_back(pset.pos()[(i * 211) % len]);
+        }
+        expect_native_matches_reference(
+            *pipe, {all.data(), len}, targets, stage,
+            std::string(pipe == &test_pipe ? "test" : "engine") +
+                " window, length " + std::to_string(len) + ", targets " +
+                std::to_string(nt));
+      }
+    }
   }
 }
 
