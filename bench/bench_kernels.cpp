@@ -21,6 +21,7 @@
 #include "math/rng.hpp"
 #include "tree/groupwalk.hpp"
 #include "tree/tree.hpp"
+#include "util/isa.hpp"
 
 namespace {
 
@@ -297,3 +298,14 @@ void BM_GrapeForceCall(benchmark::State& state) {
 BENCHMARK(BM_GrapeForceCall)->Arg(1024)->Arg(4096);
 
 }  // namespace
+
+// benchmark_main's main, plus the kernel clone in the context block, so
+// a ns-per-interaction row says which G5_ISA_CLONES clone it timed.
+int main(int argc, char** argv) {
+  benchmark::Initialize(&argc, argv);
+  if (benchmark::ReportUnrecognizedArguments(argc, argv)) return 1;
+  benchmark::AddCustomContext("kernel_isa", g5::util::kernel_isa());
+  benchmark::RunSpecifiedBenchmarks();
+  benchmark::Shutdown();
+  return 0;
+}

@@ -107,6 +107,7 @@ SimulationSummary Simulation::run(model::ParticleSet& pset) {
     pc.leaf_max = engine_.params().leaf_max;
     pc.quadrupole = engine_.params().quadrupole;
     pc.backend = engine_.params().backend;
+    pc.codec = gsys != nullptr;
     probe.emplace(pc);
   }
   EngineStats prev_stats = engine_.stats();

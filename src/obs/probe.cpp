@@ -3,6 +3,8 @@
 #include <algorithm>
 #include <cmath>
 #include <cstddef>
+#include <limits>
+#include <optional>
 #include <span>
 
 #include "grape/config.hpp"
@@ -103,8 +105,10 @@ ProbeResult ForceErrorProbe::measure(const model::ParticleSet& pset) {
   const tree::WalkConfig walk_cfg{config_.theta, config_.mac,
                                   config_.quadrupole};
 
-  grape::Pipeline pipeline =
-      make_codec_pipeline(pset, config_.eps, config_.backend);
+  std::optional<grape::Pipeline> pipeline;
+  if (config_.codec) {
+    pipeline.emplace(make_codec_pipeline(pset, config_.eps, config_.backend));
+  }
 
   err_total_.clear();
   err_tree_.clear();
@@ -125,6 +129,7 @@ ProbeResult ForceErrorProbe::measure(const model::ParticleSet& pset) {
     tree::evaluate_list_host(list_, {&xi, 1}, config_.eps, {&acc_tree, 1},
                              {&pot_tree, 1}, {&i_mass[k], 1});
     err_tree_.push_back((acc_tree - acc_exact[k]).norm() / f_exact);
+    if (!pipeline) continue;
 
     // Codec component: the *same* list through the emulated pipeline vs
     // host double, both with the hardware-style zero-separation cut, so
@@ -135,13 +140,13 @@ ProbeResult ForceErrorProbe::measure(const model::ParticleSet& pset) {
                              {&pot_host, 1});
     jwords_.resize(list_.size());
     for (std::size_t j = 0; j < list_.size(); ++j) {
-      jwords_[j] = pipeline.encode_j(list_.pos[j], list_.mass[j]);
+      jwords_[j] = pipeline->encode_j(list_.pos[j], list_.mass[j]);
     }
     grape::RawForce raw;
-    pipeline.evaluate(jwords_, {&xi, 1}, {&raw, 1}, stage_);
+    pipeline->evaluate(jwords_, {&xi, 1}, {&raw, 1}, stage_);
     math::Vec3d acc_codec{};
     double pot_codec = 0.0;
-    pipeline.convert_raw(raw, acc_codec, pot_codec);
+    pipeline->convert_raw(raw, acc_codec, pot_codec);
     const double f_host = acc_host.norm();
     if (f_host > 0.0) {
       err_codec_.push_back((acc_codec - acc_host).norm() / f_host);
@@ -158,14 +163,19 @@ ProbeResult ForceErrorProbe::measure(const model::ParticleSet& pset) {
   result.tree_p50 = tre.p50;
   result.tree_p99 = tre.p99;
   result.tree_max = tre.max;
-  result.codec_p50 = codec.p50;
-  result.codec_p99 = codec.p99;
-  result.codec_max = codec.max;
+  if (pipeline) {
+    result.codec_p50 = codec.p50;
+    result.codec_p99 = codec.p99;
+    result.codec_max = codec.max;
+  } else {
+    result.codec_p50 = result.codec_p99 = result.codec_max =
+        std::numeric_limits<double>::quiet_NaN();
+  }
 
   if (enabled()) {
     publish("g5.err.force_rel", total, err_total_);
     publish("g5.err.tree_rel", tre, err_tree_);
-    publish("g5.err.codec_rel", codec, err_codec_);
+    if (pipeline) publish("g5.err.codec_rel", codec, err_codec_);
     counter("g5.probe.calls").add(1);
     counter("g5.probe.samples").add(result.samples);
   }

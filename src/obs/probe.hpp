@@ -55,11 +55,16 @@ struct ProbeConfig {
   /// ForceParams::backend). With BackendKind::Native the codec error
   /// collapses to the coordinate-quantization floor (~0).
   grape::BackendKind backend = grape::BackendKind::BitExact;
+  /// Run the codec leg. Off for an engine with no GRAPE device (the
+  /// host-tree engines): no pipeline touched its forces, so there is no
+  /// codec error to judge, and ProbeResult's codec fields read NaN.
+  bool codec = true;
 };
 
 /// Error distribution over one sampled subset. Percentiles are exact
 /// order statistics of the sample (not histogram estimates). All errors
 /// are |dF| / |F_reference|; samples with |F_reference| == 0 are skipped.
+/// The codec fields are NaN when ProbeConfig::codec is off.
 struct ProbeResult {
   std::uint32_t samples = 0;  ///< usable samples (skips excluded)
   double total_p50 = 0.0, total_p99 = 0.0, total_max = 0.0;

@@ -1,5 +1,6 @@
 #include <gtest/gtest.h>
 
+#include <cmath>
 #include <filesystem>
 #include <fstream>
 
@@ -50,6 +51,32 @@ TEST(Simulation, GrapeAccountSurfaced) {
   EXPECT_GT(s.grape.force_calls, 0u);
   EXPECT_GT(s.grape.interactions, 0u);
   EXPECT_GT(s.grape.modeled_total(), 0.0);
+}
+
+TEST(Simulation, ProbeJudgesTheCodecOnlyWhereAGrapeRan) {
+  // The probe's codec leg runs the sampled lists through an emulated
+  // pipeline; a host engine's forces never went through one, so its
+  // codec fields stay unmeasured (NaN, null in --report) while the tree
+  // and total legs still run.
+  for (const char* name : {"host-tree-modified", "grape-tree"}) {
+    auto pset = small_plummer();
+    auto engine = core::make_engine(
+        name, ForceParams{.eps = 0.05, .theta = 0.75, .n_crit = 64});
+    SimulationConfig cfg;
+    cfg.dt = 0.01;
+    cfg.steps = 2;
+    cfg.log_every = 0;
+    cfg.probe_every = 2;
+    cfg.probe_samples = 16;
+    Simulation sim(*engine, cfg);
+    const auto s = sim.run(pset);
+    ASSERT_EQ(s.probe_calls, 1u) << name;
+    EXPECT_GT(s.probe_last.tree_p50, 0.0) << name;
+    EXPECT_GT(s.probe_last.total_p50, 0.0) << name;
+    const bool grape = engine->grape_device() != nullptr;
+    EXPECT_EQ(std::isnan(s.probe_last.codec_p50), !grape) << name;
+    EXPECT_EQ(std::isnan(s.probe_last.codec_p99), !grape) << name;
+  }
 }
 
 TEST(Simulation, HookCalledEveryStep) {

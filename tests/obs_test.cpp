@@ -555,4 +555,28 @@ TEST_F(ObsProbe, ErrorSplitWithinSaneBudgets) {
   EXPECT_GT(obs::gauge("g5.err.force_rel.p50").value(), 0.0);
 }
 
+TEST_F(ObsProbe, CodecLegOffLeavesCodecNaNAndTheRestUnchanged) {
+  // A host engine's run has no pipeline to judge: the probe skips the
+  // codec leg, and its tree and total legs read exactly what they read
+  // with the leg on.
+  const auto pset = probed_state(1);
+  obs::ForceErrorProbe with_codec(probe_config());
+  obs::ProbeConfig pc = probe_config();
+  pc.codec = false;
+  obs::ForceErrorProbe without_codec(pc);
+  const auto on = with_codec.measure(pset);
+  const auto off = without_codec.measure(pset);
+  ASSERT_GT(on.samples, 0u);
+  EXPECT_GT(on.codec_p50, 0.0);
+  EXPECT_TRUE(std::isnan(off.codec_p50));
+  EXPECT_TRUE(std::isnan(off.codec_p99));
+  EXPECT_TRUE(std::isnan(off.codec_max));
+  EXPECT_EQ(on.samples, off.samples);
+  EXPECT_EQ(on.total_p50, off.total_p50);
+  EXPECT_EQ(on.total_p99, off.total_p99);
+  EXPECT_EQ(on.tree_p50, off.tree_p50);
+  EXPECT_EQ(on.tree_p99, off.tree_p99);
+  EXPECT_EQ(on.tree_max, off.tree_max);
+}
+
 }  // namespace

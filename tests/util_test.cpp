@@ -1,5 +1,8 @@
 #include <gtest/gtest.h>
 
+#include <string>
+
+#include "util/isa.hpp"
 #include "util/options.hpp"
 #include "util/stats.hpp"
 #include "util/table.hpp"
@@ -136,6 +139,23 @@ TEST(Timer, StopwatchMonotonic) {
   EXPECT_GE(w.total(), t1 * 0.5);
   w.reset();
   EXPECT_EQ(w.total(), 0.0);
+}
+
+TEST(KernelIsa, NamesTheCloneThisHostDispatches) {
+  const std::string isa = g5::util::kernel_isa();
+#if defined(G5_ISA_DISPATCH)
+  // The resolver takes the widest clone whose CPU test passes.
+  std::string expected = "default";
+  if (__builtin_cpu_supports("avx2")) expected = "avx2";
+#if defined(G5_ISA_V4)
+  if (__builtin_cpu_supports("x86-64-v4")) expected = "x86-64-v4";
+#endif
+  EXPECT_EQ(isa, expected);
+#elif defined(G5_ISA_OVERRIDE)
+  EXPECT_NE(isa.find("target"), std::string::npos) << isa;
+#else
+  EXPECT_EQ(isa, "default");
+#endif
 }
 
 }  // namespace
