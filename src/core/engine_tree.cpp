@@ -83,9 +83,9 @@ void TreeEngine::order_groups(util::ThreadPool& pool,
   // lane busy while the others idle, and the step time swings with the
   // draw. A count-only walk costs well under 1 % of the emulated
   // evaluation and lets the lanes take the groups longest first. Host
-  // evaluation is ~10x cheaper per interaction than the bit-exact
-  // emulation (bench_kernels on a 4-core AVX2 host: HostListKernel
-  // ~2.5 ns, PipelineEvaluate/0 23-26 ns), and there the extra walk costs
+  // evaluation is ~5x cheaper per interaction than the bit-exact
+  // emulation (bench_kernels on a 4-core AVX-512 host: HostListKernel
+  // ~2.1 ns, PipelineEvaluate/0 ~11 ns), and there the extra walk costs
   // more than the imbalance it removes (g5bench host-modified-65k
   // step_s, 6 pairs: 0.091 s without the ordering, 0.095 s with it).
   // Groups write disjoint outputs and calls are charged in group order,

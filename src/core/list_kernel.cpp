@@ -1,6 +1,9 @@
+#include <cstdint>
 #include <stdexcept>
 
 #include "core/engines.hpp"
+#include "obs/registry.hpp"
+#include "obs/span.hpp"
 #include "util/timer.hpp"
 
 namespace g5::core {
@@ -39,6 +42,7 @@ void GrapeListKernel::begin_phase(const model::ParticleSet& pset, double eps,
                                   unsigned lanes, std::size_t units) {
   configure_device_window(*device_, pset, eps);
   lanes_.resize(lanes);
+  for (Lane& lane : lanes_) lane.stage.tiles = lane.stage.fallback_tiles = 0;
   calls_.assign(units, Call{});
 }
 
@@ -90,6 +94,17 @@ void GrapeListKernel::end_phase() {
     device_->charge_chunked(call.ni, call.nj, call.emulation_seconds,
                             call.saturated);
   }
+  // The (target, tile) pairs the lanes' evaluate calls ran, and those
+  // the tile sums' rail check refused (Pipeline::evaluate).
+  if (!obs::enabled()) return;
+  std::uint64_t tiles = 0;
+  std::uint64_t fallback_tiles = 0;
+  for (const Lane& lane : lanes_) {
+    tiles += lane.stage.tiles;
+    fallback_tiles += lane.stage.fallback_tiles;
+  }
+  obs::counter("g5.grape.tiles").add(tiles);
+  obs::counter("g5.grape.fallback_tiles").add(fallback_tiles);
 }
 
 }  // namespace g5::core

@@ -176,12 +176,7 @@ void Pipeline::evaluate(std::span<const JWord> j,
       const Fixed20 xi[3] = {codec_.encode(targets[i][0]),
                              codec_.encode(targets[i][1]),
                              codec_.encode(targets[i][2])};
-      if (native) {
-        native_tile(xi, tile.size(), blocks, stage, out[i]);
-      } else {
-        drain_tile(xi, tile.size(), lns_tile_counts(xi, tile, blocks, stage),
-                   stage, out[i]);
-      }
+      evaluate_tile(xi, tile, blocks, stage, out[i]);
     }
   }
 }
@@ -283,9 +278,9 @@ std::int64_t rounded_sum(std::uint64_t high, std::uint64_t low,
                                    (low - n * kRoundMagicBits));
 }
 
-/// One target of the Native pair arithmetic: its coordinate codes and
-/// the call's constants.
-struct NativeTarget {
+/// One target of the pair arithmetic (either backend): its coordinate
+/// codes and the call's constants.
+struct PairTarget {
   double xi, yi, zi;
   double quantum, eps2, inv_force_quantum, inv_potential_quantum;
 };
@@ -309,7 +304,7 @@ struct PairCounts {
 /// The eps == 0 divergent corner is not cut: its counts are not finite,
 /// which refuses its tile the tile sums and sends its block down the
 /// slow drain, where patch_divergent_corner fixes them.
-[[gnu::always_inline]] inline PairCounts native_pair(const NativeTarget& t,
+[[gnu::always_inline]] inline PairCounts native_pair(const PairTarget& t,
                                                      double x, double y,
                                                      double z, double m) {
   const double ex = x - t.xi;
@@ -339,9 +334,10 @@ struct TileSums {
   std::uint64_t bound;
 };
 
-/// Stage 2, Native's fast path: the pair loop over a staged tile of
-/// `blocks` blocks that sums every pair's rounded counts itself
-/// (add_rounded_halves) — no count streams, no block pass.
+/// Stage 2's fast path, the ending of both backends' pair loops: over the
+/// n lanes of a staged tile, sums every pair's rounded counts itself
+/// (add_rounded_halves) — no count streams, no block pass. `pair(k)` is
+/// the backend's pair arithmetic on lane k (native_pair or lns_pair).
 ///
 /// The bound, and why adding the tile's sums equals streaming its pairs
 /// one at a time (rail_count, then rail_add) whenever
@@ -366,18 +362,14 @@ struct TileSums {
 ///    exact sum of the rounded counts — the tile sum, exact modulo 2^64
 ///    and below 2^63 in magnitude.
 /// Padding lanes have zero counts. The trip count is a multiple of the
-/// block inside the function: GCC's -O2 cost model vectorizes no loop
+/// block inside the kernels: GCC's -O2 cost model vectorizes no loop
 /// that needs an epilogue.
-G5_ISA_CLONES
-TileSums native_tile_sums(std::size_t blocks, const double* __restrict x,
-                          const double* __restrict y,
-                          const double* __restrict z,
-                          const double* __restrict m, NativeTarget t) {
-  const std::size_t n = blocks * Pipeline::batch_width();
+template <class Pair>
+[[gnu::always_inline]] inline TileSums sum_tile(std::size_t n, Pair pair) {
   std::uint64_t hx = 0, lx = 0, hy = 0, ly = 0, hz = 0, lz = 0, hp = 0,
                 lp = 0, bound_sum = 0, bound_or = 0;
   for (std::size_t k = 0; k < n; ++k) {
-    const PairCounts c = native_pair(t, x[k], y[k], z[k], m[k]);
+    const PairCounts c = pair(k);
     add_rounded_halves(c.x, hx, lx);
     add_rounded_halves(c.y, hy, ly);
     add_rounded_halves(c.z, hz, lz);
@@ -398,7 +390,20 @@ TileSums native_tile_sums(std::size_t blocks, const double* __restrict x,
           bound};
 }
 
-/// Whether a tile with native_tile_sums' `bound` fits under the rail
+/// Stage 2, Native's fast path: sum_tile over native_pair, on a staged
+/// tile of `blocks` blocks.
+G5_ISA_CLONES
+TileSums native_tile_sums(std::size_t blocks, const double* __restrict x,
+                          const double* __restrict y,
+                          const double* __restrict z,
+                          const double* __restrict m, PairTarget t) {
+  const auto pair = [&](std::size_t k) __attribute__((always_inline)) {
+    return native_pair(t, x[k], y[k], z[k], m[k]);
+  };
+  return sum_tile(blocks * Pipeline::batch_width(), pair);
+}
+
+/// Whether a tile with sum_tile's `bound` fits under the rail
 /// from r's registers: max|register| + 2^44 * bound <= rail.
 bool fits_under_rail(const RawForce& r, std::uint64_t bound) {
   const std::int64_t reg = std::max({std::abs(r.acc[0]), std::abs(r.acc[1]),
@@ -413,7 +418,7 @@ bool fits_under_rail(const RawForce& r, std::uint64_t bound) {
 G5_ISA_CLONES
 bool native_counts(std::size_t blocks, const double* __restrict x,
                    const double* __restrict y, const double* __restrict z,
-                   const double* __restrict m, NativeTarget t,
+                   const double* __restrict m, PairTarget t,
                    double* __restrict cx, double* __restrict cy,
                    double* __restrict cz, double* __restrict cp) {
   const std::size_t n = blocks * Pipeline::batch_width();
@@ -500,29 +505,98 @@ void block_sums(std::size_t blocks, const double* __restrict cx,
   }
 }
 
-/// Stage 2, the bit-exact pair arithmetic in lane form, over a staged
-/// tile of `blocks` blocks: for every j, the four counts of one target at
-/// code (xi, yi, zi), in the datapath's stage order — lns_pair_counts is
-/// the same arithmetic one pair at a time. Branch-free, so that it
-/// vectorizes at -O2: no FP operation is conditional, every select is an
-/// integer AND with a zero-tag mask (math::LnsLane), the floors are
-/// logical shifts, and the x/y/z steps are written out. The products are
-/// not saturated: in the pipeline's format (exp_bits 12) a product whose
+/// The bit-exact pair arithmetic in lane form — its one definition,
+/// inlined into both LNS pair loops: the four counts of the pair (target
+/// t, staged j at codes x, y, z with mass word `mass`), in the datapath's
+/// stage order; lns_pair_counts is the same arithmetic one pair at a
+/// time. Branch-free, so that the loops around it vectorize at -O2: no
+/// FP operation is conditional, every select is an integer AND with a
+/// zero-tag mask (math::LnsLane), the floors are logical shifts, and the
+/// x/y/z steps are written out. The table reads (11 per pair) are
+/// gathers in the x86-64-v4 clones (pipeline.cpp builds with GCC's
+/// use_gather tuning, src/grape/CMakeLists.txt). The products are not
+/// saturated: in the pipeline's format (exp_bits 12) a product whose
 /// scalar form clamps decodes outside the table split clamped or not, so
-/// its lane is flagged either way. Returns false when a live lane (not
-/// cut, nonzero mass) met a case the table arithmetic cannot do bitwise —
-/// a subnormal or non-finite |d| * quantum, a subnormal, non-finite or
-/// zero r^2, a decode outside the table split — and the caller then
-/// recomputes the tile through lns_pair_counts. Sets `all_in_bounds` to
-/// whether every count is within kBlockCountBound.
+/// its lane is flagged either way. Sets the sign bit of `bad` when a
+/// live lane (not cut, nonzero mass) met a case the table arithmetic
+/// cannot do bitwise — a subnormal or non-finite |d| * quantum, a
+/// subnormal, non-finite or zero r^2, a decode outside the table split;
+/// its counts are then meaningless, and the caller recomputes the tile
+/// through lns_pair_counts.
+[[gnu::always_inline]] inline PairCounts lns_pair(const math::LnsFormat& lns,
+                                                  const PairTarget& t, double x,
+                                                  double y, double z,
+                                                  const math::LnsLane& mass,
+                                                  std::uint64_t& bad) {
+  const double ex = x - t.xi;
+  const double ey = y - t.yi;
+  const double ez = z - t.zi;
+  // The i == j cut (all three integer-valued differences zero) tags the
+  // mass zero: the pair adds nothing.
+  const std::uint64_t any_bits = std::bit_cast<std::uint64_t>(ex) |
+                                 std::bit_cast<std::uint64_t>(ey) |
+                                 std::bit_cast<std::uint64_t>(ez);
+  const std::uint64_t live = math::lns_nonzero_mask(any_bits & ~kSignBit);
+  const math::LnsLane m{mass.log, mass.sign, mass.live & live};
+  std::uint64_t lane_bad = 0;
+  const math::LnsLane dx = lns.encode_lane(ex * t.quantum, lane_bad);
+  const math::LnsLane dy = lns.encode_lane(ey * t.quantum, lane_bad);
+  const math::LnsLane dz = lns.encode_lane(ez * t.quantum, lane_bad);
+  double r2 = t.eps2;
+  r2 += lns.decode_lane(math::LnsFormat::mul_lane(dx, dx), lane_bad);
+  r2 += lns.decode_lane(math::LnsFormat::mul_lane(dy, dy), lane_bad);
+  r2 += lns.decode_lane(math::LnsFormat::mul_lane(dz, dz), lane_bad);
+  const math::LnsLane r2w = lns.encode_lane(r2, lane_bad);
+  lane_bad |= ~r2w.live;  // r^2 == 0: the power units' saturated input
+  const math::LnsLane mg = math::LnsFormat::mul_lane(
+      m, {lns.pow_neg_3_2_log(r2w.log), 0, kAllOnes});
+  const math::LnsLane mh = math::LnsFormat::mul_lane(
+      m, {lns.pow_neg_1_2_log(r2w.log), 0, kAllOnes});
+  const PairCounts c{
+      lns.decode_lane(math::LnsFormat::mul_lane(mg, dx), lane_bad) *
+          t.inv_force_quantum,
+      lns.decode_lane(math::LnsFormat::mul_lane(mg, dy), lane_bad) *
+          t.inv_force_quantum,
+      lns.decode_lane(math::LnsFormat::mul_lane(mg, dz), lane_bad) *
+          t.inv_force_quantum,
+      -lns.decode_lane(mh, lane_bad) * t.inv_potential_quantum};
+  bad |= lane_bad & m.live;
+  return c;
+}
+
+/// Stage 2, BitExact's fast path: sum_tile over lns_pair, on a staged
+/// tile of `blocks` blocks. A flagged lane refuses the tile (the maximum
+/// bound): its sums are not the datapath's.
+G5_ISA_CLONES
+TileSums lns_tile_sums(std::size_t blocks, const math::LnsFormat& lns,
+                       const double* __restrict x, const double* __restrict y,
+                       const double* __restrict z,
+                       const std::int64_t* __restrict mlog,
+                       const std::uint64_t* __restrict msign,
+                       const std::uint64_t* __restrict mlive, PairTarget t) {
+  std::uint64_t bad = 0;
+  const auto pair = [&](std::size_t k) __attribute__((always_inline)) {
+    return lns_pair(lns, t, x[k], y[k], z[k], {mlog[k], msign[k], mlive[k]},
+                    bad);
+  };
+  TileSums s = sum_tile(blocks * Pipeline::batch_width(), pair);
+  if (static_cast<std::int64_t>(bad) < 0) {
+    s.bound = std::numeric_limits<std::uint64_t>::max();
+  }
+  return s;
+}
+
+/// BitExact's fallback pair loop: lns_pair over a staged tile of
+/// `blocks` blocks into the target's four count streams, for the block
+/// drain. Returns false when a live lane was flagged (see lns_pair).
+/// Sets `all_in_bounds` to whether every count is within
+/// kBlockCountBound.
 G5_ISA_CLONES
 bool lns_counts(std::size_t blocks, const math::LnsFormat& lns,
                 const double* __restrict x, const double* __restrict y,
                 const double* __restrict z, const std::int64_t* __restrict mlog,
                 const std::uint64_t* __restrict msign,
-                const std::uint64_t* __restrict mlive, double xi, double yi,
-                double zi, double quantum, double eps2,
-                double inv_force_quantum, double inv_potential_quantum,
+                const std::uint64_t* __restrict mlive, PairTarget t,
                 double* __restrict cx, double* __restrict cy,
                 double* __restrict cz, double* __restrict cp,
                 bool& all_in_bounds) {
@@ -530,40 +604,14 @@ bool lns_counts(std::size_t blocks, const math::LnsFormat& lns,
   std::uint64_t bad = 0;
   std::int64_t margin = 0;
   for (std::size_t k = 0; k < n; ++k) {
-    const double ex = x[k] - xi;
-    const double ey = y[k] - yi;
-    const double ez = z[k] - zi;
-    // The i == j cut (all three integer-valued differences zero) tags the
-    // mass zero: the pair adds nothing.
-    const std::uint64_t any_bits = std::bit_cast<std::uint64_t>(ex) |
-                                   std::bit_cast<std::uint64_t>(ey) |
-                                   std::bit_cast<std::uint64_t>(ez);
-    const std::uint64_t live = math::lns_nonzero_mask(any_bits & ~kSignBit);
-    const math::LnsLane m{mlog[k], msign[k], mlive[k] & live};
-    std::uint64_t lane_bad = 0;
-    const math::LnsLane dx = lns.encode_lane(ex * quantum, lane_bad);
-    const math::LnsLane dy = lns.encode_lane(ey * quantum, lane_bad);
-    const math::LnsLane dz = lns.encode_lane(ez * quantum, lane_bad);
-    double r2 = eps2;
-    r2 += lns.decode_lane(math::LnsFormat::mul_lane(dx, dx), lane_bad);
-    r2 += lns.decode_lane(math::LnsFormat::mul_lane(dy, dy), lane_bad);
-    r2 += lns.decode_lane(math::LnsFormat::mul_lane(dz, dz), lane_bad);
-    const math::LnsLane r2w = lns.encode_lane(r2, lane_bad);
-    lane_bad |= ~r2w.live;  // r^2 == 0: the power units' saturated input
-    const math::LnsLane mg = math::LnsFormat::mul_lane(
-        m, {lns.pow_neg_3_2_log(r2w.log), 0, kAllOnes});
-    const math::LnsLane mh = math::LnsFormat::mul_lane(
-        m, {lns.pow_neg_1_2_log(r2w.log), 0, kAllOnes});
-    cx[k] = lns.decode_lane(math::LnsFormat::mul_lane(mg, dx), lane_bad) *
-            inv_force_quantum;
-    cy[k] = lns.decode_lane(math::LnsFormat::mul_lane(mg, dy), lane_bad) *
-            inv_force_quantum;
-    cz[k] = lns.decode_lane(math::LnsFormat::mul_lane(mg, dz), lane_bad) *
-            inv_force_quantum;
-    cp[k] = -lns.decode_lane(mh, lane_bad) * inv_potential_quantum;
-    bad |= lane_bad & m.live;
-    margin |= count_margin(cx[k]) | count_margin(cy[k]) |
-              count_margin(cz[k]) | count_margin(cp[k]);
+    const PairCounts c =
+        lns_pair(lns, t, x[k], y[k], z[k], {mlog[k], msign[k], mlive[k]}, bad);
+    cx[k] = c.x;
+    cy[k] = c.y;
+    cz[k] = c.z;
+    cp[k] = c.p;
+    margin |= count_margin(c.x) | count_margin(c.y) | count_margin(c.z) |
+              count_margin(c.p);
   }
   all_in_bounds = margin >= 0;
   return static_cast<std::int64_t>(bad) >= 0;
@@ -571,21 +619,25 @@ bool lns_counts(std::size_t blocks, const math::LnsFormat& lns,
 
 }  // namespace
 
-void Pipeline::native_tile(const Fixed20 (&xi)[3], std::size_t count,
-                           std::size_t blocks, EvalStage& stage,
-                           RawForce& r) const {
-  const NativeTarget t{static_cast<double>(xi[0].code()),
-                       static_cast<double>(xi[1].code()),
-                       static_cast<double>(xi[2].code()),
-                       codec_.quantum(),
-                       eps2_,
-                       inv_force_quantum_,
-                       inv_potential_quantum_};
+void Pipeline::evaluate_tile(const Fixed20 (&xi)[3],
+                             std::span<const JWord> tile, std::size_t blocks,
+                             EvalStage& stage, RawForce& r) const {
+  const PairTarget t{static_cast<double>(xi[0].code()),
+                     static_cast<double>(xi[1].code()),
+                     static_cast<double>(xi[2].code()),
+                     codec_.quantum(),
+                     eps2_,
+                     inv_force_quantum_,
+                     inv_potential_quantum_};
+  const bool native = numerics_.backend == BackendKind::Native;
   const double* const x = stage.x.data();
   const double* const y = stage.y.data();
   const double* const z = stage.z.data();
-  const double* const m = stage.m.data();
-  const TileSums s = native_tile_sums(blocks, x, y, z, m, t);
+  const TileSums s =
+      native ? native_tile_sums(blocks, x, y, z, stage.m.data(), t)
+             : lns_tile_sums(blocks, lns_, x, y, z, stage.mlog.data(),
+                             stage.msign.data(), stage.mlive.data(), t);
+  ++stage.tiles;
   // Stage 3, one rail check per target and tile: inside it, the tile's
   // exact sums are what its pairs streamed one at a time would add.
   if (fits_under_rail(r, s.bound)) [[likely]] {
@@ -595,36 +647,31 @@ void Pipeline::native_tile(const Fixed20 (&xi)[3], std::size_t count,
     r.pot += s.sum[3];
     return;
   }
-  drain_tile(xi, count,
-             native_counts(blocks, x, y, z, m, t, stage.cx.data(),
-                           stage.cy.data(), stage.cz.data(), stage.cp.data()),
-             stage, r);
-}
-
-bool Pipeline::lns_tile_counts(const Fixed20 (&xi)[3],
-                               std::span<const JWord> tile,
-                               std::size_t blocks, EvalStage& stage) const {
+  ++stage.fallback_tiles;
+  double* const cx = stage.cx.data();
+  double* const cy = stage.cy.data();
+  double* const cz = stage.cz.data();
+  double* const cp = stage.cp.data();
   bool all_in_bounds = false;
-  const bool exact = lns_counts(
-      blocks, lns_, stage.x.data(), stage.y.data(), stage.z.data(),
-      stage.mlog.data(), stage.msign.data(), stage.mlive.data(),
-      static_cast<double>(xi[0].code()), static_cast<double>(xi[1].code()),
-      static_cast<double>(xi[2].code()), codec_.quantum(), eps2_,
-      inv_force_quantum_, inv_potential_quantum_, stage.cx.data(),
-      stage.cy.data(), stage.cz.data(), stage.cp.data(), all_in_bounds);
-  if (!exact) [[unlikely]] {
+  if (native) {
+    all_in_bounds =
+        native_counts(blocks, x, y, z, stage.m.data(), t, cx, cy, cz, cp);
+  } else if (!lns_counts(blocks, lns_, x, y, z, stage.mlog.data(),
+                         stage.msign.data(), stage.mlive.data(), t, cx, cy, cz,
+                         cp, all_in_bounds)) [[unlikely]] {
     // A lane the table arithmetic cannot do bitwise: the whole tile
-    // again, one pair at a time (the padding keeps its zero counts).
+    // again, one pair at a time (the padding keeps its zero counts), and
+    // the drain checks each block's bounds.
     for (std::size_t k = 0; k < tile.size(); ++k) {
       const std::array<double, 4> c = lns_pair_counts(xi, tile[k]);
-      stage.cx[k] = c[0];
-      stage.cy[k] = c[1];
-      stage.cz[k] = c[2];
-      stage.cp[k] = c[3];
+      cx[k] = c[0];
+      cy[k] = c[1];
+      cz[k] = c[2];
+      cp[k] = c[3];
     }
-    return false;  // bounds unknown: the drain checks each block
+    all_in_bounds = false;
   }
-  return all_in_bounds;
+  drain_tile(xi, tile.size(), all_in_bounds, stage, r);
 }
 
 void Pipeline::drain_tile(const Fixed20 (&xi)[3], std::size_t count,

@@ -27,11 +27,12 @@
 //
 // Both backends evaluate one j-tile staged at a time
 // (Pipeline::evaluate), every pair's counts in one branch-free loop the
-// compiler vectorizes. Native's loop sums each target's rounded counts
-// over the tile itself and adds them after one rail check; BitExact's
-// (on the LNS codec's lane forms, with an exact scalar fallback per
-// tile) stages them for an exact block drain, which is also Native's
-// fallback.
+// compiler vectorizes (BitExact's on the LNS codec's lane forms). The
+// loop sums each target's rounded counts over the tile itself, and the
+// sums are added after one rail check. A tile the check refuses takes
+// an exact block drain; BitExact's lanes also refuse a tile holding a
+// pair they cannot do bitwise, which is recomputed by a scalar copy of
+// the datapath before the drain.
 //
 // lns_frac_bits = 8 lands the pairwise rms relative force error at ~0.3 %,
 // the figure the paper quotes for GRAPE-5; the calibration is pinned by
@@ -89,10 +90,10 @@ static_assert(std::is_trivially_copyable_v<JWord>);
 /// one target's four count streams over the tile and their exactly
 /// rounded int64 sums per block. Both backends stage the coordinate
 /// codes as doubles; Native adds the masses, BitExact the mass words in
-/// lane form (math::LnsLane). BitExact drains every tile through the
-/// count streams; Native only a (target, tile) its rail check refuses.
-/// Every buffer stays one tile long whatever the stream length. The
-/// caller owns it, so one const Pipeline serves every lane.
+/// lane form (math::LnsLane). Only a (target, tile) that the tile sums'
+/// rail check refuses drains through the count streams. Every buffer
+/// stays one tile long whatever the stream length. The caller owns it,
+/// so one const Pipeline serves every lane.
 struct EvalStage {
   std::vector<double> x, y, z;              ///< staged coordinate codes
   std::vector<double> m;                    ///< Native: masses
@@ -100,6 +101,11 @@ struct EvalStage {
   std::vector<std::uint64_t> msign, mlive;  ///< sign bits, zero-tag masks
   std::vector<double> cx, cy, cz, cp;       ///< one target's counts per j
   std::vector<std::int64_t> sums;           ///< per block: x, y, z, pot sums
+  /// (target, tile) pairs evaluate has run on this stage, and those of
+  /// them that took the block drain; evaluate adds to them, the caller
+  /// reads and resets them.
+  std::uint64_t tiles = 0;
+  std::uint64_t fallback_tiles = 0;
 };
 
 /// The per-call scaling state shared by all pipelines of the system
@@ -184,20 +190,21 @@ class Pipeline {
   /// shard, j-chunk) boundaries fall. Both backends work over j-tiles of
   /// tile_length() words, staged once into `stage`, and compute every
   /// pair's four counts per target in one branch-free loop the compiler
-  /// vectorizes. Native's loop sums the target's exactly rounded counts
-  /// over the tile and a bound on their magnitude; when the bound fits
-  /// under the rail from the target's registers (one check per target and
-  /// tile) the sums are added once. A refused tile (non-finite counts,
-  /// the eps == 0 divergent corner, a near rail) runs the block drain:
-  /// the counts into the stage's streams, then in blocks of batch_width()
-  /// — a block whose counts are all within 2^59 and whose registers sit
-  /// at least batch_width() * 2^59 below the rail adds its exactly
-  /// rounded int64 sums once, any other block adds its counts one at a
-  /// time. BitExact always drains by blocks; its loop is the datapath's
-  /// stage order on the table codec's lane forms, and a target whose tile
-  /// holds a pair they cannot do bitwise (a subnormal difference or r^2,
-  /// a decode outside the table split) recomputes that tile one pair at a
-  /// time. The counts and the saturation latch equal a pair-by-pair
+  /// vectorizes — BitExact's in the datapath's stage order on the table
+  /// codec's lane forms. The loop sums the target's exactly rounded
+  /// counts over the tile and a bound on their magnitude; when the bound
+  /// fits under the rail from the target's registers (one check per
+  /// target and tile) the sums are added once. A refused tile
+  /// (non-finite counts, the eps == 0 divergent corner, a near rail, and
+  /// for BitExact a pair the lane forms cannot do bitwise: a subnormal
+  /// difference or r^2, a decode outside the table split) runs the block
+  /// drain: the counts into the stage's streams — BitExact's recomputed
+  /// one pair at a time when a pair was flagged — then in blocks of
+  /// batch_width(): a block whose counts are all within 2^59 and whose
+  /// registers sit at least batch_width() * 2^59 below the rail adds its
+  /// exactly rounded int64 sums once, any other block adds its counts
+  /// one at a time. The stage's `tiles` and `fallback_tiles` count the
+  /// two paths. The counts and the saturation latch equal a pair-by-pair
   /// stream bitwise: BitExact against an independent scalar oracle,
   /// Native against a scalar reference (tests/grape_backend_test.cpp).
   void evaluate(std::span<const JWord> j, std::span<const Vec3d> targets,
@@ -248,12 +255,9 @@ class Pipeline {
 
   void stage_tile(std::span<const JWord> tile, std::size_t padded,
                   EvalStage& stage) const;
-  void native_tile(const math::Fixed20 (&xi)[3], std::size_t count,
-                   std::size_t blocks, EvalStage& stage, RawForce& r) const;
-  [[nodiscard]] bool lns_tile_counts(const math::Fixed20 (&xi)[3],
-                                     std::span<const JWord> tile,
-                                     std::size_t blocks,
-                                     EvalStage& stage) const;
+  /// One target against one staged tile (stages 2 and 3 of evaluate).
+  void evaluate_tile(const math::Fixed20 (&xi)[3], std::span<const JWord> tile,
+                     std::size_t blocks, EvalStage& stage, RawForce& r) const;
   /// The bit-exact pair arithmetic, one pair at a time in the datapath's
   /// stage order: the four counts of `j` against a target at codes `xi`
   /// (zeros for a coincident pair). The one scalar copy — the exact

@@ -291,7 +291,7 @@ void install(const std::string& path) {
   if (page > 0) g_page_size.store(page, std::memory_order_relaxed);
 #endif
   // Force the statics the handler reads to initialize off-signal.
-  now_us();
+  (void)now_us();
   FlightRecorder::instance();
   refresh();
   if (g_installed.exchange(true, std::memory_order_acq_rel)) return;

@@ -105,13 +105,14 @@ void append_registry_maps(std::string& out,
 /// Prometheus metric name: [a-zA-Z0-9_:], everything else becomes '_'.
 std::string prom_name(std::string_view name) {
   std::string out;
-  out.reserve(name.size());
+  out.reserve(name.size() + 1);
+  // A name may not start with a digit: lead with '_' instead.
+  if (!name.empty() && name[0] >= '0' && name[0] <= '9') out += '_';
   for (const char c : name) {
     const bool ok = (c >= 'a' && c <= 'z') || (c >= 'A' && c <= 'Z') ||
                     (c >= '0' && c <= '9') || c == '_' || c == ':';
     out += ok ? c : '_';
   }
-  if (!out.empty() && out[0] >= '0' && out[0] <= '9') out.insert(0, "_");
   return out;
 }
 

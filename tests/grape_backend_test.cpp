@@ -29,6 +29,10 @@
 //    drain's 2^59 block bound and up to 2^62 in a fast tile, registers
 //    just under, on and just over the tile's rail check, pair bounds
 //    whose sum wraps, and accumulators near the rail.
+//  * BitExact tile sums vs the scalar oracle: the same rail check on the
+//    lane loop's tile sums — registers just under, on and just over it,
+//    pair bounds whose sum wraps — and a flagged lane refusing only its
+//    own tile, with the stage's counts of the tiles that took the drain.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -944,6 +948,275 @@ TEST(Backend, NativeDivergentPairRefusesOnlyItsTile) {
   EXPECT_TRUE(out[0].saturated);
   EXPECT_EQ(out[0].acc[0], math::kAccumulatorRail);
   EXPECT_EQ(out[0].pot, -math::kAccumulatorRail);
+}
+
+/// The mass the bit-exact datapath holds for a mass m (a word of the
+/// F = 8 format lns_pipeline builds by default). In a window of width 16
+/// with eps 0, a j-word at distance 1 along an axis has d = 1 and
+/// r^2 = 1 exactly, so both power units give 1: it adds lns_mass(m) /
+/// force quantum to that axis' register and -lns_mass(m) / potential
+/// quantum to the potential.
+double lns_mass(double m) {
+  static const math::LnsFormat lns(8);
+  return lns.quantize(m);
+}
+
+/// The tile sums' per-pair bound (pipeline.cpp) of a pair whose nonzero
+/// counts are one force count c and the potential count p: the integer
+/// bits(|c| + |p| + 1.5 * 2^96) - bits(1.5 * 2^96), which is
+/// rint((|c| + |p|) / 2^44) while |c| + |p| < 2^95.
+std::uint64_t pair_bound_units(double c, double p) {
+  return std::bit_cast<std::uint64_t>(std::fabs(c) + std::fabs(p) + 0x1.8p96) -
+         std::bit_cast<std::uint64_t>(0x1.8p96);
+}
+
+/// J-words at `pos` (distance 1 along an axis, see lns_mass) whose force
+/// counts on that axis, on the force quantum 2^-60, sum to within 2^42
+/// below `count`: each the LNS mass just under the rest.
+std::vector<JWord> lns_preload(const Pipeline& pipe, const Vec3d& pos,
+                               double count) {
+  std::vector<JWord> js;
+  while (count > 0x1p42) {
+    const double m = lns_mass(count * (1.0 - 0x1p-7) * 0x1p-60);
+    js.push_back(pipe.encode_j(pos, m));
+    count -= m * 0x1p60;
+  }
+  return js;
+}
+
+TEST(Backend, LnsTileBoundAtTheRailMatchesOracle) {
+  // As NativeTileBoundAtTheRailMatchesReference, on the bit-exact
+  // datapath: the window of width 16 with eps 0, so that a j-word at
+  // distance 1 along an axis adds lns_mass(m) * 2^60 counts. The second
+  // tile's j-words each add c ~ 16.45 * 2^44 — t = rint(pb / 2^44) = 16
+  // per pair, ~0.45 below c / 2^44, so that a bound without its n would
+  // let the register cross the rail. The first tile's j-words (masses
+  // are LNS words, so a few of them, see lns_preload) put a register at
+  // R0 with (rail - R0) >> 44 = T + delta, where T = 16 n2 + n + 1 is the
+  // second tile's bound for its n2 pairs padded to n: delta = 1 is just
+  // under the rail condition, 0 on it (both take the tile sums), -1 just
+  // over it (the block drain). At delta = -n the bound without its n
+  // would still fit while the pairs cross the rail, and at a delta of
+  // half the tile's growth they cross it and latch. Along +x and along
+  // -y, every prefix of the second tile against the oracle, latch
+  // included, and the second tile's path from the stage's counts.
+  PipelineScaling s;
+  s.range_lo = -8.0;
+  s.range_hi = 8.0;
+  s.eps = 0.0;
+  s.force_quantum = 0x1p-60;
+  s.potential_quantum = 0x1p-30;
+  const Pipeline pipe = lns_pipeline(s);
+  ASSERT_EQ(pipe.position_quantum(), 0x1p-28);
+  const double tail_mass = lns_mass(16.45 * 0x1p-16);
+  const double tail_count = tail_mass * 0x1p60;
+  ASSERT_EQ(pair_bound_units(tail_count, tail_mass * 0x1p30), 16u);
+  ASSERT_GT(tail_count / 0x1p44 - 16.0, 0.4);
+  const Vec3d xi{0.0, 0.0, 0.0};
+  const std::size_t tile = Pipeline::tile_length();
+  const std::size_t w = Pipeline::batch_width();
+  const std::vector<Vec3d> targets = {xi};
+  const oracle::LnsOracle scalar(pipe);
+  grape::EvalStage stage;
+  std::vector<RawForce> out(1);
+  // The stage's fallback tiles over one evaluate of `js`.
+  const auto fallback_tiles = [&](std::span<const JWord> js) {
+    stage.fallback_tiles = 0;
+    pipe.evaluate(js, targets, out, stage);
+    return stage.fallback_tiles;
+  };
+  for (const Vec3d axis : {Vec3d{1.0, 0.0, 0.0}, Vec3d{0.0, -1.0, 0.0}}) {
+    for (std::size_t n2 = 1; n2 <= tile; ++n2) {
+      const std::size_t padded = (n2 + w - 1) / w * w;
+      const std::int64_t bound = static_cast<std::int64_t>(16 * n2 + padded + 1);
+      const std::int64_t half_growth = static_cast<std::int64_t>(8 * n2 + 1);
+      for (const std::int64_t delta :
+           {std::int64_t{1}, std::int64_t{0}, std::int64_t{-1},
+            -static_cast<std::int64_t>(padded), -half_growth}) {
+        const std::int64_t room = bound + delta;
+        std::vector<JWord> js = lns_preload(
+            pipe, axis,
+            static_cast<double>(math::kAccumulatorRail -
+                                (room << kTileBoundShift)) -
+                0x1p43);
+        const std::string what = "axis (" + std::to_string(axis.x) + ", " +
+                                 std::to_string(axis.y) + "), n2 " +
+                                 std::to_string(n2) + ", delta " +
+                                 std::to_string(delta);
+        ASSERT_LE(js.size(), 6u) << what;
+        const RawForce first = scalar.evaluate(js, xi);
+        while (js.size() < tile) {
+          js.push_back(pipe.encode_j(Vec3d{0.5, 0.5, 0.5}, 0.0));
+        }
+        const std::int64_t r0 =
+            std::max(std::abs(first.acc[0]), std::abs(first.acc[1]));
+        ASSERT_EQ((math::kAccumulatorRail - r0) >> kTileBoundShift, room)
+            << what;
+        const std::uint64_t first_fallback = fallback_tiles(js);
+        for (std::size_t k = 0; k < n2; ++k) {
+          js.push_back(pipe.encode_j(axis, tail_mass));
+        }
+        expect_lns_matches_oracle(pipe, js, targets, stage, what);
+        EXPECT_EQ(fallback_tiles(js) - first_fallback, delta < 0 ? 1u : 0u)
+            << what;
+        if (delta == -half_growth && n2 > 1) {
+          EXPECT_TRUE(scalar.evaluate(js, xi).saturated) << what;
+        }
+      }
+    }
+  }
+}
+
+TEST(Backend, LnsTileRefusesHugeCountsWhoseBoundsWrap) {
+  // As NativeTileRefusesHugeCountsWhoseBoundsWrap, on the bit-exact
+  // datapath: potential counts whose pair bounds, as integers above
+  // bits(1.5 * 2^96), sum with the tile's n + 1 past 2^64 and wrap to a
+  // bound that fits under the rail. Only the exponent check on the OR of
+  // the pair bounds refuses the tile; the pairs then saturate the
+  // potential register, as the oracle does. The masses are LNS words, so
+  // five j-words of counts ~2^915 bring the sum to ~2^49 below the wrap
+  // and lighter ones (pair bounds below 2^51) close the gap. J-words at
+  // distance 1 along x in a width-16 window with eps 0 (see lns_mass),
+  // and a force quantum so large that the force counts vanish.
+  PipelineScaling s;
+  s.range_lo = -8.0;
+  s.range_hi = 8.0;
+  s.eps = 0.0;
+  s.force_quantum = 0x1p500;
+  s.potential_quantum = 0x1p-1000;
+  const Pipeline pipe = lns_pipeline(s);
+  const auto units = [](double m) {
+    return pair_bound_units(m * 0x1p-500, m * 0x1p1000);
+  };
+  const std::uint64_t magic = std::bit_cast<std::uint64_t>(0x1.8p96);
+  const Vec3d at{1.0, 0.0, 0.0};
+  const double huge = lns_mass(0x1p-85);
+  std::vector<JWord> js(4, pipe.encode_j(at, huge));
+  std::uint64_t sum = 4 * units(huge);
+  const double last = lns_mass(
+      std::bit_cast<double>(magic + (0 - sum - (std::uint64_t{1} << 49))) *
+      0x1p-1000);
+  ASSERT_TRUE(std::isfinite(last * 0x1p1000));
+  js.push_back(pipe.encode_j(at, last));
+  sum += units(last);
+  // The tile is padded to 16 lanes: its bound adds n + 1 = 17.
+  std::uint64_t rest = (0 - sum - 17) + (std::uint64_t{1} << 17);
+  ASSERT_LT(rest, std::uint64_t{1} << 51);
+  while (rest > (std::uint64_t{1} << 16)) {
+    const double m = lns_mass(static_cast<double>(rest) * (1.0 - 0x1p-7) *
+                              0x1p44 * 0x1p-1000);
+    ASSERT_LE(units(m), rest);
+    js.push_back(pipe.encode_j(at, m));
+    sum += units(m);
+    rest -= units(m);
+  }
+  ASSERT_LE(js.size(), 16u);
+  ASSERT_GT(js.size(), 8u);
+  while (js.size() < 16) js.push_back(pipe.encode_j(at, 0.0));
+  const std::uint64_t bound = sum + 17;
+  ASSERT_LE(bound, static_cast<std::uint64_t>(math::kAccumulatorRail >>
+                                              kTileBoundShift));
+  const Vec3d xi{0.0, 0.0, 0.0};
+  const std::vector<Vec3d> targets = {xi};
+  grape::EvalStage stage;
+  expect_lns_matches_oracle(pipe, js, targets, stage, "wrapped bound");
+  std::vector<RawForce> out(1);
+  pipe.evaluate(js, targets, out, stage);
+  EXPECT_TRUE(out[0].saturated);
+  EXPECT_EQ(out[0].pot, -math::kAccumulatorRail);
+  EXPECT_EQ(stage.fallback_tiles, 2u);  // both evaluate calls
+}
+
+TEST(Backend, LnsFlaggedLaneRefusesOnlyItsTile) {
+  // A window whose position quantum is subnormal (as
+  // LnsLanesFallBackOnSubnormalDifferences), where every live pair is
+  // flagged: the first and third tiles hold zero-mass j-words and
+  // coincident ones (cut), whose lanes are not live, and the second
+  // tile also one live j-word a few codes from the target, whose
+  // differences are subnormal. Only the second tile is refused (the
+  // stage's counts) and recomputed one pair at a time; every prefix
+  // against the oracle. The softening (r^2 = eps^2 = 2^-1000) and the
+  // quanta keep that pair's counts near 2^40, so that the third tile
+  // still fits under the rail.
+  PipelineScaling s;
+  s.range_lo = -2e-299;
+  s.range_hi = 2e-299;
+  s.eps = 0x1p-500;
+  s.force_quantum = 0x1p440;
+  s.potential_quantum = 0x1p460;
+  const Pipeline pipe = lns_pipeline(s);
+  const double q = pipe.position_quantum();
+  ASSERT_LT(q, std::numeric_limits<double>::min());
+  const std::size_t tile = Pipeline::tile_length();
+  std::vector<JWord> js;
+  math::Rng rng(1101);
+  for (std::size_t k = 0; k < 2 * tile + 7; ++k) {
+    const double code = std::floor(rng.uniform(-40.0, 40.0));
+    const Vec3d pos = k % 3 == 0 ? Vec3d{0.0, 0.0, 0.0}
+                                 : Vec3d{code * q, q, -code * q};
+    js.push_back(pipe.encode_j(pos, k % 3 == 0 ? 1.5 : 0.0));
+  }
+  js[tile + 100] = pipe.encode_j(Vec3d{5.0 * q, 3.0 * q, -5.0 * q}, 1.2);
+  const RawForce one =
+      oracle::LnsOracle(pipe).evaluate({&js[tile + 100], 1}, Vec3d{});
+  ASSERT_FALSE(one.saturated);
+  for (const std::int64_t c : {one.acc[0], one.acc[1], one.acc[2], one.pot}) {
+    ASSERT_GT(std::abs(c), std::int64_t{1} << 36);
+    ASSERT_LT(std::abs(c), std::int64_t{1} << 44);
+  }
+  const std::vector<Vec3d> targets = {Vec3d{0.0, 0.0, 0.0}};
+  grape::EvalStage stage;
+  for (std::size_t n = 1; n <= js.size(); n += n < tile ? 37 : 1) {
+    expect_lns_matches_oracle(pipe, {js.data(), n}, targets, stage,
+                              "subnormal window, length " + std::to_string(n));
+  }
+  stage.tiles = stage.fallback_tiles = 0;
+  std::vector<RawForce> out(1);
+  pipe.evaluate(js, targets, out, stage);
+  EXPECT_EQ(stage.tiles, 3u);
+  EXPECT_EQ(stage.fallback_tiles, 1u);
+
+  // A normal window with live lanes in every tile: one bottom-of-range
+  // mass in the second tile (as LnsLanesFallBackBelowTheTableSplit)
+  // refuses that tile for each target, and only that one.
+  const Pipeline normal = lns_pipeline(test_scaling());
+  const std::vector<Vec3d> two = {Vec3d{0.3, -0.2, 0.1},
+                                  Vec3d{-2.0, 1.0, 0.5}};
+  auto live = make_signed_jset(normal, two, 2 * tile + 9, 1102);
+  live[tile + 17] = normal.encode_j(Vec3d{1.0, 2.0, 3.0}, 2.5e-308);
+  stage.tiles = stage.fallback_tiles = 0;
+  expect_lns_matches_oracle(normal, live, two, stage, "bottom-of-range mass");
+  EXPECT_EQ(stage.tiles, 6u);
+  EXPECT_EQ(stage.fallback_tiles, 2u);
+
+  // A flagged lane whose lane counts are finite and small, so that only
+  // the flag refuses its tile: in the window of width 16 with eps 0 (see
+  // lns_mass), a mass of 1.5 * 2^-1023 at distance 1 has products that
+  // decode at q = -1023, below the table split. The lanes read 0 there;
+  // the datapath's value is subnormal, 0.75 counts of the quanta
+  // 2^-1022, which round to 1. The light j-words around it add ~2^22.
+  PipelineScaling w16;
+  w16.range_lo = -8.0;
+  w16.range_hi = 8.0;
+  w16.eps = 0.0;
+  w16.force_quantum = 0x1p-1022;
+  w16.potential_quantum = 0x1p-1022;
+  const Pipeline tiny = lns_pipeline(w16);
+  std::vector<JWord> light;
+  for (std::size_t k = 0; k < 20; ++k) {
+    light.push_back(tiny.encode_j(
+        Vec3d{k % 2 == 0 ? 1.0 : -1.0, k % 3 == 0 ? 1.0 : 0.0, 0.0},
+        std::ldexp(1.0 + 0.01 * static_cast<double>(k), -1000)));
+  }
+  light[13] = tiny.encode_j(Vec3d{0.0, 1.0, 0.0}, 0x1.8p-1023);
+  const std::vector<Vec3d> origin = {Vec3d{0.0, 0.0, 0.0}};
+  const RawForce subnormal =
+      oracle::LnsOracle(tiny).evaluate({&light[13], 1}, origin[0]);
+  ASSERT_EQ(subnormal.acc[1], 1);
+  ASSERT_EQ(subnormal.pot, -1);
+  stage.tiles = stage.fallback_tiles = 0;
+  expect_lns_matches_oracle(tiny, light, origin, stage, "subnormal product");
+  EXPECT_EQ(stage.fallback_tiles, 1u);
 }
 
 TEST(Backend, NativeEvaluateMatchesReferenceAcrossLengthsAndTargets) {

@@ -34,7 +34,8 @@
 // Observability (docs/observability.md):
 //   --timing             print the kernel ISA clone this host runs, the
 //                        measured per-phase table and the
-//                        measured-vs-modeled Section 5 breakdown
+//                        measured-vs-modeled Section 5 breakdown (with
+//                        the share of GRAPE tiles the block drain took)
 //   --timing-json FILE   write the same breakdown as JSON (implies --timing
 //                        accounting; BENCH_obs.json uses this format)
 //   --trace FILE         write a Chrome trace (chrome://tracing, Perfetto)
@@ -77,6 +78,7 @@
 // error: g5run exits 1 and names it.
 
 #include <cmath>
+#include <cstdint>
 #include <cstdio>
 #include <cstdlib>
 #include <limits>
@@ -325,6 +327,17 @@ void print_measured_timing(const core::SimulationSummary& summary,
         summary.grape.modeled_total() - summary.grape.modeled_compute);
     std::snprintf(m1, sizeof(m1), "%.3f", summary.grape.occupancy());
     mt.add_row({"pipeline occupancy (measured)", m1, "-"});
+    // The (target, j-tile) pairs whose tile sums the rail check refused
+    // and the block drain evaluated instead (Pipeline::evaluate).
+    const std::uint64_t tiles = obs::counter("g5.grape.tiles").value();
+    if (tiles > 0) {
+      const std::uint64_t fallback =
+          obs::counter("g5.grape.fallback_tiles").value();
+      std::snprintf(m1, sizeof(m1), "%.4g %%",
+                    100.0 * static_cast<double>(fallback) /
+                    static_cast<double>(tiles));
+      mt.add_row({"tiles taking the block drain (measured)", m1, "-"});
+    }
   }
   mt.print();
 
