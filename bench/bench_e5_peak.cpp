@@ -103,7 +103,7 @@ int main(int argc, char** argv) {
   const auto reps = static_cast<std::size_t>(opt.get_int("reps", 3));
   const auto src = ic::make_uniform_cube(nj, -1.0, 1.0, 1.0, 5);
   grape::Grape5Device device(cfg);
-  device.set_range(-2.0, 2.0, src.mass()[0]);
+  device.set_range(-2.0, 2.0, 1.0);  // the cube's mass, all in each call
   device.set_eps(0.01);
   device.set_j(src.pos(), src.mass());
   const std::size_t ni = 512;

@@ -34,7 +34,10 @@ int main(int argc, char** argv) {
   std::printf("g5_open: %d pipelines, jmem %d particles\n",
               grape::g5_get_number_of_pipelines(), grape::g5_get_jmemsize());
 
-  grape::g5_set_range(-20.0, 20.0, pset.mass()[0]);
+  // The third argument is the most mass one g5_run streams: the whole set.
+  double total_mass = 0.0;
+  for (const double m : pset.mass()) total_mass += m;
+  grape::g5_set_range(-20.0, 20.0, total_mass);
   grape::g5_set_eps_to_all(eps);
 
   // Pack positions into the double[3] layout of the original API.

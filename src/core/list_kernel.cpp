@@ -95,7 +95,8 @@ void GrapeListKernel::end_phase() {
                             call.saturated);
   }
   // The (target, tile) pairs the lanes' evaluate calls ran, and those
-  // the tile sums' rail check refused (Pipeline::evaluate).
+  // that took the block drain instead of the tile sums
+  // (Pipeline::evaluate).
   if (!obs::enabled()) return;
   std::uint64_t tiles = 0;
   std::uint64_t fallback_tiles = 0;

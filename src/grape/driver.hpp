@@ -27,8 +27,13 @@ class Grape5Device {
  public:
   explicit Grape5Device(const SystemConfig& config = SystemConfig{});
 
-  /// Coordinate window all particles must fit in, plus the minimum mass
-  /// (sets the accumulator scaling, as on the real hardware).
+  /// Coordinate window all particles must fit in, plus the mass scale
+  /// that sets the accumulator scaling, as on the real hardware. The
+  /// third argument keeps the historical name but is read as the
+  /// largest sum of |m| one force call streams (derive_scaling_quanta;
+  /// 0 means 1): with eps > 0 such a call cannot reach the rail. A
+  /// smaller value — the historical smallest mass — stays exact, through
+  /// Pipeline::evaluate's block drain, only slower.
   void set_range(double xmin, double xmax, double min_mass);
 
   /// Plummer softening applied inside the pipelines.
@@ -98,6 +103,8 @@ int g5_get_number_of_pipelines();
 /// Capacity of the aggregate j-particle memory.
 int g5_get_jmemsize();
 
+/// The window and mass scale (Grape5Device::set_range: `min_mass` is read
+/// as the largest sum of |m| one g5_run streams).
 void g5_set_range(double xmin, double xmax, double min_mass);
 void g5_set_eps_to_all(double eps);
 

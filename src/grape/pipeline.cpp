@@ -37,8 +37,21 @@ bool is_power_of_two(double q) noexcept {
 }  // namespace
 
 void derive_scaling_quanta(PipelineScaling& s, double mass_scale) noexcept {
-  const double width = s.range_hi - s.range_lo;
   const double m = mass_scale > 0.0 ? mass_scale : 1.0;
+  if (s.eps > 0.0) {
+    // The softening bound of a call that streams mass m, over 2^49.
+    const double force = round_up_to_power_of_two(
+        m * kForceBoundPerMass / (s.eps * s.eps) *
+        std::ldexp(1.0, -kBoundHeadroomBits));
+    const double potential = round_up_to_power_of_two(
+        m / s.eps * std::ldexp(1.0, -kBoundHeadroomBits));
+    if (is_power_of_two(force) && is_power_of_two(potential)) {
+      s.force_quantum = force;
+      s.potential_quantum = potential;
+      return;
+    }
+  }
+  const double width = s.range_hi - s.range_lo;
   s.force_quantum = round_up_to_power_of_two(
       m / (width * width) * std::ldexp(1.0, -kAccumulatorGuardBits));
   s.potential_quantum = round_up_to_power_of_two(
@@ -59,12 +72,10 @@ SnapshotWindow snapshot_window(const Vec3d& box_lo, const Vec3d& box_hi,
   const double size = std::max((box_hi - box_lo).max_component(), 1e-12) * 1.25;
   const Vec3d c = 0.5 * (box_lo + box_hi);
   const double half = 0.5 * size;
-  double min_mass = std::numeric_limits<double>::infinity();
-  for (double m : mass) {
-    if (m > 0.0) min_mass = std::min(min_mass, m);
-  }
-  if (!std::isfinite(min_mass)) min_mass = 1.0;
-  return {c.min_component() - half, c.max_component() + half, min_mass};
+  double total = 0.0;
+  for (double m : mass) total += std::fabs(m);
+  if (!(total > 0.0) || !std::isfinite(total)) total = 1.0;
+  return {c.min_component() - half, c.max_component() + half, total};
 }
 
 namespace {
@@ -115,6 +126,33 @@ void Pipeline::configure(const PipelineScaling& scaling) {
   eps2_ = scaling.eps * scaling.eps;
   inv_force_quantum_ = 1.0 / scaling.force_quantum;
   inv_potential_quantum_ = 1.0 / scaling.potential_quantum;
+  // The count caps per unit mass (docs/hardware.md, "Capacity"): the
+  // softening bound in counts, times the FP slack and, for the bit-exact
+  // datapath, the LNS slack. A pair of mass m adds at most m * cap + 1
+  // rounded counts to a register. Without a normal eps^2 there is no
+  // bound: the caps are infinite and every tile drains.
+  if (std::isnormal(eps2_)) {
+    double slack = 1.0 + 0x1p-10;
+    if (numerics_.backend == BackendKind::BitExact) {
+      // Units of the log word's last place the datapath can gain over
+      // the bound: 1/2 for the mass word, 1/2 for the power unit's /2
+      // rounding, and the r^2 re-encoding's 1/2 plus the table grid's
+      // half step (2^(drop-1) units), both raised to the -3/2 power:
+      // 1.75 + 1.5 * grid, rounded up to 2 + 1.5 * grid.
+      const int drop =
+          math::lns_table_drop(lns_.frac_bits(), lns_.table_index_bits());
+      const double grid = drop > 0 ? std::ldexp(1.0, drop - 1) : 0.0;
+      slack *= std::exp2(std::ldexp(2.0 + 1.5 * grid, -lns_.frac_bits()));
+    }
+    force_count_cap_ =
+        kForceBoundPerMass / eps2_ * slack * inv_force_quantum_;
+    potential_count_cap_ =
+        1.0 / std::sqrt(eps2_) * slack * inv_potential_quantum_;
+  } else {
+    force_count_cap_ = std::numeric_limits<double>::infinity();
+    potential_count_cap_ = std::numeric_limits<double>::infinity();
+  }
+  count_cap_ = std::max(force_count_cap_, potential_count_cap_);
 }
 
 JWord Pipeline::encode_j(const Vec3d& pos, double mass) const {
@@ -167,22 +205,32 @@ void Pipeline::evaluate(std::span<const JWord> j,
     stage.mlive.resize(kTileLength);
   }
   stage.sums.resize(4 * (kTileLength / kBatchWidth));
+  // The capacity check, once per tile for every target: the registers
+  // start the call at zero, and while the call's running sum of |m_j|
+  // times the count cap, plus its pairs, stays within the capacity, no
+  // register can leave [-capacity, capacity] (docs/hardware.md). It
+  // only grows along the stream, so the drain takes over at the first
+  // tile that fails it.
+  double mass = 0.0;
   for (std::size_t base = 0; base < j.size(); base += kTileLength) {
     const std::span<const JWord> tile =
         j.subspan(base, std::min(kTileLength, j.size() - base));
     const std::size_t blocks = (tile.size() + kBatchWidth - 1) / kBatchWidth;
-    stage_tile(tile, blocks * kBatchWidth, stage);
+    mass += stage_tile(tile, blocks * kBatchWidth, stage);
+    const bool within_capacity =
+        mass * count_cap_ + static_cast<double>(base + tile.size()) <=
+        count_capacity();
     for (std::size_t i = 0; i < targets.size(); ++i) {
       const Fixed20 xi[3] = {codec_.encode(targets[i][0]),
                              codec_.encode(targets[i][1]),
                              codec_.encode(targets[i][2])};
-      evaluate_tile(xi, tile, blocks, stage, out[i]);
+      evaluate_tile(xi, tile, blocks, within_capacity, stage, out[i]);
     }
   }
 }
 
-void Pipeline::stage_tile(std::span<const JWord> tile, std::size_t padded,
-                          EvalStage& stage) const {
+double Pipeline::stage_tile(std::span<const JWord> tile, std::size_t padded,
+                            EvalStage& stage) const {
   // The codes as doubles (exact, see checked_position_bits), padded with
   // zero-mass lanes, whose counts are zero.
   for (std::size_t k = 0; k < tile.size(); ++k) {
@@ -194,13 +242,15 @@ void Pipeline::stage_tile(std::span<const JWord> tile, std::size_t padded,
     std::fill(v->begin() + static_cast<std::ptrdiff_t>(tile.size()),
               v->begin() + static_cast<std::ptrdiff_t>(padded), 0.0);
   }
+  double mass = 0.0;
   if (numerics_.backend == BackendKind::Native) {
     for (std::size_t k = 0; k < tile.size(); ++k) {
       stage.m[k] = tile[k].mass_exact;
+      mass += std::fabs(tile[k].mass_exact);
     }
     std::fill(stage.m.begin() + static_cast<std::ptrdiff_t>(tile.size()),
               stage.m.begin() + static_cast<std::ptrdiff_t>(padded), 0.0);
-    return;
+    return mass;
   }
   for (std::size_t k = 0; k < padded; ++k) {
     const math::LnsLane w = k < tile.size()
@@ -210,6 +260,9 @@ void Pipeline::stage_tile(std::span<const JWord> tile, std::size_t padded,
     stage.msign[k] = w.sign;
     stage.mlive[k] = w.live;
   }
+  // The masses the datapath reads: the words, not mass_exact.
+  for (const JWord& w : tile) mass += std::fabs(lns_.to_double(w.mass));
+  return mass;
 }
 
 // g5lint: hot-begin(pipeline-batch) — the per-interaction kernels; no
@@ -225,15 +278,12 @@ constexpr std::int64_t kBlockAccumulatorBound =
     math::kAccumulatorRail - static_cast<std::int64_t>(Pipeline::batch_width()) *
                                  (std::int64_t{1} << 59);
 
-/// Adding 1.5 * 2^52 rounds a double below 2^51 in magnitude to an
+/// Adding 1.5 * 2^52 rounds a double of magnitude at most 2^51 to an
 /// integer exactly (round to nearest even, as std::rint); the integer is
 /// then the low bits of the sum's representation. Adding 1.5 * 2^84
-/// rounds one below 2^83 to a multiple of 2^32 the same way, and 1.5 *
-/// 2^96 one in [0, 2^95) to a multiple of 2^44.
+/// rounds one below 2^83 to a multiple of 2^32 the same way.
 constexpr double kRoundMagic = 0x1.8p52;
 constexpr double kHighMagic = 0x1.8p84;
-constexpr double kBoundMagic = 0x1.8p96;
-constexpr int kBoundShift = 44;
 constexpr std::uint64_t kSignBit = std::uint64_t{1} << 63;
 constexpr std::uint64_t kAllOnes = ~std::uint64_t{0};
 constexpr std::uint64_t kOneBits = std::bit_cast<std::uint64_t>(1.0);
@@ -241,8 +291,6 @@ constexpr std::uint64_t kRoundMagicBits =
     std::bit_cast<std::uint64_t>(kRoundMagic);
 constexpr std::uint64_t kHighMagicBits =
     std::bit_cast<std::uint64_t>(kHighMagic);
-constexpr std::uint64_t kBoundMagicBits =
-    std::bit_cast<std::uint64_t>(kBoundMagic);
 
 /// Negative iff |c| > 2^59 or c is not finite: the magnitude bits of a
 /// double order like the values, NaN and inf above every finite one. A
@@ -302,8 +350,8 @@ struct PairCounts {
 /// A cut lane gets weight 0 and r^2 + 1 (a finite rinv), a live lane
 /// weight 1 and r^2 + 0, both exact.
 /// The eps == 0 divergent corner is not cut: its counts are not finite,
-/// which refuses its tile the tile sums and sends its block down the
-/// slow drain, where patch_divergent_corner fixes them.
+/// which sends its block down the drain's slow path (an eps == 0 tile
+/// always drains), where patch_divergent_corner fixes them.
 [[gnu::always_inline]] inline PairCounts native_pair(const PairTarget& t,
                                                      double x, double y,
                                                      double z, double m) {
@@ -326,68 +374,42 @@ struct PairCounts {
 }
 
 /// One target's tile: the sum of rint(count) per register (x, y, z,
-/// potential), and a bound in units of 2^44 counts on what any partial
-/// sum of those rounded counts can add to a register — the maximum
-/// uint64 when the tile is refused.
+/// potential), and whether a live lane was flagged (BitExact only; the
+/// sums are then not the datapath's).
 struct TileSums {
   std::int64_t sum[4];
-  std::uint64_t bound;
+  bool flagged = false;
 };
 
 /// Stage 2's fast path, the ending of both backends' pair loops: over the
-/// n lanes of a staged tile, sums every pair's rounded counts itself
-/// (add_rounded_halves) — no count streams, no block pass. `pair(k)` is
-/// the backend's pair arithmetic on lane k (native_pair or lns_pair).
+/// n lanes of a staged tile, sums every pair's rounded counts itself — no
+/// count streams, no block pass. `pair(k)` is the backend's pair
+/// arithmetic on lane k (native_pair or lns_pair).
 ///
-/// The bound, and why adding the tile's sums equals streaming its pairs
-/// one at a time (rail_count, then rail_add) whenever
-/// max|register| + 2^44 * bound <= rail (fits_under_rail):
-///  - Per pair, pb = |cx| + |cy| + |cz| + |cp|, three additions of
-///    non-negative doubles. Rounding is monotone, so pb >= every |c| (an
-///    inf or NaN count makes pb inf or NaN), and the exact magnitude sum
-///    P <= pb / (1 - 2^-53)^3 < pb (1 + 2^-51).
-///  - bits(pb + 1.5 * 2^96) has exponent field 0x45F and sign 0 only if
-///    pb is finite and below 2^95; the tile is refused unless the OR of
-///    all of them has. Then t = bits - bits(1.5 * 2^96) =
-///    rint(pb / 2^44) >= pb / 2^44 - 1/2, summed as integers.
-///  - A pair moves any one register by at most Σ|rint(c)| <= P + 2 <=
-///    2^44 t + 2^43 + 2 + 2^-51 pb. Over the tile's n lanes, by at most
-///    2^44 Σt + n (2^43 + 2) + 2^-51 Σpb. The fast path needs
-///    2^44 (Σt + n + 1) <= rail < 2^63, so Σpb <= 2^44 Σt + n 2^43 <
-///    2^63 + 2^52 and its term is below 2^13: the bound Σt + n + 1
-///    covers it, and every |c| <= pb <= 2^44 t + 2^43 < 2^64, inside the
-///    split rounding's 2^83.
-///  - So no rounded count clamps and no partial sum reaches the rail (the
-///    latch is untouched), and each register ends at its start plus the
-///    exact sum of the rounded counts — the tile sum, exact modulo 2^64
-///    and below 2^63 in magnitude.
+/// Only for a tile inside the capacity check (Pipeline::evaluate), where
+/// every count is at most 2^50 in magnitude: then c + 1.5 * 2^52 rounds c
+/// to rint(c) exactly, its bits are bits(1.5 * 2^52) + rint(c), and the
+/// register's sum is one FP add and one integer add per count, summed as
+/// wrapping uint64 with n magic bits taken out once per tile. The true
+/// sum is at most 2^50 in magnitude, so the wrapped one is exact.
 /// Padding lanes have zero counts. The trip count is a multiple of the
 /// block inside the kernels: GCC's -O2 cost model vectorizes no loop
 /// that needs an epilogue.
 template <class Pair>
 [[gnu::always_inline]] inline TileSums sum_tile(std::size_t n, Pair pair) {
-  std::uint64_t hx = 0, lx = 0, hy = 0, ly = 0, hz = 0, lz = 0, hp = 0,
-                lp = 0, bound_sum = 0, bound_or = 0;
+  std::uint64_t x = 0, y = 0, z = 0, p = 0;
   for (std::size_t k = 0; k < n; ++k) {
     const PairCounts c = pair(k);
-    add_rounded_halves(c.x, hx, lx);
-    add_rounded_halves(c.y, hy, ly);
-    add_rounded_halves(c.z, hz, lz);
-    add_rounded_halves(c.p, hp, lp);
-    const double pb = std::fabs(c.x) + std::fabs(c.y) + std::fabs(c.z) +
-                      std::fabs(c.p);
-    const std::uint64_t b = std::bit_cast<std::uint64_t>(pb + kBoundMagic);
-    bound_sum += b;
-    bound_or |= b;
+    x += std::bit_cast<std::uint64_t>(c.x + kRoundMagic);
+    y += std::bit_cast<std::uint64_t>(c.y + kRoundMagic);
+    z += std::bit_cast<std::uint64_t>(c.z + kRoundMagic);
+    p += std::bit_cast<std::uint64_t>(c.p + kRoundMagic);
   }
-  constexpr std::uint64_t kBoundExponent = kBoundMagicBits >> 52;
-  const std::uint64_t bound =
-      bound_or >> 52 == kBoundExponent
-          ? bound_sum - n * kBoundMagicBits + n + 1
-          : std::numeric_limits<std::uint64_t>::max();
-  return {{rounded_sum(hx, lx, n), rounded_sum(hy, ly, n),
-           rounded_sum(hz, lz, n), rounded_sum(hp, lp, n)},
-          bound};
+  const std::uint64_t magic = n * kRoundMagicBits;
+  return {{static_cast<std::int64_t>(x - magic),
+           static_cast<std::int64_t>(y - magic),
+           static_cast<std::int64_t>(z - magic),
+           static_cast<std::int64_t>(p - magic)}};
 }
 
 /// Stage 2, Native's fast path: sum_tile over native_pair, on a staged
@@ -401,15 +423,6 @@ TileSums native_tile_sums(std::size_t blocks, const double* __restrict x,
     return native_pair(t, x[k], y[k], z[k], m[k]);
   };
   return sum_tile(blocks * Pipeline::batch_width(), pair);
-}
-
-/// Whether a tile with sum_tile's `bound` fits under the rail
-/// from r's registers: max|register| + 2^44 * bound <= rail.
-bool fits_under_rail(const RawForce& r, std::uint64_t bound) {
-  const std::int64_t reg = std::max({std::abs(r.acc[0]), std::abs(r.acc[1]),
-                                     std::abs(r.acc[2]), std::abs(r.pot)});
-  return bound <= static_cast<std::uint64_t>(
-                      (math::kAccumulatorRail - reg) >> kBoundShift);
 }
 
 /// Native's fallback pair loop: the same pair arithmetic into the
@@ -565,8 +578,8 @@ void block_sums(std::size_t blocks, const double* __restrict cx,
 }
 
 /// Stage 2, BitExact's fast path: sum_tile over lns_pair, on a staged
-/// tile of `blocks` blocks. A flagged lane refuses the tile (the maximum
-/// bound): its sums are not the datapath's.
+/// tile of `blocks` blocks. A flagged lane flags the tile: its sums are
+/// not the datapath's.
 G5_ISA_CLONES
 TileSums lns_tile_sums(std::size_t blocks, const math::LnsFormat& lns,
                        const double* __restrict x, const double* __restrict y,
@@ -580,9 +593,7 @@ TileSums lns_tile_sums(std::size_t blocks, const math::LnsFormat& lns,
                     bad);
   };
   TileSums s = sum_tile(blocks * Pipeline::batch_width(), pair);
-  if (static_cast<std::int64_t>(bad) < 0) {
-    s.bound = std::numeric_limits<std::uint64_t>::max();
-  }
+  s.flagged = static_cast<std::int64_t>(bad) < 0;
   return s;
 }
 
@@ -621,7 +632,8 @@ bool lns_counts(std::size_t blocks, const math::LnsFormat& lns,
 
 void Pipeline::evaluate_tile(const Fixed20 (&xi)[3],
                              std::span<const JWord> tile, std::size_t blocks,
-                             EvalStage& stage, RawForce& r) const {
+                             bool within_capacity, EvalStage& stage,
+                             RawForce& r) const {
   const PairTarget t{static_cast<double>(xi[0].code()),
                      static_cast<double>(xi[1].code()),
                      static_cast<double>(xi[2].code()),
@@ -633,19 +645,22 @@ void Pipeline::evaluate_tile(const Fixed20 (&xi)[3],
   const double* const x = stage.x.data();
   const double* const y = stage.y.data();
   const double* const z = stage.z.data();
-  const TileSums s =
-      native ? native_tile_sums(blocks, x, y, z, stage.m.data(), t)
-             : lns_tile_sums(blocks, lns_, x, y, z, stage.mlog.data(),
-                             stage.msign.data(), stage.mlive.data(), t);
   ++stage.tiles;
-  // Stage 3, one rail check per target and tile: inside it, the tile's
-  // exact sums are what its pairs streamed one at a time would add.
-  if (fits_under_rail(r, s.bound)) [[likely]] {
-    r.acc[0] += s.sum[0];
-    r.acc[1] += s.sum[1];
-    r.acc[2] += s.sum[2];
-    r.pot += s.sum[3];
-    return;
+  // Stage 3: inside the capacity check the tile's exact sums are what
+  // its pairs streamed one at a time would add, with no register near
+  // the rail.
+  if (within_capacity) [[likely]] {
+    const TileSums s =
+        native ? native_tile_sums(blocks, x, y, z, stage.m.data(), t)
+               : lns_tile_sums(blocks, lns_, x, y, z, stage.mlog.data(),
+                               stage.msign.data(), stage.mlive.data(), t);
+    if (!s.flagged) [[likely]] {
+      r.acc[0] += s.sum[0];
+      r.acc[1] += s.sum[1];
+      r.acc[2] += s.sum[2];
+      r.pot += s.sum[3];
+      return;
+    }
   }
   ++stage.fallback_tiles;
   double* const cx = stage.cx.data();

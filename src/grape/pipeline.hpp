@@ -27,12 +27,13 @@
 //
 // Both backends evaluate one j-tile staged at a time
 // (Pipeline::evaluate), every pair's counts in one branch-free loop the
-// compiler vectorizes (BitExact's on the LNS codec's lane forms). The
-// loop sums each target's rounded counts over the tile itself, and the
-// sums are added after one rail check. A tile the check refuses takes
-// an exact block drain; BitExact's lanes also refuse a tile holding a
-// pair they cannot do bitwise, which is recomputed by a scalar copy of
-// the datapath before the drain.
+// compiler vectorizes (BitExact's on the LNS codec's lane forms). Once
+// per tile a capacity check, from the softening bound, covers every
+// target; inside it the loop sums each target's rounded counts over the
+// tile itself with one add per count, and the sums are added once. Any
+// other tile takes an exact block drain; BitExact's lanes also send a
+// tile holding a pair they cannot do bitwise there, recomputed by a
+// scalar copy of the datapath first.
 //
 // lns_frac_bits = 8 lands the pairwise rms relative force error at ~0.3 %,
 // the figure the paper quotes for GRAPE-5; the calibration is pinned by
@@ -90,8 +91,8 @@ static_assert(std::is_trivially_copyable_v<JWord>);
 /// one target's four count streams over the tile and their exactly
 /// rounded int64 sums per block. Both backends stage the coordinate
 /// codes as doubles; Native adds the masses, BitExact the mass words in
-/// lane form (math::LnsLane). Only a (target, tile) that the tile sums'
-/// rail check refuses drains through the count streams. Every buffer
+/// lane form (math::LnsLane). Only a (target, tile) outside the capacity
+/// check, or a flagged BitExact one, drains through the count streams. Every buffer
 /// stays one tile long whatever the stream length. The caller owns it,
 /// so one const Pipeline serves every lane.
 struct EvalStage {
@@ -114,24 +115,36 @@ struct PipelineScaling {
   double range_lo = -1.0;
   double range_hi = 1.0;
   double eps = 0.0;
-  /// Accumulator quanta (set from the window and the mass scale by
-  /// derive_scaling_quanta, which Grape5System::set_range calls). Powers
-  /// of two (Pipeline::configure checks it), so that dividing by them is
-  /// an exact multiply.
+  /// Accumulator quanta (set from the softening or the window, and the
+  /// mass scale, by derive_scaling_quanta, which Grape5System::set_range
+  /// calls). Powers of two (Pipeline::configure checks it), so that
+  /// dividing by them is an exact multiply.
   double force_quantum = 0x1p-60;
   double potential_quantum = 0x1p-60;
 };
 
-/// Headroom of the 64-bit fixed-point accumulators: the quantum sits
-/// 2^-34 below the largest expected per-call sum, leaving ~2^34 codes of
-/// guard range above it before saturation.
+/// The softening bound per unit mass: with eps > 0 no pair of mass m
+/// gives a force component above m * 2 / (3 sqrt(3) eps^2) (at
+/// r = eps / sqrt(2) along that axis) or a potential above m / eps.
+inline constexpr double kForceBoundPerMass = 0.38490017945975050;
+
+/// Headroom of the quanta derived from the softening bound: a call that
+/// streams the mass scale reaches at most 2^49 counts in any register.
+inline constexpr int kBoundHeadroomBits = 49;
+
+/// Headroom of the quanta derived from the window (eps == 0, which has no
+/// bound): the quantum sits 2^-34 below the largest expected per-call
+/// sum, leaving ~2^34 codes of guard range above it before saturation.
 inline constexpr int kAccumulatorGuardBits = 34;
 
-/// Derive the accumulator quanta from the coordinate window and the mass
-/// scale (see snapshot_window): mass_scale / width^2 and
-/// mass_scale / width, times 2^-kAccumulatorGuardBits, each rounded up to
-/// the next power of two — so the headroom never shrinks, and the
-/// resolution gives up at most one guard bit. The one shared definition
+/// Derive the accumulator quanta from the softening, the coordinate
+/// window and the mass scale m (the largest sum of |m_j| one call streams,
+/// see snapshot_window): for eps > 0 the softening bound of mass m over
+/// 2^kBoundHeadroomBits, m * kForceBoundPerMass / eps^2 and m / eps;
+/// for eps == 0 (or a bound whose quanta are not normal doubles)
+/// m / width^2 and m / width, times 2^-kAccumulatorGuardBits. Each is
+/// rounded up to the next power of two — so the headroom never shrinks,
+/// and the resolution gives up at most one bit. The one shared definition
 /// of the hardware's accumulator scaling, used by Grape5System::set_range
 /// and SnapshotWindow::scaling.
 void derive_scaling_quanta(PipelineScaling& s, double mass_scale) noexcept;
@@ -150,8 +163,10 @@ struct SnapshotWindow {
 /// The one window policy of the engines' device path and the force-error
 /// probe: a cube 1.25x the bounding cube around its center (particles
 /// drift between range updates; lists also hold cell centers of mass),
-/// and the smallest particle mass that is > 0 as the mass scale (1 if
-/// none is; zero-mass tracers and negative masses do not set it).
+/// and the total |mass| as the mass scale (1 if it is zero or not
+/// finite). Every interaction list partitions the total mass, so no call
+/// streams more, and every call fits the capacity check of
+/// Pipeline::evaluate.
 [[nodiscard]] SnapshotWindow snapshot_window(
     const Vec3d& box_lo, const Vec3d& box_hi,
     std::span<const double> mass) noexcept;
@@ -191,22 +206,24 @@ class Pipeline {
   /// tile_length() words, staged once into `stage`, and compute every
   /// pair's four counts per target in one branch-free loop the compiler
   /// vectorizes — BitExact's in the datapath's stage order on the table
-  /// codec's lane forms. The loop sums the target's exactly rounded
-  /// counts over the tile and a bound on their magnitude; when the bound
-  /// fits under the rail from the target's registers (one check per
-  /// target and tile) the sums are added once. A refused tile
-  /// (non-finite counts, the eps == 0 divergent corner, a near rail, and
-  /// for BitExact a pair the lane forms cannot do bitwise: a subnormal
-  /// difference or r^2, a decode outside the table split) runs the block
-  /// drain: the counts into the stage's streams — BitExact's recomputed
-  /// one pair at a time when a pair was flagged — then in blocks of
-  /// batch_width(): a block whose counts are all within 2^59 and whose
-  /// registers sit at least batch_width() * 2^59 below the rail adds its
-  /// exactly rounded int64 sums once, any other block adds its counts
-  /// one at a time. The stage's `tiles` and `fallback_tiles` count the
-  /// two paths. The counts and the saturation latch equal a pair-by-pair
-  /// stream bitwise: BitExact against an independent scalar oracle,
-  /// Native against a scalar reference (tests/grape_backend_test.cpp).
+  /// codec's lane forms. Once per tile, a capacity check covers every
+  /// target: while the call's running sum of |m_j| times count_cap(),
+  /// plus its pairs, is within count_capacity(), no register can reach
+  /// 2^50, and the loop sums the target's exactly rounded counts over the
+  /// tile with one add each; the sums are added once. Every other
+  /// (target, tile) — eps == 0 (no cap), a call streaming more mass than
+  /// the quanta were derived for, and for BitExact a tile with a pair the
+  /// lane forms cannot do bitwise (a subnormal difference or r^2, a
+  /// decode outside the table split) — runs the block drain: the counts
+  /// into the stage's streams — BitExact's recomputed one pair at a time
+  /// when a pair was flagged — then in blocks of batch_width(): a block
+  /// whose counts are all within 2^59 and whose registers sit at least
+  /// batch_width() * 2^59 below the rail adds its exactly rounded int64
+  /// sums once, any other block adds its counts one at a time. The
+  /// stage's `tiles` and `fallback_tiles` count the two paths. The
+  /// counts and the saturation latch equal a pair-by-pair stream
+  /// bitwise: BitExact against an independent scalar oracle, Native
+  /// against a scalar reference (tests/grape_backend_test.cpp).
   void evaluate(std::span<const JWord> j, std::span<const Vec3d> targets,
                 std::span<RawForce> out, EvalStage& stage) const;
 
@@ -222,6 +239,25 @@ class Pipeline {
   /// and which bounds a stage's buffers whatever the stream length.
   [[nodiscard]] static constexpr std::size_t tile_length() noexcept {
     return kTileLength;
+  }
+
+  /// The count caps per unit mass of the force and potential registers:
+  /// the softening bound in counts of the quanta, with the slack of the
+  /// datapath's rounding (FP, and for BitExact the log format's). A pair
+  /// of mass m moves a register by at most m * cap rounded counts.
+  /// Infinite when eps^2 is not a normal double (no bound).
+  [[nodiscard]] double force_count_cap() const noexcept {
+    return force_count_cap_;
+  }
+  [[nodiscard]] double potential_count_cap() const noexcept {
+    return potential_count_cap_;
+  }
+  /// The larger of the two: the cap evaluate's capacity check uses.
+  [[nodiscard]] double count_cap() const noexcept { return count_cap_; }
+  /// The bound evaluate's capacity check holds a call's running
+  /// sum of |m_j| * count_cap() + pairs to.
+  [[nodiscard]] static constexpr double count_capacity() noexcept {
+    return 0x1p50;
   }
 
   /// Convert a raw readout to force and potential — the one raw->double
@@ -252,12 +288,18 @@ class Pipeline {
   // bitwise the division by the quanta.
   double inv_force_quantum_ = 0.0;
   double inv_potential_quantum_ = 0.0;
+  double force_count_cap_ = 0.0;
+  double potential_count_cap_ = 0.0;
+  double count_cap_ = 0.0;
 
-  void stage_tile(std::span<const JWord> tile, std::size_t padded,
-                  EvalStage& stage) const;
+  /// Stage a tile (stage 1 of evaluate); returns the sum of |m_j| over
+  /// the masses the datapath reads.
+  double stage_tile(std::span<const JWord> tile, std::size_t padded,
+                    EvalStage& stage) const;
   /// One target against one staged tile (stages 2 and 3 of evaluate).
   void evaluate_tile(const math::Fixed20 (&xi)[3], std::span<const JWord> tile,
-                     std::size_t blocks, EvalStage& stage, RawForce& r) const;
+                     std::size_t blocks, bool within_capacity,
+                     EvalStage& stage, RawForce& r) const;
   /// The bit-exact pair arithmetic, one pair at a time in the datapath's
   /// stage order: the four counts of `j` against a target at codes `xi`
   /// (zeros for a coincident pair). The one scalar copy — the exact

@@ -60,8 +60,9 @@ void Grape5System::set_range(double lo, double hi, double eps,
   scaling.eps = eps;
   // Accumulator quanta from the problem scales: small enough that
   // quantization is far below the pipeline's log-format error, large
-  // enough that softened close encounters cannot overflow 63 bits. See
-  // tests/grape_system_test.cpp for the headroom checks.
+  // enough that with eps > 0 no call streaming `mass_scale` can reach
+  // the rail (the softening bound). See tests/grape_system_test.cpp and
+  // tests/grape_pipeline_test.cpp for the headroom checks.
   derive_scaling_quanta(scaling, mass_scale);
   pipe_.configure(scaling);
   // Stored words are invalid on the new window; require a fresh upload.

@@ -59,8 +59,10 @@ class Grape5System {
   [[nodiscard]] const TimingModel& timing() const noexcept { return timing_; }
 
   /// Set the coordinate window and softening; invalidates resident j-sets.
-  /// `mass_scale` feeds the accumulator quanta: the engines pass the
-  /// smallest particle mass > 0 (grape::snapshot_window); 0 means 1.
+  /// `mass_scale` feeds the accumulator quanta (derive_scaling_quanta):
+  /// the largest sum of |m| one call streams. The engines pass the total
+  /// |mass| (grape::snapshot_window); 0 means 1. A call that streams
+  /// more stays exact but takes Pipeline::evaluate's block drain.
   void set_range(double lo, double hi, double eps, double mass_scale = 0.0);
 
   /// Upload a full j-set, block-partitioned across the boards. Throws

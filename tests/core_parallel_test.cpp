@@ -168,8 +168,9 @@ struct GrapeRun {
 
 GrapeRun run_grape(const char* name, grape::BackendKind backend,
                    const model::ParticleSet& base, bool targets,
-                   std::uint32_t threads, std::uint32_t boards) {
-  ForceParams fp{.eps = 0.02, .theta = 0.7, .n_crit = 32};
+                   std::uint32_t threads, std::uint32_t boards,
+                   double eps = 0.02) {
+  ForceParams fp{.eps = eps, .theta = 0.7, .n_crit = 32};
   fp.threads = threads;
   fp.backend = backend;
   fp.boards = boards;
@@ -257,19 +258,30 @@ TEST(ParallelBitwise, GrapeLanesMatchAcrossThreadsAndBoards) {
   }
 }
 
-TEST(GrapeLanes, NativeSaturationOnWorkerLaneLatchesEngineDevice) {
-  // One particle 1e-12 as heavy as the rest sets the mass scale, so the
-  // accumulator quanta come out ~1e12 too fine and the typical force
-  // runs into the rail. The lanes that hit it must latch the engine
-  // device's flag, exactly as the single-lane run does, on both backends.
+/// A Plummer set in which every 64th particle gets a partner 1e-6 away
+/// along x: with eps == 0 (no softening bound; the quanta come from the
+/// window) each such pair's force, ~1e12 times a typical one, runs into
+/// the rail, in groups spread over the whole tree.
+model::ParticleSet near_coincident_pairs() {
   auto base = ic::make_plummer(ic::PlummerConfig{.n = 2048, .seed = 5});
-  base.mass()[0] *= 1e-12;
+  for (std::size_t k = 0; k + 1 < base.size(); k += 64) {
+    base.pos()[k + 1] = base.pos()[k] + math::Vec3d{1e-6, 0.0, 0.0};
+  }
+  return base;
+}
+
+TEST(GrapeLanes, NativeSaturationOnWorkerLaneLatchesEngineDevice) {
+  // The near-coincident pairs saturate the accumulators of the groups
+  // that hold them. The lanes that hit the rail must latch the engine
+  // device's flag, exactly as the single-lane run does, on both backends.
+  const auto base = near_coincident_pairs();
   for (const auto backend :
        {grape::BackendKind::Native, grape::BackendKind::BitExact}) {
     const std::string what(grape::backend_name(backend));
     const GrapeRun serial =
-        run_grape("grape-tree", backend, base, false, 1, 0);
-    const GrapeRun lanes = run_grape("grape-tree", backend, base, false, 8, 0);
+        run_grape("grape-tree", backend, base, false, 1, 0, 0.0);
+    const GrapeRun lanes =
+        run_grape("grape-tree", backend, base, false, 8, 0, 0.0);
     EXPECT_TRUE(serial.saturated) << what;
     EXPECT_TRUE(lanes.saturated) << what;
     expect_same_account(serial, lanes, what);
@@ -278,17 +290,17 @@ TEST(GrapeLanes, NativeSaturationOnWorkerLaneLatchesEngineDevice) {
 }
 
 TEST(GrapeLanes, SaturationWarnsOncePerEngineDevice) {
-  // The mis-scaled setup above saturates on many groups and lanes; the
-  // engine device's latch logs when it first sets, so one phase prints
-  // exactly one warning line however many lanes saturated.
-  auto base = ic::make_plummer(ic::PlummerConfig{.n = 2048, .seed = 5});
-  base.mass()[0] *= 1e-12;
+  // The near-coincident pairs above saturate on many groups and lanes;
+  // the engine device's latch logs when it first sets, so one phase
+  // prints exactly one warning line however many lanes saturated.
+  const auto base = near_coincident_pairs();
   const util::LogLevel before = util::log_level();
   util::set_log_level(util::LogLevel::Warn);
   for (const auto backend :
        {grape::BackendKind::Native, grape::BackendKind::BitExact}) {
     ::testing::internal::CaptureStderr();
-    const GrapeRun lanes = run_grape("grape-tree", backend, base, false, 8, 0);
+    const GrapeRun lanes =
+        run_grape("grape-tree", backend, base, false, 8, 0, 0.0);
     const std::string captured = ::testing::internal::GetCapturedStderr();
     const std::string what(grape::backend_name(backend));
     EXPECT_TRUE(lanes.saturated) << what;
@@ -305,7 +317,7 @@ TEST(GrapeLanes, SaturationWarnsOncePerEngineDevice) {
       obs::set_enabled(true);
       obs::Registry::instance().reset_values();
       ::testing::internal::CaptureStderr();
-      run_grape("grape-tree", backend, base, false, thread_counts[k], 0);
+      run_grape("grape-tree", backend, base, false, thread_counts[k], 0, 0.0);
       (void)::testing::internal::GetCapturedStderr();
       saturated_calls[k] = obs::counter("g5.grape.saturated").value();
       obs::set_enabled(false);

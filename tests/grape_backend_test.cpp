@@ -19,20 +19,23 @@
 //  * Zero-distance semantics: the i == j cut and the divergent
 //    r^2 == 0 corner behave identically on both backends.
 //  * Native evaluate vs a scalar reference: Pipeline::evaluate's Native
-//    path — tile sums behind one rail check, the block drain for a
-//    refused tile — must equal one pair at a time through
+//    path — tile sums inside the capacity check, the block drain for
+//    every other tile — must equal one pair at a time through
 //    FixedAccumulator::add, bitwise, saturation latch included — for
 //    stream lengths around the block and the tile against 1 to 5
 //    targets, a Plummer N = 65,536 list on the engines' quanta,
 //    coincident entries, the divergent corner (any sign of the mass,
-//    and among cut entries of an otherwise fast tile), counts above the
-//    drain's 2^59 block bound and up to 2^62 in a fast tile, registers
-//    just under, on and just over the tile's rail check, pair bounds
-//    whose sum wraps, and accumulators near the rail.
-//  * BitExact tile sums vs the scalar oracle: the same rail check on the
-//    lane loop's tile sums — registers just under, on and just over it,
-//    pair bounds whose sum wraps — and a flagged lane refusing only its
-//    own tile, with the stage's counts of the tiles that took the drain.
+//    and among cut entries), counts above the drain's 2^59 block bound
+//    and up to 2^62, registers preloaded near the rail, huge counts,
+//    and accumulators crossing the rail.
+//  * BitExact vs the scalar oracle on the same drain cases, and a
+//    flagged lane refusing only its own tile, with the stage's counts of
+//    the tiles that took the drain.
+//  * The capacity check: at the pair maximizer r = eps / sqrt(2) every
+//    count stays under the cap the check uses, on both backends and two
+//    log formats; a stream whose running mass crosses the capacity in
+//    mid-call drains from that tile on, bitwise the reference and the
+//    oracle.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -66,13 +69,17 @@ using grape::PipelineScaling;
 using grape::RawForce;
 using grape::Vec3d;
 
+/// A hand-set window and quanta. With eps = 0.01 the force count cap is
+/// ~2^39 per unit mass, so the capacity check holds for ~2,000 units of
+/// mass per call: the test streams (up to ~1,500 words of mass <= 1.5)
+/// take the tile sums, longer ones cross it and drain.
 PipelineScaling test_scaling(double eps = 0.01) {
   PipelineScaling s;
   s.range_lo = -10.0;
   s.range_hi = 10.0;
   s.eps = eps;
-  s.force_quantum = 0x1p-30;
-  s.potential_quantum = 0x1p-33;
+  s.force_quantum = 0x1p-27;
+  s.potential_quantum = 0x1p-30;
   return s;
 }
 
@@ -687,9 +694,9 @@ TEST(Backend, NativeEvaluateDivergentCornerSaturatesLikeReference) {
 TEST(Backend, NativeEvaluateCountsAboveBlockBound) {
   // A force quantum of 2^-60: a unit-mass j at distance 1 contributes
   // 2^60 counts, above the block drain's 2^59 bound but below the
-  // rail. The tile still fits under the rail, so it adds its exact tile
-  // sums: the 2^59 bound is the block drain's, and Native drains blocks
-  // only for a tile refused the tile sums.
+  // rail. On this quantum the capacity check holds for no unit mass, so
+  // the tile drains: the block holding that count adds its counts one
+  // at a time, the others their exact block sums.
   PipelineScaling s = test_scaling();
   s.force_quantum = 0x1p-60;
   s.potential_quantum = 0x1p-60;
@@ -718,6 +725,7 @@ TEST(Backend, NativeEvaluateCountsAboveBlockBound) {
   const std::vector<Vec3d> targets = {xi};
   expect_native_matches_reference(pipe, js, targets, stage,
                                   "counts above 2^59");
+  EXPECT_EQ(stage.fallback_tiles, 1u);
   std::vector<RawForce> out(1);
   pipe.evaluate(js, targets, out, stage);
   EXPECT_FALSE(out[0].saturated);
@@ -771,16 +779,17 @@ TEST(Backend, NativeEvaluateNearRailMatchesReference) {
   }
 }
 
-/// The tile bound's unit: native_tile_sums bounds a tile's rounded
-/// counts in multiples of 2^44 (pipeline.cpp).
+/// The unit, 2^44 counts, in which the rail tests below place their
+/// registers under the rail.
 constexpr int kTileBoundShift = 44;
 
 TEST(Backend, NativeFastTileHoldsCountsUpTo2To62) {
   // Two counts between 2^61 and 2^62 in one tile, one at +x and one at
-  // -x, among light pairs: above the block drain's 2^59 bound, which the
-  // tile sums do not have. Their magnitudes, summed over the tile's
-  // pairs and registers with the tile bound's slack, stay under the
-  // rail, so the tile sums apply.
+  // -x, among light pairs: above the block drain's 2^59 bound. Their
+  // magnitudes, summed over the tile's pairs and registers with 2^44
+  // slack per pair, stay under the rail. Counts this large are far
+  // outside the capacity check (it holds every count under 2^50), so
+  // the tile drains, and its blocks add these counts one at a time.
   PipelineScaling s = test_scaling();
   s.force_quantum = 0x1p-60;
   s.potential_quantum = 0x1p-30;
@@ -815,6 +824,7 @@ TEST(Backend, NativeFastTileHoldsCountsUpTo2To62) {
   const std::vector<Vec3d> targets = {xi, Vec3d{0.25, -0.5, 0.125}};
   expect_native_matches_reference(pipe, js, targets, stage,
                                   "counts up to 2^62");
+  EXPECT_EQ(stage.fallback_tiles, targets.size());
   std::vector<RawForce> out(targets.size());
   pipe.evaluate(js, targets, out, stage);
   EXPECT_FALSE(out[0].saturated);
@@ -825,15 +835,13 @@ TEST(Backend, NativeTileBoundAtTheRailMatchesReference) {
   // distance 1 along an axis has dx = 1, r^2 = 1, rinv = 1 exactly: its
   // force count is m * 2^60, exactly. The first tile's heavy j-word puts
   // a register at R0; the second tile's j-words each add
-  // c = 2^48 + 2^43 - 2^20 to it — t = rint(pb / 2^44) = 16 per pair,
-  // about 0.5 below c / 2^44, so that a bound without its slack would
-  // let the register cross the rail. For every prefix of n2 pairs of the
-  // second tile (padded to n) the tile bound is T = 16 n2 + n + 1, and R0
-  // sits at rail - 2^44 (T + delta): delta = 1 is just under the rail
-  // condition, 0 on it (both take the tile sums), -1 just over it (the
-  // block drain). At delta = -n the bound without its n would still fit
-  // while the pairs cross the rail, and at a delta of half the tile's
-  // growth they cross it and latch. Along +x and along -y, so both signs
+  // c = 2^48 + 2^43 - 2^20 to it. For every prefix of n2 pairs of the
+  // second tile (padded to n), with T = 16 n2 + n + 1, R0 sits at
+  // rail - 2^44 (T + delta): delta = 1, 0 and -1 end just under the
+  // rail, delta = -n closer to it, and at a delta of half the tile's
+  // growth the pairs cross it and latch. With eps == 0 there is no
+  // capacity, so both tiles drain, and the drain's blocks near the rail
+  // add their counts one at a time. Along +x and along -y, so both signs
   // and two registers; every prefix against the reference, latch
   // included.
   PipelineScaling s;
@@ -885,13 +893,13 @@ TEST(Backend, NativeTileBoundAtTheRailMatchesReference) {
 }
 
 TEST(Backend, NativeTileRefusesHugeCountsWhoseBoundsWrap) {
-  // Five potential counts of ~2^915 whose pair bounds, as integers above
-  // bits(1.5 * 2^96), are each (2^64 - 1) / 5: their sum wraps to a
-  // bound that fits under the rail. Only the exponent check on the OR of
-  // the pair bounds refuses the tile; the pairs then saturate the
-  // potential register, as the reference does. j-words at distance 1
-  // along x in a width-16 window with eps 0 (rinv = 1 exactly), and a
-  // force quantum so large that the force counts vanish beside them.
+  // Five potential counts of ~2^915, each (2^64 - 1) / 5 above
+  // bits(1.5 * 2^96) as integers, so that a sum of their bits wraps: a
+  // tile sum must not see them. With eps == 0 the tile drains, and the
+  // pairs saturate the potential register, as the reference does.
+  // j-words at distance 1 along x in a width-16 window (rinv = 1
+  // exactly), and a force quantum so large that the force counts vanish
+  // beside them.
   PipelineScaling s;
   s.range_lo = -8.0;
   s.range_hi = 8.0;
@@ -913,17 +921,17 @@ TEST(Backend, NativeTileRefusesHugeCountsWhoseBoundsWrap) {
   pipe.evaluate(js, targets, out, stage);
   EXPECT_TRUE(out[0].saturated);
   EXPECT_EQ(out[0].pot, -math::kAccumulatorRail);
+  EXPECT_EQ(stage.fallback_tiles, 2u);  // both evaluate calls
 }
 
 TEST(Backend, NativeDivergentPairRefusesOnlyItsTile) {
   // eps == 0 and a window in which r^2 of a 3-code separation underflows
   // to zero. There every other non-coincident pair's rinv^3 overflows, so
   // the tiles around the divergent pair hold coincident (cut) j-words
-  // only, whose counts are zero: the first tile takes the tile sums, the
-  // divergent pair's own tile is refused (its pair bound is not finite)
-  // and drains block by block, where its counts are patched, and the
-  // registers it leaves at the rail send the last tile to the drain too.
-  // Every prefix, latch included.
+  // only, whose counts are zero. With eps == 0 every tile drains: the
+  // divergent pair's block adds its counts one at a time, patched, and
+  // the other blocks their zero sums until the registers sit at the
+  // rail. Every prefix, latch included.
   PipelineScaling s;
   s.range_lo = -5e-155;
   s.range_hi = 5e-155;
@@ -961,8 +969,9 @@ double lns_mass(double m) {
   return lns.quantize(m);
 }
 
-/// The tile sums' per-pair bound (pipeline.cpp) of a pair whose nonzero
-/// counts are one force count c and the potential count p: the integer
+/// The size, in units of 2^44, by which the rail tests below place and
+/// wrap their pairs, of a pair whose nonzero counts are one force count
+/// c and the potential count p: the integer
 /// bits(|c| + |p| + 1.5 * 2^96) - bits(1.5 * 2^96), which is
 /// rint((|c| + |p|) / 2^44) while |c| + |p| < 2^95.
 std::uint64_t pair_bound_units(double c, double p) {
@@ -988,18 +997,16 @@ TEST(Backend, LnsTileBoundAtTheRailMatchesOracle) {
   // As NativeTileBoundAtTheRailMatchesReference, on the bit-exact
   // datapath: the window of width 16 with eps 0, so that a j-word at
   // distance 1 along an axis adds lns_mass(m) * 2^60 counts. The second
-  // tile's j-words each add c ~ 16.45 * 2^44 — t = rint(pb / 2^44) = 16
-  // per pair, ~0.45 below c / 2^44, so that a bound without its n would
-  // let the register cross the rail. The first tile's j-words (masses
-  // are LNS words, so a few of them, see lns_preload) put a register at
-  // R0 with (rail - R0) >> 44 = T + delta, where T = 16 n2 + n + 1 is the
-  // second tile's bound for its n2 pairs padded to n: delta = 1 is just
-  // under the rail condition, 0 on it (both take the tile sums), -1 just
-  // over it (the block drain). At delta = -n the bound without its n
-  // would still fit while the pairs cross the rail, and at a delta of
-  // half the tile's growth they cross it and latch. Along +x and along
-  // -y, every prefix of the second tile against the oracle, latch
-  // included, and the second tile's path from the stage's counts.
+  // tile's j-words each add c ~ 16.45 * 2^44. The first tile's j-words
+  // (masses are LNS words, so a few of them, see lns_preload) put a
+  // register at R0 with (rail - R0) >> 44 = T + delta, where
+  // T = 16 n2 + n + 1 for the second tile's n2 pairs padded to n:
+  // delta = 1, 0 and -1 end just under the rail, delta = -n closer to
+  // it, and at a delta of half the tile's growth the pairs cross it and
+  // latch. With eps == 0 there is no capacity, so the second tile
+  // always drains. Along +x and along -y, every prefix of the second
+  // tile against the oracle, latch included, and the second tile's path
+  // from the stage's counts.
   PipelineScaling s;
   s.range_lo = -8.0;
   s.range_hi = 8.0;
@@ -1057,8 +1064,8 @@ TEST(Backend, LnsTileBoundAtTheRailMatchesOracle) {
           js.push_back(pipe.encode_j(axis, tail_mass));
         }
         expect_lns_matches_oracle(pipe, js, targets, stage, what);
-        EXPECT_EQ(fallback_tiles(js) - first_fallback, delta < 0 ? 1u : 0u)
-            << what;
+        EXPECT_EQ(first_fallback, 1u) << what;
+        EXPECT_EQ(fallback_tiles(js) - first_fallback, 1u) << what;
         if (delta == -half_growth && n2 > 1) {
           EXPECT_TRUE(scalar.evaluate(js, xi).saturated) << what;
         }
@@ -1070,12 +1077,11 @@ TEST(Backend, LnsTileBoundAtTheRailMatchesOracle) {
 TEST(Backend, LnsTileRefusesHugeCountsWhoseBoundsWrap) {
   // As NativeTileRefusesHugeCountsWhoseBoundsWrap, on the bit-exact
   // datapath: potential counts whose pair bounds, as integers above
-  // bits(1.5 * 2^96), sum with the tile's n + 1 past 2^64 and wrap to a
-  // bound that fits under the rail. Only the exponent check on the OR of
-  // the pair bounds refuses the tile; the pairs then saturate the
-  // potential register, as the oracle does. The masses are LNS words, so
-  // five j-words of counts ~2^915 bring the sum to ~2^49 below the wrap
-  // and lighter ones (pair bounds below 2^51) close the gap. J-words at
+  // bits(1.5 * 2^96), sum with the tile's n + 1 past 2^64 and wrap. With
+  // eps == 0 the tile drains, and the pairs saturate the potential
+  // register, as the oracle does. The masses are LNS words, so five
+  // j-words of counts ~2^915 bring the sum to ~2^49 below the wrap and
+  // lighter ones (pair bounds below 2^51) close the gap. J-words at
   // distance 1 along x in a width-16 window with eps 0 (see lns_mass),
   // and a force quantum so large that the force counts vanish.
   PipelineScaling s;
@@ -1133,11 +1139,12 @@ TEST(Backend, LnsFlaggedLaneRefusesOnlyItsTile) {
   // flagged: the first and third tiles hold zero-mass j-words and
   // coincident ones (cut), whose lanes are not live, and the second
   // tile also one live j-word a few codes from the target, whose
-  // differences are subnormal. Only the second tile is refused (the
-  // stage's counts) and recomputed one pair at a time; every prefix
-  // against the oracle. The softening (r^2 = eps^2 = 2^-1000) and the
-  // quanta keep that pair's counts near 2^40, so that the third tile
-  // still fits under the rail.
+  // differences are subnormal. The second tile is recomputed one pair
+  // at a time; every prefix against the oracle. The softening
+  // (r^2 = eps^2 = 2^-1000) and the quanta keep that pair's counts near
+  // 2^40; the softening bound on these quanta is ~2^560 counts per unit
+  // mass, so the capacity check holds for no tile and all three drain.
+  // The normal windows below have the capacity.
   PipelineScaling s;
   s.range_lo = -2e-299;
   s.range_hi = 2e-299;
@@ -1174,7 +1181,7 @@ TEST(Backend, LnsFlaggedLaneRefusesOnlyItsTile) {
   std::vector<RawForce> out(1);
   pipe.evaluate(js, targets, out, stage);
   EXPECT_EQ(stage.tiles, 3u);
-  EXPECT_EQ(stage.fallback_tiles, 1u);
+  EXPECT_EQ(stage.fallback_tiles, 3u);
 
   // A normal window with live lanes in every tile: one bottom-of-range
   // mass in the second tile (as LnsLanesFallBackBelowTheTableSplit)
@@ -1217,6 +1224,143 @@ TEST(Backend, LnsFlaggedLaneRefusesOnlyItsTile) {
   stage.tiles = stage.fallback_tiles = 0;
   expect_lns_matches_oracle(tiny, light, origin, stage, "subnormal product");
   EXPECT_EQ(stage.fallback_tiles, 1u);
+}
+
+/// A pipeline of `num` with `backend` on the window [-1, 1] and the
+/// quanta derived from the softening bound for mass scale 1.
+Pipeline bound_pipeline(PipelineNumerics num, BackendKind backend,
+                        double eps) {
+  num.backend = backend;
+  PipelineScaling s;
+  s.range_lo = -1.0;
+  s.range_hi = 1.0;
+  s.eps = eps;
+  grape::derive_scaling_quanta(s, 1.0);
+  Pipeline pipe{num};
+  pipe.configure(s);
+  return pipe;
+}
+
+TEST(Backend, CountsStayUnderTheCapAtThePairMaximizer) {
+  // A force component m d / (d^2 + eps^2)^(3/2) peaks at d = eps /
+  // sqrt(2), and the potential m / (r^2 + eps^2)^(1/2) at the smallest
+  // separation, one position code. One j-word at a time, of mass 1 and
+  // -0.75, at distances eps / sqrt(2) (1 + k / 400), k in [-20, 20],
+  // along the six axis directions and the eight diagonals, and one code
+  // along +x: every count stays under |m| times its register's cap — the
+  // caps the capacity check uses — and the largest reaches 90 % of it,
+  // so the cap is not vacuous. Both backends, on the default numerics
+  // and the GRAPE-3-class preset (lns_frac_bits 5, no table narrowing);
+  // every call is inside the capacity and takes the tile sums.
+  const double eps = 0.01;
+  const double s3 = 1.0 / std::sqrt(3.0);
+  std::vector<Vec3d> directions;
+  for (const double sign : {1.0, -1.0}) {
+    directions.push_back(Vec3d{sign, 0.0, 0.0});
+    directions.push_back(Vec3d{0.0, sign, 0.0});
+    directions.push_back(Vec3d{0.0, 0.0, sign});
+  }
+  for (const double sx : {1.0, -1.0}) {
+    for (const double sy : {1.0, -1.0}) {
+      for (const double sz : {1.0, -1.0}) {
+        directions.push_back(Vec3d{sx * s3, sy * s3, sz * s3});
+      }
+    }
+  }
+  const Vec3d origin{0.0, 0.0, 0.0};
+  const std::vector<Vec3d> targets = {origin};
+  for (const PipelineNumerics& preset :
+       {PipelineNumerics{}, PipelineNumerics::grape3()}) {
+    for (const BackendKind backend :
+         {BackendKind::BitExact, BackendKind::Native}) {
+      const Pipeline pipe = bound_pipeline(preset, backend, eps);
+      const std::string variant =
+          std::string(grape::backend_name(backend)) + ", F " +
+          std::to_string(preset.lns_frac_bits);
+      const double force_cap = pipe.force_count_cap();
+      const double potential_cap = pipe.potential_count_cap();
+      ASSERT_EQ(pipe.count_cap(), std::max(force_cap, potential_cap));
+      ASSERT_LE(pipe.count_cap() + 1.0, Pipeline::count_capacity()) << variant;
+      grape::EvalStage stage;
+      std::vector<RawForce> out(1);
+      double largest_force = 0.0;
+      double largest_potential = 0.0;
+      for (const double m : {1.0, -0.75}) {
+        const auto check = [&](const Vec3d& at, const std::string& where) {
+          const JWord j = pipe.encode_j(at, m);
+          pipe.evaluate({&j, 1}, targets, out, stage);
+          for (std::size_t c = 0; c < 3; ++c) {
+            const double count = std::fabs(static_cast<double>(out[0].acc[c]));
+            EXPECT_LE(count, std::fabs(m) * force_cap)
+                << variant << ", " << where << ", component " << c;
+            largest_force = std::max(largest_force, count / std::fabs(m));
+          }
+          const double pot = std::fabs(static_cast<double>(out[0].pot));
+          EXPECT_LE(pot, std::fabs(m) * potential_cap) << variant << ", " << where;
+          largest_potential = std::max(largest_potential, pot / std::fabs(m));
+          EXPECT_FALSE(out[0].saturated) << variant << ", " << where;
+        };
+        for (std::size_t d = 0; d < directions.size(); ++d) {
+          for (int k = -20; k <= 20; ++k) {
+            const double r = eps / std::sqrt(2.0) *
+                             (1.0 + static_cast<double>(k) / 400.0);
+            check(r * directions[d], "direction " + std::to_string(d) +
+                                         ", k " + std::to_string(k));
+          }
+        }
+        check(Vec3d{pipe.position_quantum(), 0.0, 0.0}, "one code");
+      }
+      EXPECT_GE(largest_force, 0.9 * force_cap) << variant;
+      EXPECT_GE(largest_potential, 0.9 * potential_cap) << variant;
+      EXPECT_EQ(stage.fallback_tiles, 0u) << variant;
+      EXPECT_GT(stage.tiles, 0u) << variant;
+    }
+  }
+}
+
+TEST(Backend, CapacityCrossedMidCallDrainsFromThatTile) {
+  // Quanta derived for mass scale 1, and a stream of five tiles (the last
+  // ragged) whose words each carry 1 / 1280 of the mass the capacity
+  // check admits, a third of them negative: the running sum of |m|
+  // passes the capacity inside the third tile. The first two tiles take
+  // the tile sums; from the third on every tile drains, for each of the
+  // three targets (two on j-words, one free). Counts and latch bitwise
+  // the reference (Native) and the oracle (BitExact), for the whole
+  // stream and for the first two tiles alone.
+  const std::size_t tile = Pipeline::tile_length();
+  const std::size_t n = 5 * tile - 3;
+  for (const BackendKind backend :
+       {BackendKind::BitExact, BackendKind::Native}) {
+    const Pipeline pipe = bound_pipeline(PipelineNumerics{}, backend, 0.05);
+    const auto variant = std::string(grape::backend_name(backend));
+    const double m =
+        Pipeline::count_capacity() / pipe.count_cap() / (2.5 * static_cast<double>(tile));
+    math::Rng rng(1303);
+    std::vector<JWord> js;
+    std::vector<Vec3d> pos;
+    for (std::size_t k = 0; k < n; ++k) {
+      pos.push_back(0.9 * rng.in_unit_ball());
+      js.push_back(pipe.encode_j(pos.back(), k % 3 == 1 ? -m : m));
+    }
+    const std::vector<Vec3d> targets = {pos[5], pos[3 * tile + 40],
+                                        Vec3d{0.1, -0.2, 0.05}};
+    grape::EvalStage stage;
+    const auto expect_matches = [&](std::span<const JWord> stream,
+                                    const std::string& what) {
+      if (backend == BackendKind::Native) {
+        expect_native_matches_reference(pipe, stream, targets, stage, what);
+      } else {
+        expect_lns_matches_oracle(pipe, stream, targets, stage, what);
+      }
+    };
+    expect_matches({js.data(), 2 * tile}, variant + ", two tiles");
+    EXPECT_EQ(stage.tiles, 2 * targets.size()) << variant;
+    EXPECT_EQ(stage.fallback_tiles, 0u) << variant;
+    stage.tiles = stage.fallback_tiles = 0;
+    expect_matches(js, variant + ", five tiles");
+    EXPECT_EQ(stage.tiles, 5 * targets.size()) << variant;
+    EXPECT_EQ(stage.fallback_tiles, 3 * targets.size()) << variant;
+  }
 }
 
 TEST(Backend, NativeEvaluateMatchesReferenceAcrossLengthsAndTargets) {

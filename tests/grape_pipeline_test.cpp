@@ -4,10 +4,12 @@
 #include <cstdint>
 #include <limits>
 #include <span>
+#include <string>
 #include <vector>
 
 #include "grape/host_reference.hpp"
 #include "grape/pipeline.hpp"
+#include "math/fixed.hpp"
 #include "math/rng.hpp"
 #include "util/stats.hpp"
 
@@ -319,27 +321,94 @@ TEST(Pipeline, ConvertRawIsExactScaling) {
   }
 }
 
-TEST(Pipeline, SnapshotWindowMassScaleIgnoresNonPositiveMasses) {
+TEST(Pipeline, SnapshotWindowMassScaleIsTotalAbsoluteMass) {
   // A 1/N-mass set with a zero-mass tracer (and a negative mass): the
-  // mass scale is the smallest mass > 0, not the fallback of 1, which
-  // would make the quanta 1/m_min = N times coarser.
+  // mass scale is the sum of |m|, the most mass one call can stream —
+  // not the smallest mass, which would make the headroom shrink as 1/N.
   const std::size_t n = 4096;
   std::vector<double> mass(n, 1.0 / static_cast<double>(n));
   mass[17] = 0.0;
   const Vec3d lo{-1.0, -1.0, -1.0};
   const Vec3d hi{1.0, 1.0, 1.0};
-  EXPECT_EQ(grape::snapshot_window(lo, hi, mass).mass_scale,
-            1.0 / static_cast<double>(n));
+  const double rest = static_cast<double>(n - 1) / static_cast<double>(n);
+  EXPECT_NEAR(grape::snapshot_window(lo, hi, mass).mass_scale, rest, 1e-15);
   mass[40] = -0.5;
-  EXPECT_EQ(grape::snapshot_window(lo, hi, mass).mass_scale,
-            1.0 / static_cast<double>(n));
-  mass[3] = 0.25 / static_cast<double>(n);
-  EXPECT_EQ(grape::snapshot_window(lo, hi, mass).mass_scale,
-            0.25 / static_cast<double>(n));
-  // Without any mass > 0 the scale falls back to 1.
+  EXPECT_NEAR(grape::snapshot_window(lo, hi, mass).mass_scale,
+              rest - 1.0 / static_cast<double>(n) + 0.5, 1e-15);
+  // Without any mass the scale falls back to 1.
   const std::vector<double> massless(8, 0.0);
   EXPECT_EQ(grape::snapshot_window(lo, hi, massless).mass_scale, 1.0);
   EXPECT_EQ(grape::snapshot_window(lo, hi, {}).mass_scale, 1.0);
+}
+
+TEST(Pipeline, DerivedQuantaFromTheSofteningBound) {
+  // eps > 0: each quantum is a power of two in [b, 2b), b the softening
+  // bound of the mass scale m over 2^49 (m * 2 / (3 sqrt(3) eps^2) for
+  // the force, m / eps for the potential), whatever the window.
+  for (const double eps : {1e-4, 0.003, 0.02, 0.5, 7.0}) {
+    for (const double m : {1e-9, 1.0 / 3.0, 1.0, 250.0}) {
+      PipelineScaling s;
+      s.range_lo = -3.0;
+      s.range_hi = 5.0;
+      s.eps = eps;
+      grape::derive_scaling_quanta(s, m);
+      const double bound[2] = {m * 2.0 / (3.0 * std::sqrt(3.0) * eps * eps),
+                               m / eps};
+      const double derived[2] = {s.force_quantum, s.potential_quantum};
+      for (int k = 0; k < 2; ++k) {
+        int e = 0;
+        EXPECT_EQ(std::frexp(derived[k], &e), 0.5) << eps << " " << m;
+        EXPECT_GE(derived[k] * 0x1p49, bound[k] * (1.0 - 1e-15))
+            << eps << " " << m << " " << k;
+        EXPECT_LT(derived[k] * 0x1p49, 2.0 * bound[k])
+            << eps << " " << m << " " << k;
+      }
+    }
+  }
+  // A softening whose bound has no normal quanta (eps^2 underflows)
+  // keeps the window's quanta, as eps == 0 does.
+  PipelineScaling tiny;
+  tiny.range_lo = -1.0;
+  tiny.range_hi = 1.0;
+  tiny.eps = 1e-170;
+  grape::derive_scaling_quanta(tiny, 0.25);
+  EXPECT_EQ(tiny.force_quantum, 0x1p-38);
+  EXPECT_EQ(tiny.potential_quantum, 0x1p-37);
+}
+
+TEST(Pipeline, QuantaHeadroomAtThePaperN) {
+  // Pure arithmetic at the paper's N = 2,159,038, equal masses 1/N: every
+  // interaction list partitions the total mass, so no list streams more
+  // than the mass scale, in at most N words. On the quanta
+  // snapshot_window installs, that whole mass passes Pipeline::evaluate's
+  // capacity check on both backends, in the default and the GRAPE-3-class
+  // log format: no admissible list can bring a register near the rail,
+  // and every one takes the tile sums. A unit force is still at least
+  // 2^30 counts.
+  const std::size_t n = 2159038;
+  const std::vector<double> mass(n, 1.0 / static_cast<double>(n));
+  const grape::SnapshotWindow window = grape::snapshot_window(
+      Vec3d{-40.0, -35.0, -38.0}, Vec3d{41.0, 37.0, 36.0}, mass);
+  EXPECT_NEAR(window.mass_scale, 1.0, 1e-9);
+  EXPECT_LT(Pipeline::count_capacity() * 0x1p12,
+            static_cast<double>(math::kAccumulatorRail));
+  for (const double eps : {0.005, 0.02, 0.1}) {
+    for (PipelineNumerics num : {PipelineNumerics{}, PipelineNumerics::grape3()}) {
+      for (const BackendKind backend :
+           {BackendKind::BitExact, BackendKind::Native}) {
+        num.backend = backend;
+        Pipeline pipe(num);
+        pipe.configure(window.scaling(eps));
+        const std::string what = "eps " + std::to_string(eps) + ", F " +
+                                 std::to_string(num.lns_frac_bits) + ", " +
+                                 std::string(grape::backend_name(backend));
+        EXPECT_LE(window.mass_scale * pipe.count_cap() + static_cast<double>(n),
+                  Pipeline::count_capacity())
+            << what;
+        EXPECT_GE(1.0 / pipe.force_accumulator_quantum(), 0x1p30) << what;
+      }
+    }
+  }
 }
 
 TEST(Pipeline, PositionBitsBoundedByDoubleSignificand) {

@@ -7,7 +7,9 @@
 // one full force step through the native-backend emulated GRAPE-5 with
 // the paper's treecode parameters (theta = 0.75, n_crit = 2000) and
 // reports the measured mean interaction-list length alongside the
-// paper's 13,431 figure.
+// paper's 13,431 figure. The step must not saturate, and every (target,
+// tile) must take the tile sums: the accumulator quanta come from the
+// softening bound, so no list of the paper's N is near the rail.
 //
 // Environment knobs:
 //   G5_PAPERSCALE_N      override the particle count (debugging)
@@ -21,7 +23,10 @@
 #include <cstdlib>
 
 #include "core/engines.hpp"
+#include "grape/driver.hpp"
 #include "ic/uniform.hpp"
+#include "obs/registry.hpp"
+#include "obs/span.hpp"
 #include "tree/tree.hpp"
 #include "util/parallel.hpp"
 #include "util/timer.hpp"
@@ -79,9 +84,21 @@ TEST(PaperScale, TreeBuildAndNativeForceStep) {
   fp.n_crit = 2000;     // the paper's group bound
   fp.backend = grape::BackendKind::Native;
   auto engine = core::make_engine("grape-tree", fp);
+  obs::set_enabled(true);
+  obs::Registry::instance().reset_values();
   util::Stopwatch force_watch;
   engine->compute(pset);
   const double force_s = force_watch.elapsed();
+  const std::uint64_t tiles = obs::counter("g5.grape.tiles").value();
+  const std::uint64_t fallback_tiles =
+      obs::counter("g5.grape.fallback_tiles").value();
+  obs::set_enabled(false);
+  std::printf("[paperscale] %llu (target, tile) pairs, %llu drained\n",
+              static_cast<unsigned long long>(tiles),
+              static_cast<unsigned long long>(fallback_tiles));
+  EXPECT_FALSE(engine->grape_device()->system().any_saturation());
+  EXPECT_GT(tiles, 0u);
+  EXPECT_EQ(fallback_tiles, 0u);
 
   const core::EngineStats& es = engine->stats();
   const double mean_list =

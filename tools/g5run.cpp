@@ -327,8 +327,9 @@ void print_measured_timing(const core::SimulationSummary& summary,
         summary.grape.modeled_total() - summary.grape.modeled_compute);
     std::snprintf(m1, sizeof(m1), "%.3f", summary.grape.occupancy());
     mt.add_row({"pipeline occupancy (measured)", m1, "-"});
-    // The (target, j-tile) pairs whose tile sums the rail check refused
-    // and the block drain evaluated instead (Pipeline::evaluate).
+    // The (target, j-tile) pairs outside the capacity check (or with a
+    // flagged BitExact lane) that the block drain evaluated instead of
+    // the tile sums (Pipeline::evaluate).
     const std::uint64_t tiles = obs::counter("g5.grape.tiles").value();
     if (tiles > 0) {
       const std::uint64_t fallback =
