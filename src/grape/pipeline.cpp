@@ -135,10 +135,11 @@ void Pipeline::configure(const PipelineScaling& scaling) {
     double slack = 1.0 + 0x1p-10;
     if (numerics_.backend == BackendKind::BitExact) {
       // Units of the log word's last place the datapath can gain over
-      // the bound: 1/2 for the mass word, 1/2 for the power unit's /2
-      // rounding, and the r^2 re-encoding's 1/2 plus the table grid's
-      // half step (2^(drop-1) units), both raised to the -3/2 power:
-      // 1.75 + 1.5 * grid, rounded up to 2 + 1.5 * grid.
+      // the bound: 1/2 for the power unit's /2 rounding, and the r^2
+      // re-encoding's 1/2 plus the table grid's half step (2^(drop-1)
+      // units), both raised to the -3/2 power; 1/2 more for the mass
+      // word is margin (evaluate sums the decoded words): 1.75 +
+      // 1.5 * grid, rounded up to 2 + 1.5 * grid.
       const int drop =
           math::lns_table_drop(lns_.frac_bits(), lns_.table_index_bits());
       const double grid = drop > 0 ? std::ldexp(1.0, drop - 1) : 0.0;

@@ -209,9 +209,10 @@ TEST(BoardSet, RaggedShardBytesMatchChargedCall) {
 /// per-board memory so the whole set stays resident.
 void forces_with_boards(const model::ParticleSet& src, std::size_t boards,
                         BackendKind backend, std::size_t ni,
-                        std::vector<Vec3d>& acc, std::vector<double>& pot) {
+                        double mass_scale, std::vector<Vec3d>& acc,
+                        std::vector<double>& pot) {
   Grape5System sys(small_config(boards, 4096, backend));
-  sys.set_range(-2.0, 2.0, 0.02, src.mass()[0]);
+  sys.set_range(-2.0, 2.0, 0.02, mass_scale);
   sys.set_j_particles(src.pos(), src.mass());
   acc.assign(ni, Vec3d{});
   pot.assign(ni, 0.0);
@@ -227,19 +228,24 @@ class BoardSetBackend : public ::testing::TestWithParam<BackendKind> {};
 TEST_P(BoardSetBackend, BoardCountIsBitwiseInvariant) {
   // The tentpole determinism claim: the integer-domain reduction makes
   // B = 1, 3 and 4 produce byte-identical forces (not merely close).
-  // 333 over 4 boards also exercises a ragged final shard.
+  // 333 over 4 boards also exercises a ragged final shard. With the
+  // cube's total mass as the mass scale every shard takes the tile sums;
+  // with one particle's mass every shard streams far more than that and
+  // takes the block drain.
   const auto src = ic::make_uniform_cube(333, -1.0, 1.0, 1.0, 7);
   constexpr std::size_t kNi = 48;
   std::vector<Vec3d> acc1, accb;
   std::vector<double> pot1, potb;
-  forces_with_boards(src, 1, GetParam(), kNi, acc1, pot1);
-  for (const std::size_t boards : {3u, 4u}) {
-    forces_with_boards(src, boards, GetParam(), kNi, accb, potb);
-    for (std::size_t i = 0; i < kNi; ++i) {
-      EXPECT_EQ(acc1[i].x, accb[i].x) << "B=" << boards << " i=" << i;
-      EXPECT_EQ(acc1[i].y, accb[i].y) << "B=" << boards << " i=" << i;
-      EXPECT_EQ(acc1[i].z, accb[i].z) << "B=" << boards << " i=" << i;
-      EXPECT_EQ(pot1[i], potb[i]) << "B=" << boards << " i=" << i;
+  for (const double mass_scale : {1.0, src.mass()[0]}) {
+    forces_with_boards(src, 1, GetParam(), kNi, mass_scale, acc1, pot1);
+    for (const std::size_t boards : {3u, 4u}) {
+      forces_with_boards(src, boards, GetParam(), kNi, mass_scale, accb, potb);
+      for (std::size_t i = 0; i < kNi; ++i) {
+        EXPECT_EQ(acc1[i].x, accb[i].x) << "B=" << boards << " i=" << i;
+        EXPECT_EQ(acc1[i].y, accb[i].y) << "B=" << boards << " i=" << i;
+        EXPECT_EQ(acc1[i].z, accb[i].z) << "B=" << boards << " i=" << i;
+        EXPECT_EQ(pot1[i], potb[i]) << "B=" << boards << " i=" << i;
+      }
     }
   }
 }
@@ -247,32 +253,37 @@ TEST_P(BoardSetBackend, BoardCountIsBitwiseInvariant) {
 TEST_P(BoardSetBackend, ChunkedEvaluationIsBitwiseInvariant) {
   // Same j-list through one resident upload vs forced host-side
   // chunking (tiny particle memory): the driver accumulates raw counts
-  // across chunks, so the chunk seams must not show either.
+  // across chunks, so the chunk seams must not show either. Both on the
+  // cube's total mass as the mass scale (every call takes the tile sums)
+  // and on one particle's mass (every call drains).
   const auto src = ic::make_uniform_cube(300, -1.0, 1.0, 1.0, 17);
   constexpr std::size_t kNi = 32;
   const std::span<const Vec3d> targets(src.pos().data(), kNi);
 
-  Grape5Device resident(small_config(2, 4096, GetParam()));
-  resident.set_range(-2.0, 2.0, src.mass()[0]);
-  resident.set_eps(0.02);
-  std::vector<Vec3d> acc_res(kNi);
-  std::vector<double> pot_res(kNi);
-  testutil::chunked_forces(resident.system(), targets, src.pos(), src.mass(),
-                           acc_res, pot_res);
+  for (const double mass_scale : {1.0, src.mass()[0]}) {
+    Grape5Device resident(small_config(2, 4096, GetParam()));
+    resident.set_range(-2.0, 2.0, mass_scale);
+    resident.set_eps(0.02);
+    std::vector<Vec3d> acc_res(kNi);
+    std::vector<double> pot_res(kNi);
+    testutil::chunked_forces(resident.system(), targets, src.pos(),
+                             src.mass(), acc_res, pot_res);
 
-  Grape5Device chunked(small_config(2, 32, GetParam()));  // cap 64 -> 5 chunks
-  chunked.set_range(-2.0, 2.0, src.mass()[0]);
-  chunked.set_eps(0.02);
-  std::vector<Vec3d> acc_chk(kNi);
-  std::vector<double> pot_chk(kNi);
-  testutil::chunked_forces(chunked.system(), targets, src.pos(), src.mass(),
-                           acc_chk, pot_chk);
+    // cap 64 -> 5 chunks
+    Grape5Device chunked(small_config(2, 32, GetParam()));
+    chunked.set_range(-2.0, 2.0, mass_scale);
+    chunked.set_eps(0.02);
+    std::vector<Vec3d> acc_chk(kNi);
+    std::vector<double> pot_chk(kNi);
+    testutil::chunked_forces(chunked.system(), targets, src.pos(), src.mass(),
+                             acc_chk, pot_chk);
 
-  for (std::size_t i = 0; i < kNi; ++i) {
-    EXPECT_EQ(acc_res[i].x, acc_chk[i].x) << i;
-    EXPECT_EQ(acc_res[i].y, acc_chk[i].y) << i;
-    EXPECT_EQ(acc_res[i].z, acc_chk[i].z) << i;
-    EXPECT_EQ(pot_res[i], pot_chk[i]) << i;
+    for (std::size_t i = 0; i < kNi; ++i) {
+      EXPECT_EQ(acc_res[i].x, acc_chk[i].x) << mass_scale << " " << i;
+      EXPECT_EQ(acc_res[i].y, acc_chk[i].y) << mass_scale << " " << i;
+      EXPECT_EQ(acc_res[i].z, acc_chk[i].z) << mass_scale << " " << i;
+      EXPECT_EQ(pot_res[i], pot_chk[i]) << mass_scale << " " << i;
+    }
   }
 }
 
