@@ -83,6 +83,40 @@ void BM_WalkGroup(benchmark::State& state) {
 }
 BENCHMARK(BM_WalkGroup)->Arg(64)->Arg(256)->Arg(1024);
 
+/// Every target's original-walk list over the 65,536-body Plummer set,
+/// one thread, in ns per list entry: /0 walks each target alone
+/// (walk_original, what compute_targets runs), /1 walks each n_crit-256
+/// group's frontier once and builds its members' lists from it
+/// (walk_frontier + walk_member, what host-tree-original's compute runs).
+/// The lists are the same, entry for entry.
+void BM_WalkOriginalAll(benchmark::State& state) {
+  const auto& pset = cached_plummer(65536);
+  tree::BhTree tree;
+  tree.build(pset);
+  const auto groups = tree::collect_groups(tree, tree::GroupConfig{256});
+  tree::InteractionList list;
+  tree::WalkFrontier frontier;
+  const tree::WalkConfig wc{0.75};
+  const bool grouped = state.range(0) != 0;
+  std::uint64_t entries = 0;
+  for (auto _ : state) {
+    for (const tree::Group& group : groups) {
+      if (grouped) tree::walk_frontier(tree, group, wc, frontier);
+      for (std::uint32_t k = group.first; k < group.first + group.count; ++k) {
+        const Vec3d& target = tree.sorted_pos()[k];
+        entries += grouped ? tree::walk_member(tree, frontier, target, wc, list)
+                           : tree::walk_original(tree, target, wc, list);
+        benchmark::DoNotOptimize(list.pos.data());
+      }
+    }
+  }
+  state.counters["ns_per_entry"] = benchmark::Counter(
+      1e-9 * static_cast<double>(entries),
+      benchmark::Counter::kIsRate | benchmark::Counter::kInvert);
+  state.SetLabel(grouped ? "frontier" : "per-target");
+}
+BENCHMARK(BM_WalkOriginalAll)->Arg(0)->Arg(1)->Unit(benchmark::kMillisecond);
+
 /// grape::host_forces_on_targets, the tests' scalar oracle — no engine
 /// runs it; BM_HostListKernel times the host engines' list kernel.
 void BM_HostKernel(benchmark::State& state) {

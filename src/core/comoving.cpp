@@ -41,6 +41,7 @@ ComovingSummary ComovingSimulation::run(model::ParticleSet& pset) {
 
   double a = cfg_.a_start;
   peculiar_force(pset, a);
+  summary.prime = engine_.stats();
 
   const auto n_steps = cfg_.steps;
   for (std::uint64_t s = 1; s <= n_steps; ++s) {

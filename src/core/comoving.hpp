@@ -41,6 +41,9 @@ struct ComovingSummary {
   std::uint64_t steps = 0;
   double wall_seconds = 0.0;
   EngineStats engine;
+  /// The first force phase's alone, before any step (see
+  /// SimulationSummary::prime).
+  EngineStats prime;
   double a_final = 0.0;
   /// rms comoving displacement over the run (growth diagnostic).
   double rms_comoving_displacement = 0.0;

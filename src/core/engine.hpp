@@ -74,6 +74,27 @@ struct EngineStats {
   /// per-lane summing as seconds_walk (CPU seconds across lanes).
   double seconds_kernel = 0.0;
   std::uint64_t groups = 0;          ///< interaction lists shipped
+
+  /// The phases run after `before`, an earlier snapshot of the same
+  /// engine's stats: every count and time less before's (max_list stays
+  /// this one's).
+  [[nodiscard]] EngineStats since(const EngineStats& before) const {
+    EngineStats d = *this;
+    d.evaluations -= before.evaluations;
+    d.interactions -= before.interactions;
+    d.walk.lists -= before.walk.lists;
+    d.walk.interactions -= before.walk.interactions;
+    d.walk.list_entries -= before.walk.list_entries;
+    d.walk.node_terms -= before.walk.node_terms;
+    d.walk.particle_terms -= before.walk.particle_terms;
+    d.walk.nodes_visited -= before.walk.nodes_visited;
+    d.seconds_total -= before.seconds_total;
+    d.seconds_tree_build -= before.seconds_tree_build;
+    d.seconds_walk -= before.seconds_walk;
+    d.seconds_kernel -= before.seconds_kernel;
+    d.groups -= before.groups;
+    return d;
+  }
 };
 
 class ForceEngine {

@@ -148,14 +148,15 @@ void TreeEngine::compute(model::ParticleSet& pset) {
 
   auto& pool = begin_phase(pset);
   G5_OBS_SPAN("walk", "tree");
-  // Every particle belongs to exactly one group (modified) or is one
-  // target (original, in slot order), so each lane writes disjoint
-  // acc/pot entries: the result is bitwise-identical for any assignment
-  // of units to lanes. Both walks place the target itself in its own
-  // list (the original walk via its leaf, the modified walk via the
-  // group's direct part); the kernel drops exactly that self term.
+  // Every particle belongs to exactly one group, and is one target of
+  // its group's lane (original) or evaluated with the group's list
+  // (modified), so each lane writes disjoint acc/pot entries: the result
+  // is bitwise-identical for any assignment of units to lanes. Both
+  // walks place the target itself in its own list (the original walk via
+  // its leaf, the modified walk via the group's direct part); the kernel
+  // drops exactly that self term.
   if (mode_ == Mode::Original) {
-    walk_targets(pool, pset, tree_.original_index());
+    walk_members(pool, pset);
   } else {
     const tree::WalkConfig walk_cfg{params_.theta, params_.mac, quadrupole()};
     const auto& orig = tree_.original_index();
@@ -205,6 +206,49 @@ void TreeEngine::compute(model::ParticleSet& pset) {
   stats_.seconds_total += total.elapsed();
 }
 
+void TreeEngine::walk_members(util::ThreadPool& pool,
+                              model::ParticleSet& pset) {
+  // The original algorithm over the whole set: the per-target lists of
+  // each n_crit group's members share most walk decisions, so a lane
+  // walks the group's frontier once (tree::walk_frontier) and builds each
+  // member's list from it (tree::walk_member). Those lists, and so every
+  // force and walk statistic, are walk_original's bitwise; unit k is
+  // sorted slot k, as in walk_targets over original_index().
+  const tree::WalkConfig walk_cfg{params_.theta, params_.mac, quadrupole()};
+  const auto& orig = tree_.original_index();
+  obs::Histogram* h_list =
+      obs::enabled() ? &obs::histogram("g5.walk.list_len") : nullptr;
+  tree::collect_groups(tree_, tree::GroupConfig{params_.n_crit}, groups_);
+  kernel_->begin_phase(pset, params_.eps, pool.size(), pset.size());
+  pool.parallel_for(
+      groups_.size(), 1,
+      [&](std::size_t begin, std::size_t end, unsigned lane) {
+        WalkScratch& ws = scratch_[lane];
+        for (std::size_t gi = begin; gi < end; ++gi) {
+          const tree::Group& group = groups_[gi];
+          util::Stopwatch lap;
+          tree::walk_frontier(tree_, group, walk_cfg, ws.frontier);
+          ws.seconds_walk += lap.lap();
+          for (std::uint32_t slot = group.first;
+               slot < group.first + group.count; ++slot) {
+            const std::uint32_t t = orig[slot];
+            const math::Vec3d xi = pset.pos()[t];
+            walk_and_evaluate(
+                ws, lane, slot,
+                [&](tree::InteractionList& list, tree::WalkStats* stats) {
+                  tree::walk_member(tree_, ws.frontier, xi, walk_cfg, list,
+                                    stats);
+                },
+                {&xi, 1}, {&pset.mass()[t], 1}, {&pset.acc()[t], 1},
+                {&pset.pot()[t], 1});
+            if (h_list != nullptr) {
+              h_list->observe(static_cast<double>(ws.list.size()));
+            }
+          }
+        }
+      });
+}
+
 void TreeEngine::compute_targets(model::ParticleSet& pset,
                                  std::span<const std::uint32_t> targets) {
   G5_OBS_SPAN("force", "engine");
@@ -221,11 +265,11 @@ void TreeEngine::compute_targets(model::ParticleSet& pset,
 void TreeEngine::walk_targets(util::ThreadPool& pool,
                               model::ParticleSet& pset,
                               std::span<const std::uint32_t> targets) {
-  // Per-target original walks: the original algorithm, and
-  // compute_targets, since groups do not pay off for scattered subsets
-  // (as individual-timestep GRAPE codes found). Target indices are
-  // distinct by the engine contract, so per-target writes stay
-  // race-free.
+  // Per-target original walks for compute_targets: groups do not pay
+  // off for scattered subsets (as individual-timestep GRAPE codes
+  // found), and this is the oracle walk_members' lists equal. Target
+  // indices are distinct by the engine contract, so per-target writes
+  // stay race-free.
   const tree::WalkConfig walk_cfg{params_.theta, params_.mac, quadrupole()};
   obs::Histogram* h_list =
       obs::enabled() ? &obs::histogram("g5.walk.list_len") : nullptr;

@@ -142,8 +142,11 @@ class HostDirectEngine final : public ForceEngine {
 /// Barnes-Hut: parallel tree build, then each pool lane walks a unit — a
 /// group (modified) or a target (original, where every particle is one
 /// in slot order, and compute_targets) — and evaluates its list at once
-/// through the ListKernel. Every unit writes disjoint outputs, so the
-/// forces are bitwise-identical for any thread count.
+/// through the ListKernel. The original mode's compute hands the lanes
+/// n_crit groups: a lane walks a group's shared frontier once and builds
+/// each member's list from it, bitwise the per-target walk's. Every unit
+/// writes disjoint outputs, so the forces are bitwise-identical for any
+/// thread count.
 class TreeEngine final : public ForceEngine {
  public:
   enum class Mode {
@@ -173,6 +176,7 @@ class TreeEngine final : public ForceEngine {
   /// lane order afterwards.
   struct WalkScratch {
     tree::InteractionList list;
+    tree::WalkFrontier frontier;  ///< the original mode's group frontier
     std::vector<math::Vec3d> acc;
     std::vector<double> pot;
     tree::WalkStats walk;
@@ -187,7 +191,7 @@ class TreeEngine final : public ForceEngine {
   tree::BhTree tree_;
   std::unique_ptr<util::ThreadPool> pool_;
   std::vector<WalkScratch> scratch_;
-  std::vector<tree::Group> groups_;  ///< reused across steps (Modified)
+  std::vector<tree::Group> groups_;  ///< reused across steps
   std::vector<std::uint32_t> order_;  ///< group evaluation order
   std::vector<std::uint64_t> group_cost_;  ///< count x list length
 
@@ -198,6 +202,9 @@ class TreeEngine final : public ForceEngine {
   }
   /// Pool, lane scratch and tree for one force phase.
   util::ThreadPool& begin_phase(const model::ParticleSet& pset);
+  /// Every particle's per-target list, built from its n_crit group's
+  /// frontier (unit k is sorted slot k), evaluated into acc/pot.
+  void walk_members(util::ThreadPool& pool, model::ParticleSet& pset);
   /// One per-target list for each of `targets` (distinct particle
   /// indices; unit i is targets[i]), evaluated into their acc/pot.
   void walk_targets(util::ThreadPool& pool, model::ParticleSet& pset,

@@ -57,6 +57,7 @@ SimulationSummary Simulation::run(model::ParticleSet& pset) {
 
   LeapfrogIntegrator integrator;
   integrator.prime(pset, engine_);
+  summary.prime = engine_.stats();
 
   summary.energy_initial = diagnose(pset).energy;
   const math::Vec3d p0 = pset.total_momentum();

@@ -54,6 +54,9 @@ struct SimulationSummary {
   std::uint64_t steps = 0;
   double wall_seconds = 0.0;       ///< measured, whole run
   EngineStats engine;              ///< cumulative engine statistics
+  /// The prime force phase's alone: `engine` covers it and every
+  /// step's, so engine.since(prime) is the steps' work.
+  EngineStats prime;
   grape::HardwareAccount grape;    ///< zeroed for host engines
   EnergyReport energy_initial;
   EnergyReport energy_final;

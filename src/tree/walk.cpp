@@ -4,6 +4,7 @@
 #include <bit>
 #include <cmath>
 #include <cstdint>
+#include <cstring>
 
 #include "math/domain.hpp"
 #include "tree/groupwalk.hpp"
@@ -85,6 +86,22 @@ struct ListSink : CountSink {
     quad = out.quad.data();
     cap = n;
   }
+  /// Append `from`'s entries [begin, end), `nodes` of them cell
+  /// monopoles: a run of a walk_frontier's shared entries.
+  void copy(const InteractionList& from, std::size_t begin, std::size_t end,
+            std::size_t nodes) {
+    const std::size_t n = end - begin;
+    if (n == 0) return;  // half the runs: undecided siblings back to back
+    const std::size_t k = size();
+    if (k + n > cap) resize(std::max(2 * cap, k + n));
+    std::memcpy(pos + k, from.pos.data() + begin, n * sizeof(Vec3d));
+    std::memcpy(mass + k, from.mass.data() + begin, n * sizeof(double));
+    if (quads) {
+      std::memcpy(quad + k, from.quad.data() + begin, n * sizeof(Quadrupole));
+    }
+    node_terms += nodes;
+    particle_terms += n - nodes;
+  }
   [[gnu::noinline]] void grow() { resize(2 * cap); }
 };
 
@@ -108,19 +125,19 @@ void close_list(const ListSink& sink, InteractionList& out) {
   if (sink.quads) out.quad.resize(n);
 }
 
-/// The one traversal of both walks, depth first from the root: node
+/// The one traversal of every walk, depth first from node `root`: node
 /// `skip` and its subtree are left out (-1 skips nothing); every other
 /// node popped is a visit. A node `accept` passes goes to sink.node, an
 /// opened leaf's particles to sink.particle, an opened cell's children on
 /// the stack, octant 7 first. Returns the visits.
 template <typename Accept, typename Sink>
-std::uint64_t traverse(const BhTree& tree, std::int32_t skip,
-                       Accept&& accept, Sink& sink) {
+std::uint64_t traverse(const BhTree& tree, std::int32_t root,
+                       std::int32_t skip, Accept&& accept, Sink& sink) {
   // Explicit guarded stack: inline storage covers the Morton-bounded
   // worst case, deeper trees spill to the heap instead of overflowing.
   std::uint64_t visits = 0;
   TraversalStack stack;
-  stack.push(0);
+  stack.push(root);
   while (!stack.empty()) {
     const std::int32_t idx = stack.pop();
     if (idx == skip) continue;
@@ -150,22 +167,37 @@ std::uint64_t traverse_target(const BhTree& tree, const Vec3d& target,
                               const WalkConfig& cfg, Sink& sink) {
   const double theta2 = cfg.theta * cfg.theta;
   return traverse(
-      tree, -1,
+      tree, 0, -1,
       [&](const Node& node) {
-        const double d2 = (node.com - target).norm2();
-        const double s = mac_size(node, cfg.mac);
-        // Accept when (s/d)^2 < theta^2 — but never a cell that contains
-        // the target itself (with theta > 1/sqrt(3) such a cell could
-        // otherwise pass the MAC and absorb the target's own mass into a
-        // monopole).
-        const Vec3d dc = target - node.center;
-        const bool contains_target = std::fabs(dc.x) <= node.half_size &&
-                                     std::fabs(dc.y) <= node.half_size &&
-                                     std::fabs(dc.z) <= node.half_size;
-        return !contains_target && s * s < theta2 * d2;
+        return target_accepts(node, target, theta2, cfg.mac);
       },
       sink);
 }
+
+/// The frontier walk's sink: certified entries into the shared list, an
+/// undecided node (the accept test passes those too, and flags them in
+/// `undecided`) as a marker in `frontier.pending`.
+struct FrontierSink : ListSink {
+  WalkFrontier& frontier;
+  bool undecided = false;
+
+  [[gnu::always_inline]] void node(const Node& node, std::int32_t idx) {
+    if (!undecided) {
+      ListSink::node(node, idx);
+      return;
+    }
+    WalkFrontier& f = frontier;
+    if (f.pending_size == f.pending.size()) grow_pending();
+    f.pending[f.pending_size++] = {static_cast<std::uint32_t>(size()),
+                                   static_cast<std::uint32_t>(node_terms),
+                                   idx};
+  }
+  /// Out of line, like ListSink::grow: double the markers' column.
+  [[gnu::noinline]] void grow_pending() {
+    frontier.pending.resize(
+        std::max<std::size_t>(64, 2 * frontier.pending_size));
+  }
+};
 
 /// The group walk (Barnes 1990) into `sink`: the external sources by the
 /// group MAC, skipping the group's own subtree, then the group's members
@@ -178,7 +210,7 @@ std::uint64_t traverse_group(const BhTree& tree, const Group& group,
   const Vec3d gcenter = gnode.center;
   const double gradius = gnode.bradius;
   const std::uint64_t visits = traverse(
-      tree, group.node,
+      tree, 0, group.node,
       [&](const Node& node) {
         // The group's ancestors must always be opened (the group is inside
         // them); the containment test covers that: the group's center
@@ -227,6 +259,69 @@ std::size_t walk_original(const BhTree& tree, const Vec3d& target,
   }
   ListSink sink = open_list(tree, config, out);
   const std::uint64_t visits = traverse_target(tree, target, config, sink);
+  close_list(sink, out);
+  record(stats, 1, sink, visits);
+  return out.size();
+}
+
+void walk_frontier(const BhTree& tree, const Group& group,
+                   const WalkConfig& config, WalkFrontier& out) {
+  out.pending_size = 0;
+  out.node_terms = 0;
+  out.visits = 0;
+  if (tree.empty() || tree.particle_count() == 0) {
+    out.shared.clear();
+    return;
+  }
+  const Node& gnode = tree.node(static_cast<std::size_t>(group.node));
+  const double theta2 = config.theta * config.theta;
+  FrontierSink sink{open_list(tree, config, out.shared), out};
+  const std::uint64_t visits = traverse(
+      tree, 0, -1,
+      [&](const Node& node) {
+        const Verdict v =
+            group_verdict(node, gnode.center, gnode.bradius, theta2,
+                          config.mac);
+        sink.undecided = v == Verdict::Undecided;
+        return v != Verdict::OpenAll;
+      },
+      sink);
+  close_list(sink, out.shared);
+  out.node_terms = sink.node_terms;
+  out.visits = visits - out.pending_size;
+}
+
+std::size_t walk_member(const BhTree& tree, const WalkFrontier& frontier,
+                        const Vec3d& target, const WalkConfig& config,
+                        InteractionList& out, WalkStats* stats) {
+  if (tree.empty() || tree.particle_count() == 0) {
+    out.clear();
+    return 0;
+  }
+  ListSink sink = open_list(tree, config, out);
+  const double theta2 = config.theta * config.theta;
+  std::uint64_t visits = frontier.visits;
+  std::size_t done = 0;
+  std::size_t done_nodes = 0;
+  for (std::size_t k = 0; k < frontier.pending_size; ++k) {
+    const WalkFrontier::Pending& p = frontier.pending[k];
+    sink.copy(frontier.shared, done, p.offset, p.node_terms - done_nodes);
+    // The per-target test from the undecided node, as traverse_target
+    // runs it from the root. This instantiation has one caller, so it
+    // inlines into this loop; sharing traverse_target's would cost a
+    // call per undecided node, ~13 % of a member's walk
+    // (BM_WalkOriginalAll/1).
+    visits += traverse(
+        tree, p.node, -1,
+        [&](const Node& node) {
+          return target_accepts(node, target, theta2, config.mac);
+        },
+        sink);
+    done = p.offset;
+    done_nodes = p.node_terms;
+  }
+  sink.copy(frontier.shared, done, frontier.shared.size(),
+            frontier.node_terms - done_nodes);
   close_list(sink, out);
   record(stats, 1, sink, visits);
   return out.size();

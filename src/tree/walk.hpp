@@ -7,6 +7,7 @@
 // the paper's "original algorithm" operation counts refer to.
 #pragma once
 
+#include <cmath>
 #include <cstdint>
 #include <memory>
 #include <new>
@@ -112,6 +113,23 @@ struct WalkConfig {
 /// sqrt(3)/2 of it for full ones) for the bmax variant.
 inline double mac_size(const Node& node, Mac mac) {
   return mac == Mac::Edge ? node.edge() : node.bradius;
+}
+
+/// The per-target walk's acceptance test: a node is taken as one entry
+/// when (s/d)^2 < theta^2, s = mac_size and d the distance from `target`
+/// to the node's center of mass, but never when the node's cell contains
+/// the target (with theta > 1/sqrt(3) such a cell could otherwise pass
+/// and absorb the target's own mass into a monopole). `theta2` is
+/// theta * theta.
+inline bool target_accepts(const Node& node, const Vec3d& target,
+                           double theta2, Mac mac) {
+  const double d2 = (node.com - target).norm2();
+  const double s = mac_size(node, mac);
+  const Vec3d dc = target - node.center;
+  const bool contains_target = std::fabs(dc.x) <= node.half_size &&
+                               std::fabs(dc.y) <= node.half_size &&
+                               std::fabs(dc.z) <= node.half_size;
+  return !contains_target && s * s < theta2 * d2;
 }
 
 /// Build the interaction list for one target position. The leaf containing

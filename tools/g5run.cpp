@@ -19,7 +19,9 @@
 //                           the bit-level GRAPE-5 datapath, the default and
 //                           what every golden number refers to; native =
 //                           plain double on the same quantized coordinates,
-//                           ~3x faster emulation, codec error ~ 0)
+//                           ~4x faster emulation per interaction, as
+//                           bench_kernels' BM_PipelineEvaluate /1 against
+//                           /0 measures; codec error ~ 0)
 //         [--boards B]     (grape engines: processor boards in the emulated
 //                           machine; default 2 = the paper's configuration.
 //                           j-particles block-shard across boards and the
@@ -297,7 +299,8 @@ void print_measured_timing(const core::SimulationSummary& summary,
 
   core::HostCostModel host;
   host.threads = util::resolve_thread_count(fp.threads);
-  const auto& es = summary.engine;
+  // The steps' force phases, as the modeled rows count them.
+  const core::EngineStats es = summary.engine.since(summary.prime);
   const double steps = static_cast<double>(summary.steps);
   const double dn = static_cast<double>(n);
   const double modeled_build = 1e-6 * host.per_particle_build_us * dn * steps;
@@ -456,17 +459,16 @@ void write_report(const std::string& path,
                   const core::ForceParams& fp, std::size_t n) {
   const double dn = static_cast<double>(n);
   const double steps = static_cast<double>(summary.steps);
-  // Section 5's definition: interactions per particle per step.
+  // Section 5's definition: interactions per particle per step, over the
+  // steps' force phases (the prime phase left out, as g5bench does).
+  const double stepped = static_cast<double>(
+      summary.engine.since(summary.prime).interactions);
   const double mean_list =
-      dn > 0.0 && steps > 0.0
-          ? static_cast<double>(summary.engine.interactions) / (dn * steps)
-          : 0.0;
+      dn > 0.0 && steps > 0.0 ? stepped / (dn * steps) : 0.0;
   const double expected = scaled_paper_list(dn, fp.n_crit, fp.theta);
   const double ratio = expected > 0.0 ? mean_list / expected : 0.0;
   const bool within_2x = ratio >= 0.5 && ratio <= 2.0;
-  const double inter_per_step =
-      steps > 0.0 ? static_cast<double>(summary.engine.interactions) / steps
-                  : 0.0;
+  const double inter_per_step = steps > 0.0 ? stepped / steps : 0.0;
   const bool probed = summary.probe_calls > 0;
   const obs::ProbeResult& pr = summary.probe_last;
   const double nan = std::numeric_limits<double>::quiet_NaN();
@@ -698,6 +700,7 @@ int main(int argc, char** argv) {
       summary.steps = cs.steps;
       summary.wall_seconds = cs.wall_seconds;
       summary.engine = cs.engine;
+      summary.prime = cs.prime;
     } else {
       core::SimulationConfig sc;
       if (ic.cosmological) {
@@ -743,13 +746,14 @@ int main(int argc, char** argv) {
       if (!metrics_path.empty()) std::printf("wrote %s\n", metrics_path.c_str());
     }
 
+    // The work rows cover the steps' force phases, not the prime phase.
+    const core::EngineStats stepped = summary.engine.since(summary.prime);
     util::Table t({"quantity", "value"});
     t.add_row({"steps", std::to_string(summary.steps)});
     t.add_row({"interactions",
-               util::sci(static_cast<double>(summary.engine.interactions))});
-    t.add_row({"interaction lists", std::to_string(summary.engine.groups)});
-    t.add_row({"mean entries per list",
-               util::sci(summary.engine.walk.mean_list())});
+               util::sci(static_cast<double>(stepped.interactions))});
+    t.add_row({"interaction lists", std::to_string(stepped.groups)});
+    t.add_row({"mean entries per list", util::sci(stepped.walk.mean_list())});
     t.add_row({"wall clock (measured)",
                util::human_seconds(summary.wall_seconds)});
     if (!ic.cosmological) {
